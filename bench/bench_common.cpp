@@ -6,10 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
 
 #include "formats/matrix_market.hpp"
 #include "hism/transpose.hpp"
@@ -58,17 +55,6 @@ TextTable sweep_average_table(const std::vector<suite::SuiteMatrix>& set,
   }
   table.add_row(std::move(avg_row));
   return table;
-}
-
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir) {
-  if (!dir) return nullptr;
-  static std::mutex mutex;
-  static std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>* caches =
-      new std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>();
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = (*caches)[*dir];
-  if (!slot) slot = std::make_unique<vsim::SimCache>(*dir);
-  return slot.get();
 }
 
 std::string render_profile_json(const vsim::PerfCounters& profile) {
@@ -223,7 +209,7 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
                                           const BenchOptions& options,
                                           const std::string& metric_name,
                                           double (*metric)(const suite::MatrixMetrics&)) {
-  vsim::SimCache* sim_cache = sim_cache_for(options.sim_cache_dir);
+  vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
   ThreadPool pool(options.jobs);
   return parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
     return MatrixRecord{
@@ -421,7 +407,9 @@ HostCounters collect_host_counters(const std::optional<std::string>& sim_cache_d
   HostCounters host;
   host.program_cache = vsim::ProgramCache::instance().stats();
   host.stage_cache = kernels::MatrixStageCache::instance().stats();
-  if (vsim::SimCache* cache = sim_cache_for(sim_cache_dir)) host.sim_cache = cache->stats();
+  if (vsim::SimCache* cache = vsim::sim_cache_for(sim_cache_dir)) {
+    host.sim_cache = cache->stats();
+  }
   return host;
 }
 

@@ -75,11 +75,6 @@ struct BenchOptions {
   std::optional<std::string> telemetry_json_path;
 };
 
-// The process-wide SimCache for `dir` (one instance per directory, so its
-// hit/miss counters aggregate across benches in one process). nullptr when
-// `dir` is empty.
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir);
-
 // Parses the standard flags; calls cli.finish() so unknown flags fail fast.
 // Side effect: enables process-wide telemetry when --telemetry /
 // --telemetry-json was given (and host trace events when --trace-json rides

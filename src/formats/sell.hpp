@@ -54,8 +54,8 @@ class SellCSigma {
   const std::vector<u32>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
 
-  // Stored slots / non-zeros — the chunk-padding waste (ELL's fill_ratio
-  // with per-chunk instead of global width; always <= Ell::fill_ratio()).
+  // Stored slots / non-zeros — the chunk-padding waste (ELL's fill ratio
+  // with per-chunk instead of global width; ELL is C = rows, σ = 1).
   double fill_ratio() const;
   u64 padded_slots() const;  // stored slots minus real non-zeros
 

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <deque>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <queue>
 #include <unordered_set>
 
@@ -325,19 +323,6 @@ std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
   return key_cycles;
 }
 
-vsim::SimCache* sim_cache_for(const std::optional<std::string>& dir) {
-  if (!dir) return nullptr;
-  // One instance per process per directory is enough here: the driver serves
-  // one trace per invocation.
-  static std::mutex mutex;
-  static std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>* caches =
-      new std::unordered_map<std::string, std::unique_ptr<vsim::SimCache>>();
-  std::lock_guard<std::mutex> lock(mutex);
-  auto& slot = (*caches)[*dir];
-  if (!slot) slot = std::make_unique<vsim::SimCache>(*dir);
-  return slot.get();
-}
-
 }  // namespace
 
 const char* outcome_name(Outcome outcome) {
@@ -391,14 +376,14 @@ std::unordered_map<SimKey, u64, SimKeyHash> simulate_keys(const Trace& trace,
   const auto set = suite::build_dsab_set(trace.set, trace.suite);
   SMTU_CHECK_MSG(set.size() == trace.matrix_count,
                  "trace matrix count does not match the regenerated suite set");
-  return simulate_distinct(trace, set, sim_cache_for(options.sim_cache_dir), options);
+  return simulate_distinct(trace, set, vsim::sim_cache_for(options.sim_cache_dir), options);
 }
 
 ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
   const auto set = suite::build_dsab_set(trace.set, trace.suite);
   SMTU_CHECK_MSG(set.size() == trace.matrix_count,
                  "trace matrix count does not match the regenerated suite set");
-  vsim::SimCache* sim_cache = sim_cache_for(options.sim_cache_dir);
+  vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
 
   ServeReport report;
   const auto started = std::chrono::steady_clock::now();

@@ -1,8 +1,12 @@
 #include "vsim/sim_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -21,6 +25,16 @@ constexpr u64 kFnvOffset = 14695981039346656037ull;
 constexpr u64 kFnvOffsetAlt = kFnvOffset ^ 0x9e3779b97f4a7c15ull;
 
 constexpr std::string_view kSchema = "smtu-simcache-v1";
+
+// A temp-file name no other writer shares: two processes on one cache
+// directory, or two SimCache objects in one process, may store the same key
+// at once, and with a shared name one writer's truncate or rename pulls the
+// file out from under the other's.
+std::string unique_temp_path(const std::string& path) {
+  static std::atomic<u64> counter{0};
+  return format("%s.%lld-%llu.tmp", path.c_str(), static_cast<long long>(::getpid()),
+                static_cast<unsigned long long>(counter.fetch_add(1)));
+}
 
 }  // namespace
 
@@ -184,7 +198,7 @@ void SimCache::store(const std::string& key, const Entry& entry) {
 
   // Temp-file + rename so concurrent readers never see a partial entry.
   const std::string path = path_for(key);
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = unique_temp_path(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     SMTU_CHECK_MSG(out.good(), "sim-cache: cannot write " + tmp);
@@ -208,6 +222,16 @@ void SimCache::store(const std::string& key, const Entry& entry) {
 SimCache::Stats SimCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+SimCache* sim_cache_for(const std::optional<std::string>& dir) {
+  if (!dir) return nullptr;
+  static std::mutex mutex;
+  static auto* caches = new std::unordered_map<std::string, std::unique_ptr<SimCache>>();
+  std::lock_guard<std::mutex> lock(mutex);
+  auto& slot = (*caches)[*dir];
+  if (!slot) slot = std::make_unique<SimCache>(*dir);
+  return slot.get();
 }
 
 }  // namespace smtu::vsim

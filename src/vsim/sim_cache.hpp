@@ -14,8 +14,9 @@
 // `verified` records whether the cached run also passed the caller's
 // correctness check (lookups that need verification treat unverified
 // entries as misses); `profile` is the pre-rendered smtu-profile-v1 object
-// the report splices back in via JsonWriter::raw. Writes go through a
-// temp-file rename so concurrent processes never observe partial entries.
+// the report splices back in via JsonWriter::raw. Each write goes through a
+// temp file of its own and a rename, so concurrent writers never clash and
+// readers never observe partial entries.
 #pragma once
 
 #include <mutex>
@@ -92,5 +93,10 @@ class SimCache {
   // not memoized (a concurrent process may store the entry at any moment).
   std::unordered_map<std::string, Entry> memo_;
 };
+
+// The process-wide SimCache for `dir`: one instance per directory, so a
+// process keeps one memo table and one set of hit/miss counters per cache
+// however many benches or servers use it. nullptr when `dir` is empty.
+SimCache* sim_cache_for(const std::optional<std::string>& dir);
 
 }  // namespace smtu::vsim

@@ -130,8 +130,8 @@ TEST(Docs, KernelReferenceCoversEveryKernelAndItsRegions) {
 TEST(Docs, FormatReferenceCoversEveryFormat) {
   const std::string doc = read_doc("FORMATS.md");
   ASSERT_FALSE(doc.empty());
-  for (const char* format : {"COO", "CSR", "CSC", "Dense", "ELLPACK", "SELL-C-σ",
-                             "Jagged Diagonal", "CDS", "BCSR", "HiSM"}) {
+  for (const char* format :
+       {"COO", "CSR", "CSC", "Dense", "SELL-C-σ", "Jagged Diagonal", "HiSM"}) {
     EXPECT_NE(doc.find(format), std::string::npos)
         << "docs/FORMATS.md does not cover " << format;
   }

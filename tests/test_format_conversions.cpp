@@ -5,8 +5,6 @@
 
 #include <cmath>
 
-#include "formats/bcsr.hpp"
-#include "formats/cds.hpp"
 #include "formats/csc.hpp"
 #include "formats/csr.hpp"
 #include "formats/dense.hpp"
@@ -44,9 +42,6 @@ TEST_P(FormatRoundTrip, AllFormatsPreserveTheMatrix) {
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).to_coo(), coo));
   EXPECT_TRUE(coo_equal(Csc::from_coo(coo).to_coo(), coo));
   EXPECT_TRUE(coo_equal(Jagged::from_coo(coo).to_coo(), coo));
-  EXPECT_TRUE(coo_equal(Cds::from_coo(coo).to_coo(), coo));
-  EXPECT_TRUE(coo_equal(Bcsr::from_coo(coo, 4, 4).to_coo(), coo));
-  EXPECT_TRUE(coo_equal(Bcsr::from_coo(coo, 3, 7).to_coo(), coo));
   EXPECT_TRUE(coo_equal(HismMatrix::from_coo(coo, 8).to_coo(), coo));
   EXPECT_TRUE(coo_equal(HismMatrix::from_coo(coo, 64).to_coo(), coo));
   if (coo.rows() * coo.cols() <= 65536) {
@@ -69,8 +64,6 @@ TEST_P(FormatRoundTrip, AllSpmvsAgree) {
     }
   };
   check(Jagged::from_coo(coo).spmv(x), "jd");
-  check(Cds::from_coo(coo).spmv(x), "cds");
-  check(Bcsr::from_coo(coo, 4, 4).spmv(x), "bcsr");
 }
 
 TEST_P(FormatRoundTrip, TransposePathsAgree) {
@@ -78,7 +71,6 @@ TEST_P(FormatRoundTrip, TransposePathsAgree) {
   const Coo expected = coo.transposed();
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).transposed_pissanetsky().to_coo(), expected));
   EXPECT_TRUE(coo_equal(Csc::from_coo(coo).transposed_coo(), expected));
-  EXPECT_TRUE(coo_equal(Bcsr::from_coo(coo, 4, 4).transposed().to_coo(), expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -52,15 +52,23 @@ TEST(DsabPool, SpansWideParameterRanges) {
   EXPECT_GT(max_loc / min_loc, 20.0);   // and of locality
 }
 
-class SelectionByCriterion
-    : public ::testing::TestWithParam<double (*)(const MatrixMetrics&)> {};
+struct Criterion {
+  const char* name;
+  double (*value)(const MatrixMetrics&);
+};
+
+// Print the name, not the function pointer: an address moves with ASLR on
+// every run, and the test names built from it would change with each build.
+void PrintTo(const Criterion& c, std::ostream* os) { *os << c.name; }
+
+class SelectionByCriterion : public ::testing::TestWithParam<Criterion> {};
 
 TEST_P(SelectionByCriterion, PicksTenAscendingDistinct) {
   const auto pool = build_dsab_pool({.scale = kPoolScale});
-  const auto picks = select_log_spaced(pool, 10, GetParam());
+  const auto picks = select_log_spaced(pool, 10, GetParam().value);
   ASSERT_EQ(picks.size(), 10u);
   for (usize i = 1; i < picks.size(); ++i) {
-    EXPECT_GE(GetParam()(picks[i].metrics), GetParam()(picks[i - 1].metrics));
+    EXPECT_GE(GetParam().value(picks[i].metrics), GetParam().value(picks[i - 1].metrics));
     EXPECT_NE(picks[i].name, picks[i - 1].name);
   }
   EXPECT_EQ(picks.front().index, 0u);
@@ -72,25 +80,25 @@ TEST_P(SelectionByCriterion, CoversTheExtremes) {
   double min_value = 1e300;
   double max_value = 0;
   for (const auto& entry : pool) {
-    const double v = GetParam()(entry.metrics);
+    const double v = GetParam().value(entry.metrics);
     if (v <= 0) continue;
     min_value = std::min(min_value, v);
     max_value = std::max(max_value, v);
   }
-  const auto picks = select_log_spaced(pool, 10, GetParam());
-  EXPECT_DOUBLE_EQ(GetParam()(picks.front().metrics), min_value);
-  EXPECT_DOUBLE_EQ(GetParam()(picks.back().metrics), max_value);
+  const auto picks = select_log_spaced(pool, 10, GetParam().value);
+  EXPECT_DOUBLE_EQ(GetParam().value(picks.front().metrics), min_value);
+  EXPECT_DOUBLE_EQ(GetParam().value(picks.back().metrics), max_value);
 }
 
 TEST_P(SelectionByCriterion, StepsAreRoughlyLogUniform) {
   const auto pool = build_dsab_pool({.scale = kPoolScale});
-  const auto picks = select_log_spaced(pool, 10, GetParam());
-  const double lo = std::log(GetParam()(picks.front().metrics));
-  const double hi = std::log(GetParam()(picks.back().metrics));
+  const auto picks = select_log_spaced(pool, 10, GetParam().value);
+  const double lo = std::log(GetParam().value(picks.front().metrics));
+  const double hi = std::log(GetParam().value(picks.back().metrics));
   const double ideal_step = (hi - lo) / 9.0;
   for (usize k = 0; k < picks.size(); ++k) {
     const double target = lo + ideal_step * static_cast<double>(k);
-    const double actual = std::log(GetParam()(picks[k].metrics));
+    const double actual = std::log(GetParam().value(picks[k].metrics));
     // Within one ideal step of the exact log-grid point (a finite pool
     // cannot hit the grid exactly).
     EXPECT_NEAR(actual, target, ideal_step + 1e-9) << "pick " << k;
@@ -98,7 +106,9 @@ TEST_P(SelectionByCriterion, StepsAreRoughlyLogUniform) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Criteria, SelectionByCriterion,
-                         ::testing::Values(&by_nnz, &by_locality, &by_anz));
+                         ::testing::Values(Criterion{"nnz", &by_nnz},
+                                           Criterion{"locality", &by_locality},
+                                           Criterion{"anz", &by_anz}));
 
 TEST(Selection, RejectsOversizedRequest) {
   const auto pool = build_dsab_pool({.scale = kPoolScale});

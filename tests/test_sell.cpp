@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "formats/csr.hpp"
-#include "formats/ell.hpp"
 #include "formats/sell.hpp"
 #include "testing.hpp"
 
@@ -101,14 +100,15 @@ TEST(SellCSigma, EmptyRowsAndEmptyMatrix) {
 TEST(SellCSigma, PaddingNeverExceedsEllAndGlobalSortNeverExceedsSigmaOne) {
   Rng rng(11);
   const Coo coo = irregular_coo(96, 64, rng);
-  const Ell ell = Ell::from_coo(coo);
+  // ELL is the C = rows, σ = 1 corner: one chunk padded to the longest row.
+  const SellCSigma ell = SellCSigma::from_coo(coo, static_cast<u32>(coo.rows()), 1);
   const u32 chunk = 8;
   const SellCSigma unsorted = SellCSigma::from_coo(coo, chunk, 1);
   const SellCSigma global = SellCSigma::from_coo(coo, chunk, 0);
 
   // Chunk-local widths can only shrink the slot count versus ELL's global
   // width, and sorting can only shrink it versus not sorting.
-  const u64 ell_slots = static_cast<u64>(ell.rows()) * ell.width();
+  const u64 ell_slots = ell.padded_slots() + ell.nnz();
   EXPECT_LE(unsorted.padded_slots() + unsorted.nnz(), ell_slots);
   EXPECT_LE(global.padded_slots(), unsorted.padded_slots());
   EXPECT_GE(global.fill_ratio(), 1.0);

@@ -1,15 +1,18 @@
 // Host-throughput caching layers: the content-addressed on-disk simulation
 // cache (hash keying, need_verified/need_profile miss semantics, merge-on-
-// store), the process-wide program cache, the matrix stage cache, and the
-// copy-on-write memory snapshots underneath them. The load-bearing property
-// throughout is bit-identical replay: a cached result must serialize to
-// exactly the bytes the live simulation would have produced.
+// store, concurrent writers), the process-wide program cache, the matrix
+// stage cache, and the copy-on-write memory snapshots underneath them. The
+// load-bearing property throughout is bit-identical replay: a cached result
+// must serialize to exactly the bytes the live simulation would have
+// produced.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "formats/coo.hpp"
@@ -171,6 +174,41 @@ TEST(SimCache, StoreUpgradesButNeverDowngrades) {
   const auto entry = cache.lookup(key, /*need_verified=*/true, /*need_profile=*/true);
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->verified);
+  EXPECT_EQ(entry->profile_json, "{\"p\":1}");
+}
+
+TEST(SimCache, ConcurrentWritersOfOneKeyNeverClash) {
+  // Two cache objects on one directory stand in for two processes sharing
+  // --sim-cache=DIR. Both store the same key from their own thread, round
+  // after round; every store must land, and the entry left behind must be
+  // whole.
+  TempDir dir("simcache_race");
+  vsim::SimCache first(dir.str());
+  vsim::SimCache second(dir.str());
+  const std::string key = "00112233445566778899aabbccddeeff";
+  vsim::RunStats stats;
+  stats.cycles = 4242;
+  stats.instructions = 77;
+  constexpr u64 kRounds = 200;
+  const auto write_rounds = [&](vsim::SimCache& cache) {
+    for (u64 round = 0; round < kRounds; ++round) {
+      cache.store(key, {stats, /*verified=*/true, "{\"p\":1}"});
+    }
+  };
+  std::thread other([&] { write_rounds(second); });
+  write_rounds(first);
+  other.join();
+
+  EXPECT_EQ(first.stats().stores, kRounds);
+  EXPECT_EQ(second.stats().stores, kRounds);
+  // Only the entry itself remains: no writer's temp file was left behind.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.str()),
+                          std::filesystem::directory_iterator()),
+            1);
+  const auto entry = vsim::SimCache(dir.str()).lookup(key, /*need_verified=*/true,
+                                                      /*need_profile=*/true);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(stats_json(entry->stats), stats_json(stats));
   EXPECT_EQ(entry->profile_json, "{\"p\":1}");
 }
 

@@ -1,12 +1,11 @@
-// The observability layer's C++ side: RunStats/MachineConfig/STM-stats JSON
-// emission, the RunStats round trip, and the Chrome trace-event export —
-// each validated by parsing the emitted text back with support/json.
+// The observability layer's C++ side: RunStats/MachineConfig JSON emission,
+// the RunStats round trip, and the Chrome trace-event export — each
+// validated by parsing the emitted text back with support/json.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 
-#include "stm/stats_json.hpp"
 #include "support/json.hpp"
 #include "vsim/assembler.hpp"
 #include "vsim/json_export.hpp"
@@ -102,36 +101,6 @@ TEST(MachineConfigJson, EmitsTimingKnobsAndStmBlock) {
   EXPECT_EQ(doc->at("mem_startup").as_u64(), config.mem_startup);
   EXPECT_EQ(doc->at("stm").at("bandwidth").as_u64(), 8u);
   EXPECT_EQ(doc->at("stm").at("lines").as_u64(), config.stm.lines);
-}
-
-TEST(StmStatsJson, EmitsCountersAndDerivedUtilization) {
-  StmUnit::Stats stats;
-  stats.blocks = 3;
-  stats.elements_in = 40;
-  stats.elements_out = 40;
-  stats.write_cycles = 10;
-  stats.read_cycles = 10;
-  stats.write_batches = 5;
-  stats.read_batches = 5;
-  StmConfig config;
-  config.bandwidth = 4;
-
-  std::ostringstream out;
-  JsonWriter json(out);
-  write_stm_stats_json(json, stats, config);
-  ASSERT_TRUE(json.complete());
-
-  const auto doc = parse_json(out.str());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->at("blocks").as_u64(), 3u);
-  EXPECT_EQ(doc->at("elements_in").as_u64(), 40u);
-  EXPECT_EQ(doc->at("elements_out").as_u64(), 40u);
-  EXPECT_EQ(doc->at("write_cycles").as_u64(), 10u);
-  EXPECT_EQ(doc->at("read_cycles").as_u64(), 10u);
-  EXPECT_EQ(doc->at("write_batches").as_u64(), 5u);
-  EXPECT_EQ(doc->at("read_batches").as_u64(), 5u);
-  // (40 + 40) / ((10 + 10) * 4) = 1.0
-  EXPECT_DOUBLE_EQ(doc->at("buffer_utilization").as_double(), 1.0);
 }
 
 // A small program that exercises all four trace tracks: scalar setup, a

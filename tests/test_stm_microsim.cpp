@@ -1,13 +1,13 @@
 // Cross-validation of the two independent STM timing implementations: the
 // schedule-based engine (stm/unit.cpp) and the cycle-by-cycle
-// micro-simulation driving the Non-zero Locator circuit (stm/microsim.cpp).
+// micro-simulation driving the Non-zero Locator circuit (oracles/microsim.cpp).
 // They must agree bit-exactly on drain order and cycle counts across the
 // whole (B, L, strict/relaxed, density) parameter space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "stm/microsim.hpp"
+#include "oracles/microsim.hpp"
 #include "stm/unit.hpp"
 #include "support/rng.hpp"
 

@@ -3,7 +3,7 @@
 // explicit stage registers instead of being added as constants.
 #include <gtest/gtest.h>
 
-#include "stm/rtl.hpp"
+#include "oracles/rtl.hpp"
 #include "stm/unit.hpp"
 #include "support/rng.hpp"
 

@@ -2,11 +2,8 @@
 
 #include <sstream>
 
-#include <cstdlib>
-
 #include "support/bits.hpp"
 #include "support/cli.hpp"
-#include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -149,21 +146,6 @@ TEST(Strings, HumanCount) {
   EXPECT_EQ(human_count(1234.0), "1.23k");
   EXPECT_EQ(human_count(3753461.0), "3.75M");
   EXPECT_EQ(human_count(2.5e9), "2.50G");
-}
-
-TEST(Log, LevelsFromEnvironment) {
-  const LogLevel saved = log_level();
-  setenv("SMTU_LOG", "debug", 1);
-  init_log_level_from_env();
-  EXPECT_EQ(log_level(), LogLevel::Debug);
-  setenv("SMTU_LOG", "off", 1);
-  init_log_level_from_env();
-  EXPECT_EQ(log_level(), LogLevel::Off);
-  setenv("SMTU_LOG", "nonsense", 1);
-  init_log_level_from_env();
-  EXPECT_EQ(log_level(), LogLevel::Off);  // unrecognized: unchanged
-  unsetenv("SMTU_LOG");
-  set_log_level(saved);
 }
 
 TEST(Cli, ParsesOptionsAndPositionals) {

@@ -25,15 +25,15 @@ A metric's direction decides what counts as a regression:
     --all but never fails the run.
 
 Host-timing keys are ignored entirely: any key containing "wall_ms" (the
-per-matrix and harness wall-time measurements) or "per_sec" (the
-interpreter-throughput rates micro_host --interp-json emits) is
+per-matrix and harness wall-time measurements) or "per_sec" (host
+throughput rates such as the serve reports' req_per_sec) is
 nondeterministic by nature, and "jobs"/"harness" only describe how the run
-was executed. The "host" section (program/stage/sim cache hit counters and
-dispatch throughput records — HACKING.md "Host performance") likewise
-depends on process history, not on the simulated machine. The "telemetry"
-section (docs/TELEMETRY.md) is skipped wholesale for the same reason — it
-only exists on --telemetry runs, so a telemetry-on report diffs clean at
-threshold 0 against a telemetry-off one — and, defense in depth, telemetry
+was executed. The "host" section (program/stage/sim cache hit counters —
+HACKING.md "Host performance") likewise depends on process history, not on
+the simulated machine. The "telemetry" section (docs/TELEMETRY.md) is
+skipped wholesale for the same reason — it only exists on --telemetry
+runs, so a telemetry-on report diffs clean at threshold 0 against a
+telemetry-off one — and, defense in depth, telemetry
 metric names carry unit suffixes ("_us", "_pct", "_peak", "_total") that
 are skipped wherever they appear, so stray latency/hit-count leaves can
 never gate CI. None of them can gate, appear as [new]/[gone], or show
@@ -60,8 +60,8 @@ SKIPPED_KEYS = {"schema", "bench", "seed", "scale", "jobs", "harness", "host",
 
 # Any key containing one of these fragments is host-timing noise, never a
 # simulated metric; skipped at flatten time so it cannot gate or diff.
-# "per_sec" covers the interpreter-throughput records micro_host emits
-# (insts_per_sec / cycles_per_sec) plus the serve reports' req_per_sec;
+# "per_sec" covers host throughput rates such as the serve reports'
+# req_per_sec;
 # "wall_us" covers the serve reports' wall_us/sim_wall_us wall-clock
 # measurements (also caught by the "_us" suffix rule — defense in depth,
 # since these must never gate a "smtu-serve-v1" diff at threshold 0).

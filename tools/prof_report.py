@@ -4,8 +4,7 @@
 Usage:
     tools/prof_report.py show [PROFILE.json] [--top=10] [--matrix=NAME]
                          [--kernel=hism|crs] [--per-core]
-                         [--host=INTERP.json] [--telemetry=TELEMETRY.json]
-                         [--serve=SERVE.json]
+                         [--telemetry=TELEMETRY.json] [--serve=SERVE.json]
     tools/prof_report.py diff OLD.json NEW.json [--top=10] [--matrix=NAME]
                          [--kernel=hism|crs]
 
@@ -24,14 +23,6 @@ of docs/MULTICORE.md. There --kernel selects hism_sharded or crs_parallel.
 stall bucket with its share of total cycles — the buckets sum to the total
 exactly, see docs/PROFILING.md), functional-unit occupancy, per-region
 roll-ups, and the top-N hottest source lines.
-
-``--host=INTERP.json`` appends the host interpreter-throughput records of an
-smtu-hostmicro-v1 document (``bench/micro_host --interp-json``): per kernel
-class and dispatch mode, instructions/sec and simulated-cycles/sec of wall
-time, plus the threaded-over-switch speedup per kernel. These are host-machine
-speeds, not simulated metrics — bench_diff.py never gates on them. With a
-PROFILE.json too, the records print after the simulated-cycle rollups; with
-``--host`` alone (the CI invocation) only the throughput tables print.
 
 ``--telemetry=TELEMETRY.json`` renders host telemetry (docs/TELEMETRY.md):
 counters/gauges, one table row per latency histogram (count, min, p50/p90/
@@ -219,49 +210,6 @@ def show_scaling(document, matrix, kernel, per_core, top):
             break  # default: first record only
     if not shown:
         fail("no matching scaling record (check --matrix/--kernel)")
-
-
-def show_host(document):
-    """Render the dispatch-throughput records of an smtu-hostmicro-v1
-    document (bench/micro_host --interp-json). Host speed, not simulated
-    cycles: one row per (kernel class, dispatch mode), then the
-    threaded-over-switch speedup per kernel class."""
-    records = None
-    if isinstance(document, dict) and document.get("schema") == "smtu-hostmicro-v1":
-        host = document.get("host")
-        if isinstance(host, dict) and isinstance(host.get("dispatch"), list):
-            records = host["dispatch"]
-    if not records:
-        fail("no host.dispatch records (expected bench/micro_host "
-             "--interp-json output, schema smtu-hostmicro-v1)")
-
-    def rate(value):
-        return f"{value / 1e6:.2f}M"
-
-    print("== host interpreter throughput (micro_host --interp-json; "
-          "host speed, not simulated metrics) ==\n")
-    rows = []
-    by_kernel = {}
-    for record in records:
-        rows.append([record["name"], record["mode"],
-                     rate(record["insts_per_sec"]),
-                     rate(record["cycles_per_sec"]),
-                     str(record["runs"]), f"{record['wall_ms']:.0f}"])
-        by_kernel.setdefault(record["name"], {})[record["mode"]] = record
-    print_table(["kernel", "dispatch", "insts/s", "sim-cycles/s", "runs",
-                 "wall ms"], rows)
-
-    rows = []
-    for name, modes in by_kernel.items():
-        threaded = modes.get("threaded")
-        switch = modes.get("switch")
-        if threaded and switch and switch["insts_per_sec"]:
-            ratio = threaded["insts_per_sec"] / switch["insts_per_sec"]
-            rows.append([name, f"{ratio:.2f}x"])
-    if rows:
-        print("  threaded-dispatch speedup over the legacy switch "
-              "(HACKING.md \"Interpreter internals\"):")
-        print_table(["kernel", "threaded/switch"], rows)
 
 
 def extract_telemetry(document):
@@ -454,7 +402,7 @@ def main():
     show = sub.add_parser("show", help="print one profile as text tables")
     show.add_argument("profile", nargs="?", default=None,
                       help="profile or bench/repro JSON file (optional when "
-                           "--host is given)")
+                           "--telemetry or --serve is given)")
     diff = sub.add_parser("diff", help="compare two profiles of one program")
     diff.add_argument("old", help="baseline JSON file")
     diff.add_argument("new", help="candidate JSON file")
@@ -470,10 +418,6 @@ def main():
     show.add_argument("--per-core", action="store_true",
                       help="with an smtu-scaling-v1 report: add a per-core "
                            "table to each rollup")
-    show.add_argument("--host", default=None, metavar="INTERP_JSON",
-                      help="smtu-hostmicro-v1 file (micro_host --interp-json):"
-                           " print its dispatch-throughput records after the "
-                           "simulated-cycle rollups (or alone)")
     show.add_argument("--telemetry", default=None, metavar="TELEMETRY_JSON",
                       help="smtu-telemetry-v1 file (--telemetry-json on any "
                            "bench binary / vsim_run) or a --telemetry report: "
@@ -486,10 +430,10 @@ def main():
     args = parser.parse_args()
 
     if args.command == "show":
-        if args.profile is None and args.host is None and \
-                args.telemetry is None and args.serve is None:
-            fail("show needs a profile file, --host=INTERP_JSON, "
-                 "--telemetry=TELEMETRY_JSON, and/or --serve=SERVE_JSON")
+        if args.profile is None and args.telemetry is None and \
+                args.serve is None:
+            fail("show needs a profile file, --telemetry=TELEMETRY_JSON, "
+                 "and/or --serve=SERVE_JSON")
         if args.profile is not None:
             document = load(args.profile)
             if document.get("schema") == "smtu-scaling-v1":
@@ -500,8 +444,6 @@ def main():
                                                        args.matrix,
                                                        args.kernel):
                     show_profile(label, profile, args.top)
-        if args.host is not None:
-            show_host(load(args.host))
         if args.telemetry is not None:
             show_telemetry(load(args.telemetry))
         if args.serve is not None:

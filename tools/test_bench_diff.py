@@ -99,9 +99,9 @@ class BenchDiffGating(unittest.TestCase):
         self.assertNotIn("sim_cache", out)
 
     def test_per_sec_rates_are_invisible(self):
-        # Interpreter-throughput rates (micro_host --interp-json) are host
-        # speed, not simulated metrics: a 10x swing must neither gate nor
-        # appear as schema drift, even outside a "host" section.
+        # Throughput rates (insts/s, cycles/s, req/s) are host speed, not
+        # simulated metrics: a 10x swing must neither gate nor appear as
+        # schema drift, even outside a "host" section.
         old = report(1000, 5.0, 10.0)
         new = report(1000, 5.0, 10.0)
         new["matrices"][0]["insts_per_sec"] = 19.4e6
@@ -112,8 +112,9 @@ class BenchDiffGating(unittest.TestCase):
         self.assertNotIn("per_sec", out)
 
     def test_hostmicro_dispatch_records_are_invisible(self):
-        # The full smtu-hostmicro-v1 record shape: everything lives under
-        # "host", and the per-record rates/wall times are timing fragments.
+        # Nested per-record host throughput under "host": the whole section
+        # is skipped, and the per-record rates/wall times are timing
+        # fragments besides.
         old = report(1000, 5.0, 10.0)
         new = report(1000, 5.0, 10.0)
         new["host"] = {

@@ -91,23 +91,6 @@ def scaling_report():
     }
 
 
-def hostmicro_report():
-    """What bench/micro_host --interp-json writes: per (kernel class,
-    dispatch mode) host-throughput records under host.dispatch."""
-    def record(name, mode, insts_per_sec, cycles_per_sec):
-        return {"name": name, "mode": mode, "runs": 100, "wall_ms": 205.0,
-                "insts_per_sec": insts_per_sec,
-                "cycles_per_sec": cycles_per_sec}
-    return {
-        "schema": "smtu-hostmicro-v1",
-        "host": {"dispatch": [
-            record("hism_transpose", "threaded", 20.0e6, 160.0e6),
-            record("hism_transpose", "switch", 5.0e6, 40.0e6),
-            record("sell_spmv", "threaded", 12.0e6, 90.0e6),
-        ]},
-    }
-
-
 def telemetry_doc():
     """What --telemetry-json writes: an smtu-telemetry-v1 document with the
     three metric families (docs/TELEMETRY.md)."""
@@ -184,25 +167,6 @@ def serve_doc():
     }
 
 
-def run_show_with_host(host_doc, profile_doc=None, flags=()):
-    """Run `show [PROFILE] --host=HOST.json` on synthetic documents."""
-    with tempfile.TemporaryDirectory() as tmp:
-        host_path = os.path.join(tmp, "host.json")
-        with open(host_path, "w", encoding="utf-8") as handle:
-            json.dump(host_doc, handle)
-        argv = [sys.executable, PROF_REPORT, "show"]
-        if profile_doc is not None:
-            profile_path = os.path.join(tmp, "profile.json")
-            with open(profile_path, "w", encoding="utf-8") as handle:
-                json.dump(profile_doc, handle)
-            argv.append(profile_path)
-        argv.append(f"--host={host_path}")
-        argv.extend(flags)
-        result = subprocess.run(argv, capture_output=True, text=True,
-                                check=False)
-    return result.returncode, result.stdout + result.stderr
-
-
 def run_tool_with_flags(command, docs, flags):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -259,6 +223,12 @@ class ProfReportShow(unittest.TestCase):
         self.assertIn("v_ldx", out)
         self.assertNotIn("addi", out)
 
+    def test_show_without_any_input_fails(self):
+        result = subprocess.run([sys.executable, PROF_REPORT, "show"],
+                                capture_output=True, text=True, check=False)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertIn("--telemetry", result.stderr)
+
 
 class ProfReportScaling(unittest.TestCase):
     def test_rollup_sums_buckets_across_cores(self):
@@ -288,57 +258,6 @@ class ProfReportScaling(unittest.TestCase):
                                         ["--kernel=nope"])
         self.assertEqual(code, 2, out)
         self.assertIn("scaling record", out)
-
-
-class ProfReportHost(unittest.TestCase):
-    def test_host_alone_renders_throughput_and_speedup(self):
-        # The CI invocation: `show --host host_interp.json`, no profile.
-        code, out = run_show_with_host(hostmicro_report())
-        self.assertEqual(code, 0, out)
-        self.assertIn("host interpreter throughput", out)
-        self.assertIn("hism_transpose", out)
-        self.assertIn("threaded", out)
-        self.assertIn("switch", out)
-        # 20 Minsts/s threaded vs 5 Minsts/s switch.
-        self.assertIn("20.00M", out)
-        self.assertIn("4.00x", out)
-        # sell_spmv has no switch record: listed, but no speedup row.
-        self.assertIn("sell_spmv", out)
-        self.assertIn("12.00M", out)
-
-    def test_host_prints_after_simulated_rollups(self):
-        code, out = run_show_with_host(hostmicro_report(),
-                                       profile_doc=profile())
-        self.assertEqual(code, 0, out)
-        self.assertIn("100 cycles", out)
-        self.assertIn("insts/s", out)
-        # Simulated-cycle rollups first, host throughput after.
-        self.assertLess(out.index("100 cycles"),
-                        out.index("host interpreter throughput"), out)
-
-    def test_wrong_schema_under_host_fails(self):
-        # A bare profile handed to --host is a usage error, not a silent
-        # empty table.
-        code, out = run_show_with_host(profile())
-        self.assertEqual(code, 2, out)
-        self.assertIn("smtu-hostmicro-v1", out)
-        self.assertNotIn("Traceback", out)
-        self.assertEqual(len(out.strip().splitlines()), 1, out)
-
-    def test_hostmicro_without_records_fails_cleanly(self):
-        # Right schema but no host.dispatch list (e.g. a truncated artifact):
-        # same one-line usage error, never a stack trace.
-        doc = {"schema": "smtu-hostmicro-v1", "host": {}}
-        code, out = run_show_with_host(doc)
-        self.assertEqual(code, 2, out)
-        self.assertNotIn("Traceback", out)
-        self.assertEqual(len(out.strip().splitlines()), 1, out)
-
-    def test_show_without_any_input_fails(self):
-        result = subprocess.run([sys.executable, PROF_REPORT, "show"],
-                                capture_output=True, text=True, check=False)
-        self.assertEqual(result.returncode, 2, result.stderr)
-        self.assertIn("--host", result.stderr)
 
 
 class ProfReportTelemetry(unittest.TestCase):

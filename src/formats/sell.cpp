@@ -1,6 +1,7 @@
 #include "formats/sell.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 
 #include "support/assert.hpp"
@@ -30,7 +31,8 @@ SellCSigma SellCSigma::from_coo(const Coo& coo, u32 chunk, u32 sigma) {
   const usize window = sigma == 0 ? std::max<usize>(1, rows) : sigma;
   for (usize begin = 0; begin < rows; begin += window) {
     const usize end = std::min(rows, begin + window);
-    std::stable_sort(order.begin() + begin, order.begin() + end,
+    std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                     order.begin() + static_cast<std::ptrdiff_t>(end),
                      [&](u32 a, u32 b) { return length[a] > length[b]; });
   }
 

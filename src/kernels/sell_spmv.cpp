@@ -155,7 +155,7 @@ SellLayout stage_sell_spmv(vsim::MultiCoreSystem& system, const SellCSigma& sell
     mem.write_u32(desc + 24, static_cast<u32>(yb));
     mem.write_u32(desc + 28, static_cast<u32>(cut[c]));
     mem.write_u32(desc + 32, static_cast<u32>(cut[c + 1]));
-    mem.write_u32(desc + 36, sell.rows());
+    mem.write_u32(desc + 36, static_cast<u32>(sell.rows()));
     mem.write_u32(desc + 40, sell.chunk());
     system.core(c).set_sreg(20, desc);
   }

@@ -207,7 +207,7 @@ std::vector<float> spgemm_at_b_reference_dense(const Coo& a, const Csr& b) {
   const std::vector<float>& an = b.values();
   for (const CooEntry& e : entries) {
     const usize i = e.col;
-    const u32 k = e.row;
+    const u32 k = static_cast<u32>(e.row);
     for (u32 idx = ia[k]; idx < ia[k + 1]; ++idx) {
       dense[i * p + ja[idx]] += e.value * an[idx];
     }

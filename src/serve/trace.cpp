@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -70,19 +71,29 @@ u64 next_gap_us(const ArrivalSpec& arrival, u64 now_us, Rng& rng) {
   return std::max<u64>(1, static_cast<u64>(std::llround(gap)));
 }
 
-u64 get_u64(const JsonValue& object, std::string_view key, u64 fallback) {
-  const JsonValue* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_u64() : fallback;
+bool set_error(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
+
+// Reads an optional unsigned member into `value`: absent keeps it as is;
+// present must be an integer that fits T, never truncated or rounded.
+template <typename T>
+bool read_uint(const JsonValue& object, std::string_view key, T& value, std::string* error) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) return true;
+  const std::optional<u64> number = member->try_u64();
+  if (!number.has_value() || *number > std::numeric_limits<T>::max()) {
+    return set_error(error, format("\"%s\" is not an unsigned %zu-bit integer",
+                                   std::string(key).c_str(), sizeof(T) * 8));
+  }
+  value = static_cast<T>(*number);
+  return true;
 }
 
 double get_double(const JsonValue& object, std::string_view key, double fallback) {
   const JsonValue* value = object.find(key);
   return value != nullptr && value->is_number() ? value->as_double() : fallback;
-}
-
-bool set_error(std::string* error, std::string message) {
-  if (error != nullptr) *error = std::move(message);
-  return false;
 }
 
 }  // namespace
@@ -243,7 +254,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
   }
 
   Trace trace;
-  trace.seed = get_u64(document, "seed", 0);
+  if (!read_uint(document, "seed", trace.seed, error)) return std::nullopt;
   const JsonValue* set = document.find("set");
   if (set == nullptr || !set->is_string()) {
     set_error(error, "missing \"set\" name");
@@ -251,7 +262,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
   }
   trace.set = set->as_string();
   if (const JsonValue* suite = document.find("suite"); suite != nullptr && suite->is_object()) {
-    trace.suite.seed = get_u64(*suite, "seed", trace.suite.seed);
+    if (!read_uint(*suite, "seed", trace.suite.seed, error)) return std::nullopt;
     trace.suite.scale = get_double(*suite, "scale", trace.suite.scale);
   }
   if (const JsonValue* arrival = document.find("arrival");
@@ -265,8 +276,10 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
         get_double(*arrival, "hism_fraction", trace.arrival.hism_fraction);
     trace.arrival.alt_config_fraction =
         get_double(*arrival, "alt_config_fraction", trace.arrival.alt_config_fraction);
-    trace.arrival.burst_on_us = get_u64(*arrival, "burst_on_us", trace.arrival.burst_on_us);
-    trace.arrival.burst_off_us = get_u64(*arrival, "burst_off_us", trace.arrival.burst_off_us);
+    if (!read_uint(*arrival, "burst_on_us", trace.arrival.burst_on_us, error) ||
+        !read_uint(*arrival, "burst_off_us", trace.arrival.burst_off_us, error)) {
+      return std::nullopt;
+    }
     trace.arrival.burst_multiplier =
         get_double(*arrival, "burst_multiplier", trace.arrival.burst_multiplier);
     trace.arrival.heavytail_alpha =
@@ -284,12 +297,14 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       return std::nullopt;
     }
     ConfigSpec spec;
-    spec.section = static_cast<u32>(get_u64(item, "section", spec.section));
-    spec.stm_bandwidth = static_cast<u32>(get_u64(item, "stm_bandwidth", spec.stm_bandwidth));
-    spec.stm_lines = static_cast<u32>(get_u64(item, "stm_lines", spec.stm_lines));
+    if (!read_uint(item, "section", spec.section, error) ||
+        !read_uint(item, "stm_bandwidth", spec.stm_bandwidth, error) ||
+        !read_uint(item, "stm_lines", spec.stm_lines, error)) {
+      return std::nullopt;
+    }
     trace.configs.push_back(spec);
   }
-  trace.matrix_count = static_cast<u32>(get_u64(document, "matrices", 0));
+  if (!read_uint(document, "matrices", trace.matrix_count, error)) return std::nullopt;
   if (trace.matrix_count == 0) {
     set_error(error, "missing or zero \"matrices\" count");
     return std::nullopt;
@@ -306,9 +321,19 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       set_error(error, "request is not an object");
       return std::nullopt;
     }
+    // Defaults: the request's position as its id; out-of-range indices, so
+    // a missing matrix or config is rejected below.
     Request request;
-    request.id = static_cast<u32>(get_u64(item, "id", trace.requests.size()));
-    request.matrix = static_cast<u32>(get_u64(item, "matrix", trace.matrix_count));
+    request.id = static_cast<u32>(trace.requests.size());
+    request.matrix = trace.matrix_count;
+    request.config = static_cast<u32>(trace.configs.size());
+    if (!read_uint(item, "id", request.id, error) ||
+        !read_uint(item, "matrix", request.matrix, error) ||
+        !read_uint(item, "config", request.config, error) ||
+        !read_uint(item, "arrival_us", request.arrival_us, error)) {
+      if (error != nullptr) error->insert(0, format("request %u: ", request.id));
+      return std::nullopt;
+    }
     if (request.matrix >= trace.matrix_count) {
       set_error(error, format("request %u: matrix index out of range", request.id));
       return std::nullopt;
@@ -319,12 +344,10 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
       set_error(error, format("request %u: unknown kernel", request.id));
       return std::nullopt;
     }
-    request.config = static_cast<u32>(get_u64(item, "config", trace.configs.size()));
     if (request.config >= trace.configs.size()) {
       set_error(error, format("request %u: config index out of range", request.id));
       return std::nullopt;
     }
-    request.arrival_us = get_u64(item, "arrival_us", 0);
     if (request.arrival_us < previous_arrival) {
       set_error(error, format("request %u: arrival_us decreases", request.id));
       return std::nullopt;

@@ -72,8 +72,9 @@ void write_trace_json(JsonWriter& json, const Trace& trace);
 void write_trace_file(const std::string& path, const Trace& trace);
 
 // Parses an smtu-trace-v1 document. Returns nullopt (and fills `error` when
-// non-null) on schema violations: wrong schema tag, out-of-range matrix or
-// config indices, unknown kernel names, or decreasing arrival times.
+// non-null) on schema violations: wrong schema tag, an integer field that is
+// not an unsigned integer of its width, out-of-range matrix or config
+// indices, unknown kernel names, or decreasing arrival times.
 std::optional<Trace> parse_trace(const JsonValue& document, std::string* error = nullptr);
 // Reads and parses `path`; aborts with the parse error on failure.
 Trace load_trace_file(const std::string& path);

@@ -1,131 +1,187 @@
 #include "support/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 
 #include "support/assert.hpp"
 #include "support/strings.hpp"
 
 namespace smtu {
+namespace {
 
-std::string JsonWriter::escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size() + 2);
-  for (const char c : text) {
+// The writer hands its buffer to the stream once this much has accumulated.
+constexpr usize kFlushBytes = usize{64} << 10;
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+// Appends `text` with JSON string escaping; runs that need none are copied
+// as one span.
+void append_escaped(std::string& out, std::string_view text) {
+  usize run = 0;
+  for (usize i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (!needs_escape(c)) continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\r': escaped += "\\r"; break;
-      case '\t': escaped += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          escaped += format("\\u%04x", c);
-        } else {
-          escaped += c;
-        }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const auto byte = static_cast<unsigned char>(c);
+        const char code[] = {'\\', 'u', '0', '0', kHex[byte >> 4], kHex[byte & 0xF]};
+        out.append(code, sizeof code);
+      }
     }
   }
-  return escaped;
+  out.append(text.data() + run, text.size() - run);
+}
+
+// Integers in to_chars' decimal form, which is printf's %lld / %llu.
+template <typename Integer>
+void append_integer(std::string& out, Integer number) {
+  char digits[24];
+  const auto result = std::to_chars(digits, digits + sizeof digits, number);
+  out.append(digits, result.ptr);
+}
+
+}  // namespace
+
+// ---- JsonWriter --------------------------------------------------------------
+
+JsonWriter::~JsonWriter() { flush(); }
+
+void JsonWriter::flush() {
+  if (buffer_.empty()) return;
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
 }
 
 void JsonWriter::before_value() {
   SMTU_CHECK_MSG(!emitted_root_ || !stack_.empty(), "JSON document already complete");
-  if (!stack_.empty()) {
-    if (stack_.back() == Scope::kObject) {
-      SMTU_CHECK_MSG(pending_key_, "object member needs a key first");
-      pending_key_ = false;
-    } else if (!first_in_scope_.back()) {
-      out_ << ',';
-    }
-    first_in_scope_.back() = false;
-  } else {
+  if (stack_.empty()) {
     emitted_root_ = true;
+    return;
   }
+  Frame& frame = stack_.back();
+  if (frame.scope == Scope::kObject) {
+    SMTU_CHECK_MSG(pending_key_, "object member needs a key first");
+    pending_key_ = false;
+  } else if (!frame.first) {
+    buffer_ += ',';
+  }
+  frame.first = false;
+}
+
+void JsonWriter::after_value() {
+  if (stack_.empty() || buffer_.size() >= kFlushBytes) flush();
+}
+
+void JsonWriter::write_string(std::string_view text) {
+  buffer_ += '"';
+  append_escaped(buffer_, text);
+  buffer_ += '"';
 }
 
 void JsonWriter::begin_object() {
   before_value();
-  out_ << '{';
-  stack_.push_back(Scope::kObject);
-  first_in_scope_.push_back(true);
+  buffer_ += '{';
+  stack_.push_back({Scope::kObject, true});
 }
 
 void JsonWriter::end_object() {
-  SMTU_CHECK_MSG(!stack_.empty() && stack_.back() == Scope::kObject && !pending_key_,
+  SMTU_CHECK_MSG(!stack_.empty() && stack_.back().scope == Scope::kObject && !pending_key_,
                  "mismatched end_object");
-  out_ << '}';
+  buffer_ += '}';
   stack_.pop_back();
-  first_in_scope_.pop_back();
-  if (stack_.empty()) emitted_root_ = true;
+  after_value();
 }
 
 void JsonWriter::begin_array() {
   before_value();
-  out_ << '[';
-  stack_.push_back(Scope::kArray);
-  first_in_scope_.push_back(true);
+  buffer_ += '[';
+  stack_.push_back({Scope::kArray, true});
 }
 
 void JsonWriter::end_array() {
-  SMTU_CHECK_MSG(!stack_.empty() && stack_.back() == Scope::kArray, "mismatched end_array");
-  out_ << ']';
+  SMTU_CHECK_MSG(!stack_.empty() && stack_.back().scope == Scope::kArray, "mismatched end_array");
+  buffer_ += ']';
   stack_.pop_back();
-  first_in_scope_.pop_back();
-  if (stack_.empty()) emitted_root_ = true;
+  after_value();
 }
 
 void JsonWriter::key(const std::string& name) {
-  SMTU_CHECK_MSG(!stack_.empty() && stack_.back() == Scope::kObject,
+  SMTU_CHECK_MSG(!stack_.empty() && stack_.back().scope == Scope::kObject,
                  "key outside of an object");
   SMTU_CHECK_MSG(!pending_key_, "two keys in a row");
-  if (!first_in_scope_.back()) out_ << ',';
-  first_in_scope_.back() = false;
-  out_ << '"' << escape(name) << "\":";
+  if (!stack_.back().first) buffer_ += ',';
+  write_string(name);
+  buffer_ += ':';
   pending_key_ = true;
-  // before_value must not add another comma for this member.
-  first_in_scope_.back() = true;
 }
 
 void JsonWriter::value(const std::string& text) {
   before_value();
-  out_ << '"' << escape(text) << '"';
+  write_string(text);
+  after_value();
 }
 
-void JsonWriter::value(const char* text) { value(std::string(text)); }
+void JsonWriter::value(const char* text) {
+  before_value();
+  write_string(text);
+  after_value();
+}
 
 void JsonWriter::value(double number) {
   before_value();
   if (std::isfinite(number)) {
-    out_ << format("%.12g", number);
+    // General format at precision 12 is printf's %.12g, byte for byte.
+    char digits[32];
+    const auto result =
+        std::to_chars(digits, digits + sizeof digits, number, std::chars_format::general, 12);
+    buffer_.append(digits, result.ptr);
   } else {
-    out_ << "null";  // JSON has no Inf/NaN
+    buffer_ += "null";  // JSON has no Inf/NaN
   }
+  after_value();
 }
 
 void JsonWriter::value(i64 number) {
   before_value();
-  out_ << format("%lld", static_cast<long long>(number));
+  append_integer(buffer_, number);
+  after_value();
 }
 
 void JsonWriter::value(u64 number) {
   before_value();
-  out_ << format("%llu", static_cast<unsigned long long>(number));
+  append_integer(buffer_, number);
+  after_value();
 }
 
 void JsonWriter::value(bool flag) {
   before_value();
-  out_ << (flag ? "true" : "false");
+  buffer_ += flag ? "true" : "false";
+  after_value();
 }
 
 void JsonWriter::null() {
   before_value();
-  out_ << "null";
+  buffer_ += "null";
+  after_value();
 }
 
 void JsonWriter::raw(std::string_view text) {
   before_value();
-  out_ << text;
+  buffer_ += text;
+  after_value();
 }
 
 void write_table_as_json(std::ostream& out, const TextTable& table) {
@@ -152,49 +208,96 @@ void write_table_as_json(std::ostream& out, const TextTable& table) {
 
 // ---- JsonValue -------------------------------------------------------------
 
+static_assert(sizeof(JsonValue) <= 40, "JsonValue should stay a 32-byte string plus a tag");
+
 bool JsonValue::as_bool() const {
-  SMTU_CHECK_MSG(kind_ == Kind::kBool, "JSON value is not a bool");
-  return bool_;
+  const bool* flag = std::get_if<bool>(&data_);
+  SMTU_CHECK_MSG(flag != nullptr, "JSON value is not a bool");
+  return *flag;
 }
 
 double JsonValue::as_double() const {
-  SMTU_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return number_;
+  const Number* number = std::get_if<Number>(&data_);
+  SMTU_CHECK_MSG(number != nullptr, "JSON value is not a number");
+  return number->real;
 }
 
-i64 JsonValue::as_i64() const { return static_cast<i64>(as_double()); }
+i64 JsonValue::as_i64() const {
+  const Number* number = std::get_if<Number>(&data_);
+  SMTU_CHECK_MSG(number != nullptr, "JSON value is not a number");
+  switch (number->exact) {
+    case Number::Exact::kNegative:
+      return static_cast<i64>(number->bits);
+    case Number::Exact::kUnsigned:
+      SMTU_CHECK_MSG(number->bits <= static_cast<u64>(std::numeric_limits<i64>::max()),
+                     "JSON number is not an integer in i64 range");
+      return static_cast<i64>(number->bits);
+    case Number::Exact::kNone:
+      break;
+  }
+  const double real = number->real;
+  SMTU_CHECK_MSG(real >= -0x1p63 && real < 0x1p63 && std::trunc(real) == real,
+                 "JSON number is not an integer in i64 range");
+  return static_cast<i64>(real);
+}
+
+bool JsonValue::is_integer() const {
+  const Number* number = std::get_if<Number>(&data_);
+  return number != nullptr && number->exact != Number::Exact::kNone;
+}
+
+std::optional<u64> JsonValue::try_u64() const {
+  const Number* number = std::get_if<Number>(&data_);
+  if (number == nullptr) return std::nullopt;
+  switch (number->exact) {
+    case Number::Exact::kUnsigned:
+      return number->bits;
+    case Number::Exact::kNegative:
+      return std::nullopt;
+    case Number::Exact::kNone:
+      break;
+  }
+  const double real = number->real;
+  if (!(real >= 0.0 && real < 0x1p64) || std::trunc(real) != real) return std::nullopt;
+  return static_cast<u64>(real);
+}
 
 u64 JsonValue::as_u64() const {
-  const double number = as_double();
-  SMTU_CHECK_MSG(number >= 0.0, "JSON number is negative");
-  return static_cast<u64>(number);
+  SMTU_CHECK_MSG(is_number(), "JSON value is not a number");
+  const std::optional<u64> number = try_u64();
+  SMTU_CHECK_MSG(number.has_value(), "JSON number is not an integer in u64 range");
+  return *number;
 }
 
 const std::string& JsonValue::as_string() const {
-  SMTU_CHECK_MSG(kind_ == Kind::kString, "JSON value is not a string");
-  return string_;
+  const std::string* text = std::get_if<std::string>(&data_);
+  SMTU_CHECK_MSG(text != nullptr, "JSON value is not a string");
+  return *text;
 }
 
 const std::vector<JsonValue>& JsonValue::items() const {
-  SMTU_CHECK_MSG(kind_ == Kind::kArray, "JSON value is not an array");
-  return items_;
+  const auto* items = std::get_if<std::vector<JsonValue>>(&data_);
+  SMTU_CHECK_MSG(items != nullptr, "JSON value is not an array");
+  return *items;
 }
 
 const std::vector<JsonValue::Member>& JsonValue::members() const {
-  SMTU_CHECK_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  return members_;
+  const auto* members = std::get_if<std::vector<Member>>(&data_);
+  SMTU_CHECK_MSG(members != nullptr, "JSON value is not an object");
+  return *members;
 }
 
 usize JsonValue::size() const {
-  if (kind_ == Kind::kArray) return items_.size();
-  if (kind_ == Kind::kObject) return members_.size();
+  if (const auto* items = std::get_if<std::vector<JsonValue>>(&data_)) return items->size();
+  if (const auto* members = std::get_if<std::vector<Member>>(&data_)) return members->size();
   SMTU_CHECK_MSG(false, "JSON value has no size");
   return 0;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (const Member& member : members_) {
+  const auto* members = std::get_if<std::vector<Member>>(&data_);
+  if (members == nullptr) return nullptr;
+  for (const Member& member : *members) {
     if (member.first == key) return &member.second;
   }
   return nullptr;
@@ -210,132 +313,146 @@ JsonValue JsonValue::make_null() { return JsonValue(); }
 
 JsonValue JsonValue::make_bool(bool flag) {
   JsonValue value;
-  value.kind_ = Kind::kBool;
-  value.bool_ = flag;
+  value.data_ = flag;
   return value;
 }
 
 JsonValue JsonValue::make_number(double number) {
   JsonValue value;
-  value.kind_ = Kind::kNumber;
-  value.number_ = number;
+  value.data_ = Number{number, 0, Number::Exact::kNone};
   return value;
 }
 
 JsonValue JsonValue::make_string(std::string text) {
   JsonValue value;
-  value.kind_ = Kind::kString;
-  value.string_ = std::move(text);
+  value.data_ = std::move(text);
   return value;
 }
 
 JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
   JsonValue value;
-  value.kind_ = Kind::kArray;
-  value.items_ = std::move(items);
+  value.data_ = std::move(items);
   return value;
 }
 
 JsonValue JsonValue::make_object(std::vector<Member> members) {
   JsonValue value;
-  value.kind_ = Kind::kObject;
-  value.members_ = std::move(members);
+  value.data_ = std::move(members);
   return value;
 }
 
 // ---- parser ----------------------------------------------------------------
 
-namespace {
-
+// Each parse_* fills `out`, a null JsonValue on entry, and returns false
+// after recording the first error. Containers collect their children on two
+// scratch stacks shared by every nesting level and move them into a vector
+// of exactly the right size when they close.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> value = parse_value(0);
-    if (value) {
+    JsonValue value;
+    if (parse_value(value, 0)) {
       skip_whitespace();
-      if (pos_ != text_.size()) {
-        fail("trailing characters after JSON document");
-        value.reset();
-      }
+      if (pos_ == text_.size()) return value;
+      fail("trailing characters after JSON document");
     }
-    if (!value && error) *error = error_;
-    return value;
+    if (error) *error = error_;
+    return std::nullopt;
   }
 
  private:
+  using Number = JsonValue::Number;
   static constexpr usize kMaxDepth = 256;
 
-  std::optional<JsonValue> parse_value(usize depth) {
+  bool parse_value(JsonValue& out, usize depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_whitespace();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return parse_string();
-      case 't': return parse_literal("true", JsonValue::make_bool(true));
-      case 'f': return parse_literal("false", JsonValue::make_bool(false));
-      case 'n': return parse_literal("null", JsonValue::make_null());
-      default: return parse_number();
+    switch (text_[pos_]) {
+      case '{': return parse_object(out, depth);
+      case '[': return parse_array(out, depth);
+      case '"': return parse_string(out.data_.emplace<std::string>());
+      case 't':
+        if (!parse_literal("true")) return false;
+        out.data_ = true;
+        return true;
+      case 'f':
+        if (!parse_literal("false")) return false;
+        out.data_ = false;
+        return true;
+      case 'n': return parse_literal("null");
+      default: return parse_number(out);
     }
   }
 
-  std::optional<JsonValue> parse_object(usize depth) {
+  bool parse_object(JsonValue& out, usize depth) {
     ++pos_;  // '{'
-    std::vector<JsonValue::Member> members;
+    const usize base = members_.size();
     skip_whitespace();
-    if (consume('}')) return JsonValue::make_object(std::move(members));
-    while (true) {
-      skip_whitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected object key");
-      std::optional<JsonValue> key = parse_string();
-      if (!key) return std::nullopt;
-      skip_whitespace();
-      if (!consume(':')) return fail("expected ':' after object key");
-      std::optional<JsonValue> value = parse_value(depth + 1);
-      if (!value) return std::nullopt;
-      members.emplace_back(key->as_string(), std::move(*value));
-      skip_whitespace();
-      if (consume(',')) continue;
-      if (consume('}')) return JsonValue::make_object(std::move(members));
-      return fail("expected ',' or '}' in object");
+    if (!consume('}')) {
+      while (true) {
+        skip_whitespace();
+        if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected object key");
+        std::string key;
+        if (!parse_string(key)) return false;
+        skip_whitespace();
+        if (!consume(':')) return fail("expected ':' after object key");
+        JsonValue value;
+        if (!parse_value(value, depth + 1)) return false;
+        members_.emplace_back(std::move(key), std::move(value));
+        skip_whitespace();
+        if (consume(',')) continue;
+        if (consume('}')) break;
+        return fail("expected ',' or '}' in object");
+      }
     }
+    out.data_ = take_above(members_, base);
+    return true;
   }
 
-  std::optional<JsonValue> parse_array(usize depth) {
+  bool parse_array(JsonValue& out, usize depth) {
     ++pos_;  // '['
-    std::vector<JsonValue> items;
+    const usize base = items_.size();
     skip_whitespace();
-    if (consume(']')) return JsonValue::make_array(std::move(items));
-    while (true) {
-      std::optional<JsonValue> value = parse_value(depth + 1);
-      if (!value) return std::nullopt;
-      items.push_back(std::move(*value));
-      skip_whitespace();
-      if (consume(',')) continue;
-      if (consume(']')) return JsonValue::make_array(std::move(items));
-      return fail("expected ',' or ']' in array");
+    if (!consume(']')) {
+      while (true) {
+        JsonValue value;
+        if (!parse_value(value, depth + 1)) return false;
+        items_.push_back(std::move(value));
+        skip_whitespace();
+        if (consume(',')) continue;
+        if (consume(']')) break;
+        return fail("expected ',' or ']' in array");
+      }
     }
+    out.data_ = take_above(items_, base);
+    return true;
   }
 
-  std::optional<JsonValue> parse_string() {
+  // Moves the entries above `base` off a scratch stack into their own
+  // exactly-sized vector.
+  template <typename T>
+  static std::vector<T> take_above(std::vector<T>& stack, usize base) {
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<T> taken(std::make_move_iterator(first), std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+    return taken;
+  }
+
+  bool parse_string(std::string& decoded) {
     ++pos_;  // opening quote
-    std::string decoded;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
+    while (true) {
+      const usize run = pos_;
+      while (pos_ < text_.size() && !needs_escape(text_[pos_])) ++pos_;
+      decoded.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) return fail("unterminated string");
+      if (text_[pos_] == '"') {
         ++pos_;
-        return JsonValue::make_string(std::move(decoded));
+        return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) return fail("raw control character in string");
-      if (c != '\\') {
-        decoded += c;
-        ++pos_;
-        continue;
-      }
+      if (text_[pos_] != '\\') return fail("raw control character in string");
       ++pos_;  // backslash
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char escape = text_[pos_++];
@@ -350,7 +467,7 @@ class JsonParser {
         case 't': decoded += '\t'; break;
         case 'u': {
           std::optional<u32> code = parse_hex4();
-          if (!code) return std::nullopt;
+          if (!code) return false;
           u32 codepoint = *code;
           if (codepoint >= 0xD800 && codepoint <= 0xDBFF) {
             // High surrogate: a \uXXXX low surrogate must follow.
@@ -359,7 +476,7 @@ class JsonParser {
             }
             pos_ += 2;
             std::optional<u32> low = parse_hex4();
-            if (!low) return std::nullopt;
+            if (!low) return false;
             if (*low < 0xDC00 || *low > 0xDFFF) return fail("invalid low surrogate");
             codepoint = 0x10000 + ((codepoint - 0xD800) << 10) + (*low - 0xDC00);
           } else if (codepoint >= 0xDC00 && codepoint <= 0xDFFF) {
@@ -371,7 +488,6 @@ class JsonParser {
         default: return fail("unknown escape character");
       }
     }
-    return fail("unterminated string");
   }
 
   std::optional<u32> parse_hex4() {
@@ -412,39 +528,66 @@ class JsonParser {
     }
   }
 
-  std::optional<JsonValue> parse_number() {
+  bool parse_number(JsonValue& out) {
     const usize begin = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    const bool negative = consume('-');
     if (pos_ >= text_.size() || !is_digit(text_[pos_])) return fail("malformed number");
     if (text_[pos_] == '0') {
       ++pos_;  // leading zeros are not allowed
     } else {
       while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
     }
+    bool integer = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
+      integer = false;
       ++pos_;
       if (pos_ >= text_.size() || !is_digit(text_[pos_])) return fail("malformed fraction");
       while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      integer = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
       if (pos_ >= text_.size() || !is_digit(text_[pos_])) return fail("malformed exponent");
       while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
     }
-    const std::string token(text_.substr(begin, pos_ - begin));
-    char* end = nullptr;
-    const double number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(number)) {
-      return fail("number out of range");
+
+    // The span is a valid JSON number, which from_chars reads in full.
+    const char* first = text_.data() + begin;
+    const char* last = text_.data() + pos_;
+    if (integer && negative) {
+      i64 exact = 0;
+      // "-0" stays a double so its sign survives.
+      if (std::from_chars(first, last, exact).ec == std::errc() && exact < 0) {
+        out.data_ = Number{static_cast<double>(exact), static_cast<u64>(exact),
+                           Number::Exact::kNegative};
+        return true;
+      }
+    } else if (integer) {
+      u64 exact = 0;
+      if (std::from_chars(first, last, exact).ec == std::errc()) {
+        out.data_ = Number{static_cast<double>(exact), exact, Number::Exact::kUnsigned};
+        return true;
+      }
     }
-    return JsonValue::make_number(number);
+    double real = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, real);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars rejects underflow as well as overflow. An underflow is
+      // accepted as strtod rounds it, to a (signed) zero or a subnormal.
+      real = std::strtod(std::string(first, last).c_str(), nullptr);
+      if (!std::isfinite(real)) return fail("number out of range");
+    } else if (ec != std::errc() || end != last) {
+      return fail("malformed number");
+    }
+    out.data_ = Number{real, 0, Number::Exact::kNone};
+    return true;
   }
 
-  std::optional<JsonValue> parse_literal(std::string_view literal, JsonValue value) {
+  bool parse_literal(std::string_view literal) {
     if (text_.substr(pos_, literal.size()) != literal) return fail("malformed literal");
     pos_ += literal.size();
-    return value;
+    return true;
   }
 
   static bool is_digit(char c) { return c >= '0' && c <= '9'; }
@@ -465,17 +608,17 @@ class JsonParser {
     return false;
   }
 
-  std::optional<JsonValue> fail(const std::string& message) {
-    if (error_.empty()) error_ = format("%s (at byte %zu)", message.c_str(), pos_);
-    return std::nullopt;
+  bool fail(const char* message) {
+    if (error_.empty()) error_ = format("%s (at byte %zu)", message, pos_);
+    return false;
   }
 
   std::string_view text_;
   usize pos_ = 0;
   std::string error_;
+  std::vector<JsonValue::Member> members_;  // open objects' members, innermost last
+  std::vector<JsonValue> items_;            // open arrays' items, innermost last
 };
-
-}  // namespace
 
 std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
   return JsonParser(text).parse(error);

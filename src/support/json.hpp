@@ -3,6 +3,12 @@
 // recursive-descent parser so tests and tools can validate those exports.
 // The writer produces compact, valid JSON with correct string escaping and
 // locale-independent number formatting.
+//
+// The writer buffers: output reaches the stream when the root value closes,
+// whenever 64 KiB have accumulated, and when the writer is destroyed. Do not
+// write to the stream yourself while a document is open — those bytes would
+// land ahead of the document's buffered tail. Writing after the root closes
+// (a trailing newline, say) is fine.
 #pragma once
 
 #include <initializer_list>
@@ -11,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "support/table.hpp"
@@ -21,6 +28,10 @@ namespace smtu {
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
+  // Hands any unflushed output (an unfinished document) to the stream.
+  ~JsonWriter();
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   // Containers. Every begin_* must be closed by the matching end_*; the
   // writer tracks commas and aborts on mismatched nesting.
@@ -47,16 +58,21 @@ class JsonWriter {
   // True when every container has been closed.
   bool complete() const { return stack_.empty() && emitted_root_; }
 
-  static std::string escape(const std::string& text);
-
  private:
-  enum class Scope { kObject, kArray };
+  enum class Scope : u8 { kObject, kArray };
+  struct Frame {
+    Scope scope;
+    bool first;  // no member/element written yet
+  };
 
   void before_value();
+  void after_value();
+  void write_string(std::string_view text);
+  void flush();
 
   std::ostream& out_;
-  std::vector<Scope> stack_;
-  std::vector<bool> first_in_scope_;
+  std::string buffer_;
+  std::vector<Frame> stack_;
   bool pending_key_ = false;
   bool emitted_root_ = false;
 };
@@ -65,9 +81,10 @@ class JsonWriter {
 // Numeric-looking cells are emitted as numbers.
 void write_table_as_json(std::ostream& out, const TextTable& table);
 
-// Parsed JSON document. Numbers are stored as double (the exporters in this
-// repo never exceed 2^53, the exact-integer range); object member order is
-// preserved so golden tests can assert stable key ordering.
+// Parsed JSON document. A number keeps the exact value of an integer token
+// (no fraction or exponent) that fits in u64, or in i64 when negative, next
+// to its nearest double; object member order is preserved so golden tests
+// can assert stable key ordering.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -75,15 +92,16 @@ class JsonValue {
 
   JsonValue() = default;
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
+  Kind kind() const { return static_cast<Kind>(data_.index()); }
+  bool is_null() const { return kind() == Kind::kNull; }
+  bool is_bool() const { return kind() == Kind::kBool; }
+  bool is_number() const { return kind() == Kind::kNumber; }
+  bool is_string() const { return kind() == Kind::kString; }
+  bool is_array() const { return kind() == Kind::kArray; }
+  bool is_object() const { return kind() == Kind::kObject; }
 
-  // Typed accessors abort (SMTU_CHECK) on kind mismatch.
+  // Typed accessors abort (SMTU_CHECK) on kind mismatch. as_i64/as_u64 also
+  // abort on a number that is not an integer in their range.
   bool as_bool() const;
   double as_double() const;
   i64 as_i64() const;
@@ -91,6 +109,13 @@ class JsonValue {
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;    // array elements
   const std::vector<Member>& members() const;     // object members, in order
+
+  // True for a number read from an integer token that fit: its exact value
+  // is what as_u64/as_i64 return.
+  bool is_integer() const;
+  // The value as u64 when it is a number holding an integer in [0, 2^64);
+  // nullopt otherwise (for inputs that must not abort on a bad field).
+  std::optional<u64> try_u64() const;
 
   usize size() const;  // array/object element count
 
@@ -107,12 +132,19 @@ class JsonValue {
   static JsonValue make_object(std::vector<Member> members);
 
  private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<Member> members_;
+  friend class JsonParser;
+
+  struct Number {
+    enum class Exact : u8 { kNone, kUnsigned, kNegative };
+    double real = 0.0;           // nearest double
+    u64 bits = 0;                // exact integer (two's complement when kNegative)
+    Exact exact = Exact::kNone;  // kNone: not an integer token, or out of range
+  };
+
+  // Alternatives in Kind order, so index() is the kind.
+  std::variant<std::monostate, bool, Number, std::string, std::vector<JsonValue>,
+               std::vector<Member>>
+      data_;
 };
 
 // Parses a complete JSON document (trailing whitespace allowed, nothing

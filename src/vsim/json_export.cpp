@@ -48,14 +48,18 @@ void write_run_stats_json(JsonWriter& json, const RunStats& stats) {
 
 std::optional<RunStats> run_stats_from_json(const JsonValue& value) {
   if (!value.is_object()) return std::nullopt;
-  const JsonValue* cycles = value.find("cycles");
-  if (cycles == nullptr || !cycles->is_number()) return std::nullopt;
+  const auto counter = [&](const char* key) -> std::optional<u64> {
+    const JsonValue* member = value.find(key);
+    return member != nullptr ? member->try_u64() : std::nullopt;
+  };
+  const std::optional<u64> cycles = counter("cycles");
+  if (!cycles.has_value()) return std::nullopt;
   RunStats stats;
-  stats.cycles = static_cast<Cycle>(cycles->as_u64());
+  stats.cycles = static_cast<Cycle>(*cycles);
   for (const StatsField& field : kU64Fields) {
-    const JsonValue* counter = value.find(field.key);
-    if (counter == nullptr || !counter->is_number()) return std::nullopt;
-    stats.*field.member = counter->as_u64();
+    const std::optional<u64> count = counter(field.key);
+    if (!count.has_value()) return std::nullopt;
+    stats.*field.member = *count;
   }
   return stats;
 }

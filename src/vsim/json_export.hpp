@@ -26,7 +26,7 @@ namespace smtu::vsim {
 void write_run_stats_json(JsonWriter& json, const RunStats& stats);
 
 // Rebuilds RunStats from a parsed object produced by write_run_stats_json.
-// Returns nullopt if any counter key is missing or non-numeric.
+// Returns nullopt if any counter key is missing or not an unsigned integer.
 std::optional<RunStats> run_stats_from_json(const JsonValue& value);
 
 // Writes the machine configuration knobs that shape timing, so exported

@@ -1,13 +1,45 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
 #include "support/json.hpp"
+#include "support/rng.hpp"
 
 namespace smtu {
 namespace {
+
+// One root value through the writer (the root closing flushes it).
+template <typename T>
+std::string render(const T& value) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.value(value);
+  return out.str();
+}
+
+std::string printf_double(const char* spec, double number) {
+  char text[64];
+  std::snprintf(text, sizeof text, spec, number);
+  return text;
+}
+
+double double_from_bits(u64 bits) {
+  double number;
+  std::memcpy(&number, &bits, sizeof number);
+  return number;
+}
+
+u64 bits_of(double number) {
+  u64 bits;
+  std::memcpy(&bits, &number, sizeof bits);
+  return bits;
+}
 
 TEST(Json, SimpleObject) {
   std::ostringstream out;
@@ -46,11 +78,105 @@ TEST(Json, NestedArraysAndObjects) {
 }
 
 TEST(Json, StringEscaping) {
-  EXPECT_EQ(JsonWriter::escape("plain"), "plain");
-  EXPECT_EQ(JsonWriter::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonWriter::escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(JsonWriter::escape(std::string("ctl\x01", 4)), "ctl\\u0001");
+  EXPECT_EQ(render("plain"), R"("plain")");
+  EXPECT_EQ(render("a\"b"), R"("a\"b")");
+  EXPECT_EQ(render("back\\slash"), R"("back\\slash")");
+  EXPECT_EQ(render("line\nbreak"), R"("line\nbreak")");
+  EXPECT_EQ(render(std::string("ctl\x01", 4)), R"("ctl\u0001")");
+  EXPECT_EQ(render(std::string("\r\t\x1f", 3)), R"("\r\t\u001f")");
+  EXPECT_EQ(render(std::string("\0", 1)), R"("\u0000")");
+  // DEL and UTF-8 bytes pass through unescaped.
+  EXPECT_EQ(render("\x7f \xc3\xa9"), "\"\x7f \xc3\xa9\"");
+
+  // Keys escape exactly like values.
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_object();
+  json.key("k\"\n");
+  json.value(std::string("v"));
+  json.end_object();
+  EXPECT_EQ(out.str(), R"({"k\"\n":"v"})");
+}
+
+TEST(Json, WriterBuffersUntilTheRootCloses) {
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    json.begin_array();
+    json.value(i64{1});
+    EXPECT_EQ(out.str(), "");
+    json.end_array();
+    EXPECT_EQ(out.str(), "[1]");
+    out << '\n';  // writing after the root closes lands after the document
+  }
+  EXPECT_EQ(out.str(), "[1]\n");
+
+  // A long document reaches the stream in steps, before it closes.
+  std::ostringstream big;
+  {
+    JsonWriter json(big);
+    json.begin_array();
+    const std::string chunk(1000, 'x');
+    for (int i = 0; i < 100; ++i) json.value(chunk);
+    EXPECT_GE(big.str().size(), usize{64} << 10);
+    json.end_array();
+  }
+  EXPECT_EQ(big.str().size(), usize{2 + 100 * 1002 + 99});
+
+  // The destructor hands over an unfinished document.
+  std::ostringstream partial;
+  {
+    JsonWriter json(partial);
+    json.begin_object();
+    json.key("k");
+  }
+  EXPECT_EQ(partial.str(), R"({"k":)");
+}
+
+// ---- golden byte identity ------------------------------------------------------
+// The writer's numbers are pinned to the printf formats every artifact in
+// this repository was produced with: %.12g for doubles, %lld / %llu for
+// integers.
+
+TEST(JsonGolden, DoublesMatchPrintf) {
+  const double table[] = {
+      0.1, -0.0, 0.0, 1e21, 1e-7, 5e-324, DBL_MAX, -DBL_MAX, DBL_MIN,
+      123456789012.5, 123456789012.0, 1234567890123.0, 999999999999.5,
+      0.5, 2.0 / 3.0, -1.5, 1e15, 1e16, 100.0, 0.0001, 0.00001, 1e-300,
+  };
+  for (const double number : table) {
+    EXPECT_EQ(render(number), printf_double("%.12g", number)) << printf_double("%a", number);
+  }
+
+  // Uniform bit patterns reach every exponent, subnormals and non-finites.
+  Rng rng(0x9E7D0B1E);
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double number = double_from_bits(rng.next_u64());
+    const std::string expected =
+        std::isfinite(number) ? printf_double("%.12g", number) : std::string("null");
+    const std::string written = render(number);
+    if (written != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << printf_double("%a", number) << ": " << written << " vs " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonGolden, IntegerExtremesMatchPrintf) {
+  for (const i64 number : {std::numeric_limits<i64>::min(), std::numeric_limits<i64>::min() + 1,
+                           i64{-1}, i64{0}, i64{1}, i64{1} << 53,
+                           std::numeric_limits<i64>::max()}) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%lld", static_cast<long long>(number));
+    EXPECT_EQ(render(number), text);
+  }
+  for (const u64 number : {u64{0}, u64{1}, (u64{1} << 53) + 1, u64{1} << 63,
+                           std::numeric_limits<u64>::max()}) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%llu", static_cast<unsigned long long>(number));
+    EXPECT_EQ(render(number), text);
+  }
 }
 
 TEST(Json, NonFiniteNumbersBecomeNull) {
@@ -173,6 +299,74 @@ TEST(JsonParse, WriterOutputRoundTrips) {
   EXPECT_DOUBLE_EQ(doc->at("list").items()[0].as_double(), 0.25);
   EXPECT_EQ(doc->at("list").items()[1].as_bool(), false);
   EXPECT_TRUE(doc->at("list").items()[2].is_null());
+}
+
+TEST(JsonParse, NumbersMatchStrtod) {
+  Rng rng(0x57D70D);
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double number = double_from_bits(rng.next_u64());
+    if (!std::isfinite(number)) continue;
+    for (const char* spec : {"%.17g", "%.12g"}) {
+      const std::string text = printf_double(spec, number);
+      const auto parsed = parse_json(text);
+      const double expected = std::strtod(text.c_str(), nullptr);
+      if ((!parsed || bits_of(parsed->as_double()) != bits_of(expected)) && ++mismatches <= 5) {
+        ADD_FAILURE() << text;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(JsonParse, UnderflowIsZeroAndOverflowIsRejected) {
+  EXPECT_EQ(bits_of(parse_json("1e-400")->as_double()), bits_of(0.0));
+  EXPECT_EQ(bits_of(parse_json("2e-324")->as_double()), bits_of(0.0));
+  EXPECT_EQ(bits_of(parse_json("-1e-400")->as_double()), bits_of(-0.0));
+  EXPECT_EQ(parse_json("5e-324")->as_double(), std::numeric_limits<double>::denorm_min());
+  std::string error;
+  EXPECT_FALSE(parse_json("1e400", &error).has_value());
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_FALSE(parse_json("[-1e400]", &error).has_value());
+}
+
+TEST(JsonParse, IntegersAreExact) {
+  EXPECT_EQ(parse_json("18446744073709551615")->as_u64(), std::numeric_limits<u64>::max());
+  EXPECT_EQ(parse_json("1152921504606846979")->as_u64(), (u64{1} << 60) + 3);
+  EXPECT_EQ(parse_json("-9223372036854775808")->as_i64(), std::numeric_limits<i64>::min());
+  EXPECT_EQ(parse_json("9223372036854775807")->as_i64(), std::numeric_limits<i64>::max());
+  EXPECT_TRUE(parse_json("42")->is_integer());
+  EXPECT_TRUE(parse_json("-42")->is_integer());
+  // The double view of an exact integer is its nearest double.
+  EXPECT_EQ(parse_json("9007199254740993")->as_double(), 9007199254740992.0);
+
+  // A fraction or exponent makes a real; an integral real still converts.
+  EXPECT_FALSE(parse_json("42.0")->is_integer());
+  EXPECT_EQ(parse_json("42.0")->as_u64(), 42u);
+  EXPECT_EQ(parse_json("-1e3")->as_i64(), -1000);
+  // "-0" keeps its sign, as a real.
+  EXPECT_FALSE(parse_json("-0")->is_integer());
+  EXPECT_TRUE(std::signbit(parse_json("-0")->as_double()));
+  // Past u64 the token is a real: still a number, no longer an integer.
+  const auto huge = parse_json("18446744073709551616");
+  ASSERT_TRUE(huge.has_value());
+  EXPECT_FALSE(huge->is_integer());
+  EXPECT_EQ(huge->as_double(), 0x1p64);
+
+  EXPECT_FALSE(huge->try_u64().has_value());
+  EXPECT_FALSE(parse_json("-1")->try_u64().has_value());
+  EXPECT_FALSE(parse_json("2.5")->try_u64().has_value());
+  EXPECT_FALSE(parse_json("\"7\"")->try_u64().has_value());
+  EXPECT_EQ(parse_json("7")->try_u64().value_or(0), 7u);
+}
+
+TEST(JsonDeathTest, IntegerAccessorsRejectNonIntegers) {
+  EXPECT_DEATH(parse_json("2.5")->as_u64(), "not an integer in u64 range");
+  EXPECT_DEATH(parse_json("-1")->as_u64(), "not an integer in u64 range");
+  EXPECT_DEATH(parse_json("18446744073709551616")->as_u64(), "not an integer in u64 range");
+  EXPECT_DEATH(parse_json("9223372036854775808")->as_i64(), "not an integer in i64 range");
+  EXPECT_DEATH(parse_json("-0.5")->as_i64(), "not an integer in i64 range");
+  EXPECT_DEATH(parse_json("1e300")->as_i64(), "not an integer in i64 range");
 }
 
 TEST(JsonDeathTest, MisuseAborts) {

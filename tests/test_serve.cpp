@@ -10,6 +10,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
@@ -120,6 +122,44 @@ TEST(ServeTrace, CheckedInTraceIsByteStable) {
   EXPECT_EQ(trace_to_string(trace), text.str())
       << "re-rendering the checked-in trace changed its bytes; regenerate "
          "bench/traces and the bench/baselines serve reports together";
+}
+
+TEST(ServeTrace, SeedsBeyondDoublePrecisionRoundTripExactly) {
+  // 2^60 + 3 has no exact double; a rounded seed would regenerate a
+  // different suite of the same size on replay.
+  Trace trace = tiny_trace();
+  trace.seed = (u64{1} << 60) + 3;
+  trace.suite.seed = (u64{1} << 60) + 3;
+  const std::string text = trace_to_string(trace);
+  std::string error;
+  const std::optional<Trace> parsed = parse_string(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->seed, trace.seed);
+  EXPECT_EQ(parsed->suite.seed, trace.suite.seed);
+  EXPECT_EQ(trace_to_string(*parsed), text);
+}
+
+TEST(ServeTrace, ParseRejectsFieldsThatAreNotUnsignedIntegers) {
+  const std::string valid = trace_to_string(tiny_trace());
+  // Each edit leaves valid JSON whose field is negative, fractional, too
+  // wide for its type, or not a number at all.
+  const std::pair<const char*, const char*> edits[] = {
+      {"\"seed\":7,", "\"seed\":7.5,"},
+      {"\"burst_on_us\":2000", "\"burst_on_us\":true"},
+      {"\"section\":64", "\"section\":4294967296"},
+      {"\"matrices\":4", "\"matrices\":-4"},
+      {"\"id\":1,", "\"id\":\"1\","},
+      {"\"arrival_us\":10", "\"arrival_us\":10.5"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string text = valid;
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, std::string_view(from).size(), to);
+    std::string error;
+    EXPECT_FALSE(parse_string(text, &error).has_value()) << to;
+    EXPECT_NE(error.find("is not an unsigned"), std::string::npos) << to << ": " << error;
+  }
 }
 
 TEST(ServeTrace, ParseRejectsWrongSchema) {

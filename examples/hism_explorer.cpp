@@ -31,12 +31,18 @@ int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
   const std::string path = cli.get_string("matrix", "");
-  const u32 section = static_cast<u32>(cli.get_int("section", 64));
+  const i64 section_arg = cli.get_int("section", 64);
   const std::string pattern = cli.get_string("pattern", "stencil5");
   const Index dim = static_cast<Index>(cli.get_int("dim", 1000));
   const usize nnz = static_cast<usize>(cli.get_int("nnz", 20000));
   const std::string trace_json = cli.get_string("trace-json", "");
   cli.finish();
+  if (section_arg < 0 || !HismMatrix::valid_section(static_cast<u64>(section_arg))) {
+    std::fprintf(stderr, "--section=%lld is not a power of two in [2, 256]\n",
+                 static_cast<long long>(section_arg));
+    return 2;
+  }
+  const auto section = static_cast<u32>(section_arg);
 
   Rng rng(7);
   Coo matrix;

@@ -8,9 +8,10 @@
 namespace smtu {
 namespace {
 
-bool row_major_less(const CooEntry& a, const CooEntry& b) {
+// A closure rather than a function, so std::sort inlines the comparison.
+constexpr auto row_major_less = [](const CooEntry& a, const CooEntry& b) {
   return a.row != b.row ? a.row < b.row : a.col < b.col;
-}
+};
 
 }  // namespace
 
@@ -32,6 +33,9 @@ void Coo::add(Index row, Index col, float value) {
 }
 
 void Coo::canonicalize() {
+  // Already-canonical input (every suite matrix and shard panel) skips the
+  // sort after an O(n) scan.
+  if (is_canonical()) return;
   std::sort(entries_.begin(), entries_.end(), row_major_less);
   usize write = 0;
   for (usize read = 0; read < entries_.size();) {
@@ -51,6 +55,13 @@ bool Coo::is_canonical() const {
     if (i > 0 && !row_major_less(entries_[i - 1], entries_[i])) return false;
   }
   return true;
+}
+
+const Coo& Coo::canonical_view(Coo& storage) const {
+  if (is_canonical()) return *this;
+  storage = *this;
+  storage.canonicalize();
+  return storage;
 }
 
 Coo Coo::transposed() const {

@@ -41,6 +41,10 @@ class Coo {
   void canonicalize();
   bool is_canonical() const;
 
+  // `*this` when already canonical, else a canonicalized copy placed in
+  // `storage`: builders read canonical input in place instead of copying it.
+  const Coo& canonical_view(Coo& storage) const;
+
   // Returns the transpose (rows/cols swapped, each entry mirrored), canonical.
   Coo transposed() const;
 

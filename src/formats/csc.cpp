@@ -7,8 +7,8 @@
 namespace smtu {
 
 Csc Csc::from_coo(const Coo& coo) {
-  Coo canonical = coo;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = coo.canonical_view(storage);
 
   Csc csc;
   csc.rows_ = canonical.rows();

@@ -7,8 +7,8 @@
 namespace smtu {
 
 Csr Csr::from_coo(const Coo& coo) {
-  Coo canonical = coo;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = coo.canonical_view(storage);
 
   Csr csr;
   csr.rows_ = canonical.rows();

@@ -5,8 +5,8 @@
 namespace smtu {
 
 Dense Dense::from_coo(const Coo& coo) {
-  Coo canonical = coo;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = coo.canonical_view(storage);
   Dense dense(canonical.rows(), canonical.cols());
   for (const CooEntry& e : canonical.entries()) dense.at(e.row, e.col) = e.value;
   return dense;

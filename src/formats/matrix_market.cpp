@@ -151,8 +151,8 @@ Coo read_matrix_market_file(const std::string& path) {
 }
 
 void write_matrix_market(std::ostream& out, const Coo& matrix, const std::string& comment) {
-  Coo canonical = matrix;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = matrix.canonical_view(storage);
   out << "%%MatrixMarket matrix coordinate real general\n";
   if (!comment.empty()) out << "% " << comment << '\n';
   out << canonical.rows() << ' ' << canonical.cols() << ' ' << canonical.nnz() << '\n';

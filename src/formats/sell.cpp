@@ -10,8 +10,8 @@ namespace smtu {
 
 SellCSigma SellCSigma::from_coo(const Coo& coo, u32 chunk, u32 sigma) {
   SMTU_CHECK_MSG(chunk >= 1, "SELL-C-sigma chunk height must be positive");
-  Coo canonical = coo;
-  canonical.canonicalize();
+  Coo storage;
+  const Coo& canonical = coo.canonical_view(storage);
 
   SellCSigma sell;
   sell.rows_ = canonical.rows();

@@ -5,31 +5,70 @@
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
+#include "support/strings.hpp"
 
 namespace smtu {
 namespace {
 
-// Base-s digit k of a coordinate: the position of the element at hierarchy
-// level k (§III of the paper: i = i_0 + i_1 s + ... + i_q s^q).
-constexpr u32 digit(Index coord, u32 level, u32 section) {
-  return static_cast<u32>((coord / ipow(section, level)) % section);
+// One entry on its way into the hierarchy: its hierarchical key and its
+// value bits. The key holds the entry's block position at every level, 2 *
+// log2(s) bits per level, top level most significant, so key order groups
+// entries into top-level blocks, then sub-blocks, each in storage order.
+struct KeyedEntry {
+  u64 key;
+  u32 value;
+};
+
+// Keys every entry of the canonical form of `coo` for a hierarchy of
+// `levels` levels at s = 2^bits. Each level's field is the row digit above
+// the column digit, except that `col_first` swaps them at levels >= 1
+// (level 0 is always row-major, the paper's element layout).
+std::vector<KeyedEntry> keyed_entries(const Coo& coo, u32 bits, u32 levels, bool col_first) {
+  Coo storage;
+  const Coo& canonical = coo.canonical_view(storage);
+  const u64 mask = (u64{1} << bits) - 1;
+  std::vector<KeyedEntry> keyed;
+  keyed.reserve(canonical.nnz());
+  for (const CooEntry& e : canonical.entries()) {
+    u64 key = 0;
+    for (u32 k = levels - 1; k > 0; --k) {
+      const u64 r = (e.row >> (k * bits)) & mask;
+      const u64 c = (e.col >> (k * bits)) & mask;
+      key = (key << (2 * bits)) | (col_first ? (c << bits) | r : (r << bits) | c);
+    }
+    key = (key << (2 * bits)) | ((e.row & mask) << bits) | (e.col & mask);
+    keyed.push_back({key, std::bit_cast<u32>(e.value)});
+  }
+  return keyed;
 }
 
-// Hierarchical sort key: most-significant digits first, so sorting groups
-// entries into top-level blocks, then sub-blocks. The digit order at levels
-// >= 1 realizes the requested high-level storage order directly in the key —
-// no post-build re-sort pass. Level 0 is always row-major (the paper's
-// element layout).
-u64 hierarchical_key(Index row, Index col, u32 levels, u32 section,
-                     HighLevelOrder high_order) {
-  const bool col_first = high_order == HighLevelOrder::kColMajor;
-  u64 key = 0;
-  for (u32 k = levels; k-- > 1;) {
-    const u32 r = digit(row, k, section);
-    const u32 c = digit(col, k, section);
-    key = (key * section + (col_first ? c : r)) * section + (col_first ? r : c);
+// Stable LSD counting sort by key bits [low_bits, key_bits); ties keep their
+// input order. Each pass takes a histogram of one digit, turns it into
+// bucket offsets with a prefix sum, and scatters. Digits are at most 12 bits
+// wide, so one pass's counters stay in L1; a pass whose digit is the same
+// for every entry is skipped.
+void counting_sort(std::vector<KeyedEntry>& entries, u32 low_bits, u32 key_bits) {
+  const usize n = entries.size();
+  if (n < 2 || key_bits <= low_bits) return;
+  const u32 passes = static_cast<u32>(ceil_div(key_bits - low_bits, 12));
+  const u32 width = static_cast<u32>(ceil_div(key_bits - low_bits, passes));
+  const u64 mask = (u64{1} << width) - 1;
+  std::vector<usize> offset(usize{1} << width);
+  std::vector<KeyedEntry> scratch;
+  for (u32 shift = low_bits; shift < key_bits; shift += width) {
+    std::fill(offset.begin(), offset.end(), 0);
+    for (const KeyedEntry& e : entries) ++offset[(e.key >> shift) & mask];
+    if (offset[(entries[0].key >> shift) & mask] == n) continue;
+    usize sum = 0;
+    for (usize& slot : offset) {
+      const usize count = slot;
+      slot = sum;
+      sum += count;
+    }
+    scratch.resize(n);
+    for (const KeyedEntry& e : entries) scratch[offset[(e.key >> shift) & mask]++] = e;
+    entries.swap(scratch);
   }
-  return (key * section + digit(row, 0, section)) * section + digit(col, 0, section);
 }
 
 }  // namespace
@@ -57,65 +96,65 @@ void sort_block_row_major(BlockArray& block) {
 }
 
 HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high_order) {
-  SMTU_CHECK_MSG(section >= 2 && section <= kMaxSection, "section size must be in [2, 256]");
-
-  Coo canonical = coo;
-  canonical.canonicalize();
+  SMTU_CHECK_MSG(valid_section(section), "section size must be a power of two in [2, 256]");
 
   HismMatrix hism;
   hism.section_ = section;
-  hism.rows_ = canonical.rows();
-  hism.cols_ = canonical.cols();
+  hism.rows_ = coo.rows();
+  hism.cols_ = coo.cols();
 
-  const Index max_dim = std::max<Index>({canonical.rows(), canonical.cols(), 1});
-  const u32 levels = std::max<u32>(1, log_ceil(max_dim, section));
+  // s^levels >= max_dim, with s = 2^bits.
+  const u32 bits = log2_floor(section);
+  const Index max_dim = std::max<Index>({coo.rows(), coo.cols(), 1});
+  const u32 levels = std::max<u32>(1, static_cast<u32>(ceil_div(log2_ceil(max_dim), bits)));
+  const u32 key_bits = 2 * bits * levels;
+  SMTU_CHECK_MSG(key_bits <= 64,
+                 format("a dimension of %llu at s = %u needs %u levels, a %u-bit HiSM key; "
+                        "at most 64 bits are supported",
+                        static_cast<unsigned long long>(max_dim), section, levels, key_bits));
   hism.levels_.resize(levels);
 
-  // Sort entries by hierarchical key so each block at every level is a
-  // contiguous range, already in the requested storage order. Keys are
-  // precomputed — evaluating the digit decomposition inside the comparator
-  // would dominate construction time for paper-scale matrices.
-  std::vector<std::pair<u64, CooEntry>> keyed;
-  keyed.reserve(canonical.nnz());
-  for (const CooEntry& e : canonical.entries()) {
-    keyed.emplace_back(hierarchical_key(e.row, e.col, levels, section, high_order), e);
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<CooEntry> entries;
-  entries.reserve(keyed.size());
-  for (const auto& [key, entry] : keyed) entries.push_back(entry);
+  // Canonical input is row-major, and so is every level-0 block: entries
+  // that share all fields above level 0 are already in order, and the sort
+  // orders only those fields.
+  const bool col_first = high_order == HighLevelOrder::kColMajor;
+  std::vector<KeyedEntry> entries = keyed_entries(coo, bits, levels, col_first);
+  counting_sort(entries, 2 * bits, key_bits);
 
-  // Recursive bottom-up construction over the sorted range.
+  // Recursive bottom-up construction over the sorted entries. An entry's
+  // position at level k is key field k; the entries of one level-k block
+  // are a run sharing every key bit from field k up.
   struct Builder {
     HismMatrix& hism;
-    const std::vector<CooEntry>& entries;
-    u32 section;
+    const std::vector<KeyedEntry>& entries;
+    u32 bits;
+    bool col_first;
 
     // Builds the block covering entries [begin, end) at `level`; returns its
     // id within the level's pool.
     u32 build(usize begin, usize end, u32 level) {
+      const u64 mask = (u64{1} << bits) - 1;
       BlockArray block;
       if (level == 0) {
         block.pos.reserve(end - begin);
         block.slot.reserve(end - begin);
         for (usize i = begin; i < end; ++i) {
-          block.pos.push_back({static_cast<u8>(digit(entries[i].row, 0, section)),
-                               static_cast<u8>(digit(entries[i].col, 0, section))});
-          block.slot.push_back(std::bit_cast<u32>(entries[i].value));
+          const u64 key = entries[i].key;
+          block.pos.push_back(
+              {static_cast<u8>((key >> bits) & mask), static_cast<u8>(key & mask)});
+          block.slot.push_back(entries[i].value);
         }
       } else {
+        const u32 shift = 2 * bits * level;
         usize i = begin;
         while (i < end) {
-          const u32 r = digit(entries[i].row, level, section);
-          const u32 c = digit(entries[i].col, level, section);
-          usize j = i;
-          while (j < end && digit(entries[j].row, level, section) == r &&
-                 digit(entries[j].col, level, section) == c) {
-            ++j;
-          }
+          const u64 prefix = entries[i].key >> shift;
+          usize j = i + 1;
+          while (j < end && (entries[j].key >> shift) == prefix) ++j;
           const u32 child = build(i, j, level - 1);
-          block.pos.push_back({static_cast<u8>(r), static_cast<u8>(c)});
+          const auto first = static_cast<u8>((prefix >> bits) & mask);
+          const auto second = static_cast<u8>(prefix & mask);
+          block.pos.push_back(col_first ? BlockPos{second, first} : BlockPos{first, second});
           block.slot.push_back(child);
           // Length of the child block-array itself (its entry count), not of
           // the element range it covers — they differ above level 1.
@@ -129,7 +168,7 @@ HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high
     }
   };
 
-  Builder builder{hism, entries, section};
+  Builder builder{hism, entries, bits, col_first};
   hism.root_id_ = builder.build(0, entries.size(), levels - 1);
   return hism;
 }

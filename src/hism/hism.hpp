@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "formats/coo.hpp"
+#include "support/bits.hpp"
 #include "support/types.hpp"
 
 namespace smtu {
@@ -52,11 +53,19 @@ class HismMatrix {
   // Maximum section size representable with 8-bit block positions.
   static constexpr u32 kMaxSection = 256;
 
+  // The section sizes from_coo accepts: powers of two in [2, kMaxSection],
+  // so every block coordinate is a shift and a mask of the element's.
+  static constexpr bool valid_section(u64 section) {
+    return section >= 2 && section <= kMaxSection && is_pow2(section);
+  }
+
   HismMatrix() = default;
 
-  // Builds the hierarchy from a COO matrix for vector section size `section`.
-  // Level-0 block-arrays are ordered row-wise (the paper's layout);
-  // `high_order` selects the ordering of levels >= 1.
+  // Builds the hierarchy from a COO matrix for vector section size `section`
+  // (valid_section). Level-0 block-arrays are ordered row-wise (the paper's
+  // layout); `high_order` selects the ordering of levels >= 1. Aborts when
+  // the hierarchical key, 2 * log2(s) bits per level, needs more than 64
+  // bits (a dimension beyond s^(32 / log2(s))).
   static HismMatrix from_coo(const Coo& coo, u32 section,
                              HighLevelOrder high_order = HighLevelOrder::kRowMajor);
 

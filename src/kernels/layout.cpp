@@ -36,9 +36,13 @@ CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
 
   // One zeroed buffer with the three input arrays copied in whole (their
   // element encodings match the machine's little-endian u32/f32 stores).
+  // An empty matrix's arrays may have null data, which memcpy must not get
+  // even for zero bytes.
   bytes.assign(image.end - base, 0);
-  std::memcpy(bytes.data() + (image.an - base), csr.values().data(), 4 * image.nnz);
-  std::memcpy(bytes.data() + (image.ja - base), csr.col_idx().data(), 4 * image.nnz);
+  if (image.nnz != 0) {
+    std::memcpy(bytes.data() + (image.an - base), csr.values().data(), 4 * image.nnz);
+    std::memcpy(bytes.data() + (image.ja - base), csr.col_idx().data(), 4 * image.nnz);
+  }
   std::memcpy(bytes.data() + (image.ia - base), csr.row_ptr().data(),
               4 * (image.rows + 1));
   return image;

@@ -82,7 +82,13 @@ int serve_main(int argc, const char* const* argv) {
     return 0;
   }
 
-  const Trace trace = load_trace_file(replay_path);
+  std::string trace_error;
+  const std::optional<Trace> loaded = load_trace_file(replay_path, &trace_error);
+  if (!loaded.has_value()) {
+    std::fprintf(stderr, "smtu_serve: %s\n", trace_error.c_str());
+    return 2;
+  }
+  const Trace& trace = *loaded;
   const ServeReport report = serve_trace(trace, options);
 
   if (!json_out.empty()) {

@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "hism/hism.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -89,6 +90,18 @@ bool read_uint(const JsonValue& object, std::string_view key, T& value, std::str
   }
   value = static_cast<T>(*number);
   return true;
+}
+
+// Why a config variant cannot run, or nullptr. The kernels need a section
+// the HiSM builder accepts, and the STM at least one element and one line
+// per cycle (the machine clamps L to s).
+const char* invalid_config_field(const ConfigSpec& spec) {
+  if (!HismMatrix::valid_section(spec.section)) {
+    return "\"section\" is not a power of two in [2, 256]";
+  }
+  if (spec.stm_bandwidth == 0) return "\"stm_bandwidth\" is 0";
+  if (spec.stm_lines == 0) return "\"stm_lines\" is 0";
+  return nullptr;
 }
 
 double get_double(const JsonValue& object, std::string_view key, double fallback) {
@@ -292,14 +305,20 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     return std::nullopt;
   }
   for (const JsonValue& item : configs->items()) {
+    const usize index = trace.configs.size();
     if (!item.is_object()) {
-      set_error(error, "config variant is not an object");
+      set_error(error, format("config %zu: not an object", index));
       return std::nullopt;
     }
     ConfigSpec spec;
     if (!read_uint(item, "section", spec.section, error) ||
         !read_uint(item, "stm_bandwidth", spec.stm_bandwidth, error) ||
         !read_uint(item, "stm_lines", spec.stm_lines, error)) {
+      if (error != nullptr) error->insert(0, format("config %zu: ", index));
+      return std::nullopt;
+    }
+    if (const char* invalid = invalid_config_field(spec); invalid != nullptr) {
+      set_error(error, format("config %zu: %s", index, invalid));
       return std::nullopt;
     }
     trace.configs.push_back(spec);
@@ -362,18 +381,20 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
   return trace;
 }
 
-Trace load_trace_file(const std::string& path) {
+std::optional<Trace> load_trace_file(const std::string& path, std::string* error) {
   std::ifstream in(path);
-  SMTU_CHECK_MSG(static_cast<bool>(in), "cannot open trace " + path);
+  if (!in) {
+    set_error(error, "cannot open trace " + path);
+    return std::nullopt;
+  }
   std::ostringstream text;
   text << in.rdbuf();
-  std::string parse_error;
-  const std::optional<JsonValue> document = parse_json(text.view(), &parse_error);
-  SMTU_CHECK_MSG(document.has_value(), "trace " + path + ": " + parse_error);
-  std::string trace_error;
-  std::optional<Trace> trace = parse_trace(*document, &trace_error);
-  SMTU_CHECK_MSG(trace.has_value(), "trace " + path + ": " + trace_error);
-  return std::move(*trace);
+  std::string message;
+  const std::optional<JsonValue> document = parse_json(text.view(), &message);
+  std::optional<Trace> trace;
+  if (document.has_value()) trace = parse_trace(*document, &message);
+  if (!trace.has_value()) set_error(error, "trace " + path + ": " + message);
+  return trace;
 }
 
 }  // namespace smtu::serve

@@ -76,7 +76,9 @@ void write_trace_file(const std::string& path, const Trace& trace);
 // not an unsigned integer of its width, out-of-range matrix or config
 // indices, unknown kernel names, or decreasing arrival times.
 std::optional<Trace> parse_trace(const JsonValue& document, std::string* error = nullptr);
-// Reads and parses `path`; aborts with the parse error on failure.
-Trace load_trace_file(const std::string& path);
+// Reads and parses `path`. Returns nullopt (and fills `error` when non-null,
+// prefixed with the path) when the file cannot be read, is not JSON, or is
+// not a valid trace.
+std::optional<Trace> load_trace_file(const std::string& path, std::string* error = nullptr);
 
 }  // namespace smtu::serve

@@ -30,19 +30,6 @@ constexpr u32 log2_ceil(u64 value) {
   return value <= 1 ? 0 : log2_floor(value - 1) + 1;
 }
 
-// ceil(log_base(value)) for value >= 1, base >= 2. This is the paper's level
-// count: a matrix of dimension up to base^q needs q hierarchy levels.
-constexpr u32 log_ceil(u64 value, u64 base) {
-  SMTU_DCHECK(base >= 2);
-  u32 levels = 0;
-  u64 reach = 1;
-  while (reach < value) {
-    reach *= base;
-    ++levels;
-  }
-  return levels;
-}
-
 // base^exp with overflow check (used for block spans, small exponents).
 constexpr u64 ipow(u64 base, u32 exp) {
   u64 result = 1;

@@ -50,7 +50,9 @@ void Memory::write_f32(Addr addr, float value) { write_u32(addr, std::bit_cast<u
 
 void Memory::write_block(Addr addr, std::span<const u8> data) {
   ensure(addr, data.size());
-  std::memcpy(bytes_.data() + addr, data.data(), data.size());
+  // An empty span may hold a null pointer, which memcpy must not get even
+  // for zero bytes.
+  if (!data.empty()) std::memcpy(bytes_.data() + addr, data.data(), data.size());
 }
 
 }  // namespace smtu::vsim

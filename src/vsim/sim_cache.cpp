@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -18,11 +20,42 @@
 namespace smtu::vsim {
 namespace {
 
-constexpr u64 kFnvPrime = 1099511628211ull;
-constexpr u64 kFnvOffset = 14695981039346656037ull;
-// Second stream: a distinct offset basis keeps the two 64-bit hashes
-// decorrelated enough for content addressing.
-constexpr u64 kFnvOffsetAlt = kFnvOffset ^ 0x9e3779b97f4a7c15ull;
+// Each lane has its own seed, odd multipliers and rotation, so the two
+// 64-bit halves are independent hashes of the same words.
+struct Lane {
+  u64 seed;
+  u64 word_multiplier;
+  u64 lane_multiplier;
+  int rotation;
+};
+constexpr Lane kLo{0x243f6a8885a308d3ull, 0xc2b2ae3d27d4eb4full, 0x9e3779b185ebca87ull, 31};
+constexpr Lane kHi{0x13198a2e03707344ull, 0x85ebca77c2b2ae63ull, 0x165667b19e3779f9ull, 27};
+
+// One 8-byte step. For a fixed word it is a bijection of the lane, and for
+// a fixed lane a bijection of the word, so inputs that differ in one word
+// never share a lane state. The rotate carries the high bits the multiplies
+// produce back to the bottom for the next step.
+constexpr u64 step(u64 lane, u64 word, const Lane& k) {
+  return std::rotl(lane + word * k.word_multiplier, k.rotation) * k.lane_multiplier;
+}
+
+// Final avalanche (a bijection too): every input bit reaches every output bit.
+constexpr u64 finish(u64 lane) {
+  lane = (lane ^ (lane >> 33)) * 0xff51afd7ed558ccdull;
+  lane = (lane ^ (lane >> 33)) * 0xc4ceb9fe1a85ec53ull;
+  return lane ^ (lane >> 33);
+}
+
+// `size` (<= 8) bytes at `data` as a little-endian word, zero-extended.
+u64 load_word(const u8* data, usize size) {
+  u64 word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, data, size);
+  } else {
+    for (usize i = 0; i < size; ++i) word |= u64{data[i]} << (8 * i);
+  }
+  return word;
+}
 
 constexpr std::string_view kSchema = "smtu-simcache-v1";
 
@@ -38,14 +71,22 @@ std::string unique_temp_path(const std::string& path) {
 
 }  // namespace
 
-SimHash::SimHash() : lo_(kFnvOffset), hi_(kFnvOffsetAlt) {}
+SimHash::SimHash() : lo_(kLo.seed), hi_(kHi.seed) {}
 
 void SimHash::update(std::span<const u8> data) {
+  update_u64(data.size());
   u64 lo = lo_;
   u64 hi = hi_;
-  for (const u8 byte : data) {
-    lo = (lo ^ byte) * kFnvPrime;
-    hi = (hi ^ byte) * kFnvPrime;
+  usize i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    const u64 word = load_word(data.data() + i, 8);
+    lo = step(lo, word, kLo);
+    hi = step(hi, word, kHi);
+  }
+  if (i < data.size()) {
+    const u64 tail = load_word(data.data() + i, data.size() - i);
+    lo = step(lo, tail, kLo);
+    hi = step(hi, tail, kHi);
   }
   lo_ = lo;
   hi_ = hi;
@@ -56,21 +97,19 @@ void SimHash::update(std::string_view text) {
 }
 
 void SimHash::update_u64(u64 value) {
-  u8 bytes[8];
-  for (u32 i = 0; i < 8; ++i) bytes[i] = static_cast<u8>(value >> (8 * i));
-  update(std::span<const u8>(bytes, 8));
+  lo_ = step(lo_, value, kLo);
+  hi_ = step(hi_, value, kHi);
 }
 
 std::string SimHash::hex() const {
-  return format("%016llx%016llx", static_cast<unsigned long long>(hi_),
-                static_cast<unsigned long long>(lo_));
+  return format("%016llx%016llx", static_cast<unsigned long long>(finish(hi_)),
+                static_cast<unsigned long long>(finish(lo_)));
 }
 
 std::string sim_cache_key(std::string_view program_source, const MachineConfig& config,
                           std::span<const u8> image,
                           std::span<const std::pair<u32, u64>> entry_sregs) {
   SimHash hash;
-  hash.update_u64(program_source.size());
   hash.update(program_source);
   // The config's timing knobs, via its canonical JSON rendering (every field
   // that shapes cycle counts is in there, and the schema moves with the code).
@@ -80,9 +119,7 @@ std::string sim_cache_key(std::string_view program_source, const MachineConfig& 
     write_machine_config_json(json, config);
     SMTU_CHECK(json.complete());
   }
-  hash.update_u64(config_json.view().size());
   hash.update(config_json.view());
-  hash.update_u64(image.size());
   hash.update(image);
   hash.update_u64(entry_sregs.size());
   for (const auto& [reg, value] : entry_sregs) {
@@ -112,6 +149,11 @@ std::optional<SimCache::Entry> SimCache::read_entry(const std::string& key) cons
   if (!doc.has_value()) return std::nullopt;  // partial/corrupt entry: re-simulate
   const JsonValue* schema = doc->find("schema");
   if (schema == nullptr || !schema->is_string() || schema->as_string() != kSchema) {
+    return std::nullopt;
+  }
+  // A file renamed or copied under another key's name is not that key's run.
+  const JsonValue* stored_key = doc->find("key");
+  if (stored_key == nullptr || !stored_key->is_string() || stored_key->as_string() != key) {
     return std::nullopt;
   }
 
@@ -180,6 +222,8 @@ void SimCache::store(const std::string& key, const Entry& entry) {
     json.begin_object();
     json.key("schema");
     json.value(std::string(kSchema));
+    json.key("key");
+    json.value(key);
     json.key("verified");
     json.value(merged.verified);
     json.key("profiled");

@@ -8,9 +8,11 @@
 //
 // One JSON file per entry, named <hash>.json in the cache directory:
 //
-//   {"schema": "smtu-simcache-v1", "verified": ..., "profiled": ...,
-//    "stats": {<RunStats counters>}, "profile": "<rendered JSON>" | null}
+//   {"schema": "smtu-simcache-v1", "key": "<hash>", "verified": ...,
+//    "profiled": ..., "stats": {<RunStats counters>},
+//    "profile": "<rendered JSON>" | null}
 //
+// An entry whose `key` is missing or names another hash is a miss.
 // `verified` records whether the cached run also passed the caller's
 // correctness check (lookups that need verification treat unverified
 // entries as misses); `profile` is the pre-rendered smtu-profile-v1 object
@@ -31,13 +33,20 @@
 
 namespace smtu::vsim {
 
-// 128-bit content hash as 32 lowercase hex digits (two FNV-1a-64 streams
-// with distinct offset bases). Stable across platforms and runs.
+// 128-bit content hash as 32 lowercase hex digits. Two 64-bit lanes each
+// consume 8 bytes per step (multiply, rotate, multiply, with constants of
+// their own) and are avalanched once in hex(). Stable across platforms and
+// runs; it names sim-cache entries on disk, so tests/test_sim_cache.cpp
+// pins its output.
 class SimHash {
  public:
   SimHash();
+  // Mixes in data.size() first, then the bytes: inputs that differ only in
+  // trailing zero bytes, or in how a byte stream is split across updates,
+  // hash apart.
   void update(std::span<const u8> data);
   void update(std::string_view text);
+  // One fixed-width word, one step.
   void update_u64(u64 value);
   std::string hex() const;
 

@@ -27,6 +27,11 @@ TEST(Hism, LevelCountMatchesPaperFormula) {
   EXPECT_EQ(HismMatrix::from_coo(random_coo(65, 8, 10, rng), 8).num_levels(), 3u);
   EXPECT_EQ(HismMatrix::from_coo(random_coo(8, 513, 10, rng), 8).num_levels(), 4u);
   EXPECT_EQ(HismMatrix::from_coo(random_coo(4096, 4096, 10, rng), 64).num_levels(), 2u);
+  // At the level boundaries of s = 64, and at least one level when empty.
+  EXPECT_EQ(HismMatrix::from_coo(Coo(1, 1), 64).num_levels(), 1u);
+  EXPECT_EQ(HismMatrix::from_coo(Coo(64, 1), 64).num_levels(), 1u);
+  EXPECT_EQ(HismMatrix::from_coo(Coo(65, 1), 64).num_levels(), 2u);
+  EXPECT_EQ(HismMatrix::from_coo(Coo(1, 4097), 64).num_levels(), 3u);
 }
 
 TEST(Hism, RoundTripRandom) {
@@ -63,6 +68,16 @@ TEST(Hism, PositionsFitEightBits) {
 
 TEST(Hism, RejectsOversizedSection) {
   EXPECT_DEATH(HismMatrix::from_coo(Coo(4, 4), 257), "section");
+  // Block coordinates are shifts and masks: s must be a power of two.
+  EXPECT_DEATH(HismMatrix::from_coo(Coo(4, 4), 48), "power of two");
+}
+
+TEST(Hism, RejectsKeysWiderThan64Bits) {
+  // 2^40 at s = 64 needs 7 levels of 12 key bits each: 84 bits.
+  Coo coo(Index{1} << 40, Index{1} << 40);
+  coo.add(Index{1} << 36, 0, 1.0f);
+  coo.add(0, 1, 2.0f);
+  EXPECT_DEATH(HismMatrix::from_coo(coo, 64), "dimension of 1099511627776 at s = 64");
 }
 
 TEST(Hism, BlockTransposedSwapsAndSorts) {

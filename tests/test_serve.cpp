@@ -5,7 +5,9 @@
 // across a write->parse trace round-trip. The checked-in benchmark trace
 // (SMTU_TRACE_DIR, injected by tests/CMakeLists.txt) is held byte-stable.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -118,7 +120,7 @@ TEST(ServeTrace, CheckedInTraceIsByteStable) {
   ASSERT_TRUE(in.is_open()) << kCheckedInTrace;
   std::ostringstream text;
   text << in.rdbuf();
-  const Trace trace = load_trace_file(kCheckedInTrace);
+  const Trace trace = load_trace_file(kCheckedInTrace).value();
   EXPECT_EQ(trace_to_string(trace), text.str())
       << "re-rendering the checked-in trace changed its bytes; regenerate "
          "bench/traces and the bench/baselines serve reports together";
@@ -160,6 +162,48 @@ TEST(ServeTrace, ParseRejectsFieldsThatAreNotUnsignedIntegers) {
     EXPECT_FALSE(parse_string(text, &error).has_value()) << to;
     EXPECT_NE(error.find("is not an unsigned"), std::string::npos) << to << ": " << error;
   }
+}
+
+TEST(ServeTrace, ParseRejectsConfigsTheMachineCannotRun) {
+  // Past the parser, each of these would abort the server in the HiSM
+  // builder, the CRS kernel or the STM.
+  struct Case {
+    ConfigSpec spec;
+    const char* field;
+  };
+  const Case cases[] = {
+      {{0, 4, 4}, "\"section\""},        {{48, 4, 4}, "\"section\""},
+      {{300, 4, 4}, "\"section\""},      {{64, 4, 0}, "\"stm_lines\""},
+      {{64, 0, 4}, "\"stm_bandwidth\""},
+  };
+  for (const Case& c : cases) {
+    for (const usize index : {usize{0}, usize{1}}) {
+      Trace trace = tiny_trace();
+      trace.configs.push_back(ConfigSpec{});
+      trace.configs[index] = c.spec;
+      std::string error;
+      EXPECT_FALSE(parse_string(trace_to_string(trace), &error).has_value()) << c.field;
+      EXPECT_NE(error.find("config " + std::to_string(index) + ": " + c.field),
+                std::string::npos)
+          << error;
+    }
+  }
+}
+
+TEST(ServeTrace, LoadReportsUnreadableAndInvalidFiles) {
+  std::string error;
+  EXPECT_FALSE(load_trace_file("/nonexistent/trace.json", &error).has_value());
+  EXPECT_NE(error.find("cannot open trace /nonexistent/trace.json"), std::string::npos) << error;
+
+  Trace trace = tiny_trace();
+  trace.configs[0].stm_lines = 0;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("smtu_test_bad_trace_" + std::to_string(::getpid()) + ".json"))
+                               .string();
+  std::ofstream(path) << trace_to_string(trace);
+  EXPECT_FALSE(load_trace_file(path, &error).has_value());
+  EXPECT_EQ(error, "trace " + path + ": config 0: \"stm_lines\" is 0");
+  std::filesystem::remove(path);
 }
 
 TEST(ServeTrace, ParseRejectsWrongSchema) {
@@ -375,7 +419,7 @@ TEST(ServeEndToEnd, CheckedInTraceMeetsStructuralSpeedupFloor) {
   // structure behind it is gated here: dedup must remove at least 5x of the
   // offered simulation work, and the host must run at most 1/5 of the
   // trace's requests as real simulations.
-  const Trace trace = load_trace_file(kCheckedInTrace);
+  const Trace trace = load_trace_file(kCheckedInTrace).value();
   const ServeOptions options;
   const ServeReport report = serve_trace(trace, options);
 

@@ -9,8 +9,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -74,6 +76,61 @@ TEST(SimHash, StableAndSensitive) {
   c.update(std::string_view("hello"));
   c.update_u64(43);
   EXPECT_NE(a.hex(), c.hex());
+}
+
+// SimHash names the entries on disk: a change to what it returns renames
+// every cached simulation, so it must be deliberate and update these.
+TEST(SimHash, GoldenDigests) {
+  EXPECT_EQ(vsim::SimHash().hex(), "72dee428a469f6fd7acdbb98b1344213");
+  vsim::SimHash hash;
+  hash.update(std::string_view("Sparse Matrix Transpose Unit"));
+  hash.update_u64(0x0123456789abcdefull);
+  std::vector<u8> bytes(1000);
+  for (usize i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<u8>(i * 7 + 3);
+  hash.update(bytes);
+  EXPECT_EQ(hash.hex(), "54442d320a912afe574d0aeae37908d3");
+}
+
+TEST(SimCacheKey, GoldenKey) {
+  const std::vector<u8> image = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
+  const std::pair<u32, u64> sreg{5, 0x10000};
+  EXPECT_EQ(vsim::sim_cache_key("li x1, 1\nhalt\n", vsim::MachineConfig{}, image, {&sreg, 1}),
+            "507051c0f6b77c0623aaa569aa6d470c");
+}
+
+std::pair<u64, u64> halves(const vsim::SimHash& hash) {
+  const std::string hex = hash.hex();
+  return {std::stoull(hex.substr(0, 16), nullptr, 16), std::stoull(hex.substr(16), nullptr, 16)};
+}
+
+TEST(SimHash, EveryInputBitReachesBothHalves) {
+  std::vector<u8> buffer(1024);
+  for (usize i = 0; i < buffer.size(); ++i) buffer[i] = static_cast<u8>(i * 131 + 17);
+  vsim::SimHash base_hash;
+  base_hash.update(buffer);
+  const auto [base_hi, base_lo] = halves(base_hash);
+  for (usize bit = 0; bit < buffer.size() * 8; ++bit) {
+    buffer[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    vsim::SimHash flipped;
+    flipped.update(buffer);
+    const auto [hi, lo] = halves(flipped);
+    EXPECT_NE(hi, base_hi) << "bit " << bit;
+    EXPECT_NE(lo, base_lo) << "bit " << bit;
+    buffer[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+  }
+}
+
+TEST(SimHash, TrailingZeroBytesHashApart) {
+  // The tail word is zero-padded; the mixed-in length keeps these apart.
+  std::set<std::string> digests;
+  for (usize zeros = 0; zeros < 16; ++zeros) {
+    std::vector<u8> bytes = {0xde, 0xad, 0xbe, 0xef, 0x01};
+    bytes.resize(bytes.size() + zeros, 0);
+    vsim::SimHash hash;
+    hash.update(bytes);
+    digests.insert(hash.hex());
+  }
+  EXPECT_EQ(digests.size(), 16u);
 }
 
 TEST(SimCacheKey, DependsOnEveryInput) {
@@ -157,6 +214,32 @@ TEST(SimCache, NeedFlagsTurnInsufficientEntriesIntoMisses) {
   EXPECT_TRUE(cache.lookup("deadbeefdeadbeefdeadbeefdeadbeef", false, false).has_value());
   EXPECT_FALSE(cache.lookup("deadbeefdeadbeefdeadbeefdeadbeef", true, false).has_value());
   EXPECT_FALSE(cache.lookup("deadbeefdeadbeefdeadbeefdeadbeef", false, true).has_value());
+}
+
+TEST(SimCache, EntryUnderAnotherKeysNameIsAMiss) {
+  TempDir dir("simcache_key");
+  const std::string key = "0123456789abcdef0123456789abcdef";
+  const std::string other = "fedcba9876543210fedcba9876543210";
+  vsim::RunStats stats;
+  stats.cycles = 99;
+  vsim::SimCache(dir.str()).store(key, {stats, /*verified=*/true, ""});
+  const std::filesystem::path path = std::filesystem::path(dir.str()) / (key + ".json");
+  std::filesystem::copy_file(path, std::filesystem::path(dir.str()) / (other + ".json"));
+
+  // A fresh cache object, so no memo answers for the disk.
+  vsim::SimCache cache(dir.str());
+  EXPECT_TRUE(cache.lookup(key, false, false).has_value());
+  EXPECT_FALSE(cache.lookup(other, false, false).has_value());
+
+  // An entry that does not record its key is a miss too.
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::string field = "\"key\":\"" + key + "\",";
+  const auto at = text.find(field);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.erase(at, field.size());
+  std::ofstream(path, std::ios::trunc) << text;
+  EXPECT_FALSE(vsim::SimCache(dir.str()).lookup(key, false, false).has_value());
 }
 
 TEST(SimCache, StoreUpgradesButNeverDowngrades) {

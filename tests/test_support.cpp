@@ -35,15 +35,6 @@ TEST(Bits, Log2) {
   EXPECT_EQ(log2_ceil(65), 7u);
 }
 
-TEST(Bits, LogCeilBaseS) {
-  // The paper's level count: q = ceil(log_s(dim)).
-  EXPECT_EQ(log_ceil(1, 64), 0u);
-  EXPECT_EQ(log_ceil(64, 64), 1u);
-  EXPECT_EQ(log_ceil(65, 64), 2u);
-  EXPECT_EQ(log_ceil(4096, 64), 2u);
-  EXPECT_EQ(log_ceil(4097, 64), 3u);
-}
-
 TEST(Bits, Ipow) {
   EXPECT_EQ(ipow(64, 0), 1u);
   EXPECT_EQ(ipow(64, 2), 4096u);

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                    format("%.3f", relaxed_sum / n),
                    format("%+.1f%%", (relaxed_sum / strict_sum - 1.0) * 100.0)});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf(
       "\nreading: if the relaxed gain is small at L=4, the paper's cheap consecutive-\n"
       "line hardware is justified; the gap closes further as L grows.\n");

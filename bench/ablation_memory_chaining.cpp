@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
                    format("%llu (+%.0f%%)", static_cast<unsigned long long>(t.crs_off),
                           100.0 * (static_cast<double>(t.crs_off) / static_cast<double>(t.crs_on) - 1.0))});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   bench::finish_telemetry(options);
   return 0;
 }

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                    format("%.1fx", static_cast<double>(t.masked_cycles) /
                                        static_cast<double>(t.scalar_cycles))});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf("\nreading: the masked variant loses by growing factors as matrices grow —\n"
               "the paper's choice of scalar code for phase 1 is the right one.\n");
   bench::finish_telemetry(options);

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   });
   bench::emit(bench::sweep_average_table(set, bench::variant_labels(variants), speedup_rows,
                                          "%.1f", "AVERAGE"),
-              options.csv_path);
+              options);
   std::printf(
       "\nreading: the CRS baseline's scalar histogram phase scales with the load\n"
       "latency, so the speedup does too. The qualitative conclusions (HiSM wins,\n"

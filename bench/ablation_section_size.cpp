@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   });
   bench::emit(bench::sweep_average_table(set, bench::variant_labels(variants), per_nnz_rows,
                                          "%.2f", "AVERAGE cyc/nnz"),
-              options.csv_path);
+              options);
   bench::finish_telemetry(options);
   return 0;
 }

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     }
     table.add_row(std::move(row));
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf(
       "\nreading: the naive all-vector kernel (t=0) is brutal on short-row matrices;\n"
       "t=4 captures nearly all of the gain, and very large thresholds de-vectorize\n"

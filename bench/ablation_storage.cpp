@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                    format("%llu", static_cast<unsigned long long>(r.stats.storage_bytes)),
                    format("%.2f", ratio), format("%.1f%%", 100.0 * r.stats.overhead_fraction)});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
 
   const double n = static_cast<double>(suite_matrices.size());
   std::printf("\naverage HiSM/CRS size ratio: %.2f  (paper: HiSM positions are 2 bytes vs\n"

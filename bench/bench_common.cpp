@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "formats/matrix_market.hpp"
 #include "hism/transpose.hpp"
@@ -67,10 +68,11 @@ std::string render_profile_json(const vsim::PerfCounters& profile) {
 BenchOptions parse_options(CommandLine& cli) {
   BenchOptions options;
   options.suite.scale = cli.get_double("scale", 1.0);
+  if (!suite::valid_scale(options.suite.scale)) {
+    cli.fail(format("option --scale expects a number in (0, 1], got '%g'", options.suite.scale));
+  }
   options.suite.seed = static_cast<u64>(cli.get_int("seed", 0xD5ABD5ABll));
-  const i64 jobs = cli.get_int("jobs", 0);
-  SMTU_CHECK_MSG(jobs >= 0, "--jobs must be >= 0 (0 = all hardware threads)");
-  options.jobs = static_cast<u32>(jobs);
+  options.jobs = cli.get_u32("jobs", 0);
   const std::string csv = cli.get_string("csv", "");
   if (!csv.empty()) options.csv_path = csv;
   const std::string json = cli.get_string("json", "");
@@ -228,16 +230,18 @@ double buffer_utilization(const HismMatrix& hism, const StmConfig& config) {
 
 std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
   std::error_code ec;
-  SMTU_CHECK_MSG(std::filesystem::is_directory(dir, ec),
-                 "--mtxdir: '" + dir + "' is not a readable directory");
+  if (!std::filesystem::is_directory(dir, ec)) {
+    exit_usage_error("--mtxdir: '" + dir + "' is not a readable directory");
+  }
   std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (entry.is_regular_file() && entry.path().extension() == ".mtx") {
       paths.push_back(entry.path());
     }
   }
+  if (ec) exit_usage_error("--mtxdir: cannot list '" + dir + "': " + ec.message());
   std::sort(paths.begin(), paths.end());
-  SMTU_CHECK_MSG(!paths.empty(), "no .mtx files in " + dir);
+  if (paths.empty()) exit_usage_error("--mtxdir: no .mtx files in " + dir);
 
   std::vector<suite::SuiteMatrix> external;
   u32 index = 0;
@@ -246,7 +250,11 @@ std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
     entry.name = path.stem().string();
     entry.set = "external";
     entry.index = index++;
-    entry.matrix = read_matrix_market_file(path.string());
+    try {
+      entry.matrix = read_matrix_market_file(path.string());
+    } catch (const std::runtime_error& error) {
+      exit_usage_error("--mtxdir: " + path.string() + ": " + error.what());
+    }
     entry.metrics = suite::compute_metrics(entry.matrix);
     external.push_back(std::move(entry));
   }

@@ -1,7 +1,8 @@
 // Shared plumbing for the figure-reproduction benchmark binaries.
 //
-// Every binary accepts:
-//   --scale=<0..1>     shrink the suite for quick runs (default 1 = paper scale)
+// Every binary accepts the flags below; the four simulation flags act only
+// where a bench runs the matching path (README.md lists which):
+//   --scale=<(0,1]>    shrink the suite for quick runs (default 1 = paper scale)
 //   --seed=<u64>       suite generation seed
 //   --jobs=<N> / -j N  worker threads for per-matrix simulation (default 0 =
 //                      all hardware threads). Results are deterministic: any
@@ -14,14 +15,19 @@
 //                      table-shaped benches write the table as a JSON array
 //   --trace-json=<path> Chrome trace-event dump (chrome://tracing / Perfetto)
 //                      of the HiSM transpose of the first suite matrix
+//                      (fig11-13, summary_speedup)
 //   --verify           decode results from simulated memory and check them
+//                      (the comparison benches, reproduce_all, ext_kernel_suite)
 //   --profile          attach the cycle-attribution profiler; JSON reports
-//                      gain a per-matrix "profile" section (docs/PROFILING.md)
-//   --sim-cache=<dir>  content-addressed on-disk result cache: simulations
-//                      whose (program, config, image) triple was seen before
-//                      are skipped and their RunStats/profile replayed from
-//                      <dir> (see HACKING.md "Host performance"). Reports
-//                      stay bit-identical modulo wall_ms/host keys
+//                      gain a per-matrix "profile" section (docs/PROFILING.md;
+//                      the comparison benches and reproduce_all)
+//   --sim-cache=<dir>  content-addressed on-disk result cache (the
+//                      comparison benches, reproduce_all, serve_sweep):
+//                      simulations whose (program, config, image) triple was
+//                      seen before are skipped and their RunStats/profile
+//                      replayed from <dir> (see HACKING.md "Host
+//                      performance"). Reports stay bit-identical modulo
+//                      wall_ms/host keys
 //   --telemetry        collect host telemetry (ThreadPool, caches, per-item
 //                      latency — docs/TELEMETRY.md); JSON reports gain a
 //                      "telemetry" section and a summary prints to stderr
@@ -76,6 +82,7 @@ struct BenchOptions {
 };
 
 // Parses the standard flags; calls cli.finish() so unknown flags fail fast.
+// A --scale outside (0, 1] or a negative --jobs fails too (exit status 2).
 // Side effect: enables process-wide telemetry when --telemetry /
 // --telemetry-json was given (and host trace events when --trace-json rides
 // along, so host spans land in the Chrome dump under their own pid).
@@ -139,13 +146,17 @@ struct FigureSeries {
 int run_figure_bench(int argc, const char* const* argv, const FigureSeries& series);
 
 // Loads every MatrixMarket file in `dir` as a suite (set = "external",
-// sorted by filename); computes the paper's metrics for each.
+// sorted by filename); computes the paper's metrics for each. A missing or
+// empty directory, or a file the reader rejects, is the user's mistake:
+// one line on stderr and exit status 2.
 std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir);
 
-// Emits a table to stdout and, if requested, as CSV and/or JSON files.
+// Emits a table to stdout and, if requested, as CSV and/or JSON files: what
+// --csv/--json write for every table-shaped bench.
 void emit(const TextTable& table, const BenchOptions& options);
 
-// Back-compatible overload used by older call sites (CSV only).
+// Stdout and CSV only: for the benches whose --json writes a report of its
+// own (smtu-bench-v1 and the like) instead of the table.
 void emit(const TextTable& table, const std::optional<std::string>& csv_path);
 
 // ---- config sweeps (ablation benches) --------------------------------------

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                    format("%.1fx", static_cast<double>(dense_cycles) /
                                        static_cast<double>(hism_cycles))});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf(
       "\nreading: the strided dense method costs O(n^2) cycles at 1 element/cycle\n"
       "(bank-conflicted stride) no matter the sparsity; HiSM touches only stored\n"

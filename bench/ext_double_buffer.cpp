@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   }
   table.add_row({"AVERAGE", "", "", "",
                  format("%.2fx", total_gain / static_cast<double>(set.size()))});
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf(
       "\nreading: the second buffer alone is a null result (in-order memory\n"
       "serializes the phases regardless of banking); hardware + the software-\n"

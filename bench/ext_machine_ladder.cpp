@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                    format("%.1fx", static_cast<double>(scalar_cycles) /
                                        static_cast<double>(hism_cycles))});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   const double n = static_cast<double>(set.size());
   std::printf("\naverage: the vector machine buys %.1fx over scalar CRS; the STM buys a\n"
               "further %.1fx on top — transposition is irregular enough that plain\n"

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                    format("%.2f", static_cast<double>(c.jd) / nnz),
                    format("%.1f", vs_crs), format("%.1f", vs_jd)});
   }
-  bench::emit(table, options.csv_path);
+  bench::emit(table, options);
   std::printf("\naverage speedup: %.1fx vs CRS, %.1fx vs JD "
               "(companion paper [5]: up to ~5x, pattern-dependent)\n",
               sum_vs_crs / static_cast<double>(set.size()),

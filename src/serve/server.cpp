@@ -59,6 +59,7 @@ class VirtualScheduler {
   }
 
   VirtualReport run() {
+    SMTU_CHECK_MSG(options_.virtual_workers >= 1, "the virtual scheduler needs a worker");
     std::unordered_set<SimKey, SimKeyHash> distinct;
     for (const Request& request : requests_) {
       distinct.insert(key_of(request));

@@ -19,6 +19,7 @@
 #include "serve/trace.hpp"
 #include "support/assert.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 #include "support/telemetry.hpp"
 
 namespace smtu::serve {
@@ -36,7 +37,7 @@ int serve_main(int argc, const char* const* argv) {
   gen.seed = static_cast<u64>(cli.get_int("seed", static_cast<i64>(gen.seed)));
   gen.set = cli.get_string("set", gen.set);
   gen.suite.scale = cli.get_double("scale", gen.suite.scale);
-  gen.requests = static_cast<u32>(cli.get_int("requests", gen.requests));
+  gen.requests = cli.get_u32("requests", gen.requests, 1);
   gen.arrival.mode = cli.get_string("arrival", gen.arrival.mode);
   gen.arrival.rate_rps = cli.get_double("rate", gen.arrival.rate_rps);
   gen.arrival.zipf_skew = cli.get_double("zipf", gen.arrival.zipf_skew);
@@ -49,14 +50,12 @@ int serve_main(int argc, const char* const* argv) {
   ServeOptions options;
   options.dedup = !cli.get_flag("no-dedup");
   options.batching = !cli.get_flag("no-batching");
-  options.queue_depth = static_cast<u32>(cli.get_int("queue-depth", options.queue_depth));
-  options.virtual_workers = static_cast<u32>(cli.get_int("workers", options.virtual_workers));
-  options.cycles_per_us = static_cast<u32>(cli.get_int("cycles-per-us", options.cycles_per_us));
-  options.replay_vus = static_cast<u32>(cli.get_int("replay-vus", options.replay_vus));
-  options.closed_loop = static_cast<u32>(cli.get_int("closed-loop", options.closed_loop));
-  const i64 jobs = cli.get_int("jobs", 0);
-  SMTU_CHECK_MSG(jobs >= 0, "--jobs must be >= 0 (0 = all hardware threads)");
-  options.jobs = static_cast<u32>(jobs);
+  options.queue_depth = cli.get_u32("queue-depth", options.queue_depth);
+  options.virtual_workers = cli.get_u32("workers", options.virtual_workers, 1);
+  options.cycles_per_us = cli.get_u32("cycles-per-us", options.cycles_per_us);
+  options.replay_vus = cli.get_u32("replay-vus", options.replay_vus);
+  options.closed_loop = cli.get_u32("closed-loop", options.closed_loop);
+  options.jobs = cli.get_u32("jobs", 0);
   const std::string sim_cache = cli.get_string("sim-cache", "");
   if (!sim_cache.empty()) options.sim_cache_dir = sim_cache;
 
@@ -65,15 +64,24 @@ int serve_main(int argc, const char* const* argv) {
   const std::string telemetry_json = cli.get_string("telemetry-json", "");
   cli.finish();
 
+  if (generate == !replay_path.empty()) {
+    cli.fail("pass exactly one of --generate or --replay=FILE");
+  }
+  if (generate && trace_out.empty()) cli.fail("option --generate requires --trace-out=FILE");
+  if (!suite::valid_scale(gen.suite.scale)) {
+    cli.fail(format("option --scale expects a number in (0, 1], got '%g'", gen.suite.scale));
+  }
+  if (!suite::is_dsab_set(gen.set)) {
+    cli.fail("option --set expects locality, anz or size, got '" + gen.set + "'");
+  }
+  if (!valid_arrival_mode(gen.arrival.mode)) {
+    cli.fail("option --arrival expects poisson, bursty or heavytail, got '" +
+             gen.arrival.mode + "'");
+  }
+
   if (telemetry_on || !telemetry_json.empty()) telemetry::set_enabled(true);
 
-  SMTU_CHECK_MSG(generate || !replay_path.empty(),
-                 "pass one of --generate or --replay=FILE");
-  SMTU_CHECK_MSG(!(generate && !replay_path.empty()),
-                 "pass only one of --generate or --replay=FILE");
-
   if (generate) {
-    SMTU_CHECK_MSG(!trace_out.empty(), "--generate requires --trace-out=FILE");
     const Trace trace = generate_trace(gen);
     write_trace_file(trace_out, trace);
     std::fprintf(stderr, "wrote %zu-request %s trace (set=%s scale=%g zipf=%g) to %s\n",

@@ -111,6 +111,10 @@ double get_double(const JsonValue& object, std::string_view key, double fallback
 
 }  // namespace
 
+bool valid_arrival_mode(const std::string& mode) {
+  return mode == "poisson" || mode == "bursty" || mode == "heavytail";
+}
+
 const char* kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kHism:

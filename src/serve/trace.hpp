@@ -63,6 +63,9 @@ struct Trace {
   std::vector<Request> requests;
 };
 
+// True for the arrival modes ArrivalSpec names: poisson, bursty, heavytail.
+bool valid_arrival_mode(const std::string& mode);
+
 // Deterministic in options: same options, same trace, on any host.
 Trace generate_trace(const GeneratorOptions& options);
 

@@ -47,12 +47,6 @@ u32 SxsMemory::value_bits(u32 row, u32 col) const {
   return values_[c];
 }
 
-std::vector<bool> SxsMemory::row_indicators(u32 row) const {
-  std::vector<bool> bits(section_);
-  for (u32 col = 0; col < section_; ++col) bits[col] = occupied(row, col);
-  return bits;
-}
-
 std::vector<bool> SxsMemory::col_indicators(u32 col) const {
   std::vector<bool> bits(section_);
   for (u32 row = 0; row < section_; ++row) bits[row] = occupied(row, col);

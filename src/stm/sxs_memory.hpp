@@ -42,8 +42,7 @@ class SxsMemory {
   bool occupied(u32 row, u32 col) const;
   u32 value_bits(u32 row, u32 col) const;
 
-  // Indicator line images, as presented to the Non-zero Locator.
-  std::vector<bool> row_indicators(u32 row) const;
+  // A column's indicator line, as presented to the Non-zero Locator.
   std::vector<bool> col_indicators(u32 col) const;
 
   // Per-line population, used by the timing engine to skip empty lines.

@@ -193,12 +193,6 @@ StmUnit::ReadBatch StmUnit::read_batch(u32 count) {
   return batch;
 }
 
-u32 StmUnit::drain_remaining() const {
-  u32 total = 0;
-  for (const Bank& bank : banks_) total += bank.undrained();
-  return total;
-}
-
 StmUnit::BlockResult StmUnit::transpose_block(std::span<const StmEntry> entries) {
   clear();
   BlockResult result;

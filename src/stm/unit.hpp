@@ -90,9 +90,6 @@ class StmUnit {
   // oldest bank that still holds undrained content.
   ReadBatch read_batch(u32 count);
 
-  // Elements still available to drain (all banks).
-  u32 drain_remaining() const;
-
   // The bank the next read_batch will drain (used by the machine's
   // per-bank timing before functionally executing the instruction).
   u32 peek_drain_bank() const;

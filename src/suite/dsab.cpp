@@ -153,8 +153,12 @@ std::vector<SuiteMatrix> materialize(const std::string& set, const std::vector<S
 
 }  // namespace
 
+bool is_dsab_set(const std::string& set) {
+  return set == kSetLocality || set == kSetAnz || set == kSetSize;
+}
+
 std::vector<SuiteMatrix> build_dsab_set(const std::string& set, const SuiteOptions& options) {
-  SMTU_CHECK_MSG(options.scale > 0.0 && options.scale <= 1.0, "scale must be in (0, 1]");
+  SMTU_CHECK_MSG(valid_scale(options.scale), "scale must be in (0, 1]");
   if (set == kSetLocality) return materialize(set, locality_specs(), options);
   if (set == kSetAnz) return materialize(set, anz_specs(), options);
   if (set == kSetSize) return materialize(set, size_specs(), options);

@@ -50,4 +50,9 @@ std::vector<SuiteMatrix> build_dsab_suite(const SuiteOptions& options = {});
 std::vector<SuiteMatrix> build_dsab_set(const std::string& set,
                                         const SuiteOptions& options = {});
 
+// What build_dsab_set accepts: one of the three set names above, and a
+// scale in (0, 1].
+bool is_dsab_set(const std::string& set);
+inline bool valid_scale(double scale) { return scale > 0.0 && scale <= 1.0; }
+
 }  // namespace smtu::suite

@@ -7,6 +7,11 @@
 
 namespace smtu {
 
+void exit_usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
 CommandLine::CommandLine(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -23,10 +28,7 @@ CommandLine::CommandLine(int argc, const char* const* argv) {
       std::string_view value = arg.substr(2);
       if (starts_with(value, "=")) value.remove_prefix(1);
       if (value.empty() && i + 1 < argc) value = argv[++i];
-      if (value.empty()) {
-        std::fprintf(stderr, "%s: option -j expects a worker count\n", program_.c_str());
-        std::exit(2);
-      }
+      if (value.empty()) fail("option -j expects a worker count");
       options_.emplace("jobs", std::string(value));
     } else {
       positional_.emplace_back(arg);
@@ -50,11 +52,7 @@ i64 CommandLine::get_int(const std::string& key, i64 default_value) {
   const auto raw = take(key);
   if (!raw) return default_value;
   const auto parsed = parse_int(*raw);
-  if (!parsed) {
-    std::fprintf(stderr, "%s: option --%s expects an integer, got '%s'\n", program_.c_str(),
-                 key.c_str(), raw->c_str());
-    std::exit(2);
-  }
+  if (!parsed) fail("option --" + key + " expects an integer, got '" + *raw + "'");
   return *parsed;
 }
 
@@ -62,11 +60,7 @@ double CommandLine::get_double(const std::string& key, double default_value) {
   const auto raw = take(key);
   if (!raw) return default_value;
   const auto parsed = parse_double(*raw);
-  if (!parsed) {
-    std::fprintf(stderr, "%s: option --%s expects a number, got '%s'\n", program_.c_str(),
-                 key.c_str(), raw->c_str());
-    std::exit(2);
-  }
+  if (!parsed) fail("option --" + key + " expects a number, got '" + *raw + "'");
   return *parsed;
 }
 
@@ -76,6 +70,16 @@ bool CommandLine::get_flag(const std::string& key) {
   return *raw != "false" && *raw != "0";
 }
 
+u32 CommandLine::get_u32(const std::string& key, u32 default_value, u32 min) {
+  constexpr u32 kMax = ~u32{0};
+  const i64 value = get_int(key, default_value);
+  if (value < min || value > kMax) {
+    fail(format("option --%s expects an integer in [%u, %u], got '%lld'", key.c_str(), min, kMax,
+                static_cast<long long>(value)));
+  }
+  return static_cast<u32>(value);
+}
+
 void CommandLine::finish() const {
   if (options_.empty()) return;
   for (const auto& [key, value] : options_) {
@@ -83,6 +87,10 @@ void CommandLine::finish() const {
                  value.c_str());
   }
   std::exit(2);
+}
+
+void CommandLine::fail(const std::string& message) const {
+  exit_usage_error(program_ + ": " + message);
 }
 
 }  // namespace smtu

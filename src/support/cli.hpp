@@ -3,6 +3,10 @@
 // Accepts --key=value and --flag forms; positional arguments are collected in
 // order. Unknown options are an error so typos in sweep parameters fail fast.
 // `-j N` / `-jN` is the one short option, an alias for --jobs=N.
+//
+// Every mistake on the command line ends the same way: a line on stderr
+// naming the option and what it accepts, then exit status 2 — never an
+// abort. SMTU_CHECK stays for the program's own invariants.
 #pragma once
 
 #include <map>
@@ -14,9 +18,13 @@
 
 namespace smtu {
 
+// Prints `message` and a newline to stderr and exits with status 2: the
+// outcome of a mistake in the command line or in an input file it names.
+[[noreturn]] void exit_usage_error(const std::string& message);
+
 class CommandLine {
  public:
-  // Parses argv; aborts with a message on malformed input.
+  // Parses argv; fails on malformed input.
   CommandLine(int argc, const char* const* argv);
 
   // Declared-option accessors; consume the option (for unknown detection).
@@ -24,11 +32,18 @@ class CommandLine {
   i64 get_int(const std::string& key, i64 default_value);
   double get_double(const std::string& key, double default_value);
   bool get_flag(const std::string& key);
+  // An integer stored in a u32: fails unless min <= value <= 2^32 - 1, so a
+  // negative count never wraps into a huge one.
+  u32 get_u32(const std::string& key, u32 default_value, u32 min = 0);
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // Call after all options are declared; aborts if unconsumed options remain.
+  // Call after all options are declared; fails if unconsumed options remain.
   void finish() const;
+
+  // Fails with "<program>: <message>": for a value the accessors parsed but
+  // the caller rejects (out of range, not one of a set, a missing partner).
+  [[noreturn]] void fail(const std::string& message) const;
 
  private:
   std::optional<std::string> take(const std::string& key);

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -14,20 +13,6 @@ std::string_view trim(std::string_view text) {
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
   while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) --end;
   return text.substr(begin, end - begin);
-}
-
-std::vector<std::string_view> split(std::string_view text, char separator) {
-  std::vector<std::string_view> fields;
-  usize start = 0;
-  while (true) {
-    const usize pos = text.find(separator, start);
-    if (pos == std::string_view::npos) {
-      fields.push_back(text.substr(start));
-      return fields;
-    }
-    fields.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
 }
 
 std::vector<std::string_view> split_whitespace(std::string_view text) {
@@ -94,22 +79,6 @@ std::string format(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
-}
-
-std::string human_count(double value) {
-  const char* suffix = "";
-  double scaled = value;
-  if (std::abs(value) >= 1e9) {
-    scaled = value / 1e9;
-    suffix = "G";
-  } else if (std::abs(value) >= 1e6) {
-    scaled = value / 1e6;
-    suffix = "M";
-  } else if (std::abs(value) >= 1e3) {
-    scaled = value / 1e3;
-    suffix = "k";
-  }
-  return format("%.2f%s", scaled, suffix);
 }
 
 }  // namespace smtu

@@ -13,9 +13,6 @@ namespace smtu {
 // Removes leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view text);
 
-// Splits on `separator`, keeping empty fields.
-std::vector<std::string_view> split(std::string_view text, char separator);
-
 // Splits on runs of whitespace, dropping empty fields.
 std::vector<std::string_view> split_whitespace(std::string_view text);
 
@@ -30,8 +27,5 @@ std::optional<double> parse_double(std::string_view text);
 
 // printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-// Human-friendly quantities for reports: 1234567 -> "1.23M".
-std::string human_count(double value);
 
 }  // namespace smtu

@@ -11,17 +11,6 @@ TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header
   SMTU_CHECK(!header_.empty());
 }
 
-usize TextTable::add_row() {
-  cells_.emplace_back(header_.size());
-  return cells_.size() - 1;
-}
-
-void TextTable::set(usize row, usize column, std::string value) {
-  SMTU_CHECK(row < cells_.size());
-  SMTU_CHECK(column < header_.size());
-  cells_[row][column] = std::move(value);
-}
-
 const std::vector<std::string>& TextTable::row(usize index) const {
   SMTU_CHECK(index < cells_.size());
   return cells_[index];

@@ -16,9 +16,6 @@ class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);
 
-  // Starts a new row; returns its index.
-  usize add_row();
-  void set(usize row, usize column, std::string value);
   void add_row(std::vector<std::string> cells);
 
   void print(std::ostream& out) const;

@@ -1,6 +1,5 @@
 #include "vsim/program.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -240,23 +239,6 @@ usize Program::label(const std::string& name) const {
   const auto it = labels.find(name);
   SMTU_CHECK_MSG(it != labels.end(), "unknown label: " + name);
   return it->second;
-}
-
-const ProfileRegion* Program::region_of(usize pc) const {
-  // Regions are ordered and non-overlapping: binary search on begin.
-  auto it = std::upper_bound(regions.begin(), regions.end(), pc,
-                             [](usize value, const ProfileRegion& region) {
-                               return value < region.begin;
-                             });
-  if (it == regions.begin()) return nullptr;
-  --it;
-  return pc < it->end ? &*it : nullptr;
-}
-
-const std::string& Program::source_line_text(u32 line) const {
-  static const std::string kEmpty;
-  if (line == 0 || line >= source_lines.size()) return kEmpty;
-  return source_lines[line];
 }
 
 std::string Program::listing() const {

@@ -155,14 +155,6 @@ struct Program {
   bool has_label(const std::string& name) const { return labels.count(name) > 0; }
   usize label(const std::string& name) const;
 
-  // The region containing `pc`, or nullptr when the pc is outside every
-  // `;; profile:` range.
-  const ProfileRegion* region_of(usize pc) const;
-
-  // The source text of 1-based `line` ("" when unavailable, e.g. programs
-  // built directly from Instruction records).
-  const std::string& source_line_text(u32 line) const;
-
   // Disassembly listing with labels, for debugging kernels.
   std::string listing() const;
 };

@@ -30,10 +30,6 @@ void MultiCoreSystem::attach_profiler(u32 core, PerfCounters* profiler) {
   cores_[core]->attach_profiler(profiler);
 }
 
-void MultiCoreSystem::attach_trace(ExecutionTrace* trace) {
-  for (auto& core : cores_) core->attach_trace(trace);
-}
-
 SystemRunStats MultiCoreSystem::run(const Program& program, usize entry_pc) {
   memsys_->reset_timing();
   for (auto& core : cores_) core->begin_run(program, entry_pc);

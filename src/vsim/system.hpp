@@ -58,9 +58,6 @@ class MultiCoreSystem {
   // own PerfCounters: samples interleave across cores, and the per-run
   // conservation invariant holds per core, not across them.
   void attach_profiler(u32 core, PerfCounters* profiler);
-  // Attaches one shared trace sink to every core; events carry their
-  // originating core id.
-  void attach_trace(ExecutionTrace* trace);
 
   // Runs `program` SPMD on all cores from `entry_pc` until every core
   // halts. Bank timing and contention statistics reset per run; memory

@@ -1,6 +1,6 @@
 #include "microsim.hpp"
 
-#include "stm/locator.hpp"
+#include "locator.hpp"
 #include "stm/sxs_memory.hpp"
 #include "support/assert.hpp"
 

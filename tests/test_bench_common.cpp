@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "bench_common.hpp"
@@ -102,19 +103,54 @@ TEST(BenchCommon, LoadExternalSuiteRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+// A mistake in the command line, or in the files --mtxdir names, is the
+// user's: it gets one diagnostic line and exit status 2, never an abort.
+
 TEST(BenchCommonDeathTest, EmptyExternalDirAborts) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "smtu_bench_common_empty";
   std::filesystem::create_directories(dir);
-  EXPECT_DEATH(bench::load_external_suite(dir.string()), "no .mtx files");
+  EXPECT_EXIT(bench::load_external_suite(dir.string()), ::testing::ExitedWithCode(2),
+              "--mtxdir: no .mtx files");
   std::filesystem::remove_all(dir);
 }
 
 TEST(BenchCommonDeathTest, MissingExternalDirFailsWithClearMessage) {
   // A nonexistent --mtxdir must produce our diagnostic, not an unhandled
   // std::filesystem exception.
-  EXPECT_DEATH(bench::load_external_suite("/nonexistent/smtu_no_such_dir"),
-               "not a readable directory");
+  EXPECT_EXIT(bench::load_external_suite("/nonexistent/smtu_no_such_dir"),
+              ::testing::ExitedWithCode(2), "not a readable directory");
+}
+
+TEST(BenchCommonDeathTest, MalformedExternalMatrixExitsWithCode2) {
+  // The reader's exception names the line; the diagnostic adds the file.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "smtu_bench_common_malformed";
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream out(dir / "bad.mtx");
+    out << "%%MatrixMarket matrix coordinate real general\n3 3 1\n5 1 1.0\n";
+  }
+  EXPECT_EXIT(bench::load_external_suite(dir.string()), ::testing::ExitedWithCode(2),
+              "bad\\.mtx: matrix market: line 3: .*out of range");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchCommonDeathTest, ScaleOutsideUnitIntervalExitsWithCode2) {
+  for (const char* scale : {"--scale=0", "--scale=-1", "--scale=1.5"}) {
+    const char* argv[] = {"bench", scale};
+    CommandLine cli(2, argv);
+    EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
+                "option --scale expects a number in \\(0, 1\\]")
+        << scale;
+  }
+}
+
+TEST(BenchCommonDeathTest, NegativeJobsExitsWithCode2) {
+  const char* argv[] = {"bench", "--jobs=-1"};
+  CommandLine cli(2, argv);
+  EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
+              "option --jobs expects an integer in \\[0, 4294967295\\], got '-1'");
 }
 
 TEST(ParallelHarness, RunComparisonsIsDeterministicAcrossJobs) {

@@ -1,7 +1,8 @@
 // Golden/schema test for the canonical machine-readable benchmark artifact:
 // runs the real reproduce_all binary at a tiny suite scale and validates the
-// smtu-repro-v1 document it writes. SMTU_REPRODUCE_ALL_BIN is injected by
-// tests/CMakeLists.txt.
+// smtu-repro-v1 document it writes; and checks that a table-shaped bench
+// (ablation_storage) honours --json. SMTU_REPRODUCE_ALL_BIN and
+// SMTU_ABLATION_STORAGE_BIN are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -140,6 +141,36 @@ TEST(BenchJson, ReproduceAllEmitsSchemaValidArtifact) {
   EXPECT_EQ(keys, (std::vector<std::string>{"schema", "bench", "config", "suite", "harness",
                                             "host", "fig10", "figures", "headline",
                                             "storage"}));
+}
+
+TEST(BenchJson, TableBenchWritesJsonRows) {
+  const std::string artifact = "test_bench_json_table.json";
+  std::remove(artifact.c_str());
+  const std::string command = std::string(SMTU_ABLATION_STORAGE_BIN) +
+                              " --scale=0.02 -j1 --json=" + artifact +
+                              " > test_bench_json_table_stdout.txt 2>&1";
+  EXPECT_EQ(std::system(command.c_str()), 0) << "ablation_storage failed: " << command;
+  std::remove("test_bench_json_table_stdout.txt");
+
+  std::ifstream in(artifact);
+  ASSERT_TRUE(in.is_open()) << "ablation_storage did not write " << artifact;
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(artifact.c_str());
+  std::string error;
+  const auto doc = parse_json(text.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << "invalid JSON: " << error;
+
+  // One object per table row, keyed by the column headers.
+  ASSERT_TRUE(doc->is_array());
+  ASSERT_EQ(doc->size(), 30u);  // the whole suite, one row per matrix
+  for (const JsonValue& row : doc->items()) {
+    ASSERT_TRUE(row.is_object());
+    EXPECT_TRUE(row.at("matrix").is_string());
+    EXPECT_GT(row.at("nnz").as_u64(), 0u);
+    expect_finite(row.at("HiSM/CRS"), "HiSM/CRS");
+    EXPECT_GT(row.at("HiSM/CRS").as_double(), 0.0);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,12 @@
 // Compound cross-module scenarios: chains of operations a real user would
-// string together — mutate, then transpose on the machine, then random
-// access; export/import through MatrixMarket around a simulated transpose;
-// HiSM arithmetic feeding the SpMV kernel.
+// string together — export/import through MatrixMarket around a simulated
+// transpose; a simulated transpose feeding the transposed-SpMV kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 
 #include "formats/matrix_market.hpp"
-#include "hism/access.hpp"
-#include "hism/mutate.hpp"
-#include "hism/ops.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/spmv.hpp"
 #include "testing.hpp"
@@ -20,42 +16,6 @@ namespace {
 
 using testing::coo_equal;
 using testing::random_coo;
-
-TEST(CompoundIntegration, MutateThenSimulatedTransposeThenAccess) {
-  Rng rng(1);
-  vsim::MachineConfig config;
-  config.section = 8;
-
-  Coo coo = random_coo(80, 80, 400, rng);
-  HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-
-  // Mutate: overwrite one element, insert a fresh one, remove another.
-  const CooEntry victim = coo.entries()[5];
-  hism_set(hism, victim.row, victim.col, 99.0f);
-  hism_set(hism, 79, 79, 7.0f);
-  const CooEntry removed = coo.entries()[10];
-  ASSERT_TRUE(hism_remove(hism, removed.row, removed.col));
-
-  // The host-side model of the same edits.
-  Coo model = coo;
-  for (CooEntry& e : model.entries()) {
-    if (e.row == victim.row && e.col == victim.col) e.value = 99.0f;
-  }
-  model.add(79, 79, 7.0f);
-  std::erase_if(model.entries(), [&](const CooEntry& e) {
-    return e.row == removed.row && e.col == removed.col;
-  });
-  model.canonicalize();
-
-  // Simulated transpose of the mutated matrix.
-  const auto result = kernels::run_hism_transpose(hism, config);
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), model.transposed()));
-
-  // Random access into the kernel's output.
-  EXPECT_FLOAT_EQ(hism_get(result.transposed, victim.col, victim.row).value(), 99.0f);
-  EXPECT_FLOAT_EQ(hism_get(result.transposed, 79, 79).value(), 7.0f);
-  EXPECT_FALSE(hism_get(result.transposed, removed.col, removed.row).has_value());
-}
 
 TEST(CompoundIntegration, MatrixMarketRoundTripAroundSimulatedTranspose) {
   Rng rng(2);
@@ -77,31 +37,6 @@ TEST(CompoundIntegration, MatrixMarketRoundTripAroundSimulatedTranspose) {
 
   EXPECT_TRUE(coo_equal(reloaded, coo.transposed()));
   std::filesystem::remove_all(dir);
-}
-
-TEST(CompoundIntegration, HismArithmeticFeedsSpmvKernel) {
-  Rng rng(3);
-  vsim::MachineConfig config;
-  config.section = 8;
-  const Coo a = random_coo(60, 60, 300, rng);
-  const Coo b = random_coo(60, 60, 300, rng);
-
-  // C = 2A + B assembled entirely in the HiSM domain.
-  const HismMatrix c = hism_add(hism_scale(HismMatrix::from_coo(a, 8), 2.0f),
-                                HismMatrix::from_coo(b, 8));
-
-  std::vector<float> x(60);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto simulated = kernels::run_hism_spmv(c, x, config);
-
-  // Host reference: y = 2*A*x + B*x.
-  const auto ya = Csr::from_coo(a).spmv(x);
-  const auto yb = Csr::from_coo(b).spmv(x);
-  for (usize i = 0; i < 60; ++i) {
-    EXPECT_NEAR(simulated.y[i], 2.0f * ya[i] + yb[i],
-                1e-3f * std::max(1.0f, std::fabs(yb[i]) + std::fabs(ya[i])))
-        << i;
-  }
 }
 
 TEST(CompoundIntegration, TransposeThenTransposedSpmvEqualsForwardSpmv) {

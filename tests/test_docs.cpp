@@ -131,7 +131,7 @@ TEST(Docs, FormatReferenceCoversEveryFormat) {
   const std::string doc = read_doc("FORMATS.md");
   ASSERT_FALSE(doc.empty());
   for (const char* format :
-       {"COO", "CSR", "CSC", "Dense", "SELL-C-σ", "Jagged Diagonal", "HiSM"}) {
+       {"COO", "CSR", "Dense", "SELL-C-σ", "Jagged Diagonal", "HiSM"}) {
     EXPECT_NE(doc.find(format), std::string::npos)
         << "docs/FORMATS.md does not cover " << format;
   }

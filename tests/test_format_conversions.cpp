@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "formats/csc.hpp"
 #include "formats/csr.hpp"
 #include "formats/dense.hpp"
 #include "formats/jagged.hpp"
@@ -40,7 +39,6 @@ class FormatRoundTrip : public ::testing::TestWithParam<ShapeCase> {
 TEST_P(FormatRoundTrip, AllFormatsPreserveTheMatrix) {
   const Coo coo = matrix();
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).to_coo(), coo));
-  EXPECT_TRUE(coo_equal(Csc::from_coo(coo).to_coo(), coo));
   EXPECT_TRUE(coo_equal(Jagged::from_coo(coo).to_coo(), coo));
   EXPECT_TRUE(coo_equal(HismMatrix::from_coo(coo, 8).to_coo(), coo));
   EXPECT_TRUE(coo_equal(HismMatrix::from_coo(coo, 64).to_coo(), coo));
@@ -70,7 +68,6 @@ TEST_P(FormatRoundTrip, TransposePathsAgree) {
   const Coo coo = matrix();
   const Coo expected = coo.transposed();
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).transposed_pissanetsky().to_coo(), expected));
-  EXPECT_TRUE(coo_equal(Csc::from_coo(coo).transposed_coo(), expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,11 @@
 // The paper's free ordering choice for higher hierarchy levels (Fig. 2
 // stores level 1 column-wise): both orders must be valid, equivalent in
-// content, and transparent to every consumer — serialization, random
-// access, the reference transpose, and the simulated kernels.
+// content, and transparent to every consumer — serialization, the
+// reference transpose, and the simulated kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "hism/access.hpp"
 #include "hism/image.hpp"
 #include "hism/transpose.hpp"
 #include "kernels/hism_transpose.hpp"
@@ -55,20 +54,6 @@ TEST(HismOrdering, ImageRoundTripPreservesOrder) {
       decode_hism_image(image.bytes, image.base, image.root_addr, image.root_len,
                         image.levels, image.section, image.rows, image.cols);
   EXPECT_TRUE(coo_equal(decoded.to_coo(), coo));
-}
-
-TEST(HismOrdering, RandomAccessOrderAgnostic) {
-  Rng rng(4);
-  const Coo coo = random_coo(150, 150, 900, rng);
-  const HismMatrix row_major = HismMatrix::from_coo(coo, 8);
-  const HismMatrix col_major = HismMatrix::from_coo(coo, 8, HighLevelOrder::kColMajor);
-  for (const CooEntry& e : coo.entries()) {
-    EXPECT_EQ(hism_get(col_major, e.row, e.col), hism_get(row_major, e.row, e.col));
-  }
-  for (Index i = 0; i < 150; i += 13) {
-    EXPECT_EQ(hism_extract_row(col_major, i), hism_extract_row(row_major, i));
-    EXPECT_EQ(hism_extract_col(col_major, i), hism_extract_col(row_major, i));
-  }
 }
 
 TEST(HismOrdering, TransposeKernelOrderAgnostic) {

@@ -4,9 +4,14 @@
 // deterministic report fragment must be bit-identical across -j values and
 // across a write->parse trace round-trip. The checked-in benchmark trace
 // (SMTU_TRACE_DIR, injected by tests/CMakeLists.txt) is held byte-stable.
+// The smtu_serve binary (SMTU_SERVE_BIN, injected the same way) must turn
+// every command-line mistake into a diagnostic and exit status 2.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -366,6 +371,16 @@ TEST(ServeVirtual, ClosedLoopAdmitsEverythingAndFansOut) {
   EXPECT_EQ(report.warm_requests, 1u);
 }
 
+TEST(ServeVirtualDeathTest, ZeroWorkersAbortsBeforeScheduling) {
+  // The command line rejects --workers=0; a library caller that passes it
+  // anyway trips the scheduler's precondition, not its end-of-run invariant.
+  const std::vector<Request> requests = {request_at(0, 0, 0)};
+  const KeyCycles cycles = {{key_of(requests[0]), 10000}};
+  ServeOptions options;
+  options.virtual_workers = 0;
+  EXPECT_DEATH(run_virtual(requests, cycles, options), "needs a worker");
+}
+
 TEST(ServeVirtual, LatencySummaryUsesHistogramRankConvention) {
   // rank = ceil(q% * count), 1-based, over the exact sorted values — the
   // telemetry::LatencyHistogram convention without bucketing error.
@@ -430,6 +445,42 @@ TEST(ServeEndToEnd, CheckedInTraceMeetsStructuralSpeedupFloor) {
   EXPECT_EQ(report.virt.simulated_requests + report.virt.warm_requests +
                 report.virt.coalesced_requests,
             trace.requests.size());
+}
+
+// ---- the smtu_serve command line -------------------------------------------
+
+TEST(ServeCli, CommandLineMistakesExitWithCode2) {
+  const std::string trace_out = "test_serve_cli_trace.json";
+  const std::string replay = std::string("--replay=") + kCheckedInTrace;
+  const std::string generate = "--generate --trace-out=" + trace_out;
+  // Each case: the arguments and the option its one-line diagnostic names.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", "--generate or --replay"},
+      {"--generate " + replay, "--generate or --replay"},
+      {"--generate", "--trace-out"},
+      {generate + " --jobs=-1", "option --jobs expects an integer in [0, "},
+      {generate + " --scale=0", "option --scale expects a number in (0, 1]"},
+      {generate + " --set=foo", "option --set expects locality, anz or size"},
+      {generate + " --arrival=foo", "option --arrival expects poisson, bursty or heavytail"},
+      {generate + " --requests=0", "option --requests expects an integer in [1, "},
+      {replay + " --workers=0", "option --workers expects an integer in [1, "},
+  };
+  const std::string stderr_path = "test_serve_cli_stderr.txt";
+  for (const auto& [args, needle] : cases) {
+    SCOPED_TRACE("smtu_serve " + args);
+    const std::string command =
+        std::string(SMTU_SERVE_BIN) + " " + args + " > /dev/null 2> " + stderr_path;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    std::ifstream in(stderr_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find(needle), std::string::npos) << "stderr: " << text.str();
+    EXPECT_FALSE(std::filesystem::exists(trace_out)) << "a failed run wrote a trace";
+  }
+  std::remove(stderr_path.c_str());
+  std::remove(trace_out.c_str());
 }
 
 }  // namespace

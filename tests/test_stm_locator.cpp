@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "stm/locator.hpp"
+#include "oracles/locator.hpp"
 #include "support/rng.hpp"
 
 namespace smtu {

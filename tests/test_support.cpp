@@ -132,13 +132,6 @@ TEST(Csv, QuotesSpecialCharacters) {
   EXPECT_EQ(out.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
 }
 
-TEST(Strings, HumanCount) {
-  EXPECT_EQ(human_count(12.0), "12.00");
-  EXPECT_EQ(human_count(1234.0), "1.23k");
-  EXPECT_EQ(human_count(3753461.0), "3.75M");
-  EXPECT_EQ(human_count(2.5e9), "2.50G");
-}
-
 TEST(Cli, ParsesOptionsAndPositionals) {
   const char* argv[] = {"prog", "--alpha=3", "--flag", "pos1"};
   CommandLine cli(4, argv);

@@ -11,29 +11,37 @@ Usage:
     # 2. render PNGs next to the JSON files
     tools/plot_results.py out/fig10.json out/fig11.json out/fig12.json out/fig13.json
 
-The figure type is inferred from the columns: the Fig. 10 grid (B + L=...
-columns) becomes a line chart of utilization vs B; the per-matrix tables
-(fig 11/12/13, summary) become the paper's bar-plus-line layout — HiSM and
-CRS cycles/nnz as bars on a log axis, speedup as a line on a second axis.
+Two input shapes are recognized:
+  * the smtu-bench-v1 report of the comparison benches (fig11/12/13,
+    summary_speedup) becomes the paper's bar-plus-line layout: HiSM and CRS
+    cycles/nnz per matrix as bars on a log axis, speedup as a line on a
+    second axis;
+  * a table-shaped bench's array of rows with a "B" column (the Fig. 10
+    grid: B plus L=... columns) becomes a line chart of utilization vs B.
+Any other table (the ablations) is reported as unrecognized and skipped.
 
-Requires matplotlib; prints a friendly message if it is unavailable.
+Requires matplotlib to draw; prints a friendly message if it is unavailable.
 """
 
 import json
 import pathlib
 import sys
 
-try:
-    import matplotlib
 
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-except ImportError:  # pragma: no cover - environment dependent
-    sys.stderr.write("matplotlib is not installed; pip install matplotlib to plot\n")
-    sys.exit(1)
+def pyplot():
+    try:
+        import matplotlib
+
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:  # pragma: no cover - environment dependent
+        sys.stderr.write("matplotlib is not installed; pip install matplotlib to plot\n")
+        sys.exit(1)
+    return plt
 
 
 def plot_fig10(rows, out_path):
+    plt = pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
     bandwidths = [row["B"] for row in rows]
     line_columns = [key for key in rows[0] if key.startswith("L=")]
@@ -51,11 +59,12 @@ def plot_fig10(rows, out_path):
     print(f"wrote {out_path}")
 
 
-def plot_matrix_table(rows, out_path, title):
-    names = [row["matrix"] for row in rows]
-    hism = [row["HiSM cyc/nnz"] for row in rows]
-    crs = [row["CRS cyc/nnz"] for row in rows]
-    speedup = [row["speedup"] for row in rows]
+def plot_matrices(records, out_path, title):
+    plt = pyplot()
+    names = [record["name"] for record in records]
+    hism = [record["hism_cycles_per_nnz"] for record in records]
+    crs = [record["crs_cycles_per_nnz"] for record in records]
+    speedup = [record["speedup"] for record in records]
 
     fig, ax = plt.subplots(figsize=(9, 4.5))
     x = range(len(names))
@@ -88,15 +97,17 @@ def main(paths):
         return 2
     for raw in paths:
         path = pathlib.Path(raw)
-        rows = json.loads(path.read_text())
-        if not rows:
-            print(f"{path}: empty, skipped")
-            continue
+        document = json.loads(path.read_text())
         out_path = path.with_suffix(".png")
-        if "B" in rows[0]:
-            plot_fig10(rows, out_path)
-        elif "HiSM cyc/nnz" in rows[0]:
-            plot_matrix_table(rows, out_path, path.stem)
+        if isinstance(document, dict) and document.get("schema") == "smtu-bench-v1":
+            if document.get("matrices"):
+                plot_matrices(document["matrices"], out_path, path.stem)
+            else:
+                print(f"{path}: no matrices, skipped")
+        elif isinstance(document, list) and not document:
+            print(f"{path}: empty, skipped")
+        elif isinstance(document, list) and isinstance(document[0], dict) and "B" in document[0]:
+            plot_fig10(document, out_path)
         else:
             print(f"{path}: unrecognized table shape, skipped")
     return 0

@@ -102,9 +102,7 @@ BenchOptions parse_options(CommandLine& cli) {
 void finish_telemetry(const BenchOptions& options) {
   if (!telemetry::enabled()) return;
   if (options.telemetry_json_path) {
-    std::ofstream out(*options.telemetry_json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(out),
-                   "cannot open telemetry output " + *options.telemetry_json_path);
+    std::ofstream out = open_output_file(*options.telemetry_json_path);
     JsonWriter json(out);
     telemetry::write_telemetry_json(json);
     out << '\n';
@@ -264,8 +262,7 @@ std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
 void emit(const TextTable& table, const std::optional<std::string>& csv_path) {
   table.print(std::cout);
   if (!csv_path) return;
-  std::ofstream out(*csv_path);
-  SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open CSV output " + *csv_path);
+  std::ofstream out = open_output_file(*csv_path);
   CsvWriter csv(out);
   csv.write_row(table.header());
   for (usize r = 0; r < table.rows(); ++r) csv.write_row(table.row(r));
@@ -275,8 +272,7 @@ void emit(const TextTable& table, const std::optional<std::string>& csv_path) {
 void emit(const TextTable& table, const BenchOptions& options) {
   emit(table, options.csv_path);
   if (!options.json_path) return;
-  std::ofstream out(*options.json_path);
-  SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open JSON output " + *options.json_path);
+  std::ofstream out = open_output_file(*options.json_path);
   write_table_as_json(out, table);
   std::fprintf(stderr, "wrote JSON to %s\n", options.json_path->c_str());
 }
@@ -308,8 +304,7 @@ int run_figure_bench(int argc, const char* const* argv, const FigureSeries& seri
   }
   emit(table, options.csv_path);
   if (options.json_path) {
-    std::ofstream out(*options.json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open JSON output " + *options.json_path);
+    std::ofstream out = open_output_file(*options.json_path);
     write_bench_report_json(out, series.set, config, options.suite, records, harness,
                             collect_host_counters(options.sim_cache_dir));
     std::fprintf(stderr, "wrote JSON report to %s\n", options.json_path->c_str());
@@ -497,8 +492,7 @@ void write_transpose_trace_json(const std::string& path, const suite::SuiteMatri
   const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
   vsim::ExecutionTrace trace(1u << 20);
   kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false, &trace);
-  std::ofstream out(path);
-  SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open trace output " + path);
+  std::ofstream out = open_output_file(path);
   vsim::write_chrome_trace(out, trace, "hism_transpose:" + entry.name);
   std::fprintf(stderr, "wrote Chrome trace (%zu events) to %s\n", trace.events().size(),
                path.c_str());

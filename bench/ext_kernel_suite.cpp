@@ -386,8 +386,7 @@ int main(int argc, char** argv) {
     harness.wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    std::ofstream out(*options.json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open " + *options.json_path);
+    std::ofstream out = open_output_file(*options.json_path);
     write_suite_report_json(out, base, suite_options, set, results, harness);
     std::fprintf(stderr, "wrote smtu-kernelsuite-v1 report to %s\n",
                  options.json_path->c_str());

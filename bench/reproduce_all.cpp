@@ -90,11 +90,10 @@ int main(int argc, char** argv) {
   const vsim::MachineConfig config;
   const auto started = std::chrono::steady_clock::now();
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 2;
-  }
+  // Both outputs open before any simulation, so a path that cannot be
+  // written fails before the run, not after it.
+  std::ofstream json_out = open_output_file(*options.json_path);
+  std::ofstream out = open_output_file(out_path);
 
   out << "# Reproduction report — Sparse Matrix Transpose Unit (IPPS 2004)\n\n";
   out << format(
@@ -257,9 +256,6 @@ int main(int argc, char** argv) {
 
   // ---- machine-readable artifact -------------------------------------------
   {
-    std::ofstream json_out(*options.json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(json_out),
-                   "cannot open JSON output " + *options.json_path);
     JsonWriter json(json_out);
     json.begin_object();
     json.key("schema");
@@ -341,6 +337,7 @@ int main(int argc, char** argv) {
     json_out << '\n';
     SMTU_CHECK_MSG(json.complete(), "BENCH_repro.json document left unbalanced");
   }
+  json_out.close();
 
   std::fprintf(stderr, "report written to %s\n", out_path.c_str());
   std::printf("wrote %s and %s\n", out_path.c_str(), options.json_path->c_str());

@@ -22,7 +22,6 @@
 #include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
-#include "support/assert.hpp"
 
 namespace {
 
@@ -162,8 +161,7 @@ int main(int argc, char** argv) {
   std::printf("\nhost: %zu distinct simulations in %.0f ms\n", key_cycles.size(), sim_wall_ms);
 
   if (options.json_path) {
-    std::ofstream out(*options.json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open " + *options.json_path);
+    std::ofstream out = open_output_file(*options.json_path);
     JsonWriter json(out);
     json.begin_object();
     json.key("schema");

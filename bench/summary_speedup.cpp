@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "bench_common.hpp"
-#include "support/assert.hpp"
 #include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
@@ -41,8 +40,7 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, options.csv_path);
   if (options.json_path) {
-    std::ofstream out(*options.json_path);
-    SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open JSON output " + *options.json_path);
+    std::ofstream out = open_output_file(*options.json_path);
     bench::write_bench_report_json(out, "summary_speedup", config, options.suite, records,
                                    harness, bench::collect_host_counters(options.sim_cache_dir));
     std::fprintf(stderr, "wrote JSON report to %s\n", options.json_path->c_str());

@@ -114,11 +114,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fputs(vsim::run_stats_summary(result.stats).c_str(), stdout);
-    std::ofstream trace_out(trace_json);
-    if (!trace_out) {
-      std::fprintf(stderr, "cannot open %s\n", trace_json.c_str());
-      return 2;
-    }
+    std::ofstream trace_out = open_output_file(trace_json);
     vsim::write_chrome_trace(trace_out, trace, "hism_transpose");
     std::printf("wrote Chrome trace (%zu events, %llu dropped) to %s\n",
                 trace.events().size(), static_cast<unsigned long long>(trace.dropped()),

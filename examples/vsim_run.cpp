@@ -114,43 +114,27 @@ int main(int argc, char** argv) {
     std::fputs(gantt.str().c_str(), stdout);
   }
   if (!trace_json.empty()) {
-    std::ofstream trace_out(trace_json);
-    if (!trace_out) {
-      std::fprintf(stderr, "cannot open %s\n", trace_json.c_str());
-      return 2;
-    }
+    std::ofstream trace_out = open_output_file(trace_json);
     vsim::write_chrome_trace(trace_out, execution_trace, cli.positional()[0]);
     std::fprintf(stderr, "wrote Chrome trace (%zu events) to %s\n",
                  execution_trace.events().size(), trace_json.c_str());
   }
   if (profile) std::fputs(vsim::profile_summary(profiler).c_str(), stdout);
   if (!profile_json.empty()) {
-    std::ofstream profile_out(profile_json);
-    if (!profile_out) {
-      std::fprintf(stderr, "cannot open %s\n", profile_json.c_str());
-      return 2;
-    }
+    std::ofstream profile_out = open_output_file(profile_json);
     JsonWriter json(profile_out);
     vsim::write_profile_json(json, profiler);
     profile_out << '\n';
     std::fprintf(stderr, "wrote profile JSON to %s\n", profile_json.c_str());
   }
   if (!profile_speedscope.empty()) {
-    std::ofstream speedscope_out(profile_speedscope);
-    if (!speedscope_out) {
-      std::fprintf(stderr, "cannot open %s\n", profile_speedscope.c_str());
-      return 2;
-    }
+    std::ofstream speedscope_out = open_output_file(profile_speedscope);
     vsim::write_speedscope_profile(speedscope_out, profiler, cli.positional()[0]);
     std::fprintf(stderr, "wrote speedscope profile to %s\n", profile_speedscope.c_str());
   }
 
   if (!telemetry_json.empty()) {
-    std::ofstream telemetry_out(telemetry_json);
-    if (!telemetry_out) {
-      std::fprintf(stderr, "cannot open %s\n", telemetry_json.c_str());
-      return 2;
-    }
+    std::ofstream telemetry_out = open_output_file(telemetry_json);
     JsonWriter json(telemetry_out);
     telemetry::write_telemetry_json(json);
     telemetry_out << '\n';

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <fstream>
 #include <queue>
 #include <unordered_set>
 
@@ -568,15 +567,6 @@ void write_serve_report_json(JsonWriter& json, const Trace& trace,
     telemetry::write_telemetry_json(json);
   }
   json.end_object();
-}
-
-void write_serve_report_file(const std::string& path, const Trace& trace,
-                             const ServeOptions& options, const ServeReport& report) {
-  std::ofstream out(path);
-  SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open report output " + path);
-  JsonWriter json(out);
-  write_serve_report_json(json, trace, options, report);
-  out << '\n';
 }
 
 }  // namespace smtu::serve

@@ -131,16 +131,15 @@ VirtualReport run_virtual(const std::vector<Request>& requests,
 
 // Serves `trace` end to end: host execution (per options.batching/dedup)
 // followed by the virtual-time replay. The suite set is regenerated from the
-// trace's recorded seed/scale; aborts if the trace's matrix count disagrees.
+// trace's recorded seed/scale. parse_trace accepts only traces it can
+// regenerate; a hand-built trace whose set, scale or matrix count is not
+// one the suite has aborts.
 ServeReport serve_trace(const Trace& trace, const ServeOptions& options);
 
 // The complete "smtu-serve-v1" document. Every deterministic field lives
 // under "virtual" (gated); host measurements under "host" (skipped); when
 // telemetry is enabled a "telemetry" section rides along (skipped).
 void write_serve_report_json(JsonWriter& json, const Trace& trace,
-                             const ServeOptions& options, const ServeReport& report);
-// Writes the document plus a trailing newline to `path`; aborts on I/O error.
-void write_serve_report_file(const std::string& path, const Trace& trace,
                              const ServeOptions& options, const ServeReport& report);
 
 }  // namespace smtu::serve

@@ -17,7 +17,6 @@
 
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
-#include "support/assert.hpp"
 #include "support/cli.hpp"
 #include "support/strings.hpp"
 #include "support/telemetry.hpp"
@@ -97,23 +96,26 @@ int serve_main(int argc, const char* const* argv) {
     return 2;
   }
   const Trace& trace = *loaded;
-  const ServeReport report = serve_trace(trace, options);
+  // Open the outputs before serving, so a path that cannot be written fails
+  // before the batch runs, not after.
+  std::ofstream report_file;
+  if (!json_out.empty()) report_file = open_output_file(json_out);
+  std::ofstream telemetry_file;
+  if (!telemetry_json.empty()) telemetry_file = open_output_file(telemetry_json);
 
-  if (!json_out.empty()) {
-    write_serve_report_file(json_out, trace, options, report);
-    std::fprintf(stderr, "wrote serve report to %s\n", json_out.c_str());
-  } else {
-    JsonWriter json(std::cout);
+  const ServeReport report = serve_trace(trace, options);
+  {
+    std::ostream& out = json_out.empty() ? std::cout : report_file;
+    JsonWriter json(out);
     write_serve_report_json(json, trace, options, report);
-    std::cout << '\n';
+    out << '\n';
   }
+  if (!json_out.empty()) std::fprintf(stderr, "wrote serve report to %s\n", json_out.c_str());
 
   if (!telemetry_json.empty()) {
-    std::ofstream out(telemetry_json);
-    SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open telemetry output " + telemetry_json);
-    JsonWriter json(out);
+    JsonWriter json(telemetry_file);
     telemetry::write_telemetry_json(json);
-    out << '\n';
+    telemetry_file << '\n';
   }
 
   std::fprintf(stderr,

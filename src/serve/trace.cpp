@@ -8,6 +8,7 @@
 
 #include "hism/hism.hpp"
 #include "support/assert.hpp"
+#include "support/cli.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -252,8 +253,7 @@ void write_trace_json(JsonWriter& json, const Trace& trace) {
 }
 
 void write_trace_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  SMTU_CHECK_MSG(static_cast<bool>(out), "cannot open trace output " + path);
+  std::ofstream out = open_output_file(path);
   JsonWriter json(out);
   write_trace_json(json, trace);
   out << '\n';
@@ -278,9 +278,17 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     return std::nullopt;
   }
   trace.set = set->as_string();
+  if (!suite::is_dsab_set(trace.set)) {
+    set_error(error, "\"set\" is not locality, anz or size");
+    return std::nullopt;
+  }
   if (const JsonValue* suite = document.find("suite"); suite != nullptr && suite->is_object()) {
     if (!read_uint(*suite, "seed", trace.suite.seed, error)) return std::nullopt;
     trace.suite.scale = get_double(*suite, "scale", trace.suite.scale);
+  }
+  if (!suite::valid_scale(trace.suite.scale)) {
+    set_error(error, "suite \"scale\" is not in (0, 1]");
+    return std::nullopt;
   }
   if (const JsonValue* arrival = document.find("arrival");
       arrival != nullptr && arrival->is_object()) {
@@ -328,8 +336,9 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     trace.configs.push_back(spec);
   }
   if (!read_uint(document, "matrices", trace.matrix_count, error)) return std::nullopt;
-  if (trace.matrix_count == 0) {
-    set_error(error, "missing or zero \"matrices\" count");
+  if (trace.matrix_count != suite::kSetMatrices) {
+    set_error(error, format("\"matrices\" is not %u, the size of a D-SAB set",
+                            suite::kSetMatrices));
     return std::nullopt;
   }
 

@@ -71,13 +71,16 @@ Trace generate_trace(const GeneratorOptions& options);
 
 // Serializes the complete smtu-trace-v1 document.
 void write_trace_json(JsonWriter& json, const Trace& trace);
-// Writes the document plus a trailing newline to `path`; aborts on I/O error.
+// Writes the document plus a trailing newline to `path`; a path that cannot
+// be opened prints "cannot open <path>" and exits with status 2.
 void write_trace_file(const std::string& path, const Trace& trace);
 
 // Parses an smtu-trace-v1 document. Returns nullopt (and fills `error` when
 // non-null) on schema violations: wrong schema tag, an integer field that is
-// not an unsigned integer of its width, out-of-range matrix or config
-// indices, unknown kernel names, or decreasing arrival times.
+// not an unsigned integer of its width, a set the suite does not have, a
+// suite scale outside (0, 1], a matrix count other than a set's size,
+// out-of-range matrix or config indices, a config the machine cannot run,
+// unknown kernel names, or decreasing arrival times.
 std::optional<Trace> parse_trace(const JsonValue& document, std::string* error = nullptr);
 // Reads and parses `path`. Returns nullopt (and fills `error` when non-null,
 // prefixed with the path) when the file cannot be read, is not JSON, or is

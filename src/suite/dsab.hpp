@@ -46,7 +46,10 @@ struct SuiteOptions {
 // All 30 matrices, locality set first, then ANZ, then size.
 std::vector<SuiteMatrix> build_dsab_suite(const SuiteOptions& options = {});
 
-// A single criterion set of 10.
+// Matrices per criterion set.
+inline constexpr u32 kSetMatrices = 10;
+
+// A single criterion set of kSetMatrices.
 std::vector<SuiteMatrix> build_dsab_set(const std::string& set,
                                         const SuiteOptions& options = {});
 

@@ -12,6 +12,12 @@ void exit_usage_error(const std::string& message) {
   std::exit(2);
 }
 
+std::ofstream open_output_file(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) exit_usage_error("cannot open " + path);
+  return out;
+}
+
 CommandLine::CommandLine(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {

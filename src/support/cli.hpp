@@ -9,6 +9,7 @@
 // abort. SMTU_CHECK stays for the program's own invariants.
 #pragma once
 
+#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -21,6 +22,11 @@ namespace smtu {
 // Prints `message` and a newline to stderr and exits with status 2: the
 // outcome of a mistake in the command line or in an input file it names.
 [[noreturn]] void exit_usage_error(const std::string& message);
+
+// Opens `path` for writing, or prints "cannot open <path>" and exits with
+// status 2: an output file named on the command line that cannot be
+// created is a mistake in the command line.
+std::ofstream open_output_file(const std::string& path);
 
 class CommandLine {
  public:

@@ -1,12 +1,9 @@
 #include "vsim/machine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -47,40 +44,6 @@ void check_config(const MachineConfig& config) {
   SMTU_CHECK(config.mem_bytes_per_cycle >= 1);
 }
 
-// -1 = no programmatic override; otherwise a DispatchMode value.
-std::atomic<int> g_dispatch_override{-1};
-
-DispatchMode env_dispatch_mode() {
-  static const DispatchMode mode = [] {
-    const char* env = std::getenv("SMTU_DISPATCH");
-    if (env == nullptr || *env == '\0') return DispatchMode::kThreaded;
-    const std::string_view value(env);
-    if (value == "threaded") return DispatchMode::kThreaded;
-    if (value == "switch") return DispatchMode::kSwitch;
-    SMTU_CHECK_MSG(false, "SMTU_DISPATCH must be 'threaded' or 'switch'");
-    return DispatchMode::kThreaded;
-  }();
-  return mode;
-}
-
-}  // namespace
-
-DispatchMode default_dispatch_mode() {
-  const int override_value = g_dispatch_override.load(std::memory_order_relaxed);
-  if (override_value >= 0) return static_cast<DispatchMode>(override_value);
-  return env_dispatch_mode();
-}
-
-void set_default_dispatch_mode(DispatchMode mode) {
-  g_dispatch_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-const char* dispatch_mode_name(DispatchMode mode) {
-  return mode == DispatchMode::kThreaded ? "threaded" : "switch";
-}
-
-namespace {
-
 template <Op>
 inline constexpr bool always_false_op = false;
 
@@ -103,8 +66,12 @@ inline Cycle step_prologue(ExecState& es, const Instruction& inst) {
 }
 
 // Main-memory footprint of a vector memory instruction (primary base
-// address + total bytes moved), for bank arbitration. Must be evaluated
-// before the functional body: v_ldb/v_stb auto-increment their base regs.
+// address + total bytes moved), for bank arbitration. The bank model
+// arbitrates one request per vector memory instruction: its total traffic
+// laid out from its primary base. Multi-stream instructions (v_ldb/v_stb
+// move a position and a value stream) fold into one request, so an
+// instruction can never contend with itself. Must be evaluated before the
+// functional body: v_ldb/v_stb auto-increment their base regs.
 template <Op OP>
 inline void vmem_footprint_for(const ExecState& es, const Instruction& inst, Addr* addr,
                                u64* bytes) {
@@ -126,11 +93,10 @@ inline void vmem_footprint_for(const ExecState& es, const Instruction& inst, Add
 }
 
 // Functional execution of one vector instruction; returns its duration in
-// cycles at full streaming rate (excluding startup). Bit-identical to the
-// reference per-element bodies in Machine::execute_vector — contiguous
-// accesses move through one bounds check + memcpy per stream instead of a
-// checked call per element (the abort condition is unchanged: the span is
-// exactly the union of the element accesses).
+// cycles at full streaming rate (excluding startup). Contiguous accesses
+// move through one bounds check + memcpy per stream instead of a checked
+// call per element; the span is exactly the union of the element accesses,
+// so an access aborts exactly when one of its elements is out of range.
 template <Op OP>
 inline u32 exec_vector_body(ExecState& es, const Instruction& inst) {
   [[maybe_unused]] const u32 vl = es.vl;
@@ -397,7 +363,7 @@ inline u32 exec_vector_body(ExecState& es, const Instruction& inst) {
 // hazards, issue slots, unit occupancy, chaining, STM bank ordering, bank
 // contention, then the functional body. The per-opcode instantiation lets
 // the unit/startup/trace classification and the STM special cases resolve
-// at compile time; the cycle arithmetic is the same as step_switch().
+// at compile time.
 template <Op OP>
 void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
   const Cycle profile_w_before = step_prologue(es, inst);
@@ -570,8 +536,7 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
 }
 
 // Full execution of one scalar instruction: hazards, issue slot, memory
-// port, functional body, retirement, trace/profile. Mirrors the scalar
-// half of step_switch() exactly.
+// port, functional body, retirement, trace/profile.
 template <Op OP>
 void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
   const Cycle profile_w_before = step_prologue(es, inst);
@@ -782,7 +747,6 @@ Machine::Machine(const MachineConfig& config) : config_(config) {
   owned_stm_ = std::make_unique<StmUnit>(stm_config_for(config_));
   es_.memory = owned_memory_.get();
   es_.stm = owned_stm_.get();
-  dispatch_ = default_dispatch_mode();
   init_exec_state();
 }
 
@@ -796,7 +760,6 @@ Machine::Machine(const MachineConfig& config, const CoreContext& context) : conf
   es_.profiler = context.profiler;
   es_.trace_sink = context.trace;
   es_.core_id = context.core_id;
-  dispatch_ = default_dispatch_mode();
   init_exec_state();
 }
 
@@ -823,315 +786,11 @@ std::span<const u32> Machine::vreg(u32 index) const {
   return {es_.vreg_row(index), es_.section};
 }
 
-// Reference functional execution of one vector instruction, per element
-// through the checked memory accessors — the original interpreter bodies,
-// kept verbatim as the differential baseline for the spanned/SIMD handler
-// bodies above.
-u32 Machine::execute_vector(const Instruction& inst) {
-  const u32 vl = es_.vl;
-  const auto V = [this](u8 r) { return es_.vreg_row(r); };
-  const auto ceil_rate = [](u64 amount, u64 per_cycle) {
-    return static_cast<u32>(ceil_div(amount, per_cycle));
-  };
-  Memory& mem = *es_.memory;
-
-  switch (inst.op) {
-    case Op::kVLd: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = mem.read_u32(base + 4 * i);
-      es_.stats.mem_contiguous_bytes += 4ull * vl;
-      return ceil_rate(4ull * vl, config_.mem_bytes_per_cycle);
-    }
-    case Op::kVSt: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) mem.write_u32(base + 4 * i, V(inst.a)[i]);
-      es_.stats.mem_contiguous_bytes += 4ull * vl;
-      return ceil_rate(4ull * vl, config_.mem_bytes_per_cycle);
-    }
-    case Op::kVLdx: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        V(inst.a)[i] = mem.read_u32(base + 4ull * V(inst.c)[i]);
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.mem_indexed_elems_per_cycle);
-    }
-    case Op::kVStx: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        mem.write_u32(base + 4ull * V(inst.c)[i], V(inst.a)[i]);
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.mem_indexed_elems_per_cycle);
-    }
-    case Op::kVLds: {
-      // Strided accesses hit one bank per element, like indexed ones.
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      const u64 stride = sreg(inst.c);
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = mem.read_u32(base + i * stride);
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.mem_indexed_elems_per_cycle);
-    }
-    case Op::kVSts: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      const u64 stride = sreg(inst.c);
-      for (u32 i = 0; i < vl; ++i) mem.write_u32(base + i * stride, V(inst.a)[i]);
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.mem_indexed_elems_per_cycle);
-    }
-    case Op::kVAdd:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] + V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVSub:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] - V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVMul:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] * V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVAnd:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] & V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVOr:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] | V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVXor:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] ^ V(inst.c)[i];
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVMin:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = std::min(V(inst.b)[i], V(inst.c)[i]);
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVMax:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = std::max(V(inst.b)[i], V(inst.c)[i]);
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVAddi:
-      for (u32 i = 0; i < vl; ++i) {
-        V(inst.a)[i] = V(inst.b)[i] + static_cast<u32>(inst.imm);
-      }
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVAdds: {
-      const u32 scalar = static_cast<u32>(sreg(inst.c));
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] + scalar;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVBcast: {
-      const u32 scalar = static_cast<u32>(sreg(inst.b));
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = scalar;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVBcasti:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = static_cast<u32>(inst.imm);
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVIota:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = i;
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVSlideUp: {
-      const u32 shift = static_cast<u32>(inst.imm);
-      es_.slide_scratch.assign(vl, 0);
-      for (u32 i = 0; i < vl; ++i) {
-        if (i >= shift) es_.slide_scratch[i] = V(inst.b)[i - shift];
-      }
-      std::copy(es_.slide_scratch.begin(), es_.slide_scratch.end(), V(inst.a));
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVSlideDown: {
-      const u32 shift = static_cast<u32>(inst.imm);
-      es_.slide_scratch.assign(vl, 0);
-      for (u32 i = 0; i < vl; ++i) {
-        if (i + shift < vl) es_.slide_scratch[i] = V(inst.b)[i + shift];
-      }
-      std::copy(es_.slide_scratch.begin(), es_.slide_scratch.end(), V(inst.a));
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVRedSum: {
-      u64 total = 0;
-      for (u32 i = 0; i < vl; ++i) total += V(inst.b)[i];
-      set_sreg(inst.a, total);
-      // Lane-parallel partial sums plus a log-depth combine.
-      return ceil_rate(vl, config_.lanes) + log2_ceil(config_.lanes + 1);
-    }
-    case Op::kVExtract: {
-      const u64 lane = sreg(inst.c);
-      SMTU_CHECK_MSG(lane < config_.section, "v_extract lane out of range");
-      set_sreg(inst.a, V(inst.b)[lane]);
-      return 1;
-    }
-    case Op::kVSeq:
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] == V(inst.c)[i] ? 1 : 0;
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVSeqS: {
-      const u32 scalar = static_cast<u32>(sreg(inst.c));
-      for (u32 i = 0; i < vl; ++i) V(inst.a)[i] = V(inst.b)[i] == scalar ? 1 : 0;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVFRedSum: {
-      float total = 0.0f;
-      for (u32 i = 0; i < vl; ++i) total += std::bit_cast<float>(V(inst.b)[i]);
-      set_sreg(inst.a, std::bit_cast<u32>(total));
-      return ceil_rate(vl, config_.lanes) + log2_ceil(config_.lanes + 1);
-    }
-    case Op::kVGthC: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 col = (V(inst.c)[i] >> 8) & 0xff;
-        V(inst.a)[i] = mem.read_u32(base + 4ull * col);
-      }
-      // Positional access touches an s-element window only, which the HiSM
-      // hardware banks like the s x s memory: full lane-parallel rate.
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVScaR: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 row = V(inst.c)[i] & 0xff;
-        const Addr addr = base + 4ull * row;
-        mem.write_f32(addr, mem.read_f32(addr) + std::bit_cast<float>(V(inst.a)[i]));
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.lanes);  // banked s-element window
-    }
-    case Op::kVGthR: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 row = V(inst.c)[i] & 0xff;
-        V(inst.a)[i] = mem.read_u32(base + 4ull * row);
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVScaC: {
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 col = (V(inst.c)[i] >> 8) & 0xff;
-        const Addr addr = base + 4ull * col;
-        mem.write_f32(addr, mem.read_f32(addr) + std::bit_cast<float>(V(inst.a)[i]));
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.lanes);
-    }
-    case Op::kVScaX: {
-      // General-index sibling of v_scac: full 32-bit indices, so it streams
-      // at the indexed rate (one address per element) like v_ldx/v_stx.
-      const Addr base = sreg(inst.b) + static_cast<u64>(inst.imm);
-      for (u32 i = 0; i < vl; ++i) {
-        const Addr addr = base + 4ull * V(inst.c)[i];
-        mem.write_f32(addr, mem.read_f32(addr) + std::bit_cast<float>(V(inst.a)[i]));
-      }
-      es_.stats.mem_indexed_elements += vl;
-      return ceil_rate(vl, config_.mem_indexed_elems_per_cycle);
-    }
-    case Op::kVFAdd:
-      for (u32 i = 0; i < vl; ++i) {
-        V(inst.a)[i] = std::bit_cast<u32>(std::bit_cast<float>(V(inst.b)[i]) +
-                                          std::bit_cast<float>(V(inst.c)[i]));
-      }
-      return ceil_rate(vl, config_.lanes);
-    case Op::kVFMul:
-      for (u32 i = 0; i < vl; ++i) {
-        V(inst.a)[i] = std::bit_cast<u32>(std::bit_cast<float>(V(inst.b)[i]) *
-                                          std::bit_cast<float>(V(inst.c)[i]));
-      }
-      return ceil_rate(vl, config_.lanes);
-    case Op::kIcm:
-      es_.stm->clear();
-      return 1;
-    case Op::kVLdb: {
-      Addr pos_addr = sreg(inst.c);
-      Addr val_addr = sreg(inst.d);
-      for (u32 i = 0; i < vl; ++i) {
-        const u8 row = mem.read_u8(pos_addr + 2ull * i);
-        const u8 col = mem.read_u8(pos_addr + 2ull * i + 1);
-        V(inst.b)[i] = static_cast<u32>(row) | static_cast<u32>(col) << 8;
-        V(inst.a)[i] = mem.read_u32(val_addr + 4ull * i);
-      }
-      set_sreg(inst.c, pos_addr + 2ull * vl);
-      set_sreg(inst.d, val_addr + 4ull * vl);
-      es_.stats.mem_contiguous_bytes += 6ull * vl;
-      return ceil_rate(6ull * vl, config_.mem_bytes_per_cycle);
-    }
-    case Op::kVStcr: {
-      es_.stm_batch_scratch.resize(vl);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 pos = V(inst.b)[i];
-        es_.stm_batch_scratch[i] = {static_cast<u8>(pos & 0xff),
-                                    static_cast<u8>((pos >> 8) & 0xff), V(inst.a)[i]};
-      }
-      es_.stats.stm_elements += vl;
-      return es_.stm->write_batch(es_.stm_batch_scratch);
-    }
-    case Op::kVLdcc: {
-      const StmUnit::ReadBatch batch = es_.stm->read_batch(vl);
-      for (u32 i = 0; i < vl; ++i) {
-        V(inst.a)[i] = batch.entries[i].value_bits;
-        V(inst.b)[i] = static_cast<u32>(batch.entries[i].row) |
-                       static_cast<u32>(batch.entries[i].col) << 8;
-      }
-      es_.stats.stm_elements += vl;
-      return batch.cycles;
-    }
-    case Op::kVStb: {
-      Addr pos_addr = sreg(inst.c);
-      Addr val_addr = sreg(inst.d);
-      for (u32 i = 0; i < vl; ++i) {
-        const u32 pos = V(inst.b)[i];
-        mem.write_u8(pos_addr + 2ull * i, static_cast<u8>(pos & 0xff));
-        mem.write_u8(pos_addr + 2ull * i + 1, static_cast<u8>((pos >> 8) & 0xff));
-        mem.write_u32(val_addr + 4ull * i, V(inst.a)[i]);
-      }
-      set_sreg(inst.c, pos_addr + 2ull * vl);
-      set_sreg(inst.d, val_addr + 4ull * vl);
-      es_.stats.mem_contiguous_bytes += 6ull * vl;
-      return ceil_rate(6ull * vl, config_.mem_bytes_per_cycle);
-    }
-    case Op::kVStbv: {
-      Addr val_addr = sreg(inst.b);
-      for (u32 i = 0; i < vl; ++i) mem.write_u32(val_addr + 4ull * i, V(inst.a)[i]);
-      set_sreg(inst.b, val_addr + 4ull * vl);
-      es_.stats.mem_contiguous_bytes += 4ull * vl;
-      return ceil_rate(4ull * vl, config_.mem_bytes_per_cycle);
-    }
-    default:
-      SMTU_CHECK_MSG(false, "not a vector op");
-  }
-  return 0;
-}
-
-void Machine::vmem_footprint(const Instruction& inst, Addr* addr, u64* bytes) const {
-  // The bank model arbitrates one request per vector memory instruction:
-  // the instruction's total traffic laid out from its primary base. Multi-
-  // stream instructions (v_ldb/v_stb move a position and a value stream)
-  // fold into one request so an instruction can never contend with itself.
-  const u64 vl = es_.vl;
-  switch (inst.op) {
-    case Op::kVLdb:
-    case Op::kVStb:
-      *addr = sreg(inst.c);
-      *bytes = 6ull * vl;
-      return;
-    case Op::kVStbv:
-      *addr = sreg(inst.b);
-      *bytes = 4ull * vl;
-      return;
-    case Op::kVScaR:
-    case Op::kVScaC:
-    case Op::kVScaX:
-      // Read-modify-write: both directions count.
-      *addr = sreg(inst.b) + static_cast<u64>(inst.imm);
-      *bytes = 8ull * vl;
-      return;
-    default:
-      *addr = sreg(inst.b) + static_cast<u64>(inst.imm);
-      *bytes = 4ull * vl;
-      return;
-  }
-}
-
 void Machine::begin_run(const Program& program, usize entry_pc) {
   SMTU_CHECK_MSG(entry_pc < program.size(), "entry pc out of range");
 
   // Programs from assemble() arrive predecoded; hand-built ones (tests,
   // generators) get a local decode so the hot loop has a single path.
-  program_ = &program;
   es_.insts = program.instructions.data();
   es_.decoded = program.decoded.data();
   es_.program_size = program.size();
@@ -1178,402 +837,9 @@ StepStatus Machine::step() {
                  "step() on a core that is halted or waiting at a barrier");
   SMTU_CHECK_MSG(es_.pc < es_.program_size,
                  "pc ran off the end of the program (missing halt?)");
-  if (dispatch_ == DispatchMode::kSwitch) return step_switch();
   const DecodedInst& dec = es_.decoded[es_.pc];
   dec.handler(es_, es_.insts[es_.pc], dec);
   return es_.status;
-}
-
-// The legacy switch-dispatch interpreter, retained as the differential
-// reference for the threaded handlers (tests/test_dispatch.cpp asserts
-// bit-identical stats, profiles, and memory images between both paths).
-StepStatus Machine::step_switch() {
-  ExecState& es = es_;
-  const Instruction& inst = es.insts[es.pc];
-  const DecodedInst& dec = es.decoded[es.pc];
-  SMTU_CHECK_MSG(es.stats.instructions < config_.max_instructions,
-                 "instruction budget exceeded (runaway program?)");
-  ++es.stats.instructions;
-  // Watermark increments bracket each instruction; they telescope to the
-  // final cycle count, which is what makes the profiler's attribution
-  // conservation-exact (see profiler.hpp).
-  const Cycle profile_w_before = es.watermark;
-
-  if (es.trace_remaining > 0) {
-    --es.trace_remaining;
-    std::fprintf(stderr, "[trace] pc=%zu %s\n", es.pc, to_string(inst).c_str());
-  }
-
-  if (dec.is_vector) {
-    ++es.stats.vector_instructions;
-    es.stats.vector_elements += es.vl;
-
-    Cycle ready = es.pc_redirect;
-    StallReason stall_why = StallReason::kScalarFetch;
-    if (es.vl_ready > ready) {
-      ready = es.vl_ready;
-      stall_why = StallReason::kRawHazard;
-    }
-    for (u32 i = 0; i < dec.num_sregs; ++i) {
-      if (es.sreg_ready[dec.sregs[i]] > ready) {
-        ready = es.sreg_ready[dec.sregs[i]];
-        stall_why = StallReason::kRawHazard;
-      }
-    }
-    const Cycle profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
-    const Cycle t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
-    es.last_issue = t_issue;
-    if (t_issue > ready) stall_why = StallReason::kIssueLimit;
-
-    const usize unit = static_cast<usize>(dec.unit);
-    const u32 startup = es.startup_by_kind[static_cast<usize>(dec.startup)];
-
-    const bool stm_double = es.stm_double;
-    u32 stm_op_bank = 0;
-    Cycle resource_ready = es.unit_free[unit];
-    if (dec.unit == ExecUnit::kStm) {
-      if (inst.op == Op::kVLdcc) {
-        stm_op_bank = es.stm->peek_drain_bank();
-        resource_ready =
-            stm_double ? std::max(es.stm_drain_free, es.stm_fill_done[stm_op_bank])
-                       : std::max(es.unit_free[unit], es.stm_fill_done[stm_op_bank]);
-      } else if (inst.op == Op::kIcm && stm_double) {
-        stm_op_bank = es.stm->fill_bank() ^ 1;
-        resource_ready = std::max(es.unit_free[unit], es.stm_drain_done[stm_op_bank]);
-      } else {
-        stm_op_bank = stm_double ? es.stm->fill_bank() : 0u;
-      }
-    }
-    Cycle t_start = t_issue;
-    auto bind = [&](Cycle term, StallReason reason) {
-      if (term > t_start) {
-        t_start = term;
-        stall_why = reason;
-      }
-    };
-    bind(resource_ready,
-         dec.unit == ExecUnit::kVMem
-             ? (es.vmem_last_indexed ? StallReason::kMemIndexedSerial : StallReason::kMemPort)
-             : (dec.unit == ExecUnit::kStm ? StallReason::kStmBusy : StallReason::kValuBusy));
-    Cycle src_last = 0;
-    for (u32 i = 0; i < dec.num_srcs; ++i) {
-      const u8 r = dec.srcs[i];
-      bind(es.chaining ? es.vreg_first[r] : es.vreg_last[r],
-           es.chaining ? StallReason::kChainingWait : StallReason::kRawHazard);
-      src_last = std::max(src_last, es.vreg_last[r]);
-    }
-    for (u32 i = 0; i < dec.num_dsts; ++i) {
-      const u8 r = dec.dsts[i];
-      bind(std::max(es.vreg_readers_done[r], es.vreg_last[r]), StallReason::kVregBusy);
-    }
-
-    if (es.memory_system != nullptr && dec.unit == ExecUnit::kVMem) {
-      Addr mem_addr = 0;
-      u64 mem_bytes = 0;
-      vmem_footprint(inst, &mem_addr, &mem_bytes);
-      const Cycle granted = es.memory_system->request(mem_addr, mem_bytes, t_start);
-      if (granted > t_start) {
-        t_start = granted;
-        stall_why = StallReason::kMemBankContention;
-      }
-    }
-
-    const u32 duration = execute_vector(inst);
-
-    const Cycle first_out = t_start + startup + 1;
-    const Cycle last_out =
-        std::max(t_start + startup + duration, src_last == 0 ? 0 : src_last + startup);
-    const bool pipelined =
-        (dec.unit == ExecUnit::kVMem && es.mem_pipelined_startup) ||
-        dec.unit == ExecUnit::kVAlu;
-    const Cycle busy_until = pipelined ? std::max(t_start + duration, src_last) : last_out;
-    if (dec.unit == ExecUnit::kStm) {
-      if (stm_double && inst.op == Op::kVLdcc) {
-        es.stm_drain_free = std::max(es.stm_drain_free, busy_until);
-        es.stm_drain_done[stm_op_bank] = std::max(es.stm_drain_done[stm_op_bank], last_out);
-      } else {
-        es.unit_free[unit] = std::max(es.unit_free[unit], busy_until);
-        if (inst.op == Op::kVLdcc) {
-          es.stm_drain_done[stm_op_bank] = std::max(es.stm_drain_done[stm_op_bank], last_out);
-        } else {
-          es.stm_fill_done[stm_op_bank] = std::max(es.stm_fill_done[stm_op_bank], last_out);
-        }
-      }
-    } else {
-      es.unit_free[unit] = std::max(es.unit_free[unit], busy_until);
-      if (dec.unit == ExecUnit::kVMem) es.vmem_last_indexed = dec.indexed_vmem;
-    }
-    const u64 busy = busy_until - t_start;
-    if (dec.unit == ExecUnit::kVMem) es.stats.vmem_busy_cycles += busy;
-    else if (dec.unit == ExecUnit::kVAlu) es.stats.valu_busy_cycles += busy;
-    else es.stats.stm_busy_cycles += busy;
-
-    if (es.trace_sink != nullptr) {
-      const TraceUnit trace_unit = dec.unit == ExecUnit::kVMem   ? TraceUnit::kVMem
-                                   : dec.unit == ExecUnit::kVAlu ? TraceUnit::kVAlu
-                                                                 : TraceUnit::kStm;
-      es.trace_sink->record(
-          {es.pc, inst.op, es.vl, trace_unit, t_issue, t_start, first_out, last_out,
-           es.core_id});
-    }
-    for (u32 i = 0; i < dec.num_dsts; ++i) {
-      const u8 r = dec.dsts[i];
-      es.vreg_first[r] = first_out;
-      es.vreg_last[r] = last_out;
-      es.vreg_readers_done[r] = last_out;
-    }
-    for (u32 i = 0; i < dec.num_srcs; ++i) {
-      const u8 r = dec.srcs[i];
-      es.vreg_readers_done[r] = std::max(es.vreg_readers_done[r], last_out);
-    }
-
-    // Scalar side effects of vector instructions.
-    switch (inst.op) {
-      case Op::kVLdb:
-      case Op::kVStb:
-        es.retire_scalar(inst.c, t_issue + config_.scalar_op_latency);
-        es.retire_scalar(inst.d, t_issue + config_.scalar_op_latency);
-        break;
-      case Op::kVStbv:
-        es.retire_scalar(inst.b, t_issue + config_.scalar_op_latency);
-        break;
-      case Op::kVRedSum:
-      case Op::kVFRedSum:
-      case Op::kVExtract:
-        es.retire_scalar(inst.a, last_out + 1);
-        break;
-      default:
-        break;
-    }
-    es.bump_watermark(last_out);
-    if (es.profiler != nullptr) {
-      const BusyKind kind =
-          dec.unit == ExecUnit::kVMem
-              ? (dec.indexed_vmem ? BusyKind::kVMemIndexed : BusyKind::kVMemStream)
-              : (dec.unit == ExecUnit::kStm ? BusyKind::kStm : BusyKind::kVAlu);
-      es.profiler->record({es.pc, inst.op, es.vl, kind, stall_why, t_start,
-                           profile_unblocked, profile_w_before, es.watermark, busy});
-    }
-    ++es.pc;
-    return es.status;
-  }
-
-  // ---- Scalar instruction path. ----
-  ++es.stats.scalar_instructions;
-  Cycle ready = es.pc_redirect;
-  StallReason stall_why = StallReason::kScalarFetch;
-  for (u32 i = 0; i < dec.num_sregs; ++i) {
-    if (es.sreg_ready[dec.sregs[i]] > ready) {
-      ready = es.sreg_ready[dec.sregs[i]];
-      stall_why = StallReason::kRawHazard;
-    }
-  }
-
-  const Cycle profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
-  Cycle t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
-  if (t_issue > ready) stall_why = StallReason::kIssueLimit;
-  if (dec.scalar_mem) {
-    const Cycle slot = es.take_scalar_mem_slot(t_issue);
-    if (slot > t_issue) {
-      t_issue = slot;
-      stall_why = StallReason::kMemPort;
-    }
-  }
-  es.last_issue = t_issue;
-  es.bump_watermark(t_issue);
-
-  Memory& mem = *es.memory;
-  usize next_pc = es.pc + 1;
-  switch (inst.op) {
-    case Op::kLi:
-      set_sreg(inst.a, static_cast<u64>(inst.imm));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kMv:
-      set_sreg(inst.a, sreg(inst.b));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kAdd:
-      set_sreg(inst.a, sreg(inst.b) + sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kSub:
-      set_sreg(inst.a, sreg(inst.b) - sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kMul:
-      set_sreg(inst.a, sreg(inst.b) * sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.mul_latency);
-      break;
-    case Op::kAnd:
-      set_sreg(inst.a, sreg(inst.b) & sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kOr:
-      set_sreg(inst.a, sreg(inst.b) | sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kXor:
-      set_sreg(inst.a, sreg(inst.b) ^ sreg(inst.c));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kSll:
-      set_sreg(inst.a, sreg(inst.b) << (sreg(inst.c) & 63));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kSrl:
-      set_sreg(inst.a, sreg(inst.b) >> (sreg(inst.c) & 63));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kMin:
-      set_sreg(inst.a, std::min(sreg(inst.b), sreg(inst.c)));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kMax:
-      set_sreg(inst.a, std::max(sreg(inst.b), sreg(inst.c)));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kFAdd:
-      set_sreg(inst.a, std::bit_cast<u32>(
-                           std::bit_cast<float>(static_cast<u32>(sreg(inst.b))) +
-                           std::bit_cast<float>(static_cast<u32>(sreg(inst.c)))));
-      es.retire_scalar(inst.a, t_issue + config_.mul_latency);
-      break;
-    case Op::kFMul:
-      set_sreg(inst.a, std::bit_cast<u32>(
-                           std::bit_cast<float>(static_cast<u32>(sreg(inst.b))) *
-                           std::bit_cast<float>(static_cast<u32>(sreg(inst.c)))));
-      es.retire_scalar(inst.a, t_issue + config_.mul_latency);
-      break;
-    case Op::kAddi:
-      set_sreg(inst.a, sreg(inst.b) + static_cast<u64>(inst.imm));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kMuli:
-      set_sreg(inst.a, sreg(inst.b) * static_cast<u64>(inst.imm));
-      es.retire_scalar(inst.a, t_issue + config_.mul_latency);
-      break;
-    case Op::kAndi:
-      set_sreg(inst.a, sreg(inst.b) & static_cast<u64>(inst.imm));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kSlli:
-      set_sreg(inst.a, sreg(inst.b) << (inst.imm & 63));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kSrli:
-      set_sreg(inst.a, sreg(inst.b) >> (inst.imm & 63));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      break;
-    case Op::kLw:
-      set_sreg(inst.a, mem.read_u32(sreg(inst.b) + static_cast<u64>(inst.imm)));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_load_latency);
-      break;
-    case Op::kLhu:
-      set_sreg(inst.a, mem.read_u16(sreg(inst.b) + static_cast<u64>(inst.imm)));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_load_latency);
-      break;
-    case Op::kLbu:
-      set_sreg(inst.a, mem.read_u8(sreg(inst.b) + static_cast<u64>(inst.imm)));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_load_latency);
-      break;
-    case Op::kSw:
-      mem.write_u32(sreg(inst.b) + static_cast<u64>(inst.imm),
-                    static_cast<u32>(sreg(inst.a)));
-      break;
-    case Op::kSh:
-      mem.write_u16(sreg(inst.b) + static_cast<u64>(inst.imm),
-                    static_cast<u16>(sreg(inst.a)));
-      break;
-    case Op::kSb:
-      mem.write_u8(sreg(inst.b) + static_cast<u64>(inst.imm),
-                   static_cast<u8>(sreg(inst.a)));
-      break;
-    case Op::kAmoAdd: {
-      const Addr addr = sreg(inst.b) + static_cast<u64>(inst.imm);
-      const u32 old = mem.read_u32(addr);
-      mem.write_u32(addr, old + static_cast<u32>(sreg(inst.c)));
-      set_sreg(inst.a, old);
-      es.retire_scalar(inst.a, t_issue + config_.scalar_load_latency);
-      break;
-    }
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge: {
-      const i64 lhs = static_cast<i64>(sreg(inst.a));
-      const i64 rhs = static_cast<i64>(sreg(inst.b));
-      bool taken = false;
-      switch (inst.op) {
-        case Op::kBeq: taken = lhs == rhs; break;
-        case Op::kBne: taken = lhs != rhs; break;
-        case Op::kBlt: taken = lhs < rhs; break;
-        case Op::kBge: taken = lhs >= rhs; break;
-        default: break;
-      }
-      if (taken) {
-        next_pc = static_cast<usize>(inst.imm);
-        es.pc_redirect = t_issue + 1 + config_.branch_penalty;
-      }
-      break;
-    }
-    case Op::kJal:
-      set_sreg(inst.a, static_cast<u64>(es.pc + 1));
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      next_pc = static_cast<usize>(inst.imm);
-      es.pc_redirect = t_issue + 1 + config_.branch_penalty;
-      break;
-    case Op::kJr:
-      next_pc = static_cast<usize>(sreg(inst.a));
-      es.pc_redirect = t_issue + 1 + config_.branch_penalty;
-      break;
-    case Op::kSsvl: {
-      const u64 remaining = sreg(inst.a);
-      es.vl = static_cast<u32>(std::min<u64>(config_.section, remaining));
-      set_sreg(inst.a, remaining - es.vl);
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      es.vl_ready = std::max(es.vl_ready, t_issue + config_.scalar_op_latency);
-      break;
-    }
-    case Op::kSetvl: {
-      es.vl = static_cast<u32>(std::min<u64>(config_.section, sreg(inst.b)));
-      set_sreg(inst.a, es.vl);
-      es.retire_scalar(inst.a, t_issue + config_.scalar_op_latency);
-      es.vl_ready = std::max(es.vl_ready, t_issue + config_.scalar_op_latency);
-      break;
-    }
-    case Op::kBarrier:
-      es.status = StepStatus::kAtBarrier;
-      es.barrier_arrival = es.watermark;
-      es.barrier_issue = t_issue;
-      es.barrier_unblocked = profile_unblocked;
-      es.barrier_w_before = profile_w_before;
-      es.barrier_pc = es.pc;
-      es.barrier_why = stall_why;
-      break;
-    case Op::kHalt:
-      es.status = StepStatus::kHalted;
-      break;
-    case Op::kNop:
-      break;
-    default:
-      SMTU_CHECK_MSG(false, "unhandled scalar op in execute");
-  }
-  if (es.status == StepStatus::kAtBarrier) {
-    es.pc = next_pc;
-    return es.status;
-  }
-  if (es.trace_sink != nullptr) {
-    const Cycle done = inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue;
-    es.trace_sink->record({es.pc, inst.op, 0, TraceUnit::kScalar, t_issue, t_issue,
-                           std::max(t_issue, done), std::max(t_issue, done), es.core_id});
-  }
-  if (es.profiler != nullptr) {
-    es.profiler->record({es.pc, inst.op, 0, BusyKind::kScalar, stall_why, t_issue,
-                         profile_unblocked, profile_w_before, es.watermark, 1});
-  }
-  es.pc = next_pc;
-  return es.status;
 }
 
 void Machine::release_barrier(Cycle release) {
@@ -1613,29 +879,18 @@ RunStats Machine::finish_run() {
 
 RunStats Machine::run(const Program& program, usize entry_pc) {
   begin_run(program, entry_pc);
-  if (dispatch_ == DispatchMode::kThreaded) {
-    // The hot loop: indirect call through the pre-bound handler, no
-    // per-instruction mode or status branching beyond the exit check.
-    ExecState& es = es_;
-    while (true) {
-      SMTU_CHECK_MSG(es.pc < es.program_size,
-                     "pc ran off the end of the program (missing halt?)");
-      const DecodedInst& dec = es.decoded[es.pc];
-      dec.handler(es, es.insts[es.pc], dec);
-      if (es.status != StepStatus::kRunning) [[unlikely]] {
-        if (es.status == StepStatus::kHalted) break;
-        // A lone core's barrier releases the moment it arrives.
-        release_barrier(es.barrier_arrival);
-      }
-    }
-  } else {
-    while (true) {
-      const StepStatus status = step();
-      if (status == StepStatus::kAtBarrier) {
-        release_barrier(es_.barrier_arrival);
-      } else if (status == StepStatus::kHalted) {
-        break;
-      }
+  // The hot loop: indirect call through the pre-bound handler, no
+  // per-instruction status branching beyond the exit check.
+  ExecState& es = es_;
+  while (true) {
+    SMTU_CHECK_MSG(es.pc < es.program_size,
+                   "pc ran off the end of the program (missing halt?)");
+    const DecodedInst& dec = es.decoded[es.pc];
+    dec.handler(es, es.insts[es.pc], dec);
+    if (es.status != StepStatus::kRunning) [[unlikely]] {
+      if (es.status == StepStatus::kHalted) break;
+      // A lone core's barrier releases the moment it arrives.
+      release_barrier(es.barrier_arrival);
     }
   }
   return finish_run();

@@ -33,10 +33,8 @@
 // Dispatch is threaded-code style (HACKING.md "Interpreter internals"):
 // every predecoded instruction carries a per-opcode handler pointer bound
 // at assembly time, and all hot interpreter state lives in one SoA
-// ExecState the handlers receive directly. The legacy switch interpreter
-// is retained behind DispatchMode::kSwitch (env SMTU_DISPATCH=switch) as
-// the bit-identical reference for differential testing
-// (tests/test_dispatch.cpp).
+// ExecState the handlers receive directly. Golden digests of every kernel
+// class pin the model's output (tests/test_interpreter_golden.cpp).
 #pragma once
 
 #include <algorithm>
@@ -56,20 +54,6 @@
 #include "vsim/trace.hpp"
 
 namespace smtu::vsim {
-
-// How the interpreter dispatches opcodes: pre-bound per-opcode handler
-// pointers (the fast default), or the legacy `switch (inst.op)` reference
-// path kept for differential testing. Both produce bit-identical cycle
-// counts, stats, profiles, and memory images.
-enum class DispatchMode : u8 { kThreaded = 0, kSwitch = 1 };
-
-// Process-wide default captured by each Machine at construction. The
-// initial value comes from the SMTU_DISPATCH environment variable
-// ("threaded" or "switch", read once); set_default_dispatch_mode overrides
-// it programmatically (tests flipping modes between runs).
-DispatchMode default_dispatch_mode();
-void set_default_dispatch_mode(DispatchMode mode);
-const char* dispatch_mode_name(DispatchMode mode);
 
 struct RunStats {
   Cycle cycles = 0;
@@ -217,7 +201,7 @@ struct ExecState {
   }
   void bump_watermark(Cycle cycle) { watermark = std::max(watermark, cycle); }
 
-  // Issue bookkeeping shared by both dispatch paths.
+  // Issue bookkeeping shared by the vector and scalar handlers.
   Cycle take_issue_slot(Cycle earliest) {
     if (earliest > issue_cycle) {
       issue_cycle = earliest;
@@ -260,10 +244,6 @@ class Machine {
   const Memory& memory() const { return *es_.memory; }
   StmUnit& stm_unit() { return *es_.stm; }
   u32 core_id() const { return es_.core_id; }
-
-  // Dispatch mode, captured from default_dispatch_mode() at construction.
-  DispatchMode dispatch() const { return dispatch_; }
-  void set_dispatch(DispatchMode mode) { dispatch_ = mode; }
 
   u64 sreg(u32 index) const { return es_.sreg(index); }
   void set_sreg(u32 index, u64 value) { es_.set_sreg(index, value); }
@@ -310,26 +290,14 @@ class Machine {
   Cycle issue_horizon() const { return std::max(es_.pc_redirect, es_.last_issue); }
 
  private:
-  // The legacy switch-dispatch interpreter (differential reference).
-  StepStatus step_switch();
-  // Executes one vector instruction functionally (reference per-element
-  // implementation) and returns its duration in cycles at full streaming
-  // rate (excluding startup). Used only by step_switch().
-  u32 execute_vector(const Instruction& inst);
-  // Main-memory footprint of a vector memory instruction (primary base
-  // address + total bytes moved), for bank arbitration.
-  void vmem_footprint(const Instruction& inst, Addr* addr, u64* bytes) const;
-
   void init_exec_state();
 
   MachineConfig config_;
   // Owning mode keeps its memory/STM here; core mode leaves these null.
   std::unique_ptr<Memory> owned_memory_;
   std::unique_ptr<StmUnit> owned_stm_;
-  DispatchMode dispatch_ = DispatchMode::kThreaded;
 
   // Step-mode run state (valid between begin_run and finish_run).
-  const Program* program_ = nullptr;
   std::vector<DecodedInst> local_decode_;
   StmUnit::Stats stm_before_;
 

@@ -8,9 +8,6 @@ namespace smtu::vsim {
 namespace {
 
 void decode_vector(const Instruction& inst, DecodedInst& d) {
-  d.is_vector = true;
-  d.indexed_vmem = op_indexed_vmem(inst.op);
-
   // Scalar sources the instruction needs at issue.
   switch (inst.op) {
     case Op::kVLd:
@@ -129,16 +126,9 @@ void decode_vector(const Instruction& inst, DecodedInst& d) {
     default:
       break;
   }
-
-  // Functional unit and which config field supplies the startup latency
-  // (shared constexpr tables, program.hpp).
-  d.unit = op_unit(inst.op);
-  d.startup = op_startup(inst.op);
 }
 
 void decode_scalar(const Instruction& inst, DecodedInst& d) {
-  d.is_vector = false;
-  d.scalar_mem = op_scalar_mem(inst.op);
   switch (inst.op) {
     case Op::kLi:
       break;

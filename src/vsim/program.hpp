@@ -25,12 +25,12 @@ enum class ExecUnit : u8 { kVMem = 0, kVAlu = 1, kStm = 2 };
 
 // Which MachineConfig field supplies an instruction's startup latency.
 // Resolved to a cycle count once per run (the config is per-Machine, the
-// kind is per-static-instruction).
+// kind is per-opcode).
 enum class StartupKind : u8 { kMem = 0, kValu = 1, kStmFill = 2, kStmDrain = 3, kNone = 4 };
 inline constexpr usize kStartupKindCount = static_cast<usize>(StartupKind::kNone) + 1;
 
-// Per-opcode static properties, constexpr so the predecoder and the
-// per-opcode handler templates (machine.cpp) resolve them from one source.
+// Per-opcode static properties, constexpr so the per-opcode handler
+// templates (machine.cpp) resolve them at compile time.
 
 // Vector memory accesses that move one element per cycle (an address per
 // element) rather than streaming at the port's byte rate.
@@ -99,20 +99,16 @@ constexpr StartupKind op_startup(Op op) {
 // The interpreter's hot state bundle (vsim/machine.hpp).
 struct ExecState;
 
-// Dispatch-friendly predecode of one static instruction: everything the
-// interpreter's issue logic derives from the opcode alone (unit, startup
-// kind, operand register lists) is computed once at assembly time instead
-// of per dynamic execution. Register numbers are resolved from the
-// Instruction fields, in the same order the Machine's hazard checks
-// evaluated them. `handler` is the threaded-code dispatch target: a
-// per-opcode function that executes the instruction end to end (timing
-// model + functional semantics) and advances es.pc.
+// Dispatch-friendly predecode of one static instruction: the operand
+// register lists the interpreter's issue logic needs are computed once at
+// assembly time instead of per dynamic execution (the opcode's unit,
+// startup kind and memory class are compile-time constants of its handler).
+// Register numbers are resolved from the Instruction fields, in the same
+// order the Machine's hazard checks evaluate them. `handler` is the
+// threaded-code dispatch target: a per-opcode function that executes the
+// instruction end to end (timing model + functional semantics) and
+// advances es.pc.
 struct DecodedInst {
-  bool is_vector = false;
-  bool indexed_vmem = false;  // 1-element/cycle vmem access (v_ldx/v_stx/v_lds/v_sts)
-  bool scalar_mem = false;    // scalar load/store (uses the scalar memory port)
-  ExecUnit unit = ExecUnit::kVAlu;
-  StartupKind startup = StartupKind::kNone;
   u8 num_sregs = 0;  // scalar source registers read at issue
   u8 num_srcs = 0;   // vector source registers
   u8 num_dsts = 0;   // vector destination registers

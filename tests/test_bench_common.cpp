@@ -153,6 +153,15 @@ TEST(BenchCommonDeathTest, NegativeJobsExitsWithCode2) {
               "option --jobs expects an integer in \\[0, 4294967295\\], got '-1'");
 }
 
+TEST(BenchCommonDeathTest, UnwritableJsonPathExitsWithCode2) {
+  const char* argv[] = {"bench", "--json=/nonexistent/smtu_no_such_dir/out.json"};
+  CommandLine cli(2, argv);
+  const bench::BenchOptions options = bench::parse_options(cli);
+  TextTable table({"matrix"});
+  EXPECT_EXIT(bench::emit(table, options), ::testing::ExitedWithCode(2),
+              "cannot open /nonexistent/smtu_no_such_dir/out.json");
+}
+
 TEST(ParallelHarness, RunComparisonsIsDeterministicAcrossJobs) {
   // The determinism contract of the parallel harness: any -jN produces the
   // same records (cycles, speedups, full RunStats) in the same order as the

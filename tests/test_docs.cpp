@@ -242,12 +242,11 @@ TEST(Docs, TelemetryReferenceCoversMetricsSchemaAndTooling) {
 TEST(Docs, InterpreterInternalsDocumented) {
   // HACKING.md's "Host performance" section explains the threaded-code
   // interpreter: decode-time dispatch binding, the SoA ExecState, the SIMD
-  // vector bodies, the differential switch mode, and how to add a handler.
+  // vector bodies, the golden digests that pin it, and how to add a handler.
   const std::string hacking = read_doc("../HACKING.md");
   for (const char* needle :
-       {"Interpreter internals", "ExecState", "SMTU_DISPATCH", "opcode_handler",
-        "exec_vector", "step_switch", "SMTU_VEC_LOOP", "read_span",
-        "test_dispatch.cpp", "set_default_dispatch_mode", "vreg_row"}) {
+       {"Interpreter internals", "ExecState", "opcode_handler", "exec_vector",
+        "SMTU_VEC_LOOP", "read_span", "test_interpreter_golden.cpp", "vreg_row"}) {
     EXPECT_NE(hacking.find(needle), std::string::npos)
         << "HACKING.md does not mention " << needle;
   }
@@ -258,7 +257,7 @@ TEST(Docs, InterpreterInternalsDocumented) {
 
   // The ISA reference routes readers to the interpreter internals.
   const std::string isa = read_doc("ISA.md");
-  for (const char* needle : {"SMTU_DISPATCH", "Interpreter internals", "HACKING.md"}) {
+  for (const char* needle : {"Interpreter internals", "HACKING.md"}) {
     EXPECT_NE(isa.find(needle), std::string::npos)
         << "docs/ISA.md does not mention " << needle;
   }

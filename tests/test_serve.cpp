@@ -5,7 +5,8 @@
 // across a write->parse trace round-trip. The checked-in benchmark trace
 // (SMTU_TRACE_DIR, injected by tests/CMakeLists.txt) is held byte-stable.
 // The smtu_serve binary (SMTU_SERVE_BIN, injected the same way) must turn
-// every command-line mistake into a diagnostic and exit status 2.
+// every command-line mistake (an unrunnable trace and an output path that
+// cannot be written included) into a diagnostic and exit status 2.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -48,7 +49,7 @@ Trace tiny_trace() {
   Trace trace;
   trace.seed = 7;
   trace.set = "locality";
-  trace.matrix_count = 4;
+  trace.matrix_count = suite::kSetMatrices;
   trace.configs.push_back(ConfigSpec{});
   for (u32 id = 0; id < 3; ++id) {
     Request request;
@@ -154,7 +155,7 @@ TEST(ServeTrace, ParseRejectsFieldsThatAreNotUnsignedIntegers) {
       {"\"seed\":7,", "\"seed\":7.5,"},
       {"\"burst_on_us\":2000", "\"burst_on_us\":true"},
       {"\"section\":64", "\"section\":4294967296"},
-      {"\"matrices\":4", "\"matrices\":-4"},
+      {"\"matrices\":10", "\"matrices\":-10"},
       {"\"id\":1,", "\"id\":\"1\","},
       {"\"arrival_us\":10", "\"arrival_us\":10.5"},
   };
@@ -170,8 +171,28 @@ TEST(ServeTrace, ParseRejectsFieldsThatAreNotUnsignedIntegers) {
 }
 
 TEST(ServeTrace, ParseRejectsConfigsTheMachineCannotRun) {
-  // Past the parser, each of these would abort the server in the HiSM
-  // builder, the CRS kernel or the STM.
+  // Past the parser, each of these would abort the server: the suite
+  // fields in build_dsab_set or at the set-size check, the configs in the
+  // HiSM builder, the CRS kernel or the STM.
+  const std::string valid = trace_to_string(tiny_trace());
+  const std::pair<const char*, const char*> suite_edits[] = {
+      {"\"set\":\"locality\"", "\"set\":\"bogus\""},
+      {"\"scale\":1", "\"scale\":2.0"},
+      {"\"scale\":1", "\"scale\":0.0"},
+      {"\"matrices\":10", "\"matrices\":12"},
+      {"\"matrices\":10", "\"matrices\":0"},
+  };
+  for (const auto& [from, to] : suite_edits) {
+    std::string text = valid;
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, std::string_view(from).size(), to);
+    const std::string field(to, std::string_view(to).find(':'));
+    std::string error;
+    EXPECT_FALSE(parse_string(text, &error).has_value()) << to;
+    EXPECT_NE(error.find(field), std::string::npos) << to << ": " << error;
+  }
+
   struct Case {
     ConfigSpec spec;
     const char* field;
@@ -453,6 +474,20 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   const std::string trace_out = "test_serve_cli_trace.json";
   const std::string replay = std::string("--replay=") + kCheckedInTrace;
   const std::string generate = "--generate --trace-out=" + trace_out;
+  // A copy of the checked-in trace whose set the suite does not have.
+  const std::string bad_trace = "test_serve_cli_bad_set.json";
+  {
+    std::ifstream in(kCheckedInTrace);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string edited = text.str();
+    const std::string_view set = "\"set\":\"locality\"";
+    const auto at = edited.find(set);
+    ASSERT_NE(at, std::string::npos);
+    edited.replace(at, set.size(), "\"set\":\"bogus\"");
+    std::ofstream(bad_trace) << edited;
+  }
+  const std::string missing_dir = "test_serve_cli_no_such_dir/out.json";
   // Each case: the arguments and the option its one-line diagnostic names.
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"", "--generate or --replay"},
@@ -464,6 +499,10 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {generate + " --arrival=foo", "option --arrival expects poisson, bursty or heavytail"},
       {generate + " --requests=0", "option --requests expects an integer in [1, "},
       {replay + " --workers=0", "option --workers expects an integer in [1, "},
+      {"--replay=" + bad_trace, "\"set\" is not locality, anz or size"},
+      {"--generate --trace-out=" + missing_dir, "cannot open " + missing_dir},
+      {replay + " --json=" + missing_dir, "cannot open " + missing_dir},
+      {replay + " --telemetry-json=" + missing_dir, "cannot open " + missing_dir},
   };
   const std::string stderr_path = "test_serve_cli_stderr.txt";
   for (const auto& [args, needle] : cases) {
@@ -481,6 +520,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   }
   std::remove(stderr_path.c_str());
   std::remove(trace_out.c_str());
+  std::remove(bad_trace.c_str());
 }
 
 }  // namespace

@@ -70,15 +70,16 @@ int main(int argc, char** argv) {
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
     // Each task mutates its own copy of the machine config.
     vsim::MachineConfig local = config;
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, local.section);
-    const Csr csr = Csr::from_coo(entry.matrix);
+    auto& stages = kernels::MatrixStageCache::instance();
+    const auto hism = stages.hism(entry.matrix, local.section);
+    const auto crs = stages.crs(entry.matrix);
     ChainTimings t;
     local.chaining = true;
-    t.hism_on = kernels::time_hism_transpose(hism, local).cycles;
-    t.crs_on = kernels::time_crs_transpose(csr, local).cycles;
+    t.hism_on = kernels::time_hism_transpose(*hism, local).cycles;
+    t.crs_on = kernels::time_crs_transpose(*crs, local).cycles;
     local.chaining = false;
-    t.hism_off = kernels::time_hism_transpose(hism, local).cycles;
-    t.crs_off = kernels::time_crs_transpose(csr, local).cycles;
+    t.hism_off = kernels::time_hism_transpose(*hism, local).cycles;
+    t.crs_off = kernels::time_crs_transpose(*crs, local).cycles;
     return t;
   });
   for (usize i = 0; i < set.size(); ++i) {

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
   };
   ThreadPool pool(options.jobs);
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const Csr csr = Csr::from_coo(entry.matrix);
+    const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
     kernels::CrsKernelOptions scalar_options;
     kernels::CrsKernelOptions masked_options;
     masked_options.masked_phase1 = true;
-    return Timings{kernels::time_crs_transpose(csr, config, scalar_options).cycles,
-                   kernels::time_crs_transpose(csr, config, masked_options).cycles};
+    return Timings{kernels::time_crs_transpose(*stage, config, scalar_options).cycles,
+                   kernels::time_crs_transpose(*stage, config, masked_options).cycles};
   });
 
   TextTable table({"matrix", "nnz", "cols", "scalar total", "masked total", "slowdown"});

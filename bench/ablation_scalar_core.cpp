@@ -27,13 +27,16 @@ int main(int argc, char** argv) {
 
   ThreadPool pool(options.jobs);
   const auto speedup_rows = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
+    auto& stages = kernels::MatrixStageCache::instance();
     std::vector<double> speedups;
     speedups.reserve(variants.size());
     for (const auto& variant : variants) {
-      const HismMatrix hism = HismMatrix::from_coo(entry.matrix, variant.config.section);
-      const u64 hism_cycles = kernels::time_hism_transpose(hism, variant.config).cycles;
+      const u64 hism_cycles =
+          kernels::time_hism_transpose(*stages.hism(entry.matrix, variant.config.section),
+                                       variant.config)
+              .cycles;
       const u64 crs_cycles =
-          kernels::time_crs_transpose(Csr::from_coo(entry.matrix), variant.config).cycles;
+          kernels::time_crs_transpose(*stages.crs(entry.matrix), variant.config).cycles;
       speedups.push_back(static_cast<double>(crs_cycles) / static_cast<double>(hism_cycles));
     }
     return speedups;

@@ -28,8 +28,9 @@ int main(int argc, char** argv) {
     std::vector<double> per_nnz_row;
     per_nnz_row.reserve(variants.size());
     for (const auto& variant : variants) {
-      const HismMatrix hism = HismMatrix::from_coo(entry.matrix, variant.config.section);
-      const u64 cycles = kernels::time_hism_transpose(hism, variant.config).cycles;
+      const auto stage =
+          kernels::MatrixStageCache::instance().hism(entry.matrix, variant.config.section);
+      const u64 cycles = kernels::time_hism_transpose(*stage, variant.config).cycles;
       per_nnz_row.push_back(static_cast<double>(cycles) /
                             static_cast<double>(std::max<usize>(1, entry.matrix.nnz())));
     }

@@ -26,13 +26,13 @@ int main(int argc, char** argv) {
   TextTable table({"matrix", "nnz/row", "t=0", "t=2", "t=4", "t=8", "t=16", "t=64"});
   ThreadPool pool(options.jobs);
   const auto cycle_rows = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const Csr csr = Csr::from_coo(entry.matrix);
+    const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
     std::vector<u64> cycles_row;
     cycles_row.reserve(std::size(kThresholds));
     for (const u32 threshold : kThresholds) {
       kernels::CrsKernelOptions kernel_options;
       kernel_options.short_row_threshold = threshold;
-      cycles_row.push_back(kernels::time_crs_transpose(csr, config, kernel_options).cycles);
+      cycles_row.push_back(kernels::time_crs_transpose(*stage, config, kernel_options).cycles);
     }
     return cycles_row;
   });

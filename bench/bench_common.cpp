@@ -13,7 +13,6 @@
 #include "hism/transpose.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
-#include "kernels/utilization.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -28,6 +27,16 @@ namespace {
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
   const auto delta = std::chrono::steady_clock::now() - since;
   return std::chrono::duration<double, std::milli>(delta).count();
+}
+
+// Exits like open_output_file ("cannot open <path>", status 2) unless
+// `path` can be opened for writing, without truncating it. A file the probe
+// creates is removed again, so a run that stops early leaves nothing behind.
+void check_output_file(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) exit_usage_error("cannot open " + path);
+  if (!existed) std::filesystem::remove(path, ec);
 }
 
 }  // namespace
@@ -90,6 +99,12 @@ BenchOptions parse_options(CommandLine& cli) {
     options.telemetry = true;
   }
   cli.finish();
+  // Every output path is checked before the first simulation, so one that
+  // cannot be written fails before the run rather than after it.
+  for (const auto* path : {&options.csv_path, &options.json_path, &options.trace_json_path,
+                           &options.telemetry_json_path}) {
+    if (*path) check_output_file(**path);
+  }
   if (options.telemetry) {
     telemetry::set_enabled(true);
     // Host spans join the Chrome dump (own pid) only when both were asked
@@ -220,10 +235,6 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
         entry.matrix.nnz(),
         compare_transposes(entry, config, options.verify, options.profile, sim_cache)};
   });
-}
-
-double buffer_utilization(const HismMatrix& hism, const StmConfig& config) {
-  return kernels::stm_utilization(hism, config).utilization;
 }
 
 std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {

@@ -82,7 +82,9 @@ struct BenchOptions {
 };
 
 // Parses the standard flags; calls cli.finish() so unknown flags fail fast.
-// A --scale outside (0, 1] or a negative --jobs fails too (exit status 2).
+// A --scale outside (0, 1], a negative --jobs, or a --csv / --json /
+// --trace-json / --telemetry-json path that cannot be opened for writing
+// fails too (exit status 2, before any simulation).
 // Side effect: enables process-wide telemetry when --telemetry /
 // --telemetry-json was given (and host trace events when --trace-json rides
 // along, so host spans land in the Chrome dump under their own pid).
@@ -123,16 +125,6 @@ TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
                                        bool profile = false,
                                        vsim::SimCache* sim_cache = nullptr);
-
-// Buffer-bandwidth utilization of the STM over every block-array of a HiSM
-// matrix, mimicking the kernel's pass structure (one pass per level-0 block,
-// two passes — lengths + elements — per higher-level block).
-//
-// §IV-C defines BU = (Z/C)/B. Elements traverse the unit twice (fill +
-// drain), so we count transfers (in + out) against C*B, the reading under
-// which B = 1 approaches 1.0 with only the 6-cycle block penalty missing —
-// exactly the behaviour Fig. 10 reports (see DESIGN.md).
-double buffer_utilization(const HismMatrix& hism, const StmConfig& config);
 
 // Prints one of the Fig. 11/12/13 per-matrix tables and the set summary.
 struct FigureSeries {

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
     const usize nnz = static_cast<usize>(density * static_cast<double>(kDim) * kDim);
     const Coo coo = suite::gen_random_uniform(kDim, kDim, nnz, rng);
     const u64 hism_cycles =
-        kernels::time_hism_transpose(HismMatrix::from_coo(coo, config.section), config)
+        kernels::time_hism_transpose(
+            *kernels::MatrixStageCache::instance().hism(coo, config.section), config)
             .cycles;
     table.add_row({format("%.3f", density), format("%zu", nnz),
                    format("%llu", static_cast<unsigned long long>(hism_cycles)),

@@ -35,13 +35,15 @@ int main(int argc, char** argv) {
   ThreadPool pool(options.jobs);
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
     vsim::MachineConfig config;
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
+    const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
     BufferTimings t;
     config.stm.double_buffer = false;
-    t.single = kernels::time_hism_transpose(hism, config, /*split_drain_registers=*/true).cycles;
+    t.single =
+        kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/true).cycles;
     config.stm.double_buffer = true;
-    t.naive = kernels::time_hism_transpose(hism, config, /*split_drain_registers=*/true).cycles;
-    t.pipelined = kernels::time_hism_transpose_pipelined(hism, config).cycles;
+    t.naive =
+        kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/true).cycles;
+    t.pipelined = kernels::time_hism_transpose_pipelined(*stage, config).cycles;
     return t;
   });
   double total_gain = 0.0;

@@ -132,11 +132,12 @@ MatrixKernels bench_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
   MatrixKernels result;
   result.row_cv = row_length_cv(entry.matrix);
 
-  const Csr csr = Csr::from_coo(entry.matrix);
-  result.csr_cycles = kernels::run_crs_spmv(csr, x, base.core).stats.cycles;
+  auto& stages = kernels::MatrixStageCache::instance();
+  const auto crs = stages.crs(entry.matrix);
+  const Csr& csr = crs->csr;
+  result.csr_cycles = kernels::run_crs_spmv(*crs, x, base.core).stats.cycles;
   result.hism_cycles =
-      kernels::run_hism_spmv(HismMatrix::from_coo(entry.matrix, base.core.section), x,
-                             base.core)
+      kernels::run_hism_spmv(*stages.hism(entry.matrix, base.core.section), x, base.core)
           .stats.cycles;
 
   const std::vector<float> want = verify ? csr.spmv(x) : std::vector<float>{};

@@ -31,11 +31,12 @@ int main(int argc, char** argv) {
   };
   ThreadPool pool(options.jobs);
   const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const Csr csr = Csr::from_coo(entry.matrix);
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
-    return LadderTimings{kernels::time_scalar_crs_transpose(csr, config).cycles,
-                         kernels::time_crs_transpose(csr, config).cycles,
-                         kernels::time_hism_transpose(hism, config).cycles};
+    auto& stages = kernels::MatrixStageCache::instance();
+    const auto crs = stages.crs(entry.matrix);
+    const auto hism = stages.hism(entry.matrix, config.section);
+    return LadderTimings{kernels::time_scalar_crs_transpose(*crs, config).cycles,
+                         kernels::time_crs_transpose(*crs, config).cycles,
+                         kernels::time_hism_transpose(*hism, config).cycles};
   });
   double total_vector = 0.0;
   double total_stm = 0.0;

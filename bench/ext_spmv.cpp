@@ -37,9 +37,10 @@ int main(int argc, char** argv) {
     std::vector<float> x(entry.matrix.cols());
     for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
+    auto& stages = kernels::MatrixStageCache::instance();
     const auto hism =
-        kernels::run_hism_spmv(HismMatrix::from_coo(entry.matrix, config.section), x, config);
-    const auto crs = kernels::run_crs_spmv(Csr::from_coo(entry.matrix), x, config);
+        kernels::run_hism_spmv(*stages.hism(entry.matrix, config.section), x, config);
+    const auto crs = kernels::run_crs_spmv(*stages.crs(entry.matrix), x, config);
     const auto jd = kernels::run_jd_spmv(Jagged::from_coo(entry.matrix), x, config);
     return SpmvCycles{hism.stats.cycles, crs.stats.cycles, jd.stats.cycles};
   });

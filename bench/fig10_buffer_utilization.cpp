@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "kernels/utilization.hpp"
 #include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
@@ -24,15 +25,13 @@ int main(int argc, char** argv) {
               kSection);
   const auto suite_matrices = suite::build_dsab_suite(options.suite);
 
-  // Build the HiSM images once; sweep the unit parameters over them.
+  // Each task extracts one matrix's STM block traces once and evaluates the
+  // full (B, L) grid on them; the averages are accumulated serially
+  // afterwards so the sums stay order-stable.
   ThreadPool pool(options.jobs);
-  const auto hisms = parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
-    return HismMatrix::from_coo(entry.matrix, kSection);
-  });
-
-  // Each task sweeps the full (B, L) grid for one matrix; the averages are
-  // accumulated serially afterwards so the sums stay order-stable.
-  const auto grids = parallel_map(pool, hisms, [&](const HismMatrix& hism) {
+  const auto grids = parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
+    const kernels::StmTraceSet traces =
+        kernels::stm_block_traces(HismMatrix::from_coo(entry.matrix, kSection));
     std::vector<double> grid;
     grid.reserve(std::size(kBandwidths) * std::size(kLines));
     for (const u32 bandwidth : kBandwidths) {
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
         config.section = kSection;
         config.bandwidth = bandwidth;
         config.lines = lines;
-        grid.push_back(bench::buffer_utilization(hism, config));
+        grid.push_back(kernels::stm_utilization(traces, config).utilization);
       }
     }
     return grid;

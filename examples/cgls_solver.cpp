@@ -87,9 +87,10 @@ int main(int argc, char** argv) {
 
   // What the explicit A^T build costs on the simulated vector machine.
   const vsim::MachineConfig config;
-  const u64 hism_cycles =
-      kernels::time_hism_transpose(HismMatrix::from_coo(coo, config.section), config).cycles;
-  const u64 crs_cycles = kernels::time_crs_transpose(a, config).cycles;
+  const kernels::HismStage hism =
+      kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+  const u64 hism_cycles = kernels::time_hism_transpose(hism, config).cycles;
+  const u64 crs_cycles = kernels::time_crs_transpose(kernels::build_crs_stage(a), config).cycles;
   std::printf("\nbuilding the explicit A^T once on the simulated vector processor:\n");
   std::printf("  HiSM + STM:          %9llu cycles\n",
               static_cast<unsigned long long>(hism_cycles));
@@ -99,7 +100,6 @@ int main(int argc, char** argv) {
   // HiSM's third option: multiply by A^T directly — the symmetric 8+8-bit
   // positions let the same blocks drive y[col] += v * x[row], so no
   // transposition is needed at all.
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
   const auto forward = kernels::run_hism_spmv(hism, std::vector<float>(cols, 1.0f), config);
   const auto backward =
       kernels::run_hism_spmv_transposed(hism, std::vector<float>(rows, 1.0f), config);

@@ -107,8 +107,9 @@ int main(int argc, char** argv) {
     vsim::ExecutionTrace trace(usize{1} << 20);
     std::printf("\nsimulated HiSM transposition (s=%u, STM B=%u, L=%u):\n", section,
                 machine_config.stm.bandwidth, machine_config.stm.lines);
-    const auto result = kernels::run_hism_transpose(
-        hism, machine_config, /*split_drain_registers=*/false, &trace);
+    const auto result = kernels::run_hism_transpose(kernels::build_hism_stage(hism),
+                                                    machine_config,
+                                                    /*split_drain_registers=*/false, &trace);
     if (!structurally_equal(result.transposed.to_coo(), matrix.transposed())) {
       std::fprintf(stderr, "simulated transpose does not match the reference\n");
       return 1;

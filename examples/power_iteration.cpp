@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   coo.canonicalize();
 
   const vsim::MachineConfig config;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const kernels::HismStage hism =
+      kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
   const Csr csr = Csr::from_coo(coo);
 
   std::vector<float> x(dim, 1.0f / std::sqrt(static_cast<float>(dim)));

@@ -33,9 +33,11 @@ int main() {
   std::printf("HiSM: %u levels, %zu level-0 block-arrays\n", hism.num_levels(),
               hism.level(0).size());
 
-  // 3. Run the recursive transpose kernel (Fig. 6/7 of the paper) on the
-  //    simulated vector processor with the STM functional unit.
-  const kernels::HismTransposeResult result = kernels::run_hism_transpose(hism, config);
+  // 3. Stage its memory image once, then run the recursive transpose kernel
+  //    (Fig. 6/7 of the paper) on the simulated vector processor with the
+  //    STM functional unit.
+  const kernels::HismStage stage = kernels::build_hism_stage(hism);
+  const kernels::HismTransposeResult result = kernels::run_hism_transpose(stage, config);
   std::printf("simulated transpose: %llu cycles (%.2f cycles per non-zero), "
               "%llu instructions, %llu s^2-block passes through the STM\n",
               static_cast<unsigned long long>(result.stats.cycles),

@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
     return "verified";
   };
 
-  const auto hism =
-      kernels::run_hism_spmv(HismMatrix::from_coo(matrix, config.section), x, config);
-  const auto crs = kernels::run_crs_spmv(csr, x, config);
+  const auto hism = kernels::run_hism_spmv(
+      kernels::build_hism_stage(HismMatrix::from_coo(matrix, config.section)), x, config);
+  const auto crs = kernels::run_crs_spmv(kernels::build_crs_stage(csr), x, config);
   const auto jd = kernels::run_jd_spmv(Jagged::from_coo(matrix), x, config);
 
   const double n = static_cast<double>(std::max<usize>(1, metrics.nnz));

@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
   config.stm.bandwidth = bandwidth;
   config.stm.lines = lines;
 
-  const HismMatrix hism = HismMatrix::from_coo(matrix, config.section);
-  const Csr csr = Csr::from_coo(matrix);
+  const kernels::HismStage hism =
+      kernels::build_hism_stage(HismMatrix::from_coo(matrix, config.section));
+  const kernels::CrsStage csr = kernels::build_crs_stage(Csr::from_coo(matrix));
   const Coo expected = matrix.transposed();
 
   std::printf("\nHiSM + STM (B=%u, L=%u):\n", bandwidth, lines);

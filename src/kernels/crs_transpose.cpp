@@ -323,18 +323,9 @@ void set_entry_sregs(vsim::Machine& machine, const CrsImage& image) {
   machine.set_sreg(9, image.nnz);
 }
 
-vsim::Machine make_machine_with_image(const Csr& csr, const vsim::MachineConfig& config,
-                                      CrsImage& image) {
-  vsim::Machine machine(config);
-  image = stage_crs(machine, csr);
-  set_entry_sregs(machine, image);
-  return machine;
-}
-
 vsim::Machine make_machine_with_stage(const CrsStage& stage,
                                       const vsim::MachineConfig& config) {
-  vsim::Machine machine(config);
-  machine.memory().attach_base(stage.snapshot);
+  vsim::Machine machine = staged_machine(stage, config);
   set_entry_sregs(machine, stage.image);
   return machine;
 }
@@ -350,51 +341,6 @@ std::shared_ptr<const vsim::Program> scalar_program() {
 
 }  // namespace
 
-CrsTransposeResult run_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options,
-                                     vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, image);
-  return result;
-}
-
-vsim::RunStats time_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options,
-                                  vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-CrsTransposeResult run_scalar_crs_transpose(const Csr& csr,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, image);
-  return result;
-}
-
-vsim::RunStats time_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  CrsImage image;
-  vsim::Machine machine = make_machine_with_image(csr, config, image);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
 CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
                                      const CrsKernelOptions& options,
                                      vsim::PerfCounters* profiler) {
@@ -403,7 +349,7 @@ CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineC
   machine.attach_profiler(profiler);
   CrsTransposeResult result;
   result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, stage.image);
+  result.transposed = read_back_crs_transpose(machine.memory(), stage.image);
   return result;
 }
 
@@ -424,7 +370,7 @@ CrsTransposeResult run_scalar_crs_transpose(const CrsStage& stage,
   machine.attach_profiler(profiler);
   CrsTransposeResult result;
   result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine, stage.image);
+  result.transposed = read_back_crs_transpose(machine.memory(), stage.image);
   return result;
 }
 

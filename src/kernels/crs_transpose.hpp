@@ -17,7 +17,6 @@
 
 #include <string>
 
-#include "formats/csr.hpp"
 #include "kernels/staging.hpp"
 #include "vsim/machine.hpp"
 
@@ -53,23 +52,10 @@ struct CrsTransposeResult {
   Coo transposed;  // read back from simulated memory
 };
 
-// A non-null `profiler` receives cycle attribution for the run (see
-// vsim/profiler.hpp and docs/PROFILING.md); counters are not reset first.
-CrsTransposeResult run_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options = {},
-                                     vsim::PerfCounters* profiler = nullptr);
-
-vsim::RunStats time_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options = {},
-                                  vsim::PerfCounters* profiler = nullptr);
-
-CrsTransposeResult run_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler = nullptr);
-vsim::RunStats time_scalar_crs_transpose(const Csr& csr, const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler = nullptr);
-
-// Stage-based variants: the machine attaches the stage's shared snapshot
-// copy-on-write instead of re-staging the image (kernels/staging.hpp).
+// Each runner runs on a fresh machine that attaches the stage's snapshot
+// (kernels/staging.hpp). A non-null `profiler` receives cycle attribution
+// for the run (see vsim/profiler.hpp and docs/PROFILING.md); counters are
+// not reset first. The time_* runners skip the read-back.
 CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
                                      const CrsKernelOptions& options = {},
                                      vsim::PerfCounters* profiler = nullptr);

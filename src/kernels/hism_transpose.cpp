@@ -1,7 +1,6 @@
 #include "kernels/hism_transpose.hpp"
 
 #include "kernels/layout.hpp"
-#include "support/assert.hpp"
 #include "vsim/program_cache.hpp"
 
 namespace smtu::kernels {
@@ -132,22 +131,9 @@ void set_entry_sregs(vsim::Machine& machine, const HismImage& image) {
   machine.set_sreg(vsim::kRegSp, kStackTop);
 }
 
-vsim::Machine make_machine_with_image(const HismMatrix& hism,
-                                      const vsim::MachineConfig& config, HismImage& image) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  vsim::Machine machine(config);
-  image = stage_hism(machine, hism);
-  set_entry_sregs(machine, image);
-  return machine;
-}
-
 vsim::Machine make_machine_with_stage(const HismStage& stage,
                                       const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(stage.hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  vsim::Machine machine(config);
-  machine.memory().attach_base(stage.snapshot);
+  vsim::Machine machine = staged_machine(stage, config);
   set_entry_sregs(machine, stage.image);
   return machine;
 }
@@ -157,34 +143,6 @@ std::shared_ptr<const vsim::Program> transpose_program(bool split_drain_register
 }
 
 }  // namespace
-
-HismTransposeResult run_hism_transpose(const HismMatrix& hism,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers,
-                                       vsim::ExecutionTrace* trace,
-                                       vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  HismImage image;
-  vsim::Machine machine = make_machine_with_image(hism, config, image);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  HismTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, image, /*swap_dims=*/true);
-  return result;
-}
-
-vsim::RunStats time_hism_transpose(const HismMatrix& hism, const vsim::MachineConfig& config,
-                                   bool split_drain_registers,
-                                   vsim::ExecutionTrace* trace,
-                                   vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  HismImage image;
-  vsim::Machine machine = make_machine_with_image(hism, config, image);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
 
 HismTransposeResult run_hism_transpose(const HismStage& stage,
                                        const vsim::MachineConfig& config,

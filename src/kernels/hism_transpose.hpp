@@ -36,31 +36,19 @@ struct HismTransposeResult {
   HismMatrix transposed;  // decoded back from simulated memory
 };
 
-// Stages `hism` in a fresh machine, runs the kernel, decodes the result.
-// A non-null `trace` collects per-instruction timing events (see
-// vsim/trace.hpp and docs/TRACE.md); the trace is not cleared first. A
-// non-null `profiler` receives cycle attribution (vsim/profiler.hpp,
-// docs/PROFILING.md); counters are not reset first.
-HismTransposeResult run_hism_transpose(const HismMatrix& hism,
+// Runs the kernel on a fresh machine that attaches the stage's snapshot
+// (kernels/staging.hpp) and decodes the result. A non-null `trace` collects
+// per-instruction timing events (see vsim/trace.hpp and docs/TRACE.md); the
+// trace is not cleared first. A non-null `profiler` receives cycle
+// attribution (vsim/profiler.hpp, docs/PROFILING.md); counters are not
+// reset first.
+HismTransposeResult run_hism_transpose(const HismStage& stage,
                                        const vsim::MachineConfig& config,
                                        bool split_drain_registers = false,
                                        vsim::ExecutionTrace* trace = nullptr,
                                        vsim::PerfCounters* profiler = nullptr);
 
 // Cycle count only (skips the decode for benchmark sweeps).
-vsim::RunStats time_hism_transpose(const HismMatrix& hism, const vsim::MachineConfig& config,
-                                   bool split_drain_registers = false,
-                                   vsim::ExecutionTrace* trace = nullptr,
-                                   vsim::PerfCounters* profiler = nullptr);
-
-// Stage-based variants: the machine attaches the stage's shared snapshot
-// copy-on-write instead of re-staging the image (kernels/staging.hpp), so
-// config sweeps over one matrix pay the image build once.
-HismTransposeResult run_hism_transpose(const HismStage& stage,
-                                       const vsim::MachineConfig& config,
-                                       bool split_drain_registers = false,
-                                       vsim::ExecutionTrace* trace = nullptr,
-                                       vsim::PerfCounters* profiler = nullptr);
 vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineConfig& config,
                                    bool split_drain_registers = false,
                                    vsim::ExecutionTrace* trace = nullptr,
@@ -70,9 +58,9 @@ vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineCo
 // while leaf child k drains from one bank, child k+1 fills the other.
 // Requires config.stm.double_buffer.
 std::string hism_transpose_pipelined_source();
-HismTransposeResult run_hism_transpose_pipelined(const HismMatrix& hism,
+HismTransposeResult run_hism_transpose_pipelined(const HismStage& stage,
                                                  const vsim::MachineConfig& config);
-vsim::RunStats time_hism_transpose_pipelined(const HismMatrix& hism,
+vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
                                              const vsim::MachineConfig& config);
 
 }  // namespace smtu::kernels

@@ -193,39 +193,34 @@ tb_done:
 
 namespace {
 
-vsim::Machine make_pipelined_machine(const HismMatrix& hism,
-                                     const vsim::MachineConfig& config, HismImage& image) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
+vsim::Machine make_pipelined_machine(const HismStage& stage,
+                                     const vsim::MachineConfig& config) {
   SMTU_CHECK_MSG(config.stm.double_buffer,
                  "the software-pipelined kernel needs the double-buffered STM");
-  vsim::Machine machine(config);
-  image = stage_hism(machine, hism);
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
+  vsim::Machine machine = staged_machine(stage, config);
+  machine.set_sreg(1, stage.image.root_addr);
+  machine.set_sreg(2, stage.image.root_len);
+  machine.set_sreg(3, stage.image.levels - 1);
   machine.set_sreg(vsim::kRegSp, kStackTop);
   return machine;
 }
 
 }  // namespace
 
-HismTransposeResult run_hism_transpose_pipelined(const HismMatrix& hism,
+HismTransposeResult run_hism_transpose_pipelined(const HismStage& stage,
                                                  const vsim::MachineConfig& config) {
   const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  HismImage image;
-  vsim::Machine machine = make_pipelined_machine(hism, config, image);
+  vsim::Machine machine = make_pipelined_machine(stage, config);
   HismTransposeResult result;
   result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, image, /*swap_dims=*/true);
+  result.transposed = read_back_hism(machine, stage.image, /*swap_dims=*/true);
   return result;
 }
 
-vsim::RunStats time_hism_transpose_pipelined(const HismMatrix& hism,
+vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
                                              const vsim::MachineConfig& config) {
   const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  HismImage image;
-  vsim::Machine machine = make_pipelined_machine(hism, config, image);
+  vsim::Machine machine = make_pipelined_machine(stage, config);
   return machine.run(*program);
 }
 

@@ -48,17 +48,6 @@ CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
   return image;
 }
 
-CrsImage stage_crs(vsim::Machine& machine, const Csr& csr, Addr base) {
-  std::vector<u8> bytes;
-  const CrsImage image = build_crs_image(csr, base, bytes);
-  machine.memory().write_block(base, bytes);
-  return image;
-}
-
-Coo read_back_crs_transpose(const vsim::Machine& machine, const CrsImage& image) {
-  return read_back_crs_transpose(machine.memory(), image);
-}
-
 Coo read_back_crs_transpose(const vsim::Memory& mem, const CrsImage& image) {
   Coo coo(image.cols, image.rows);
   coo.entries().reserve(image.nnz);
@@ -76,12 +65,6 @@ Coo read_back_crs_transpose(const vsim::Memory& mem, const CrsImage& image) {
   }
   SMTU_CHECK_MSG(begin == image.nnz, "IAT does not cover every non-zero");
   return coo;
-}
-
-HismImage stage_hism(vsim::Machine& machine, const HismMatrix& hism, Addr base) {
-  HismImage image = build_hism_image(hism, align16(base));
-  machine.memory().write_block(image.base, image.bytes);
-  return image;
 }
 
 HismMatrix read_back_hism(const vsim::Machine& machine, const HismImage& image,

@@ -1,4 +1,6 @@
-// Staging of matrix images in simulated memory for the transpose kernels.
+// Memory layouts of the HiSM and CRS images the kernels run on, and their
+// read-back from simulated memory. kernels/staging.hpp turns an image into
+// the stage a machine attaches.
 #pragma once
 
 #include "formats/csr.hpp"
@@ -27,20 +29,12 @@ struct CrsImage {
 };
 
 // Serializes AN/JA/IA at their image addresses into `bytes`, which on
-// return covers [base, image.end); the output arrays stay zeroed. stage_crs
-// writes it into machine memory as one block, and the stage cache
-// (kernels/staging.hpp) wraps it in a shared snapshot.
+// return covers [base, image.end); the output arrays stay zeroed.
+// build_crs_stage wraps it in a shared snapshot.
 CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes);
-
-// Writes AN/JA/IA into machine memory and reserves zeroed output arrays.
-CrsImage stage_crs(vsim::Machine& machine, const Csr& csr, Addr base = kImageBase);
 
 // Reads the transposed matrix (ANT/JAT/IAT) back as COO.
 Coo read_back_crs_transpose(const vsim::Memory& memory, const CrsImage& image);
-Coo read_back_crs_transpose(const vsim::Machine& machine, const CrsImage& image);
-
-// Writes a HiSM image into machine memory (image built at `base`).
-HismImage stage_hism(vsim::Machine& machine, const HismMatrix& hism, Addr base = kImageBase);
 
 // Decodes the (possibly transposed, in-place) HiSM image from machine
 // memory. Pass swap_dims = true after running the transpose kernel.

@@ -264,83 +264,69 @@ std::vector<float> read_floats(const vsim::Machine& machine, Addr addr, usize co
   return values;
 }
 
+// Both HiSM products: x right after the image, then a zeroed y of
+// `y_count` elements.
+SpmvResult run_hism_spmv_program(const std::string& source, const HismStage& stage,
+                                 const std::vector<float>& x, Index y_count,
+                                 const vsim::MachineConfig& config) {
+  const auto program = vsim::ProgramCache::instance().get(source);
+  vsim::Machine machine = staged_machine(stage, config);
+  const HismImage& image = stage.image;
+  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
+  const Addr y_addr = stage_floats(machine, x_addr, x);
+  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, y_count));  // zeroed y
+
+  machine.set_sreg(1, image.root_addr);
+  machine.set_sreg(2, image.root_len);
+  machine.set_sreg(3, image.levels - 1);
+  machine.set_sreg(4, x_addr);
+  machine.set_sreg(5, y_addr);
+  machine.set_sreg(6, ipow(config.section, image.levels - 1));
+  machine.set_sreg(vsim::kRegSp, kStackTop);
+
+  SpmvResult result;
+  result.stats = machine.run(*program);
+  result.y = read_floats(machine, y_addr, y_count);
+  return result;
+}
+
 }  // namespace
 
-SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
+SpmvResult run_hism_spmv(const HismStage& stage, const std::vector<float>& x,
                          const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  SMTU_CHECK_MSG(x.size() == hism.cols(), "x dimension mismatch");
-  const auto program = vsim::ProgramCache::instance().get(hism_spmv_source(config.section));
-
-  vsim::Machine machine(config);
-  const HismImage image = stage_hism(machine, hism);
-  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
-  const Addr y_addr = stage_floats(machine, x_addr, x);
-  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, hism.rows()));  // zeroed y
-
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(4, x_addr);
-  machine.set_sreg(5, y_addr);
-  machine.set_sreg(6, ipow(config.section, image.levels - 1));
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-
-  SpmvResult result;
-  result.stats = machine.run(*program);
-  result.y = read_floats(machine, y_addr, hism.rows());
-  return result;
+  SMTU_CHECK_MSG(x.size() == stage.hism.cols(), "x dimension mismatch");
+  return run_hism_spmv_program(hism_spmv_source(config.section), stage, x, stage.hism.rows(),
+                               config);
 }
 
-SpmvResult run_hism_spmv_transposed(const HismMatrix& hism, const std::vector<float>& x,
+SpmvResult run_hism_spmv_transposed(const HismStage& stage, const std::vector<float>& x,
                                     const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(hism.section() == config.section,
-                 "HiSM section size must match the machine section size");
-  SMTU_CHECK_MSG(x.size() == hism.rows(), "x dimension mismatch (y = A^T x)");
-  const auto program = vsim::ProgramCache::instance().get(hism_spmv_transposed_source(config.section));
-
-  vsim::Machine machine(config);
-  const HismImage image = stage_hism(machine, hism);
-  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
-  const Addr y_addr = stage_floats(machine, x_addr, x);
-  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, hism.cols()));
-
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(4, x_addr);
-  machine.set_sreg(5, y_addr);
-  machine.set_sreg(6, ipow(config.section, image.levels - 1));
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-
-  SpmvResult result;
-  result.stats = machine.run(*program);
-  result.y = read_floats(machine, y_addr, hism.cols());
-  return result;
+  SMTU_CHECK_MSG(x.size() == stage.hism.rows(), "x dimension mismatch (y = A^T x)");
+  return run_hism_spmv_program(hism_spmv_transposed_source(config.section), stage, x,
+                               stage.hism.cols(), config);
 }
 
-SpmvResult run_crs_spmv(const Csr& csr, const std::vector<float>& x,
+SpmvResult run_crs_spmv(const CrsStage& stage, const std::vector<float>& x,
                         const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(x.size() == csr.cols(), "x dimension mismatch");
+  SMTU_CHECK_MSG(x.size() == stage.csr.cols(), "x dimension mismatch");
   const auto program = vsim::ProgramCache::instance().get(crs_spmv_source());
 
-  vsim::Machine machine(config);
-  CrsImage image = stage_crs(machine, csr);
+  vsim::Machine machine = staged_machine(stage, config);
+  const CrsImage& image = stage.image;
   const Addr x_addr = round_up(image.end, 16);
   const Addr y_addr = stage_floats(machine, x_addr, x);
-  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, csr.rows()));
+  machine.memory().ensure(y_addr, 4 * std::max<u64>(1, image.rows));
 
   machine.set_sreg(1, image.an);
   machine.set_sreg(2, image.ja);
   machine.set_sreg(3, image.ia);
   machine.set_sreg(4, x_addr);
   machine.set_sreg(5, y_addr);
-  machine.set_sreg(7, csr.rows());
+  machine.set_sreg(7, image.rows);
 
   SpmvResult result;
   result.stats = machine.run(*program);
-  result.y = read_floats(machine, y_addr, csr.rows());
+  result.y = read_floats(machine, y_addr, image.rows);
   return result;
 }
 

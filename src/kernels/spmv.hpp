@@ -18,9 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "formats/csr.hpp"
 #include "formats/jagged.hpp"
-#include "hism/hism.hpp"
+#include "kernels/staging.hpp"
 #include "vsim/machine.hpp"
 
 namespace smtu::kernels {
@@ -36,7 +35,10 @@ struct SpmvResult {
   std::vector<float> y;  // read back from simulated memory
 };
 
-SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
+// The HiSM and CRS runners run on a fresh machine that attaches the
+// stage's snapshot (kernels/staging.hpp); x and a zeroed y follow the
+// image. JD has no stage: run_jd_spmv writes its arrays into the machine.
+SpmvResult run_hism_spmv(const HismStage& stage, const std::vector<float>& x,
                          const vsim::MachineConfig& config);
 
 // y = A^T * x *without transposing*: the same block stream drives
@@ -44,9 +46,9 @@ SpmvResult run_hism_spmv(const HismMatrix& hism, const std::vector<float>& x,
 // This is a structural consequence of HiSM's symmetric 8+8-bit positions —
 // CRS has no cheap equivalent (its column indices are one-sided).
 std::string hism_spmv_transposed_source(u32 section);
-SpmvResult run_hism_spmv_transposed(const HismMatrix& hism, const std::vector<float>& x,
+SpmvResult run_hism_spmv_transposed(const HismStage& stage, const std::vector<float>& x,
                                     const vsim::MachineConfig& config);
-SpmvResult run_crs_spmv(const Csr& csr, const std::vector<float>& x,
+SpmvResult run_crs_spmv(const CrsStage& stage, const std::vector<float>& x,
                         const vsim::MachineConfig& config);
 SpmvResult run_jd_spmv(const Jagged& jd, const std::vector<float>& x,
                        const vsim::MachineConfig& config);

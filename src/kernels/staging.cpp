@@ -1,7 +1,6 @@
 #include "kernels/staging.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "support/assert.hpp"
 #include "support/telemetry.hpp"
@@ -9,23 +8,6 @@
 
 namespace smtu::kernels {
 namespace {
-
-// The size vsim::Memory's geometric growth (4096, doubling) would give a
-// fresh memory after staging [0, end) — matching it keeps reads past the
-// image (which return zero) behaving exactly like the per-machine path.
-u64 grown_size(u64 end) {
-  u64 size = 4096;
-  while (size < end) size *= 2;
-  return size;
-}
-
-std::shared_ptr<const std::vector<u8>> make_snapshot(Addr base,
-                                                     std::span<const u8> image_bytes) {
-  auto snapshot =
-      std::make_shared<std::vector<u8>>(grown_size(base + image_bytes.size()), u8{0});
-  std::memcpy(snapshot->data() + base, image_bytes.data(), image_bytes.size());
-  return snapshot;
-}
 
 // Content key for a COO matrix: dimensions plus a 128-bit hash over the
 // canonical entry stream.
@@ -51,7 +33,7 @@ HismStage build_hism_stage(HismMatrix hism) {
   HismStage stage;
   stage.hism = std::move(hism);
   stage.image = build_hism_image(stage.hism, kImageBase);
-  stage.snapshot = make_snapshot(stage.image.base, stage.image.bytes);
+  stage.snapshot = vsim::Memory::snapshot_of(stage.image.base, stage.image.bytes);
   return stage;
 }
 
@@ -61,8 +43,22 @@ CrsStage build_crs_stage(Csr csr) {
   stage.csr = std::move(csr);
   std::vector<u8> bytes;
   stage.image = build_crs_image(stage.csr, kImageBase, bytes);
-  stage.snapshot = make_snapshot(kImageBase, bytes);
+  stage.snapshot = vsim::Memory::snapshot_of(kImageBase, bytes);
   return stage;
+}
+
+vsim::Machine staged_machine(const HismStage& stage, const vsim::MachineConfig& config) {
+  SMTU_CHECK_MSG(stage.hism.section() == config.section,
+                 "HiSM section size must match the machine section size");
+  vsim::Machine machine(config);
+  machine.memory().attach_base(stage.snapshot);
+  return machine;
+}
+
+vsim::Machine staged_machine(const CrsStage& stage, const vsim::MachineConfig& config) {
+  vsim::Machine machine(config);
+  machine.memory().attach_base(stage.snapshot);
+  return machine;
 }
 
 MatrixStageCache& MatrixStageCache::instance() {

@@ -1,15 +1,17 @@
-// Shared, immutable staged matrix images.
+// Staged matrix images: the one way a HiSM or CRS matrix enters a
+// single-core machine.
 //
 // Every (matrix, layout) pair stages to the same bytes no matter which
 // machine runs the kernel, so the conversion (from_coo) and the serialized
-// image are built once and wrapped in a snapshot that machines attach
-// copy-on-write (vsim::Memory::attach_base). Ablation ladders sweeping N
-// configs over one matrix then share one image instead of rebuilding N.
+// image are built once and wrapped in an immutable snapshot that machines
+// attach copy-on-write (vsim::Memory::attach_base). Every HiSM and CRS
+// runner takes a stage; a config ladder over one matrix then shares one
+// image instead of rebuilding it per config.
 //
-// The snapshot covers [0, size) from address zero with the image at its
-// usual kImageBase, sized exactly as vsim::Memory's geometric growth would
-// have sized a freshly staged memory — reads behave bit-identically to the
-// per-machine staging path.
+// The snapshot covers [0, size) from address zero with the image at
+// kImageBase. vsim::Memory::snapshot_of sizes it, by the same growth rule
+// as memory written in place, so a kernel reading past the image sees what
+// it would see on a machine whose memory had the image written into it.
 #pragma once
 
 #include <memory>
@@ -40,9 +42,16 @@ struct CrsStage {
   std::shared_ptr<const std::vector<u8>> snapshot;
 };
 
-// Stage builders (also usable without the cache).
+// Stage builders, for a matrix built once; MatrixStageCache below builds
+// each (matrix, layout) once per process.
 HismStage build_hism_stage(HismMatrix hism);
 CrsStage build_crs_stage(Csr csr);
+
+// A fresh machine that reads the stage's snapshot copy-on-write; the
+// runner sets the entry registers. The HiSM overload checks that the
+// machine's section is the matrix's.
+vsim::Machine staged_machine(const HismStage& stage, const vsim::MachineConfig& config);
+vsim::Machine staged_machine(const CrsStage& stage, const vsim::MachineConfig& config);
 
 // Process-wide cache from matrix content to its staged image. Thread-safe;
 // keyed by dimensions plus a content hash of the COO entries (and the

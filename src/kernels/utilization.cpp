@@ -81,8 +81,4 @@ UtilizationBreakdown stm_utilization(const StmTraceSet& traces, const StmConfig&
   return breakdown;
 }
 
-UtilizationBreakdown stm_utilization(const HismMatrix& hism, const StmConfig& config) {
-  return stm_utilization(stm_block_traces(hism), config);
-}
-
 }  // namespace smtu::kernels

@@ -1,9 +1,9 @@
 // STM buffer-bandwidth utilization analysis (§IV-C of the paper).
 //
-// Streams every block-array of a HiSM matrix through a cycle-accurate
-// StmUnit, mimicking the transpose kernel's pass structure: one pass per
-// level-0 block, two passes (lengths vector + elements) per higher-level
-// block. Utilization counts element transfers (fill + drain) against
+// Times every block-array of a HiSM matrix with stream_cycles, the stream
+// timing StmUnit's fill and drain share, mimicking the transpose kernel's
+// pass structure: one pass per level-0 block, two passes (lengths vector +
+// elements) per higher-level block. Utilization counts element transfers (fill + drain) against
 // cycles * B — the reading of the paper's BU = (Z/C)/B under which B = 1
 // approaches 1.0 with only the 6-cycle block penalty missing (DESIGN.md §1).
 #pragma once
@@ -38,10 +38,9 @@ struct StmTraceSet {
 
 StmTraceSet stm_block_traces(const HismMatrix& hism);
 
-// Identical numbers to the HismMatrix overload (which delegates here), at
-// the cost of one stream pass per block pass instead of a full StmUnit run.
+// Utilization of one (B, L, rule) point over a matrix's traces: one stream
+// pass per block pass, with no functional unit or payload in the loop. A
+// sweep takes the traces once and calls this per point.
 UtilizationBreakdown stm_utilization(const StmTraceSet& traces, const StmConfig& config);
-
-UtilizationBreakdown stm_utilization(const HismMatrix& hism, const StmConfig& config);
 
 }  // namespace smtu::kernels

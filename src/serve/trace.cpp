@@ -105,9 +105,36 @@ const char* invalid_config_field(const ConfigSpec& spec) {
   return nullptr;
 }
 
-double get_double(const JsonValue& object, std::string_view key, double fallback) {
-  const JsonValue* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_double() : fallback;
+// Reads an optional number member into `value`: absent keeps it as is;
+// present must be a number, never a string or other value in its place.
+bool read_number(const JsonValue& object, std::string_view key, double& value,
+                 std::string* error) {
+  const JsonValue* member = object.find(key);
+  if (member == nullptr) return true;
+  if (!member->is_number()) {
+    return set_error(error, format("\"%s\" is not a number", std::string(key).c_str()));
+  }
+  value = member->as_double();
+  return true;
+}
+
+// The "arrival" object: provenance only (replay never re-samples), but a
+// value of the wrong kind is still a malformed trace.
+bool read_arrival(const JsonValue& arrival, ArrivalSpec& spec, std::string* error) {
+  if (const JsonValue* mode = arrival.find("mode"); mode != nullptr) {
+    if (!mode->is_string() || !valid_arrival_mode(mode->as_string())) {
+      return set_error(error, "\"mode\" is not poisson, bursty or heavytail");
+    }
+    spec.mode = mode->as_string();
+  }
+  return read_number(arrival, "rate_rps", spec.rate_rps, error) &&
+         read_number(arrival, "zipf_skew", spec.zipf_skew, error) &&
+         read_number(arrival, "hism_fraction", spec.hism_fraction, error) &&
+         read_number(arrival, "alt_config_fraction", spec.alt_config_fraction, error) &&
+         read_uint(arrival, "burst_on_us", spec.burst_on_us, error) &&
+         read_uint(arrival, "burst_off_us", spec.burst_off_us, error) &&
+         read_number(arrival, "burst_multiplier", spec.burst_multiplier, error) &&
+         read_number(arrival, "heavytail_alpha", spec.heavytail_alpha, error);
 }
 
 }  // namespace
@@ -282,33 +309,30 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     set_error(error, "\"set\" is not locality, anz or size");
     return std::nullopt;
   }
-  if (const JsonValue* suite = document.find("suite"); suite != nullptr && suite->is_object()) {
-    if (!read_uint(*suite, "seed", trace.suite.seed, error)) return std::nullopt;
-    trace.suite.scale = get_double(*suite, "scale", trace.suite.scale);
+  if (const JsonValue* suite = document.find("suite"); suite != nullptr) {
+    if (!suite->is_object()) {
+      set_error(error, "\"suite\" is not an object");
+      return std::nullopt;
+    }
+    if (!read_uint(*suite, "seed", trace.suite.seed, error) ||
+        !read_number(*suite, "scale", trace.suite.scale, error)) {
+      if (error != nullptr) error->insert(0, "suite ");
+      return std::nullopt;
+    }
   }
   if (!suite::valid_scale(trace.suite.scale)) {
     set_error(error, "suite \"scale\" is not in (0, 1]");
     return std::nullopt;
   }
-  if (const JsonValue* arrival = document.find("arrival");
-      arrival != nullptr && arrival->is_object()) {
-    if (const JsonValue* mode = arrival->find("mode"); mode != nullptr && mode->is_string()) {
-      trace.arrival.mode = mode->as_string();
-    }
-    trace.arrival.rate_rps = get_double(*arrival, "rate_rps", trace.arrival.rate_rps);
-    trace.arrival.zipf_skew = get_double(*arrival, "zipf_skew", trace.arrival.zipf_skew);
-    trace.arrival.hism_fraction =
-        get_double(*arrival, "hism_fraction", trace.arrival.hism_fraction);
-    trace.arrival.alt_config_fraction =
-        get_double(*arrival, "alt_config_fraction", trace.arrival.alt_config_fraction);
-    if (!read_uint(*arrival, "burst_on_us", trace.arrival.burst_on_us, error) ||
-        !read_uint(*arrival, "burst_off_us", trace.arrival.burst_off_us, error)) {
+  if (const JsonValue* arrival = document.find("arrival"); arrival != nullptr) {
+    if (!arrival->is_object()) {
+      set_error(error, "\"arrival\" is not an object");
       return std::nullopt;
     }
-    trace.arrival.burst_multiplier =
-        get_double(*arrival, "burst_multiplier", trace.arrival.burst_multiplier);
-    trace.arrival.heavytail_alpha =
-        get_double(*arrival, "heavytail_alpha", trace.arrival.heavytail_alpha);
+    if (!read_arrival(*arrival, trace.arrival, error)) {
+      if (error != nullptr) error->insert(0, "arrival ");
+      return std::nullopt;
+    }
   }
 
   const JsonValue* configs = document.find("configs");

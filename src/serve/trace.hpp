@@ -77,10 +77,12 @@ void write_trace_file(const std::string& path, const Trace& trace);
 
 // Parses an smtu-trace-v1 document. Returns nullopt (and fills `error` when
 // non-null) on schema violations: wrong schema tag, an integer field that is
-// not an unsigned integer of its width, a set the suite does not have, a
-// suite scale outside (0, 1], a matrix count other than a set's size,
-// out-of-range matrix or config indices, a config the machine cannot run,
-// unknown kernel names, or decreasing arrival times.
+// not an unsigned integer of its width, a suite or arrival member that is
+// not an object, a suite scale or arrival parameter that is not a number,
+// an arrival mode other than poisson, bursty or heavytail, a set the suite
+// does not have, a suite scale outside (0, 1], a matrix count other than a
+// set's size, out-of-range matrix or config indices, a config the machine
+// cannot run, unknown kernel names, or decreasing arrival times.
 std::optional<Trace> parse_trace(const JsonValue& document, std::string* error = nullptr);
 // Reads and parses `path`. Returns nullopt (and fills `error` when non-null,
 // prefixed with the path) when the file cannot be read, is not JSON, or is

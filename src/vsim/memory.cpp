@@ -15,6 +15,13 @@ void Memory::attach_base(std::shared_ptr<const std::vector<u8>> base) {
   refresh_view();
 }
 
+std::shared_ptr<const std::vector<u8>> Memory::snapshot_of(Addr addr,
+                                                           std::span<const u8> data) {
+  Memory memory;
+  memory.write_block(addr, data);
+  return std::make_shared<const std::vector<u8>>(std::move(memory.bytes_));
+}
+
 void Memory::privatize() {
   if (base_ == nullptr) return;
   bytes_.assign(base_->begin(), base_->end());

@@ -1,13 +1,15 @@
 // Byte-addressable little-endian main memory of the simulated machine.
 //
-// Storage grows on demand up to a configurable limit; reads of never-written
-// memory return zero (the region is allocated zero-filled). Functional only —
-// access *timing* lives in the Machine's vector/scalar memory models.
+// Storage grows on demand up to a configurable limit, from 4096 bytes by
+// doubling; reads of never-written memory return zero (the region is
+// allocated zero-filled). Functional only — access *timing* lives in the
+// Machine's vector/scalar memory models.
 //
 // A memory may also attach an immutable shared snapshot (a staged workload
-// image) that it reads through copy-on-write: many machines share one base
-// image, and the first write privatizes a full copy. This is what lets
-// ablation ladders stop re-staging identical matrix images per config.
+// image, sized by snapshot_of with the same growth rule) that it reads
+// through copy-on-write: many machines share one base image, and the first
+// write privatizes a full copy. This is how every HiSM and CRS image
+// reaches a machine, so a config ladder over one matrix stages it once.
 //
 // The accessors are structured for the interpreter's hot loop: the common
 // case (in-bounds read through the cached view, in-bounds write into private
@@ -37,6 +39,13 @@ class Memory {
   // Reads are served from it until the first write copies it into private
   // storage. Replaces any previously attached snapshot or private content.
   void attach_base(std::shared_ptr<const std::vector<u8>> base);
+
+  // The bytes a fresh memory holds after write_block(addr, data), as a
+  // snapshot for attach_base. Sizing it by write_block's own growth rule
+  // keeps reads past a staged image (zeros, or the out-of-bounds abort)
+  // exactly as they would be on memory that had the image written into it.
+  static std::shared_ptr<const std::vector<u8>> snapshot_of(Addr addr,
+                                                            std::span<const u8> data);
 
   // Grows the backing store to cover [0, addr + len); aborts past the limit.
   void ensure(Addr addr, u64 len) {

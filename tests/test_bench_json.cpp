@@ -1,9 +1,11 @@
 // Golden/schema test for the canonical machine-readable benchmark artifact:
 // runs the real reproduce_all binary at a tiny suite scale and validates the
 // smtu-repro-v1 document it writes; and checks that a table-shaped bench
-// (ablation_storage) honours --json. SMTU_REPRODUCE_ALL_BIN and
-// SMTU_ABLATION_STORAGE_BIN are injected by tests/CMakeLists.txt.
+// (ablation_storage) honours --json, and fails on an unwritable --json path
+// before it simulates. SMTU_REPRODUCE_ALL_BIN and SMTU_ABLATION_STORAGE_BIN
+// are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
 #include <cstdio>
@@ -171,6 +173,30 @@ TEST(BenchJson, TableBenchWritesJsonRows) {
     expect_finite(row.at("HiSM/CRS"), "HiSM/CRS");
     EXPECT_GT(row.at("HiSM/CRS").as_double(), 0.0);
   }
+}
+
+TEST(BenchJson, UnwritableJsonPathFailsBeforeTheRun) {
+  // The output path is checked before the first simulation: the bench
+  // exits 2 naming it, with nothing on stdout — no table was computed.
+  const std::string missing = "test_bench_json_no_such_dir/x.json";
+  const std::string command = std::string(SMTU_ABLATION_STORAGE_BIN) +
+                              " --scale=0.02 --json=" + missing +
+                              " > test_bench_json_fail_stdout.txt"
+                              " 2> test_bench_json_fail_stderr.txt";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  const auto slurp = [](const char* path) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(slurp("test_bench_json_fail_stdout.txt"), "");
+  EXPECT_NE(slurp("test_bench_json_fail_stderr.txt").find("cannot open " + missing),
+            std::string::npos);
+  std::remove("test_bench_json_fail_stdout.txt");
+  std::remove("test_bench_json_fail_stderr.txt");
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(CompoundIntegration, MatrixMarketRoundTripAroundSimulatedTranspose) {
   write_matrix_market_file(in_path, coo);
   const Coo loaded = read_matrix_market_file(in_path);
   const auto result =
-      kernels::run_hism_transpose(HismMatrix::from_coo(loaded, config.section), config);
+      kernels::run_hism_transpose(testing::hism_stage(loaded, config.section), config);
   write_matrix_market_file(out_path, result.transposed.to_coo());
   const Coo reloaded = read_matrix_market_file(out_path);
 
@@ -45,13 +45,14 @@ TEST(CompoundIntegration, TransposeThenTransposedSpmvEqualsForwardSpmv) {
   Rng rng(4);
   const vsim::MachineConfig config;
   const Coo coo = random_coo(100, 100, 800, rng);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
   std::vector<float> x(100);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  const auto forward = kernels::run_hism_spmv(hism, x, config);
-  const auto transposed_matrix = kernels::run_hism_transpose(hism, config).transposed;
-  const auto round_about = kernels::run_hism_spmv_transposed(transposed_matrix, x, config);
+  const auto forward = kernels::run_hism_spmv(stage, x, config);
+  const kernels::HismStage transposed =
+      kernels::build_hism_stage(kernels::run_hism_transpose(stage, config).transposed);
+  const auto round_about = kernels::run_hism_spmv_transposed(transposed, x, config);
 
   for (usize i = 0; i < 100; ++i) {
     EXPECT_NEAR(forward.y[i], round_about.y[i],

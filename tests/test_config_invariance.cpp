@@ -4,7 +4,6 @@
 // accidental coupling between the resource-time model and execution.
 #include <gtest/gtest.h>
 
-#include "formats/csr.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/spmv.hpp"
@@ -60,14 +59,14 @@ TEST(ConfigInvariance, TransposeResultsIdenticalAcrossTimingConfigs) {
   Rng rng(77);
   const Coo coo = random_coo(200, 150, 1500, rng);
   const Coo expected = coo.transposed();
-  const Csr csr = Csr::from_coo(coo);
+  const kernels::CrsStage crs = testing::crs_stage(coo);
 
   std::vector<Cycle> cycles_seen;
   for (const vsim::MachineConfig& config : timing_variants()) {
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto hism_result = kernels::run_hism_transpose(hism, config);
+    const auto hism_result =
+        kernels::run_hism_transpose(testing::hism_stage(coo, config.section), config);
     EXPECT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected));
-    const auto crs_result = kernels::run_crs_transpose(csr, config);
+    const auto crs_result = kernels::run_crs_transpose(crs, config);
     EXPECT_TRUE(coo_equal(crs_result.transposed, expected));
     cycles_seen.push_back(hism_result.stats.cycles);
   }
@@ -83,8 +82,7 @@ TEST(ConfigInvariance, SpmvResultsIdenticalAcrossTimingConfigs) {
 
   std::vector<float> baseline;
   for (const vsim::MachineConfig& config : timing_variants()) {
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto result = kernels::run_hism_spmv(hism, x, config);
+    const auto result = kernels::run_hism_spmv(testing::hism_stage(coo, config.section), x, config);
     if (baseline.empty()) {
       baseline = result.y;
     } else {
@@ -99,8 +97,8 @@ TEST(ConfigInvariance, InstructionCountsAreTimingIndependent) {
   const Coo coo = random_coo(100, 100, 700, rng);
   u64 baseline_instructions = 0;
   for (const vsim::MachineConfig& config : timing_variants()) {
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto stats = kernels::time_hism_transpose(hism, config);
+    const auto stats =
+        kernels::time_hism_transpose(testing::hism_stage(coo, config.section), config);
     if (baseline_instructions == 0) {
       baseline_instructions = stats.instructions;
     } else {

@@ -16,12 +16,12 @@ TEST(DoubleBuffer, ResultsIdentical) {
   Rng rng(1);
   const Coo coo = random_coo(200, 200, 2000, rng);
   vsim::MachineConfig config;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
 
   config.stm.double_buffer = false;
-  const auto single = kernels::run_hism_transpose(hism, config, true);
+  const auto single = kernels::run_hism_transpose(stage, config, true);
   config.stm.double_buffer = true;
-  const auto twin = kernels::run_hism_transpose(hism, config, true);
+  const auto twin = kernels::run_hism_transpose(stage, config, true);
 
   EXPECT_TRUE(coo_equal(single.transposed.to_coo(), coo.transposed()));
   EXPECT_TRUE(coo_equal(twin.transposed.to_coo(), coo.transposed()));
@@ -34,11 +34,11 @@ TEST(DoubleBuffer, NeverSlower) {
     const Coo coo = random_coo(150, 150, 1500, rng);
     vsim::MachineConfig config;
     config.stm.bandwidth = bandwidth;
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+    const kernels::HismStage stage = testing::hism_stage(coo, config.section);
     config.stm.double_buffer = false;
-    const u64 single = kernels::time_hism_transpose(hism, config, true).cycles;
+    const u64 single = kernels::time_hism_transpose(stage, config, true).cycles;
     config.stm.double_buffer = true;
-    const u64 twin = kernels::time_hism_transpose(hism, config, true).cycles;
+    const u64 twin = kernels::time_hism_transpose(stage, config, true).cycles;
     EXPECT_LE(twin, single) << "B=" << bandwidth;
   }
 }
@@ -54,8 +54,8 @@ TEST(PipelinedKernel, CorrectAcrossShapes) {
     const Coo coo = random_coo(shape.rows, shape.cols, shape.nnz, rng);
     vsim::MachineConfig config;
     config.stm.double_buffer = true;
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto result = kernels::run_hism_transpose_pipelined(hism, config);
+    const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+    const auto result = kernels::run_hism_transpose_pipelined(stage, config);
     ASSERT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()))
         << shape.rows << "x" << shape.cols;
     ASSERT_TRUE(result.transposed.validate());
@@ -68,9 +68,9 @@ TEST(PipelinedKernel, CorrectOnThreeLevelHierarchy) {
   vsim::MachineConfig config;
   config.section = 8;  // forces 3 levels
   config.stm.double_buffer = true;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_EQ(hism.num_levels(), 3u);
-  const auto result = kernels::run_hism_transpose_pipelined(hism, config);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+  ASSERT_EQ(stage.hism.num_levels(), 3u);
+  const auto result = kernels::run_hism_transpose_pipelined(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
 }
 
@@ -78,10 +78,10 @@ TEST(PipelinedKernel, BeatsSequentialKernel) {
   Rng rng(12);
   const Coo coo = random_coo(256, 256, 15000, rng);
   vsim::MachineConfig config;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const u64 sequential = kernels::time_hism_transpose(hism, config).cycles;
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+  const u64 sequential = kernels::time_hism_transpose(stage, config).cycles;
   config.stm.double_buffer = true;
-  const u64 pipelined = kernels::time_hism_transpose_pipelined(hism, config).cycles;
+  const u64 pipelined = kernels::time_hism_transpose_pipelined(stage, config).cycles;
   EXPECT_LT(pipelined, sequential);
   EXPECT_GT(static_cast<double>(sequential) / static_cast<double>(pipelined), 1.3);
 }
@@ -91,12 +91,12 @@ TEST(PipelinedKernel, EmptyAndSingleBlockEdges) {
   config.section = 8;
   config.stm.double_buffer = true;
   // Empty matrix.
-  const HismMatrix empty = HismMatrix::from_coo(Coo(64, 64), config.section);
+  const kernels::HismStage empty = testing::hism_stage(Coo(64, 64), config.section);
   EXPECT_EQ(kernels::run_hism_transpose_pipelined(empty, config).transposed.nnz(), 0u);
   // Single-block matrix (no children to pipeline).
   Rng rng(13);
   const Coo tiny = random_coo(8, 8, 20, rng);
-  const HismMatrix single = HismMatrix::from_coo(tiny, config.section);
+  const kernels::HismStage single = testing::hism_stage(tiny, config.section);
   EXPECT_TRUE(coo_equal(
       kernels::run_hism_transpose_pipelined(single, config).transposed.to_coo(),
       tiny.transposed()));
@@ -104,17 +104,17 @@ TEST(PipelinedKernel, EmptyAndSingleBlockEdges) {
 
 TEST(PipelinedKernelDeathTest, RequiresDoubleBuffer) {
   const vsim::MachineConfig config;  // single buffer
-  const HismMatrix hism = HismMatrix::from_coo(Coo(8, 8), config.section);
-  EXPECT_DEATH(kernels::run_hism_transpose_pipelined(hism, config), "double-buffered");
+  const kernels::HismStage stage = testing::hism_stage(Coo(8, 8), config.section);
+  EXPECT_DEATH(kernels::run_hism_transpose_pipelined(stage, config), "double-buffered");
 }
 
 TEST(DoubleBuffer, SplitRegisterKernelMatchesDefaultKernel) {
   Rng rng(3);
   const Coo coo = random_coo(100, 100, 800, rng);
   const vsim::MachineConfig config;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const auto shared = kernels::run_hism_transpose(hism, config, false);
-  const auto split = kernels::run_hism_transpose(hism, config, true);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+  const auto shared = kernels::run_hism_transpose(stage, config, false);
+  const auto split = kernels::run_hism_transpose(stage, config, true);
   EXPECT_TRUE(coo_equal(shared.transposed.to_coo(), split.transposed.to_coo()));
   EXPECT_EQ(shared.stats.instructions, split.stats.instructions);
 }

@@ -63,7 +63,7 @@ TEST(HismOrdering, TransposeKernelOrderAgnostic) {
   config.section = 8;
   const HismMatrix col_major =
       HismMatrix::from_coo(coo, config.section, HighLevelOrder::kColMajor);
-  const auto result = kernels::run_hism_transpose(col_major, config);
+  const auto result = kernels::run_hism_transpose(kernels::build_hism_stage(col_major), config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
   // Timing may differ (the fill stream order differs); content must not.
 }
@@ -76,9 +76,10 @@ TEST(HismOrdering, SpmvKernelOrderAgnostic) {
   std::vector<float> x(100);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   const auto row_major =
-      kernels::run_hism_spmv(HismMatrix::from_coo(coo, 8), x, config);
+      kernels::run_hism_spmv(kernels::build_hism_stage(HismMatrix::from_coo(coo, 8)), x, config);
   const auto col_major = kernels::run_hism_spmv(
-      HismMatrix::from_coo(coo, 8, HighLevelOrder::kColMajor), x, config);
+      kernels::build_hism_stage(HismMatrix::from_coo(coo, 8, HighLevelOrder::kColMajor)), x,
+      config);
   ASSERT_EQ(row_major.y.size(), col_major.y.size());
   for (usize i = 0; i < row_major.y.size(); ++i) {
     // Blocks visit in a different order, so float accumulation into shared

@@ -11,8 +11,10 @@
 //
 // The values were recorded from two interpreters that agreed bit for bit:
 // the threaded handlers of src/vsim/machine.cpp and the switch interpreter
-// that preceded them. When a change moves the timing on purpose, the
-// failure prints the new digest; replace the one line.
+// that preceded them. The HiSM and CRS digests were recorded on memory the
+// image was written into and are reproduced on stages attached
+// copy-on-write (kernels/staging.hpp). When a change moves the timing on
+// purpose, the failure prints the new digest; replace the one line.
 //
 // The death tests cover the contiguous vector memory paths, which check one
 // span per instruction: an access past the end of memory still aborts.
@@ -105,9 +107,11 @@ TEST(InterpreterGolden, HismTransposeOverTheSuite) {
   const vsim::Program program = vsim::assemble(kernels::hism_transpose_source());
   vsim::SimHash digest;
   for (const suite::SuiteMatrix& entry : suite::build_dsab_suite({.scale = 0.05})) {
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
+    const kernels::HismStage stage =
+        kernels::build_hism_stage(HismMatrix::from_coo(entry.matrix, config.section));
+    const HismImage& image = stage.image;
     vsim::Machine machine(config);
-    const HismImage image = kernels::stage_hism(machine, hism);
+    machine.memory().attach_base(stage.snapshot);
     machine.set_sreg(1, image.root_addr);
     machine.set_sreg(2, image.root_len);
     machine.set_sreg(3, image.levels - 1);
@@ -127,8 +131,8 @@ TEST(InterpreterGolden, CrsTransposeOverTheSuite) {
   vsim::SimHash digest;
   for (const suite::SuiteMatrix& entry : suite::build_dsab_suite({.scale = 0.05})) {
     vsim::PerfCounters profile;
-    const kernels::CrsTransposeResult result =
-        kernels::run_crs_transpose(Csr::from_coo(entry.matrix), config, {}, &profile);
+    const kernels::CrsTransposeResult result = kernels::run_crs_transpose(
+        kernels::build_crs_stage(Csr::from_coo(entry.matrix)), config, {}, &profile);
     add_run(digest, result.stats, profile);
     add_coo(digest, result.transposed);
   }

@@ -3,7 +3,6 @@
 // pure-C++ reference.
 #include <gtest/gtest.h>
 
-#include "formats/csr.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "testing.hpp"
 #include "vsim/config.hpp"
@@ -14,13 +13,14 @@ namespace {
 using kernels::CrsTransposeResult;
 using kernels::run_crs_transpose;
 using testing::coo_equal;
+using testing::crs_stage;
 using testing::make_coo;
 using testing::random_coo;
 
 TEST(CrsKernel, TinyMatrix) {
   const Coo coo = make_coo(4, 4, {{0, 1, 1.0f}, {1, 3, 2.0f}, {2, 0, 3.0f}, {3, 2, 4.0f}});
   const vsim::MachineConfig config;
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), config);
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), config);
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
   EXPECT_GT(result.stats.cycles, 0u);
   EXPECT_EQ(result.stats.stm_blocks, 0u);  // the baseline never touches the STM
@@ -29,14 +29,14 @@ TEST(CrsKernel, TinyMatrix) {
 TEST(CrsKernel, RandomSquare) {
   Rng rng(3);
   const Coo coo = random_coo(200, 200, 1500, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
 TEST(CrsKernel, RandomRectangularWide) {
   Rng rng(4);
   const Coo coo = random_coo(60, 300, 900, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   const Coo expected = coo.transposed();
   EXPECT_EQ(result.transposed.rows(), 300u);
   EXPECT_EQ(result.transposed.cols(), 60u);
@@ -46,7 +46,7 @@ TEST(CrsKernel, RandomRectangularWide) {
 TEST(CrsKernel, RandomRectangularTall) {
   Rng rng(5);
   const Coo coo = random_coo(300, 60, 900, rng);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
@@ -58,19 +58,19 @@ TEST(CrsKernel, RowsLongerThanSection) {
     for (Index c = 0; c < 150; ++c) coo.add(r, (c * 3 + r) % 256, v += 1.0f);
   }
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
 TEST(CrsKernel, EmptyRowsAndColumns) {
   const Coo coo = make_coo(100, 100, {{0, 99, 1.0f}, {50, 50, 2.0f}, {99, 0, 3.0f}});
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
 TEST(CrsKernel, EmptyMatrix) {
   const Coo coo(32, 32);
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_EQ(result.transposed.nnz(), 0u);
 }
 
@@ -78,7 +78,7 @@ TEST(CrsKernel, DiagonalMatrix) {
   Coo coo(128, 128);
   for (Index i = 0; i < 128; ++i) coo.add(i, i, static_cast<float>(i + 1));
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo));  // diagonal is self-transpose
 }
 
@@ -87,14 +87,14 @@ TEST(CrsKernel, SmallSectionMachine) {
   const Coo coo = random_coo(90, 90, 400, rng);
   vsim::MachineConfig config;
   config.section = 16;
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), config);
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), config);
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
 TEST(ScalarCrsKernel, MatchesReference) {
   Rng rng(20);
   const Coo coo = random_coo(150, 150, 1100, rng);
-  const auto result = kernels::run_scalar_crs_transpose(Csr::from_coo(coo), {});
+  const auto result = kernels::run_scalar_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
   EXPECT_EQ(result.stats.vector_instructions, 0u);  // pure scalar code
 }
@@ -102,19 +102,19 @@ TEST(ScalarCrsKernel, MatchesReference) {
 TEST(ScalarCrsKernel, MatchesVectorKernelOutput) {
   Rng rng(21);
   const Coo coo = random_coo(80, 120, 700, rng);
-  const Csr csr = Csr::from_coo(coo);
-  const auto scalar = kernels::run_scalar_crs_transpose(csr, {});
-  const auto vectorized = kernels::run_crs_transpose(csr, {});
+  const kernels::CrsStage stage = crs_stage(coo);
+  const auto scalar = kernels::run_scalar_crs_transpose(stage, {});
+  const auto vectorized = kernels::run_crs_transpose(stage, {});
   EXPECT_TRUE(coo_equal(scalar.transposed, vectorized.transposed));
 }
 
 TEST(ScalarCrsKernel, EmptyAndEdgeShapes) {
-  EXPECT_EQ(kernels::run_scalar_crs_transpose(Csr::from_coo(Coo(16, 16)), {})
+  EXPECT_EQ(kernels::run_scalar_crs_transpose(crs_stage(Coo(16, 16)), {})
                 .transposed.nnz(),
             0u);
   const Coo single = make_coo(1, 200, {{0, 173, 5.0f}});
   EXPECT_TRUE(coo_equal(
-      kernels::run_scalar_crs_transpose(Csr::from_coo(single), {}).transposed,
+      kernels::run_scalar_crs_transpose(crs_stage(single), {}).transposed,
       single.transposed()));
 }
 
@@ -129,9 +129,9 @@ TEST(ScalarCrsKernel, VectorKernelIsFasterOnLongRows) {
     }
   }
   coo.canonicalize();
-  const Csr csr = Csr::from_coo(coo);
-  const u64 scalar_cycles = kernels::time_scalar_crs_transpose(csr, {}).cycles;
-  const u64 vector_cycles = kernels::time_crs_transpose(csr, {}).cycles;
+  const kernels::CrsStage stage = crs_stage(coo);
+  const u64 scalar_cycles = kernels::time_scalar_crs_transpose(stage, {}).cycles;
+  const u64 vector_cycles = kernels::time_crs_transpose(stage, {}).cycles;
   EXPECT_LT(vector_cycles, scalar_cycles);
 }
 
@@ -141,7 +141,7 @@ TEST(CrsKernel, MaskedPhase1ProducesSameResult) {
   const Coo coo = random_coo(60, 60, 300, rng);
   kernels::CrsKernelOptions options;
   options.masked_phase1 = true;
-  const auto result = kernels::run_crs_transpose(Csr::from_coo(coo), {}, options);
+  const auto result = kernels::run_crs_transpose(crs_stage(coo), {}, options);
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
@@ -150,7 +150,7 @@ TEST(CrsKernel, ZeroThresholdAllVectorVariantCorrect) {
   const Coo coo = random_coo(100, 100, 300, rng);
   kernels::CrsKernelOptions options;
   options.short_row_threshold = 0;
-  const auto result = kernels::run_crs_transpose(Csr::from_coo(coo), {}, options);
+  const auto result = kernels::run_crs_transpose(crs_stage(coo), {}, options);
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
@@ -161,7 +161,7 @@ TEST(CrsKernel, DenseMatrix) {
     for (Index c = 0; c < 40; ++c) coo.add(r, c, static_cast<float>(rng.uniform(0.5, 1.5)));
   }
   coo.canonicalize();
-  const CrsTransposeResult result = run_crs_transpose(Csr::from_coo(coo), {});
+  const CrsTransposeResult result = run_crs_transpose(crs_stage(coo), {});
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 

@@ -4,7 +4,6 @@
 // 8-level hierarchy stress case.
 #include <gtest/gtest.h>
 
-#include "formats/csr.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/layout.hpp"
@@ -30,12 +29,12 @@ TEST(KernelExhaustive, EveryThreeByThreePattern) {
     coo.canonicalize();
     const Coo expected = coo.transposed();
 
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto hism_result = kernels::run_hism_transpose(hism, config);
+    const auto hism_result =
+        kernels::run_hism_transpose(testing::hism_stage(coo, config.section), config);
     ASSERT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected))
         << "HiSM pattern " << pattern;
 
-    const auto crs_result = kernels::run_crs_transpose(Csr::from_coo(coo), config);
+    const auto crs_result = kernels::run_crs_transpose(testing::crs_stage(coo), config);
     ASSERT_TRUE(coo_equal(crs_result.transposed, expected)) << "CRS pattern " << pattern;
   }
 }
@@ -51,8 +50,8 @@ TEST(KernelExhaustive, EveryFourByFourDiagonalAndAntiDiagonalCombination) {
       if (pattern >> (bit + 4) & 1) coo.add(bit, 3 - bit, static_cast<float>(bit + 10));
     }
     coo.canonicalize();
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const auto result = kernels::run_hism_transpose(hism, config);
+    const auto result =
+        kernels::run_hism_transpose(testing::hism_stage(coo, config.section), config);
     ASSERT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()))
         << "pattern " << pattern;
   }
@@ -66,9 +65,9 @@ TEST(KernelExhaustive, EightLevelHierarchyRecursionDepth) {
   const Coo coo = random_coo(256, 256, 600, rng);
   vsim::MachineConfig config;
   config.section = 2;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_EQ(hism.num_levels(), 8u);
-  const auto result = kernels::run_hism_transpose(hism, config);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+  ASSERT_EQ(stage.hism.num_levels(), 8u);
+  const auto result = kernels::run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
   EXPECT_TRUE(result.transposed.validate());
 }
@@ -81,11 +80,12 @@ TEST(KernelExhaustive, DoubleKernelTransposeRestoresImageBytes) {
   const Coo coo = random_coo(120, 120, 900, rng);
   vsim::MachineConfig config;
   config.section = 8;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
+  const HismImage& image = stage.image;
 
   const vsim::Program program = vsim::assemble(kernels::hism_transpose_source());
   vsim::Machine machine(config);
-  const HismImage image = kernels::stage_hism(machine, hism);
+  machine.memory().attach_base(stage.snapshot);
   // Compare the image region only: the call stack below it legitimately
   // accumulates residue across runs.
   auto snapshot = [&] {

@@ -17,9 +17,11 @@
 namespace smtu {
 namespace {
 
+using kernels::HismStage;
 using kernels::HismTransposeResult;
 using kernels::run_hism_transpose;
 using testing::coo_equal;
+using testing::hism_stage;
 using testing::make_coo;
 using testing::random_coo;
 
@@ -34,10 +36,10 @@ TEST(HismKernel, SingleBlockMatrix) {
                            {{0, 3, 1.0f}, {0, 5, 2.0f}, {2, 0, 3.0f}, {5, 5, 4.0f},
                             {7, 1, 5.0f}, {7, 7, 6.0f}});
   const vsim::MachineConfig config = config_with_section(8);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_EQ(hism.num_levels(), 1u);
+  const HismStage stage = hism_stage(coo, config.section);
+  ASSERT_EQ(stage.hism.num_levels(), 1u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
   EXPECT_TRUE(result.transposed.validate());
   EXPECT_GT(result.stats.cycles, 0u);
@@ -48,23 +50,23 @@ TEST(HismKernel, TwoLevelMatrix) {
   Rng rng(42);
   const Coo coo = random_coo(40, 40, 120, rng);
   const vsim::MachineConfig config = config_with_section(8);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_EQ(hism.num_levels(), 2u);
+  const HismStage stage = hism_stage(coo, config.section);
+  ASSERT_EQ(stage.hism.num_levels(), 2u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
   // One block per level-0 array plus two passes over each level>=1 block.
-  EXPECT_GE(result.stats.stm_blocks, hism.level(0).size());
+  EXPECT_GE(result.stats.stm_blocks, stage.hism.level(0).size());
 }
 
 TEST(HismKernel, ThreeLevelMatrix) {
   Rng rng(7);
   const Coo coo = random_coo(300, 300, 500, rng);
   const vsim::MachineConfig config = config_with_section(8);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_EQ(hism.num_levels(), 3u);
+  const HismStage stage = hism_stage(coo, config.section);
+  ASSERT_EQ(stage.hism.num_levels(), 3u);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
 }
 
@@ -72,9 +74,7 @@ TEST(HismKernel, RectangularMatrix) {
   Rng rng(11);
   const Coo coo = random_coo(50, 200, 300, rng);
   const vsim::MachineConfig config = config_with_section(16);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(hism_stage(coo, config.section), config);
   const Coo transposed = result.transposed.to_coo();
   EXPECT_EQ(transposed.rows(), 200u);
   EXPECT_EQ(transposed.cols(), 50u);
@@ -85,30 +85,27 @@ TEST(HismKernel, DefaultSection64) {
   Rng rng(99);
   const Coo coo = random_coo(500, 500, 4000, rng);
   const vsim::MachineConfig config;  // s = 64, B = 4, L = 4
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const HismStage stage = hism_stage(coo, config.section);
 
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
-  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), transposed(hism).to_coo()));
+  EXPECT_TRUE(coo_equal(result.transposed.to_coo(), transposed(stage.hism).to_coo()));
 }
 
 TEST(HismKernel, DoubleTransposeIsIdentity) {
   Rng rng(5);
   const Coo coo = random_coo(120, 80, 600, rng);
   const vsim::MachineConfig config = config_with_section(16);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-
-  const HismTransposeResult once = run_hism_transpose(hism, config);
-  const HismTransposeResult twice = run_hism_transpose(once.transposed, config);
+  const HismTransposeResult once = run_hism_transpose(hism_stage(coo, config.section), config);
+  const HismTransposeResult twice =
+      run_hism_transpose(kernels::build_hism_stage(once.transposed), config);
   EXPECT_TRUE(coo_equal(twice.transposed.to_coo(), coo));
 }
 
 TEST(HismKernel, EmptyMatrix) {
   const Coo coo(64, 64);
   const vsim::MachineConfig config = config_with_section(8);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(hism_stage(coo, config.section), config);
   EXPECT_EQ(result.transposed.nnz(), 0u);
   EXPECT_EQ(result.stats.stm_blocks, 0u);
 }
@@ -122,11 +119,12 @@ TEST(HismKernel, TransposesStrictlyInPlace) {
   const Coo coo = random_coo(120, 120, 700, rng);
   vsim::MachineConfig config;
   config.section = 8;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const HismStage stage = hism_stage(coo, config.section);
+  const HismImage& image = stage.image;
 
   const vsim::Program program = vsim::assemble(kernels::hism_transpose_source());
   vsim::Machine machine(config);
-  const HismImage image = kernels::stage_hism(machine, hism);
+  machine.memory().attach_base(stage.snapshot);
   machine.set_sreg(1, image.root_addr);
   machine.set_sreg(2, image.root_len);
   machine.set_sreg(3, image.levels - 1);
@@ -151,8 +149,7 @@ TEST(HismKernel, BandwidthSweepIsMonotone) {
   for (const u32 bandwidth : {1u, 2u, 4u, 8u}) {
     vsim::MachineConfig config;
     config.stm.bandwidth = bandwidth;
-    const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-    const u64 cycles = kernels::time_hism_transpose(hism, config).cycles;
+    const u64 cycles = kernels::time_hism_transpose(hism_stage(coo, config.section), config).cycles;
     EXPECT_LE(cycles, previous) << "B=" << bandwidth;
     previous = cycles;
   }
@@ -167,9 +164,7 @@ TEST(HismKernel, DenseBlockMatrix) {
   }
   coo.canonicalize();
   const vsim::MachineConfig config = config_with_section(8);
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-
-  const HismTransposeResult result = run_hism_transpose(hism, config);
+  const HismTransposeResult result = run_hism_transpose(hism_stage(coo, config.section), config);
   EXPECT_TRUE(coo_equal(result.transposed.to_coo(), coo.transposed()));
 }
 

@@ -40,11 +40,11 @@ struct AllThree {
 
 AllThree run_all(const Coo& coo, const vsim::MachineConfig& config, u64 seed) {
   const std::vector<float> x = random_x(coo.cols(), seed);
-  const Csr csr = Csr::from_coo(coo);
+  const kernels::CrsStage crs = testing::crs_stage(coo);
   AllThree out;
-  out.reference = csr.spmv(x);
-  out.hism = kernels::run_hism_spmv(HismMatrix::from_coo(coo, config.section), x, config);
-  out.crs = kernels::run_crs_spmv(csr, x, config);
+  out.reference = crs.csr.spmv(x);
+  out.hism = kernels::run_hism_spmv(testing::hism_stage(coo, config.section), x, config);
+  out.crs = kernels::run_crs_spmv(crs, x, config);
   out.jd = kernels::run_jd_spmv(Jagged::from_coo(coo), x, config);
   return out;
 }
@@ -148,8 +148,8 @@ TEST(SpmvKernels, TransposedProductWithoutTransposing) {
   const Coo coo = random_coo(150, 90, 900, rng);
   const std::vector<float> x = random_x(150, 31);
 
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const auto result = kernels::run_hism_spmv_transposed(hism, x, config);
+  const auto result =
+      kernels::run_hism_spmv_transposed(testing::hism_stage(coo, config.section), x, config);
   const std::vector<float> reference = Csr::from_coo(coo.transposed()).spmv(x);
   expect_near(result.y, reference);
 }
@@ -160,8 +160,8 @@ TEST(SpmvKernels, TransposedProductMatchesTransposeThenMultiply) {
   const Coo coo = random_coo(300, 300, 4000, rng);
   const std::vector<float> x = random_x(300, 33);
 
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const HismMatrix hism_t = HismMatrix::from_coo(coo.transposed(), config.section);
+  const kernels::HismStage hism = testing::hism_stage(coo, config.section);
+  const kernels::HismStage hism_t = testing::hism_stage(coo.transposed(), config.section);
   const auto direct = kernels::run_hism_spmv_transposed(hism, x, config);
   const auto two_step = kernels::run_hism_spmv(hism_t, x, config);
   expect_near(direct.y, two_step.y);

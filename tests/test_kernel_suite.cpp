@@ -80,7 +80,7 @@ TEST(SellSpmvKernel, BeatsCrsKernelOnIrregularRows) {
   const std::vector<float> x = random_x(coo.cols(), rng);
 
   const vsim::MachineConfig machine_config;
-  const auto crs = kernels::run_crs_spmv(Csr::from_coo(coo), x, machine_config);
+  const auto crs = kernels::run_crs_spmv(testing::crs_stage(coo), x, machine_config);
 
   // C = 16 balances chunk-padding waste (worst at large C on skewed rows)
   // against per-chunk startup overhead (worst at small C); the global sort

@@ -40,20 +40,20 @@ TEST_P(KernelGrid, AllKernelsProduceTheExactTranspose) {
   Rng rng(grid.section * 1000 + grid.bandwidth * 10 + grid.lines);
   const Coo coo = random_coo(130, 90, 1100, rng);
   const Coo expected = coo.transposed();
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
+  const kernels::HismStage stage = testing::hism_stage(coo, config.section);
 
-  EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(hism, config).transposed.to_coo(),
+  EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(stage, config).transposed.to_coo(),
                         expected));
   EXPECT_TRUE(coo_equal(
-      kernels::run_hism_transpose(hism, config, /*split_drain_registers=*/true)
+      kernels::run_hism_transpose(stage, config, /*split_drain_registers=*/true)
           .transposed.to_coo(),
       expected));
   if (grid.double_buffer) {
     EXPECT_TRUE(coo_equal(
-        kernels::run_hism_transpose_pipelined(hism, config).transposed.to_coo(), expected));
+        kernels::run_hism_transpose_pipelined(stage, config).transposed.to_coo(), expected));
   }
-  EXPECT_TRUE(
-      coo_equal(kernels::run_crs_transpose(Csr::from_coo(coo), config).transposed, expected));
+  EXPECT_TRUE(coo_equal(
+      kernels::run_crs_transpose(testing::crs_stage(coo), config).transposed, expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -40,11 +40,13 @@ TEST(MultiCoreSystem, SingleCoreBitIdenticalToOwningMachine) {
   // memory model: every RunStats field must match bit for bit.
   const Coo coo = test_matrix();
   const vsim::MachineConfig config = system_config(1).core;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  ASSERT_GE(hism.num_levels(), 2u);
+  const kernels::HismStage stage =
+      kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
+  ASSERT_GE(stage.hism.num_levels(), 2u);
+  const HismImage& image = stage.image;
 
   vsim::Machine machine(config);
-  const HismImage image = kernels::stage_hism(machine, hism);
+  machine.memory().attach_base(stage.snapshot);
   machine.set_sreg(1, image.root_addr);
   machine.set_sreg(2, image.root_len);
   machine.set_sreg(3, image.levels - 1);
@@ -53,11 +55,10 @@ TEST(MultiCoreSystem, SingleCoreBitIdenticalToOwningMachine) {
   const vsim::RunStats single = machine.run(program);
 
   vsim::MultiCoreSystem system(system_config(1));
-  const HismImage sys_image = build_hism_image(hism, image.base);
-  system.memory().write_block(sys_image.base, sys_image.bytes);
-  system.core(0).set_sreg(1, sys_image.root_addr);
-  system.core(0).set_sreg(2, sys_image.root_len);
-  system.core(0).set_sreg(3, sys_image.levels - 1);
+  system.memory().write_block(image.base, image.bytes);
+  system.core(0).set_sreg(1, image.root_addr);
+  system.core(0).set_sreg(2, image.root_len);
+  system.core(0).set_sreg(3, image.levels - 1);
   system.core(0).set_sreg(vsim::kRegSp, kernels::kStackTop);
   const vsim::SystemRunStats multi = system.run(program);
 

@@ -306,11 +306,11 @@ TEST(Profiler, CrsHotSpotIsTheIndexedPermuteLoop) {
     const u32 hi = r + kBand < kDim - 1 ? r + kBand : kDim - 1;
     for (u32 c = lo; c <= hi; ++c) coo.add(r, c, 1.0 + r);
   }
-  const Csr csr = Csr::from_coo(coo);
+  const kernels::CrsStage stage = kernels::build_crs_stage(Csr::from_coo(coo));
 
   PerfCounters profile;
   const vsim::MachineConfig config;
-  kernels::time_crs_transpose(csr, config, {}, &profile);
+  kernels::time_crs_transpose(stage, config, {}, &profile);
   EXPECT_EQ(profile.attributed_cycles(), profile.total_cycles());
 
   // The permute loop is the dominant region of the whole kernel.

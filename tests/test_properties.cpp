@@ -46,17 +46,17 @@ TEST_P(TransposeAgreement, AllPathsAgree) {
   // Host-side references.
   EXPECT_TRUE(coo_equal(Csr::from_coo(coo).transposed_pissanetsky().to_coo(), expected));
 
-  const HismMatrix hism = HismMatrix::from_coo(coo, param.section);
-  EXPECT_TRUE(coo_equal(transposed(hism).to_coo(), expected));
+  const kernels::HismStage stage = testing::hism_stage(coo, param.section);
+  EXPECT_TRUE(coo_equal(transposed(stage.hism).to_coo(), expected));
 
   // Simulated kernels.
   vsim::MachineConfig config;
   config.section = param.section;
-  const auto hism_result = kernels::run_hism_transpose(hism, config);
+  const auto hism_result = kernels::run_hism_transpose(stage, config);
   EXPECT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected));
   EXPECT_TRUE(hism_result.transposed.validate());
 
-  const auto crs_result = kernels::run_crs_transpose(Csr::from_coo(coo), config);
+  const auto crs_result = kernels::run_crs_transpose(testing::crs_stage(coo), config);
   EXPECT_TRUE(coo_equal(crs_result.transposed, expected));
 }
 
@@ -227,11 +227,12 @@ TEST_P(PatternCase, KernelsAgreeOnStructuredMatrices) {
 
   vsim::MachineConfig config;
   config.section = 16;
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(hism, config).transposed.to_coo(),
-                        expected));
-  EXPECT_TRUE(
-      coo_equal(kernels::run_crs_transpose(Csr::from_coo(coo), config).transposed, expected));
+  EXPECT_TRUE(coo_equal(
+      kernels::run_hism_transpose(testing::hism_stage(coo, config.section), config)
+          .transposed.to_coo(),
+      expected));
+  EXPECT_TRUE(coo_equal(
+      kernels::run_crs_transpose(testing::crs_stage(coo), config).transposed, expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, PatternCase, ::testing::Range(0, 6));

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "serve/server.hpp"
@@ -213,6 +214,62 @@ TEST(ServeTrace, ParseRejectsConfigsTheMachineCannotRun) {
                 std::string::npos)
           << error;
     }
+  }
+}
+
+// `text` with the scalar value of its first `"key":` member replaced by
+// `value`.
+std::string with_member(std::string text, const std::string& key, std::string_view value) {
+  const std::string name = "\"" + key + "\":";
+  const auto at = text.find(name);
+  EXPECT_NE(at, std::string::npos) << key;
+  if (at == std::string::npos) return text;
+  const auto begin = at + name.size();
+  text.replace(begin, text.find_first_of(",}", begin) - begin, value);
+  return text;
+}
+
+TEST(ServeTrace, ParseRejectsSuiteAndArrivalValuesOfTheWrongKind) {
+  // Replay never re-samples the arrival process, but a value of the wrong
+  // kind is a malformed trace all the same; a suite scale that is not a
+  // number would otherwise replay the full-scale suite.
+  const std::string valid = trace_to_string(tiny_trace());
+  const std::tuple<const char*, const char*, const char*> cases[] = {
+      {"scale", "\"0.05\"", "suite \"scale\" is not a number"},
+      {"scale", "true", "suite \"scale\" is not a number"},
+      {"rate_rps", "\"20000\"", "arrival \"rate_rps\" is not a number"},
+      {"zipf_skew", "null", "arrival \"zipf_skew\" is not a number"},
+      {"hism_fraction", "[]", "arrival \"hism_fraction\" is not a number"},
+      {"alt_config_fraction", "\"0.1\"", "arrival \"alt_config_fraction\" is not a number"},
+      {"burst_multiplier", "{}", "arrival \"burst_multiplier\" is not a number"},
+      {"heavytail_alpha", "\"1.5\"", "arrival \"heavytail_alpha\" is not a number"},
+      {"burst_off_us", "\"8000\"", "arrival \"burst_off_us\" is not an unsigned"},
+      {"mode", "\"steady\"", "arrival \"mode\" is not poisson, bursty or heavytail"},
+      {"mode", "3", "arrival \"mode\" is not poisson, bursty or heavytail"},
+  };
+  for (const auto& [key, value, message] : cases) {
+    std::string error;
+    EXPECT_FALSE(parse_string(with_member(valid, key, value), &error).has_value())
+        << key << ":" << value;
+    EXPECT_NE(error.find(message), std::string::npos) << key << ":" << value << ": " << error;
+  }
+  // A suite or arrival member that is not an object. The original object
+  // stays in the document under a key the parser ignores, so the JSON is
+  // still valid.
+  for (const std::string key : {"suite", "arrival"}) {
+    std::string text = valid;
+    const std::string from = "\"" + key + "\":{";
+    const auto at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << key;
+    text.replace(at, from.size(), "\"" + key + "\":5,\"unused\":{");
+    std::string error;
+    EXPECT_FALSE(parse_string(text, &error).has_value()) << key;
+    EXPECT_NE(error.find("\"" + key + "\" is not an object"), std::string::npos) << error;
+  }
+  // Every arrival mode the generator knows still parses.
+  for (const char* mode : {"\"poisson\"", "\"bursty\"", "\"heavytail\""}) {
+    std::string error;
+    EXPECT_TRUE(parse_string(with_member(valid, "mode", mode), &error).has_value()) << error;
   }
 }
 
@@ -474,19 +531,19 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   const std::string trace_out = "test_serve_cli_trace.json";
   const std::string replay = std::string("--replay=") + kCheckedInTrace;
   const std::string generate = "--generate --trace-out=" + trace_out;
-  // A copy of the checked-in trace whose set the suite does not have.
-  const std::string bad_trace = "test_serve_cli_bad_set.json";
+  // Copies of the checked-in trace with a set the suite does not have, and
+  // with a suite scale that is a string rather than a number.
+  std::string checked_in;
   {
     std::ifstream in(kCheckedInTrace);
     std::ostringstream text;
     text << in.rdbuf();
-    std::string edited = text.str();
-    const std::string_view set = "\"set\":\"locality\"";
-    const auto at = edited.find(set);
-    ASSERT_NE(at, std::string::npos);
-    edited.replace(at, set.size(), "\"set\":\"bogus\"");
-    std::ofstream(bad_trace) << edited;
+    checked_in = text.str();
   }
+  const std::string bad_trace = "test_serve_cli_bad_set.json";
+  std::ofstream(bad_trace) << with_member(checked_in, "set", "\"bogus\"");
+  const std::string string_scale_trace = "test_serve_cli_string_scale.json";
+  std::ofstream(string_scale_trace) << with_member(checked_in, "scale", "\"0.05\"");
   const std::string missing_dir = "test_serve_cli_no_such_dir/out.json";
   // Each case: the arguments and the option its one-line diagnostic names.
   const std::vector<std::pair<std::string, std::string>> cases = {
@@ -500,6 +557,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {generate + " --requests=0", "option --requests expects an integer in [1, "},
       {replay + " --workers=0", "option --workers expects an integer in [1, "},
       {"--replay=" + bad_trace, "\"set\" is not locality, anz or size"},
+      {"--replay=" + string_scale_trace, "suite \"scale\" is not a number"},
       {"--generate --trace-out=" + missing_dir, "cannot open " + missing_dir},
       {replay + " --json=" + missing_dir, "cannot open " + missing_dir},
       {replay + " --telemetry-json=" + missing_dir, "cannot open " + missing_dir},
@@ -521,6 +579,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   std::remove(stderr_path.c_str());
   std::remove(trace_out.c_str());
   std::remove(bad_trace.c_str());
+  std::remove(string_scale_trace.c_str());
 }
 
 }  // namespace

@@ -315,26 +315,6 @@ TEST(MatrixStageCache, SharesOneStagePerMatrix) {
   EXPECT_EQ(cache.crs(coo).get(), cache.crs(coo).get());
 }
 
-TEST(StagedKernels, MatchUnstagedBitForBit) {
-  const Coo coo = small_matrix();
-  const vsim::MachineConfig config;
-
-  const HismMatrix hism = HismMatrix::from_coo(coo, config.section);
-  const auto hism_stage = kernels::build_hism_stage(hism);
-  EXPECT_EQ(stats_json(kernels::time_hism_transpose(hism, config)),
-            stats_json(kernels::time_hism_transpose(hism_stage, config)));
-
-  const Csr csr = Csr::from_coo(coo);
-  const auto crs_stage = kernels::build_crs_stage(csr);
-  EXPECT_EQ(stats_json(kernels::time_crs_transpose(csr, config)),
-            stats_json(kernels::time_crs_transpose(crs_stage, config)));
-
-  // Results (not just timing) decode identically through the snapshot.
-  const auto direct = kernels::run_crs_transpose(csr, config);
-  const auto staged = kernels::run_crs_transpose(crs_stage, config);
-  EXPECT_TRUE(structurally_equal(direct.transposed, staged.transposed));
-}
-
 TEST(MemoryCow, SnapshotReadsAndPrivatizeOnWrite) {
   auto base = std::make_shared<std::vector<u8>>(4096, u8{0});
   (*base)[100] = 0xAB;

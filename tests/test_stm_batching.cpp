@@ -39,7 +39,7 @@ TEST(StmBatching, SplitFillsAddAtMostOneCyclePerSeam) {
   whole.clear();
   const u32 whole_cycles = whole.write_batch(entries);
 
-  for (const usize batch_size : {1uz, 7uz, 64uz, 100uz}) {
+  for (const usize batch_size : {usize{1}, usize{7}, usize{64}, usize{100}}) {
     StmUnit split(config);
     split.clear();
     u32 split_cycles = 0;

@@ -4,7 +4,6 @@
 // the paper's figures at small scale.
 #include <gtest/gtest.h>
 
-#include "formats/csr.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/utilization.hpp"
@@ -24,11 +23,12 @@ TEST_P(SuiteIntegration, BothKernelsCorrectOnEveryMatrix) {
   const vsim::MachineConfig config;
   for (const auto& entry : suite::build_dsab_set(GetParam(), {.scale = kScale})) {
     const Coo expected = entry.matrix.transposed();
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
-    const auto hism_result = kernels::run_hism_transpose(hism, config);
+    const auto hism_result =
+        kernels::run_hism_transpose(testing::hism_stage(entry.matrix, config.section), config);
     ASSERT_TRUE(coo_equal(hism_result.transposed.to_coo(), expected)) << entry.name;
     ASSERT_TRUE(hism_result.transposed.validate()) << entry.name;
-    const auto crs_result = kernels::run_crs_transpose(Csr::from_coo(entry.matrix), config);
+    const auto crs_result =
+        kernels::run_crs_transpose(testing::crs_stage(entry.matrix), config);
     ASSERT_TRUE(coo_equal(crs_result.transposed, expected)) << entry.name;
     // The headline claim holds on every suite matrix, even scaled down.
     EXPECT_LT(hism_result.stats.cycles, crs_result.stats.cycles) << entry.name;
@@ -47,11 +47,13 @@ TEST(SuiteIntegrationFigures, SpeedupGrowsWithLocalityAtSmallScale) {
   double low = 0.0;
   double high = 0.0;
   for (const auto& entry : set) {
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, config.section);
     const double speedup =
         static_cast<double>(
-            kernels::time_crs_transpose(Csr::from_coo(entry.matrix), config).cycles) /
-        static_cast<double>(kernels::time_hism_transpose(hism, config).cycles);
+            kernels::time_crs_transpose(testing::crs_stage(entry.matrix), config).cycles) /
+        static_cast<double>(
+            kernels::time_hism_transpose(testing::hism_stage(entry.matrix, config.section),
+                                         config)
+                .cycles);
     (entry.index < 5 ? low : high) += speedup;
   }
   EXPECT_GT(high, 1.5 * low);
@@ -63,12 +65,13 @@ TEST(SuiteIntegrationFigures, UtilizationHighestAtBandwidthOne) {
   double sum_b1 = 0.0;
   double sum_b8 = 0.0;
   for (const auto& entry : set) {
-    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, 64);
+    const kernels::StmTraceSet traces =
+        kernels::stm_block_traces(HismMatrix::from_coo(entry.matrix, 64));
     StmConfig config;
     config.bandwidth = 1;
-    sum_b1 += kernels::stm_utilization(hism, config).utilization;
+    sum_b1 += kernels::stm_utilization(traces, config).utilization;
     config.bandwidth = 8;
-    sum_b8 += kernels::stm_utilization(hism, config).utilization;
+    sum_b8 += kernels::stm_utilization(traces, config).utilization;
   }
   EXPECT_GT(sum_b1, sum_b8);
   EXPECT_GT(sum_b1 / 10.0, 0.85);  // near-full at B = 1

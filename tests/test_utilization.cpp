@@ -9,7 +9,9 @@
 namespace smtu {
 namespace {
 
+using kernels::stm_block_traces;
 using kernels::stm_utilization;
+using kernels::StmTraceSet;
 using kernels::UtilizationBreakdown;
 
 StmConfig stm_config(u32 bandwidth, u32 lines) {
@@ -26,8 +28,8 @@ TEST(Utilization, DenseSingleBlockNearOneAtBandwidthOne) {
     for (Index c = 0; c < 16; ++c) coo.add(r, c, 1.0f);
   }
   coo.canonicalize();
-  const HismMatrix hism = HismMatrix::from_coo(coo, 16);
-  const UtilizationBreakdown b = stm_utilization(hism, stm_config(1, 4));
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(coo, 16));
+  const UtilizationBreakdown b = stm_utilization(traces, stm_config(1, 4));
   EXPECT_EQ(b.transfers, 512u);
   EXPECT_EQ(b.cycles, 512u + 6u);
   EXPECT_NEAR(b.utilization, 512.0 / 518.0, 1e-9);
@@ -38,18 +40,18 @@ TEST(Utilization, BlockPenaltyIsTheOnlyLossAtBandwidthOne) {
   // only because of the 6-cycle per-block penalty.
   Rng rng(1);
   const Coo coo = suite::gen_random_uniform(128, 128, 2000, rng);
-  const HismMatrix hism = HismMatrix::from_coo(coo, 16);
-  const UtilizationBreakdown b = stm_utilization(hism, stm_config(1, 4));
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(coo, 16));
+  const UtilizationBreakdown b = stm_utilization(traces, stm_config(1, 4));
   EXPECT_EQ(b.cycles, b.transfers + 6 * b.block_passes);
 }
 
 TEST(Utilization, DecreasesWithBandwidth) {
   Rng rng(2);
   const Coo coo = suite::gen_random_uniform(256, 256, 3000, rng);
-  const HismMatrix hism = HismMatrix::from_coo(coo, 64);
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(coo, 64));
   double previous = 2.0;
   for (const u32 bandwidth : {1u, 2u, 4u, 8u}) {
-    const double u = stm_utilization(hism, stm_config(bandwidth, 4)).utilization;
+    const double u = stm_utilization(traces, stm_config(bandwidth, 4)).utilization;
     EXPECT_LT(u, previous) << "B=" << bandwidth;
     previous = u;
   }
@@ -58,10 +60,10 @@ TEST(Utilization, DecreasesWithBandwidth) {
 TEST(Utilization, IncreasesWithLines) {
   Rng rng(3);
   const Coo coo = suite::gen_random_uniform(256, 256, 3000, rng);
-  const HismMatrix hism = HismMatrix::from_coo(coo, 64);
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(coo, 64));
   double previous = 0.0;
   for (const u32 lines : {1u, 2u, 4u, 8u}) {
-    const double u = stm_utilization(hism, stm_config(4, lines)).utilization;
+    const double u = stm_utilization(traces, stm_config(4, lines)).utilization;
     EXPECT_GE(u, previous) << "L=" << lines;
     previous = u;
   }
@@ -71,15 +73,16 @@ TEST(Utilization, HigherLevelsContributeTwoPasses) {
   Rng rng(4);
   const Coo coo = suite::gen_random_uniform(64, 64, 300, rng);
   const HismMatrix hism = HismMatrix::from_coo(coo, 8);
+  const StmTraceSet traces = stm_block_traces(hism);
   ASSERT_EQ(hism.num_levels(), 2u);
-  const UtilizationBreakdown b = stm_utilization(hism, stm_config(4, 4));
+  const UtilizationBreakdown b = stm_utilization(traces, stm_config(4, 4));
   // level-0 blocks once, the root twice (lengths + pointers).
   EXPECT_EQ(b.block_passes, hism.level(0).size() + 2u);
 }
 
 TEST(Utilization, EmptyMatrixIsZero) {
-  const HismMatrix hism = HismMatrix::from_coo(Coo(64, 64), 8);
-  const UtilizationBreakdown b = stm_utilization(hism, stm_config(4, 4));
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(Coo(64, 64), 8));
+  const UtilizationBreakdown b = stm_utilization(traces, stm_config(4, 4));
   EXPECT_EQ(b.transfers, 0u);
   EXPECT_EQ(b.utilization, 0.0);
 }
@@ -89,9 +92,9 @@ TEST(Utilization, DiagonalBlocksBenefitFromLines) {
   // element needs a cycle per phase; L = B = 4 quarters that.
   Rng rng(5);
   const Coo coo = suite::gen_diagonal(64, rng);
-  const HismMatrix hism = HismMatrix::from_coo(coo, 64);
-  const double narrow = stm_utilization(hism, stm_config(4, 1)).utilization;
-  const double wide = stm_utilization(hism, stm_config(4, 4)).utilization;
+  const StmTraceSet traces = stm_block_traces(HismMatrix::from_coo(coo, 64));
+  const double narrow = stm_utilization(traces, stm_config(4, 1)).utilization;
+  const double wide = stm_utilization(traces, stm_config(4, 4)).utilization;
   EXPECT_GT(wide, 3.0 * narrow);
 }
 

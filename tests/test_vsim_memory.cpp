@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "vsim/memory.hpp"
 
 namespace smtu::vsim {
@@ -45,6 +48,33 @@ TEST(Memory, WriteBlockAndRaw) {
   EXPECT_EQ(mem.read_u8(64), 1u);
   EXPECT_EQ(mem.read_u8(68), 5u);
   EXPECT_EQ(mem.raw()[66], 3u);
+}
+
+TEST(Memory, SnapshotIsSizedLikeWrittenMemory) {
+  // A staged image reaches a machine as a snapshot. It must hold exactly
+  // what writing the image in place leaves, size included, so that reads
+  // past the image behave the same on both.
+  struct Image {
+    Addr base;
+    usize length;
+    u64 size;  // the 4096-doubling growth rule's answer for base + length
+  };
+  for (const Image& image : {Image{0, 0, 0}, Image{0, 1, 4096}, Image{4000, 96, 4096},
+                             Image{4000, 97, 8192}, Image{0x10000, 5, 0x20000}}) {
+    const u64 end = image.base + image.length;
+    std::vector<u8> bytes(image.length);
+    for (usize i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<u8>(i + 1);
+
+    Memory written;
+    written.write_block(image.base, bytes);
+    const auto snapshot = Memory::snapshot_of(image.base, bytes);
+    EXPECT_EQ(snapshot->size(), written.size()) << "image ending at " << end;
+    EXPECT_EQ(snapshot->size(), image.size) << "image ending at " << end;
+
+    Memory attached;
+    attached.attach_base(snapshot);
+    EXPECT_TRUE(std::ranges::equal(attached.raw(), written.raw())) << "image ending at " << end;
+  }
 }
 
 TEST(MemoryDeathTest, ReadBeyondAllocationAborts) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "formats/coo.hpp"
+#include "kernels/staging.hpp"
 #include "support/rng.hpp"
 
 namespace smtu::testing {
@@ -25,6 +26,14 @@ inline Coo random_coo(Index rows, Index cols, usize nnz, Rng& rng) {
   }
   coo.canonicalize();
   return coo;
+}
+
+// The stages the HiSM and CRS kernel runners take (kernels/staging.hpp).
+inline kernels::HismStage hism_stage(const Coo& coo, u32 section) {
+  return kernels::build_hism_stage(HismMatrix::from_coo(coo, section));
+}
+inline kernels::CrsStage crs_stage(const Coo& coo) {
+  return kernels::build_crs_stage(Csr::from_coo(coo));
 }
 
 // gtest matcher-style assertion: two matrices are structurally identical.

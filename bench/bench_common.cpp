@@ -294,7 +294,7 @@ int run_figure_bench(int argc, const char* const* argv, const FigureSeries& seri
   const vsim::MachineConfig config;  // the paper's §IV-A machine
 
   std::printf("== %s set: HiSM (STM, B=%u, L=%u) vs CRS transposition, s=%u ==\n",
-              series.set.c_str(), config.stm.bandwidth, config.stm.lines, config.section);
+              series.set, config.stm.bandwidth, config.stm.lines, config.section);
   if (options.suite.scale != 1.0) {
     std::printf("(suite scaled by %.3f; paper scale is --scale=1)\n", options.suite.scale);
   }
@@ -305,15 +305,7 @@ int run_figure_bench(int argc, const char* const* argv, const FigureSeries& seri
       run_comparisons(set, config, options, series.metric_header, series.metric);
   const HarnessInfo harness{resolve_jobs(options.jobs), elapsed_ms(started)};
 
-  TextTable table({"matrix", series.metric_header, "nnz", "HiSM cyc/nnz", "CRS cyc/nnz",
-                   "speedup"});
-  for (const MatrixRecord& record : records) {
-    table.add_row({record.name, format("%.2f", record.metric), format("%zu", record.nnz),
-                   format("%.2f", record.comparison.hism_cycles_per_nnz),
-                   format("%.2f", record.comparison.crs_cycles_per_nnz),
-                   format("%.1f", record.comparison.speedup)});
-  }
-  emit(table, options.csv_path);
+  emit(figure_table(series, records), options.csv_path);
   if (options.json_path) {
     std::ofstream out = open_output_file(*options.json_path);
     write_bench_report_json(out, series.set, config, options.suite, records, harness,
@@ -327,10 +319,64 @@ int run_figure_bench(int argc, const char* const* argv, const FigureSeries& seri
   const SpeedupSummary summary = summarize_speedups(records);
   std::printf("\nmeasured speedup: min %.1f  max %.1f  avg %.1f\n", summary.min, summary.max,
               summary.avg);
-  std::printf("paper (IPPS'04):  min %.1f  max %.1f  avg %.1f\n", series.paper_min,
-              series.paper_max, series.paper_avg);
+  std::printf("paper (IPPS'04):  min %.1f  max %.1f  avg %.1f\n", series.paper.min,
+              series.paper.max, series.paper.avg);
   finish_telemetry(options);
   return 0;
+}
+
+UtilizationGrid utilization_grid(ThreadPool& pool,
+                                 const std::vector<kernels::StmTraceSet>& traces) {
+  UtilizationGrid grid;
+  // points[m][b * L + l]: matrix m at the b-th bandwidth and l-th line count.
+  const auto points = parallel_map(pool, traces, [&](const kernels::StmTraceSet& matrix) {
+    std::vector<double> utilization;
+    for (const u32 bandwidth : grid.bandwidths) {
+      for (const u32 lines : grid.lines) {
+        StmConfig config;
+        config.bandwidth = bandwidth;
+        config.lines = lines;
+        utilization.push_back(kernels::stm_utilization(matrix, config).utilization);
+      }
+    }
+    return utilization;
+  });
+  for (usize b = 0; b < grid.bandwidths.size(); ++b) {
+    std::vector<double> row;
+    for (usize l = 0; l < grid.lines.size(); ++l) {
+      double sum = 0.0;
+      for (const auto& matrix : points) sum += matrix[b * grid.lines.size() + l];
+      row.push_back(sum / static_cast<double>(points.size()));
+    }
+    grid.utilization.push_back(std::move(row));
+  }
+  return grid;
+}
+
+TextTable utilization_table(const UtilizationGrid& grid) {
+  std::vector<std::string> header = {"B"};
+  for (const u32 lines : grid.lines) header.push_back(format("L=%u", lines));
+  TextTable table(std::move(header));
+  for (usize b = 0; b < grid.bandwidths.size(); ++b) {
+    std::vector<std::string> row = {format("%u", grid.bandwidths[b])};
+    for (const double utilization : grid.utilization[b]) {
+      row.push_back(format("%.3f", utilization));
+    }
+    table.add_row(std::move(row));
+  }
+  return table;
+}
+
+TextTable figure_table(const FigureSeries& series, const std::vector<MatrixRecord>& records) {
+  TextTable table({"matrix", series.metric_header, "nnz", "HiSM cyc/nnz", "CRS cyc/nnz",
+                   "speedup"});
+  for (const MatrixRecord& record : records) {
+    table.add_row({record.name, format("%.2f", record.metric), format("%zu", record.nnz),
+                   format("%.2f", record.comparison.hism_cycles_per_nnz),
+                   format("%.2f", record.comparison.crs_cycles_per_nnz),
+                   format("%.1f", record.comparison.speedup)});
+  }
+  return table;
 }
 
 SpeedupSummary summarize_speedups(const std::vector<MatrixRecord>& records) {
@@ -484,9 +530,8 @@ void write_bench_report_json(std::ostream& out, const std::string& bench_name,
   json.key("host");
   write_host_json(json, host);
   if (telemetry::enabled()) {
-    // Only present on telemetry runs, and skipped wholesale by
-    // tools/bench_diff.py, so telemetry-on and telemetry-off reports diff
-    // clean at threshold 0.
+    // Only present on telemetry runs, and dropped wholesale by
+    // tools/bench_diff.py, so telemetry-on and telemetry-off reports match.
     json.key("telemetry");
     telemetry::write_telemetry_json(json);
   }

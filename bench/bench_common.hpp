@@ -46,10 +46,12 @@
 #include "formats/csr.hpp"
 #include "hism/hism.hpp"
 #include "kernels/staging.hpp"
+#include "kernels/utilization.hpp"
 #include "stm/unit.hpp"
 #include "suite/dsab.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "vsim/config.hpp"
@@ -126,16 +128,61 @@ TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        bool profile = false,
                                        vsim::SimCache* sim_cache = nullptr);
 
-// Prints one of the Fig. 11/12/13 per-matrix tables and the set summary.
-struct FigureSeries {
-  std::string set;                 // suite set name
-  std::string metric_header;      // e.g. "locality"
-  double (*metric)(const suite::MatrixMetrics&);
-  // Paper-reported speedup statistics for the closing comparison line.
-  double paper_min, paper_max, paper_avg;
+// ---- the paper's figures ----------------------------------------------------
+
+// Speedup statistics of HiSM over CRS transposition as the paper reports them.
+struct PaperSpeedups {
+  double min, max, avg;
 };
 
+// The headline (abstract, §IV-D): all 30 matrices.
+inline constexpr PaperSpeedups kPaperHeadline{1.8, 32.0, 17.6};
+
+// One of the Fig. 11-13 series: a suite set against one of its metrics.
+struct FigureSeries {
+  const char* figure;         // "fig11": the figure tag of smtu-repro-v1
+  const char* title;          // the REPORT.md section heading
+  const char* set;            // suite set name
+  const char* metric_header;  // e.g. "locality"
+  double (*metric)(const suite::MatrixMetrics&);
+  PaperSpeedups paper;
+};
+
+// Fig. 11: speedup grows monotonically with the matrix locality.
+inline constexpr FigureSeries kFig11{
+    "fig11", "Fig. 11 — performance vs. locality", suite::kSetLocality, "locality",
+    [](const suite::MatrixMetrics& m) { return m.locality; }, {1.8, 32.0, 16.5}};
+// Fig. 12: CRS improves as ANZ grows (longer rows amortize the per-row
+// vector startup costs).
+inline constexpr FigureSeries kFig12{
+    "fig12", "Fig. 12 — performance vs. avg non-zeros/row", suite::kSetAnz, "nnz/row",
+    [](const suite::MatrixMetrics& m) { return m.avg_nnz_per_row; }, {11.9, 28.9, 20.0}};
+// Fig. 13: neither method's per-element cost depends much on matrix size.
+inline constexpr FigureSeries kFig13{
+    "fig13", "Fig. 13 — performance vs. size", suite::kSetSize, "nnz",
+    [](const suite::MatrixMetrics& m) { return static_cast<double>(m.nnz); },
+    {3.4, 28.2, 15.5}};
+// The three in report order, as reproduce_all runs them.
+inline constexpr FigureSeries kFigures[] = {kFig11, kFig12, kFig13};
+
+// Runs one figure's suite set through both transposes and prints its table,
+// measured speedups and the paper's.
 int run_figure_bench(int argc, const char* const* argv, const FigureSeries& series);
+
+// Fig. 10: STM buffer-bandwidth utilization, the suite mean at every (B, L).
+struct UtilizationGrid {
+  std::vector<u32> bandwidths{1, 2, 4, 8};
+  std::vector<u32> lines{1, 2, 4, 8};
+  std::vector<std::vector<double>> utilization;  // [bandwidth][lines]
+};
+
+// Evaluates every grid point on each matrix's traces across the pool, then
+// averages in matrix order, so every -j value gives the same bits.
+UtilizationGrid utilization_grid(ThreadPool& pool,
+                                 const std::vector<kernels::StmTraceSet>& traces);
+
+// The Fig. 10 table: one row per B, one column per L.
+TextTable utilization_table(const UtilizationGrid& grid);
 
 // Loads every MatrixMarket file in `dir` as a suite (set = "external",
 // sorted by filename); computes the paper's metrics for each. A missing or
@@ -227,6 +274,10 @@ struct HarnessInfo {
   u32 jobs = 1;
   double wall_ms = 0.0;
 };
+
+// The Fig. 11-13 per-matrix table: matrix, the figure's metric, nnz, both
+// kernels' cycles per non-zero and the speedup.
+TextTable figure_table(const FigureSeries& series, const std::vector<MatrixRecord>& records);
 
 // Speedup statistics over a record span (the per-figure summary line).
 struct SpeedupSummary {

@@ -1,18 +1,8 @@
 // Figure 11: transposition performance (cycles per non-zero, HiSM vs CRS)
 // and HiSM-vs-CRS speedup across the ten matrices selected by locality.
-//
-// Paper result: speedup 1.8 .. 32.0, average 16.5, growing monotonically
-// with the matrix locality.
+// The series and the paper's speedups are bench::kFig11.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  const smtu::bench::FigureSeries series{
-      .set = smtu::suite::kSetLocality,
-      .metric_header = "locality",
-      .metric = [](const smtu::suite::MatrixMetrics& m) { return m.locality; },
-      .paper_min = 1.8,
-      .paper_max = 32.0,
-      .paper_avg = 16.5,
-  };
-  return smtu::bench::run_figure_bench(argc, argv, series);
+  return smtu::bench::run_figure_bench(argc, argv, smtu::bench::kFig11);
 }

@@ -1,18 +1,8 @@
 // Figure 12: transposition performance across the ten matrices selected by
-// average non-zeros per row (ANZ).
-//
-// Paper result: speedup 11.9 .. 28.9, average 20.0; CRS performance improves
-// as ANZ grows (longer rows amortize the per-row vector startup costs).
+// average non-zeros per row (ANZ). The series and the paper's speedups are
+// bench::kFig12.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  const smtu::bench::FigureSeries series{
-      .set = smtu::suite::kSetAnz,
-      .metric_header = "nnz/row",
-      .metric = [](const smtu::suite::MatrixMetrics& m) { return m.avg_nnz_per_row; },
-      .paper_min = 11.9,
-      .paper_max = 28.9,
-      .paper_avg = 20.0,
-  };
-  return smtu::bench::run_figure_bench(argc, argv, series);
+  return smtu::bench::run_figure_bench(argc, argv, smtu::bench::kFig12);
 }

@@ -1,18 +1,8 @@
 // Figure 13: transposition performance across the ten matrices selected by
-// size (total non-zeros, 48 .. 3.75M).
-//
-// Paper result: speedup 3.4 .. 28.2, average 15.5; neither method's
-// per-element cost shows a particular dependence on matrix size.
+// size (total non-zeros, 48 .. 3.75M). The series and the paper's speedups
+// are bench::kFig13.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  const smtu::bench::FigureSeries series{
-      .set = smtu::suite::kSetSize,
-      .metric_header = "nnz",
-      .metric = [](const smtu::suite::MatrixMetrics& m) { return static_cast<double>(m.nnz); },
-      .paper_min = 3.4,
-      .paper_max = 28.2,
-      .paper_avg = 15.5,
-  };
-  return smtu::bench::run_figure_bench(argc, argv, series);
+  return smtu::bench::run_figure_bench(argc, argv, smtu::bench::kFig13);
 }

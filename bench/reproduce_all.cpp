@@ -38,39 +38,8 @@ void markdown_table(std::ostream& out, const TextTable& table) {
 }
 
 struct FigureResult {
-  const char* figure;  // "fig11" ...
-  const char* set;
-  double paper_min, paper_max, paper_avg;
+  const bench::FigureSeries& series;
   std::vector<bench::MatrixRecord> records;
-};
-
-std::vector<bench::MatrixRecord> run_set(std::ostream& out,
-                                         const std::vector<suite::SuiteMatrix>& set,
-                                         const std::string& metric_header,
-                                         double (*metric)(const suite::MatrixMetrics&),
-                                         const bench::BenchOptions& options,
-                                         const vsim::MachineConfig& config) {
-  // Fanned across the pool; record order (and thus every table/JSON row)
-  // matches the serial -j1 run.
-  const std::vector<bench::MatrixRecord> records =
-      bench::run_comparisons(set, config, options, metric_header, metric);
-  TextTable table({"matrix", metric_header, "nnz", "HiSM cyc/nnz", "CRS cyc/nnz", "speedup"});
-  for (const auto& record : records) {
-    table.add_row({record.name, format("%.2f", record.metric), format("%zu", record.nnz),
-                   format("%.2f", record.comparison.hism_cycles_per_nnz),
-                   format("%.2f", record.comparison.crs_cycles_per_nnz),
-                   format("%.1f", record.comparison.speedup)});
-  }
-  std::fprintf(stderr, "  %s done (%zu matrices)\n",
-               set.empty() ? "?" : set.front().set.c_str(), records.size());
-  markdown_table(out, table);
-  return records;
-}
-
-struct Fig10Grid {
-  std::vector<u32> bandwidths{1, 2, 4, 8};
-  std::vector<u32> lines{1, 2, 4, 8};
-  std::vector<std::vector<double>> utilization;  // [bandwidth][lines]
 };
 
 struct StorageSummary {
@@ -120,72 +89,40 @@ int main(int argc, char** argv) {
   // ---- Fig. 10 -----------------------------------------------------------
   std::fprintf(stderr, "Fig. 10 ...\n");
   out << "## Fig. 10 — buffer bandwidth utilization\n\n";
-  Fig10Grid fig10;
+  bench::UtilizationGrid fig10;
   {
     ThreadPool pool(options.jobs);
     // Conversions land in the process-wide stage cache, so the Fig. 11-13
     // comparisons below reuse them instead of re-running from_coo. The STM
     // line traces are config-independent: extracted once per matrix here,
-    // they serve all 16 (B, L) grid points below.
+    // they serve all 16 (B, L) grid points.
     const auto traces =
         parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
           return kernels::stm_block_traces(
               kernels::MatrixStageCache::instance().hism(entry.matrix, config.section)->hism);
         });
-    TextTable table({"B", "L=1", "L=2", "L=4", "L=8"});
-    for (const u32 bandwidth : fig10.bandwidths) {
-      std::vector<std::string> row = {format("%u", bandwidth)};
-      std::vector<double> util_row;
-      for (const u32 lines : fig10.lines) {
-        StmConfig stm;
-        stm.bandwidth = bandwidth;
-        stm.lines = lines;
-        double sum = 0.0;
-        for (const auto& trace : traces) {
-          sum += kernels::stm_utilization(trace, stm).utilization;
-        }
-        util_row.push_back(sum / static_cast<double>(traces.size()));
-        row.push_back(format("%.3f", util_row.back()));
-      }
-      fig10.utilization.push_back(std::move(util_row));
-      table.add_row(std::move(row));
-    }
-    markdown_table(out, table);
-    out << "Paper: BU max at B=1 (short of 1.0 only by the 6-cycle block penalty); "
-           "grows with L, saturates past L=4 — the basis for fixing L=4.\n\n";
+    fig10 = bench::utilization_grid(pool, traces);
   }
+  markdown_table(out, bench::utilization_table(fig10));
+  out << "Paper: BU max at B=1 (short of 1.0 only by the 6-cycle block penalty); "
+         "grows with L, saturates past L=4 — the basis for fixing L=4.\n\n";
 
   // ---- Figs. 11-13 ---------------------------------------------------------
-  struct Figure {
-    const char* title;
-    const char* figure;
-    const char* set;
-    const char* metric_header;
-    double (*metric)(const suite::MatrixMetrics&);
-    double paper_min, paper_max, paper_avg;
-  };
-  const Figure figures[] = {
-      {"Fig. 11 — performance vs. locality", "fig11", suite::kSetLocality, "locality",
-       [](const suite::MatrixMetrics& m) { return m.locality; }, 1.8, 32.0, 16.5},
-      {"Fig. 12 — performance vs. avg non-zeros/row", "fig12", suite::kSetAnz, "nnz/row",
-       [](const suite::MatrixMetrics& m) { return m.avg_nnz_per_row; }, 11.9, 28.9, 20.0},
-      {"Fig. 13 — performance vs. size", "fig13", suite::kSetSize, "nnz",
-       [](const suite::MatrixMetrics& m) { return static_cast<double>(m.nnz); }, 3.4, 28.2,
-       15.5},
-  };
   std::vector<FigureResult> figure_results;
   std::vector<bench::MatrixRecord> all_records;
-  for (const Figure& figure : figures) {
-    std::fprintf(stderr, "%s ...\n", figure.title);
-    out << "## " << figure.title << "\n\n";
-    FigureResult result{figure.figure, figure.set, figure.paper_min, figure.paper_max,
-                        figure.paper_avg, {}};
-    result.records = run_set(out, set_slice(figure.set), figure.metric_header, figure.metric,
-                             options, config);
+  for (const bench::FigureSeries& series : bench::kFigures) {
+    std::fprintf(stderr, "%s ...\n", series.title);
+    out << "## " << series.title << "\n\n";
+    // Fanned across the pool; record order (and thus every table/JSON row)
+    // matches the serial -j1 run.
+    FigureResult result{series, bench::run_comparisons(set_slice(series.set), config, options,
+                                                       series.metric_header, series.metric)};
+    std::fprintf(stderr, "  %s done (%zu matrices)\n", series.set, result.records.size());
+    markdown_table(out, bench::figure_table(series, result.records));
     const bench::SpeedupSummary summary = bench::summarize_speedups(result.records);
     out << format("measured speedup: min %.1f, max %.1f, avg %.1f — paper: %.1f / %.1f / %.1f\n\n",
-                  summary.min, summary.max, summary.avg, figure.paper_min, figure.paper_max,
-                  figure.paper_avg);
+                  summary.min, summary.max, summary.avg, series.paper.min, series.paper.max,
+                  series.paper.avg);
     all_records.insert(all_records.end(), result.records.begin(), result.records.end());
     figure_results.push_back(std::move(result));
   }
@@ -194,8 +131,9 @@ int main(int argc, char** argv) {
   const bench::SpeedupSummary headline = bench::summarize_speedups(all_records);
   out << "## Headline\n\n";
   out << format("All %zu matrices: speedup %.1f .. %.1f, average %.1f "
-                "(paper: 1.8 .. 32.0, average 17.6).\n\n",
-                headline.count, headline.min, headline.max, headline.avg);
+                "(paper: %.1f .. %.1f, average %.1f).\n\n",
+                headline.count, headline.min, headline.max, headline.avg,
+                bench::kPaperHeadline.min, bench::kPaperHeadline.max, bench::kPaperHeadline.avg);
 
   std::fprintf(stderr, "storage ...\n");
   out << "## Storage (§II claim)\n\n";
@@ -276,8 +214,8 @@ int main(int argc, char** argv) {
     json.key("host");
     bench::write_host_json(json, bench::collect_host_counters(options.sim_cache_dir));
     if (telemetry::enabled()) {
-      // Telemetry-only key, skipped wholesale by tools/bench_diff.py, so
-      // telemetry-on and -off reports stay bit-identical at threshold 0.
+      // Telemetry-only key, dropped wholesale by tools/bench_diff.py, so
+      // telemetry-on and -off reports match.
       json.key("telemetry");
       telemetry::write_telemetry_json(json);
     }
@@ -305,9 +243,9 @@ int main(int argc, char** argv) {
     for (const FigureResult& result : figure_results) {
       json.begin_object();
       json.key("figure");
-      json.value(result.figure);
+      json.value(result.series.figure);
       json.key("set");
-      json.value(result.set);
+      json.value(result.series.set);
       json.key("matrices");
       bench::write_matrix_records_json(json, result.records);
       json.key("summary");
@@ -315,11 +253,11 @@ int main(int argc, char** argv) {
       json.key("paper");
       json.begin_object();
       json.key("min_speedup");
-      json.value(result.paper_min);
+      json.value(result.series.paper.min);
       json.key("max_speedup");
-      json.value(result.paper_max);
+      json.value(result.series.paper.max);
       json.key("avg_speedup");
-      json.value(result.paper_avg);
+      json.value(result.series.paper.avg);
       json.end_object();
       json.end_object();
     }

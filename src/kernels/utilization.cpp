@@ -31,25 +31,25 @@ u32 grouped_drain_cycles(std::span<const u8> lines, const StmConfig& config) {
 StmTraceSet stm_block_traces(const HismMatrix& hism) {
   StmTraceSet traces;
   traces.section = hism.section();
+  // Drain order = the transpose read out row-major, i.e. the stored
+  // positions sorted by column; only the column ids reach the timing, so a
+  // per-column histogram gives the drain lines without a sort.
+  std::vector<u32> per_column(hism.section());
   for (u32 level = 0; level < hism.num_levels(); ++level) {
     for (const BlockArray& block : hism.level(level)) {
       if (block.size() == 0) continue;
       StmBlockTrace trace;
       trace.passes = level > 0 ? 2 : 1;
       trace.fill_lines.reserve(block.size());
-      // Drain order = the transpose read out row-major, i.e. the stored
-      // positions sorted by (col, row); positions are unique within a
-      // block, so the packed u16 key gives exactly that order.
-      std::vector<u16> drain_order;
-      drain_order.reserve(block.size());
+      std::fill(per_column.begin(), per_column.end(), 0u);
       for (usize i = 0; i < block.size(); ++i) {
         trace.fill_lines.push_back(block.pos[i].row);
-        drain_order.push_back(
-            static_cast<u16>((static_cast<u16>(block.pos[i].col) << 8) | block.pos[i].row));
+        ++per_column[block.pos[i].col];
       }
-      std::sort(drain_order.begin(), drain_order.end());
-      trace.drain_lines.reserve(drain_order.size());
-      for (const u16 key : drain_order) trace.drain_lines.push_back(static_cast<u8>(key >> 8));
+      trace.drain_lines.reserve(block.size());
+      for (u32 col = 0; col < per_column.size(); ++col) {
+        trace.drain_lines.insert(trace.drain_lines.end(), per_column[col], static_cast<u8>(col));
+      }
       traces.blocks.push_back(std::move(trace));
     }
   }

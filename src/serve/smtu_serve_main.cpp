@@ -77,6 +77,10 @@ int serve_main(int argc, const char* const* argv) {
     cli.fail("option --arrival expects poisson, bursty or heavytail, got '" +
              gen.arrival.mode + "'");
   }
+  if (!valid_rate(gen.arrival.rate_rps)) {
+    cli.fail(format("option --rate expects a positive finite number, got '%g'",
+                    gen.arrival.rate_rps));
+  }
 
   if (telemetry_on || !telemetry_json.empty()) telemetry::set_enabled(true);
 

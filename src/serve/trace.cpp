@@ -143,6 +143,8 @@ bool valid_arrival_mode(const std::string& mode) {
   return mode == "poisson" || mode == "bursty" || mode == "heavytail";
 }
 
+bool valid_rate(double rate_rps) { return rate_rps > 0.0 && std::isfinite(rate_rps); }
+
 const char* kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kHism:
@@ -174,6 +176,10 @@ vsim::MachineConfig machine_config_for(const ConfigSpec& spec) {
 
 Trace generate_trace(const GeneratorOptions& options) {
   SMTU_CHECK_MSG(options.requests > 0, "trace generator needs at least one request");
+  // next_gap_us divides by the rate: 0, a negative or a non-finite rate
+  // would wrap the arrival times.
+  SMTU_CHECK_MSG(valid_rate(options.arrival.rate_rps),
+                 "trace generator needs a positive finite rate_rps");
   const auto set = suite::build_dsab_set(options.set, options.suite);
   SMTU_CHECK_MSG(!set.empty(), "suite set '" + options.set + "' is empty");
 

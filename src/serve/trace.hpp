@@ -65,6 +65,8 @@ struct Trace {
 
 // True for the arrival modes ArrivalSpec names: poisson, bursty, heavytail.
 bool valid_arrival_mode(const std::string& mode);
+// True for a rate_rps the generator accepts: a positive finite number.
+bool valid_rate(double rate_rps);
 
 // Deterministic in options: same options, same trace, on any host.
 Trace generate_trace(const GeneratorOptions& options);

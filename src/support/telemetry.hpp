@@ -17,9 +17,9 @@
 //    upper bound of the bucket holding the rank-th sample, clamped to the
 //    exact maximum; min/max/sum/count are exact.
 //  * Metric names follow `<component>.<metric>_<unit>` with unit one of
-//    `_total` (counter), `_us` / `_pct` (histogram), `_peak` (gauge) —
-//    tools/bench_diff.py skips exactly these suffixes, so telemetry values
-//    can never gate CI.
+//    `_total` (counter), `_us` / `_pct` (histogram), `_peak` (gauge). The
+//    reports write them under a "telemetry" key, which tools/bench_diff.py
+//    drops, so telemetry values can never gate CI.
 #pragma once
 
 #include <atomic>

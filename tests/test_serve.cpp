@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -110,6 +111,17 @@ TEST(ServeTrace, ArrivalsAreNondecreasingInEveryMode) {
       EXPECT_LT(request.matrix, trace.matrix_count) << mode;
       EXPECT_LT(request.config, trace.configs.size()) << mode;
     }
+  }
+}
+
+TEST(ServeTraceDeathTest, GeneratorRejectsARateThatIsNotPositiveFinite) {
+  // The command line rejects these rates; a library caller that passes one
+  // anyway stops before a gap is divided by it.
+  for (const double rate : {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    GeneratorOptions options = small_generator();
+    options.arrival.rate_rps = rate;
+    EXPECT_DEATH(generate_trace(options), "positive finite rate_rps") << rate;
   }
 }
 
@@ -555,6 +567,9 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {generate + " --set=foo", "option --set expects locality, anz or size"},
       {generate + " --arrival=foo", "option --arrival expects poisson, bursty or heavytail"},
       {generate + " --requests=0", "option --requests expects an integer in [1, "},
+      {generate + " --rate=0", "option --rate expects a positive finite number"},
+      {generate + " --rate=nan", "option --rate expects a positive finite number"},
+      {generate + " --rate=-5", "option --rate expects a positive finite number"},
       {replay + " --workers=0", "option --workers expects an integer in [1, "},
       {"--replay=" + bad_trace, "\"set\" is not locality, anz or size"},
       {"--replay=" + string_scale_trace, "suite \"scale\" is not a number"},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/utilization.hpp"
+#include "suite/dsab.hpp"
 #include "suite/generators.hpp"
 #include "testing.hpp"
 
@@ -96,6 +97,56 @@ TEST(Utilization, DiagonalBlocksBenefitFromLines) {
   const double narrow = stm_utilization(traces, stm_config(4, 1)).utilization;
   const double wide = stm_utilization(traces, stm_config(4, 4)).utilization;
   EXPECT_GT(wide, 3.0 * narrow);
+}
+
+TEST(Utilization, TraceModelMatchesStmUnitOnEverySuiteBlock) {
+  // Fig. 10 and the (B, L) sweeps time blocks from their line traces alone;
+  // that shortcut must charge what the functional unit charges, for every
+  // block of the suite, every Fig. 10 grid point and both line rules.
+  std::vector<StmConfig> configs;
+  for (const u32 bandwidth : {1u, 2u, 4u, 8u}) {
+    for (const u32 lines : {1u, 2u, 4u, 8u}) {
+      for (const bool strict : {true, false}) {
+        for (const bool skip_empty : {true, false}) {
+          StmConfig config = stm_config(bandwidth, lines);
+          config.strict_consecutive_lines = strict;
+          config.skip_empty_lines = skip_empty;
+          configs.push_back(config);
+        }
+      }
+    }
+  }
+  std::vector<StmUnit> units(configs.begin(), configs.end());
+
+  suite::SuiteOptions options;
+  options.scale = 0.05;
+  usize blocks = 0;
+  for (const suite::SuiteMatrix& entry : suite::build_dsab_suite(options)) {
+    const HismMatrix hism = HismMatrix::from_coo(entry.matrix, 64);
+    const StmTraceSet traces = stm_block_traces(hism);
+    usize next = 0;
+    for (u32 level = 0; level < hism.num_levels(); ++level) {
+      for (const BlockArray& block : hism.level(level)) {
+        if (block.size() == 0) continue;
+        ASSERT_LT(next, traces.blocks.size()) << entry.name;
+        const StmTraceSet one{traces.section, {traces.blocks[next++]}};
+        ASSERT_EQ(one.blocks[0].passes, level > 0 ? 2u : 1u) << entry.name;
+        std::vector<StmEntry> entries;
+        for (const BlockPos& pos : block.pos) entries.push_back({pos.row, pos.col, 0});
+        for (usize c = 0; c < configs.size(); ++c) {
+          const u64 unit_cycles = units[c].transpose_block(entries).cycles;
+          ASSERT_EQ(stm_utilization(one, configs[c]).cycles, one.blocks[0].passes * unit_cycles)
+              << entry.name << " level " << level << " block of " << block.size()
+              << " B=" << configs[c].bandwidth << " L=" << configs[c].lines
+              << " strict=" << configs[c].strict_consecutive_lines
+              << " skip_empty=" << configs[c].skip_empty_lines;
+        }
+        ++blocks;
+      }
+    }
+    ASSERT_EQ(next, traces.blocks.size()) << entry.name;
+  }
+  EXPECT_GT(blocks, 1000u);
 }
 
 }  // namespace

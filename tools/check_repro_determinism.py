@@ -7,11 +7,10 @@ Usage:
                                      [--sim-cache] [--telemetry]
 
 Runs the binary once per jobs value (default: 1 and 4) and asserts the
-smtu-repro-v1 JSON artifacts are identical after stripping the host-timing
-keys (any key containing "wall_ms", plus the "harness", "host", and
-"telemetry" sections). Everything else — cycle counts, speedups,
-utilization grids, full RunStats — must match exactly; a single differing
-leaf fails the check.
+smtu-repro-v1 JSON artifacts are identical under bench_diff.py's rule: the
+host keys (harness, host, telemetry, wall_ms) are dropped and everything
+else — cycle counts, speedups, utilization grids, full RunStats — must
+match exactly; a single differing value fails the check.
 
 --profile additionally passes --profile to every run, so each per-matrix
 record carries a full smtu-profile-v1 section (cycle attribution, stall
@@ -26,8 +25,8 @@ change a single simulated number (HACKING.md "Host performance").
 --telemetry additionally runs the binary once more with host telemetry
 collection on (docs/TELEMETRY.md) and asserts the artifact is bit-identical
 to the telemetry-off reference after the strip — i.e. instrumentation only
-*adds* the skipped "telemetry" section and never perturbs a simulated
-metric (threshold 0, in bench_diff terms).
+*adds* the dropped "telemetry" section and never perturbs a simulated
+value.
 
 --serve SMTU_SERVE TRACE additionally replays the given smtu-trace-v1 file
 through the serving driver once per jobs value and holds the smtu-serve-v1
@@ -46,20 +45,7 @@ import subprocess
 import sys
 import tempfile
 
-
-def strip_timing(value):
-    """Recursively drop nondeterministic host-timing keys."""
-    if isinstance(value, dict):
-        return {
-            key: strip_timing(child)
-            for key, child in value.items()
-            if key not in ("harness", "host", "telemetry")
-            and "wall_ms" not in key and "wall_us" not in key
-            and "per_sec" not in key
-        }
-    if isinstance(value, list):
-        return [strip_timing(child) for child in value]
-    return value
+from bench_diff import differences, strip_host
 
 
 def run_once(binary, scale, jobs, tmp, profile=False, sim_cache=None, tag="",
@@ -94,27 +80,6 @@ def run_serve(binary, trace, jobs, tmp):
         sys.exit(2)
     with open(artifact, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def first_difference(a, b, path=""):
-    """Dotted path of the first differing leaf, or None."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                return f"{path}.{key} (missing on one side)"
-            found = first_difference(a[key], b[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return f"{path} (length {len(a)} vs {len(b)})"
-        for index, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{index}]")
-            if found:
-                return found
-        return None
-    return None if a == b else f"{path} ({a!r} vs {b!r})"
 
 
 def main():
@@ -167,47 +132,29 @@ def main():
                           for jobs in args.jobs}
 
     reference_jobs = args.jobs[0]
-    reference = strip_timing(docs[reference_jobs])
-    for jobs in args.jobs[1:]:
-        candidate = strip_timing(docs[jobs])
-        difference = first_difference(reference, candidate)
-        if difference:
-            print(f"check_repro_determinism: -j{reference_jobs} vs -j{jobs} "
-                  f"differ at {difference}", file=sys.stderr)
-            return 1
-        print(f"check_repro_determinism: -j{jobs} identical to "
-              f"-j{reference_jobs} (modulo wall_ms)")
-    for tag, doc in cached_docs.items():
-        difference = first_difference(reference, strip_timing(doc))
-        if difference:
-            print(f"check_repro_determinism: uncached vs --sim-cache {tag} run "
-                  f"differ at {difference}", file=sys.stderr)
-            return 1
-        print(f"check_repro_determinism: --sim-cache {tag} run identical to "
-              f"uncached -j{reference_jobs} (modulo wall_ms/host)")
+    reference = docs[reference_jobs]
+    comparisons = [(f"-j{jobs} report", f"-j{reference_jobs}", reference, docs[jobs])
+                   for jobs in args.jobs[1:]]
+    comparisons += [(f"--sim-cache {tag} report", f"uncached -j{reference_jobs}",
+                     reference, doc) for tag, doc in cached_docs.items()]
     if telemetry_doc is not None:
         if "telemetry" not in telemetry_doc:
             print("check_repro_determinism: --telemetry run is missing its "
                   "\"telemetry\" section", file=sys.stderr)
             return 1
-        difference = first_difference(reference, strip_timing(telemetry_doc))
-        if difference:
-            print(f"check_repro_determinism: telemetry-off vs telemetry-on "
-                  f"runs differ at {difference}", file=sys.stderr)
+        comparisons.append(("--telemetry report", f"telemetry-off -j{reference_jobs}",
+                            reference, telemetry_doc))
+    comparisons += [(f"smtu_serve -j{jobs} report", f"-j{reference_jobs}",
+                     serve_docs[reference_jobs], serve_docs[jobs])
+                    for jobs in args.jobs[1:] if serve_docs]
+    for label, against, expected, actual in comparisons:
+        found = list(differences(strip_host(expected), strip_host(actual)))
+        for line in found:
+            print(f"check_repro_determinism: {label} differs from {against} at {line}",
+                  file=sys.stderr)
+        if found:
             return 1
-        print(f"check_repro_determinism: --telemetry run identical to "
-              f"telemetry-off -j{reference_jobs} (modulo wall_ms/host/telemetry)")
-    if serve_docs:
-        serve_reference = strip_timing(serve_docs[reference_jobs])
-        for jobs in args.jobs[1:]:
-            difference = first_difference(serve_reference,
-                                          strip_timing(serve_docs[jobs]))
-            if difference:
-                print(f"check_repro_determinism: smtu_serve -j{reference_jobs} "
-                      f"vs -j{jobs} differ at {difference}", file=sys.stderr)
-                return 1
-            print(f"check_repro_determinism: smtu_serve -j{jobs} report "
-                  f"identical to -j{reference_jobs} (modulo host/telemetry)")
+        print(f"check_repro_determinism: {label} identical to {against}")
     return 0
 
 

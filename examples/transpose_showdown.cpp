@@ -13,19 +13,27 @@
 #include "suite/generators.hpp"
 #include "suite/metrics.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
   const std::string path = cli.get_string("matrix", "");
   const std::string pattern = cli.get_string("pattern", "banded");
-  const Index dim = static_cast<Index>(cli.get_int("dim", 4096));
-  const usize nnz = static_cast<usize>(cli.get_int("nnz", 40000));
-  const u32 bandwidth = static_cast<u32>(cli.get_int("B", 4));
-  const u32 lines = static_cast<u32>(cli.get_int("L", 4));
+  const Index dim = cli.get_u32("dim", 4096, 1);
+  const usize nnz = cli.get_u32("nnz", 40000, 1);
+  const u32 bandwidth = cli.get_u32("B", 4, 1);
+  const u32 lines = cli.get_u32("L", 4, 1);
   const bool no_verify = cli.get_flag("no-verify");
   const bool stats = cli.get_flag("stats");
   cli.finish();
+
+  vsim::MachineConfig config;  // the paper's machine: s=64, p=4, chaining
+  if (lines > config.section) {
+    cli.fail(format("option --L expects an integer in [1, %u], got '%u'", config.section, lines));
+  }
+  config.stm.bandwidth = bandwidth;
+  config.stm.lines = lines;
 
   Rng rng(11);
   Coo matrix;
@@ -49,10 +57,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(metrics.rows),
               static_cast<unsigned long long>(metrics.cols), metrics.nnz, metrics.locality,
               metrics.avg_nnz_per_row);
-
-  vsim::MachineConfig config;  // the paper's machine: s=64, p=4, chaining
-  config.stm.bandwidth = bandwidth;
-  config.stm.lines = lines;
 
   const kernels::HismStage hism =
       kernels::build_hism_stage(HismMatrix::from_coo(matrix, config.section));

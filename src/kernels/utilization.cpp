@@ -2,55 +2,40 @@
 
 #include <algorithm>
 
-#include "support/bits.hpp"
-
 namespace smtu::kernels {
-namespace {
-
-// Drain cost without per-line occupancy bits: aligned groups of L lines are
-// scanned in order, one cycle minimum even when empty, exactly as
-// StmUnit::freeze_drain_schedule charges it. Returns the cumulative cycle
-// at which the last entry moves (= BlockResult::read_cycles).
-u32 grouped_drain_cycles(std::span<const u8> lines, const StmConfig& config) {
-  u32 cumulative = 0;
-  usize idx = 0;
-  for (u32 group = 0; group < config.section; group += config.lines) {
-    usize count = 0;
-    while (idx + count < lines.size() && lines[idx + count] < group + config.lines) {
-      ++count;
-    }
-    cumulative += std::max<u32>(1, static_cast<u32>(ceil_div(count, config.bandwidth)));
-    idx += count;
-    if (idx == lines.size()) break;
-  }
-  return cumulative;
-}
-
-}  // namespace
 
 StmTraceSet stm_block_traces(const HismMatrix& hism) {
   StmTraceSet traces;
   traces.section = hism.section();
+  // Fill runs are the storage-order rows with equal neighbours merged.
   // Drain order = the transpose read out row-major, i.e. the stored
-  // positions sorted by column; only the column ids reach the timing, so a
-  // per-column histogram gives the drain lines without a sort.
-  std::vector<u32> per_column(hism.section());
+  // positions sorted by column; only the column ids reach the timing, so
+  // the non-zero bins of a per-column histogram are the drain runs.
+  std::vector<u16> per_column(hism.section());
   for (u32 level = 0; level < hism.num_levels(); ++level) {
     for (const BlockArray& block : hism.level(level)) {
       if (block.size() == 0) continue;
       StmBlockTrace trace;
       trace.passes = level > 0 ? 2 : 1;
-      trace.fill_lines.reserve(block.size());
-      std::fill(per_column.begin(), per_column.end(), 0u);
-      for (usize i = 0; i < block.size(); ++i) {
-        trace.fill_lines.push_back(block.pos[i].row);
-        ++per_column[block.pos[i].col];
+      trace.entries = static_cast<u32>(block.size());
+      trace.fill = static_cast<u32>(traces.runs.size());
+      std::fill(per_column.begin(), per_column.end(), u16{0});
+      u32 row = hism.section();  // rows are < s, so no run yet
+      for (const BlockPos& pos : block.pos) {
+        if (pos.row == row) {
+          ++traces.runs.back().count;
+        } else {
+          row = pos.row;
+          traces.runs.push_back({pos.row, 1});
+        }
+        ++per_column[pos.col];
       }
-      trace.drain_lines.reserve(block.size());
+      trace.drain = static_cast<u32>(traces.runs.size());
       for (u32 col = 0; col < per_column.size(); ++col) {
-        trace.drain_lines.insert(trace.drain_lines.end(), per_column[col], static_cast<u8>(col));
+        if (per_column[col] > 0) traces.runs.push_back({static_cast<u16>(col), per_column[col]});
       }
-      traces.blocks.push_back(std::move(trace));
+      trace.end = static_cast<u32>(traces.runs.size());
+      traces.blocks.push_back(trace);
     }
   }
   return traces;
@@ -59,17 +44,18 @@ StmTraceSet stm_block_traces(const HismMatrix& hism) {
 UtilizationBreakdown stm_utilization(const StmTraceSet& traces, const StmConfig& config) {
   StmConfig stm_config = config;
   stm_config.section = traces.section;
+  check_stm_config(stm_config);
 
   UtilizationBreakdown breakdown;
   for (const StmBlockTrace& block : traces.blocks) {
-    const u32 fill = stream_cycles(block.fill_lines, stm_config);
+    const u32 fill = stream_cycles(traces.fill_runs(block), stm_config);
     const u32 drain = stm_config.skip_empty_lines
-                          ? stream_cycles(block.drain_lines, stm_config)
-                          : grouped_drain_cycles(block.drain_lines, stm_config);
+                          ? stream_cycles(traces.drain_runs(block), stm_config)
+                          : grouped_drain_cycles(traces.drain_runs(block), stm_config);
     const u64 pass_cycles = static_cast<u64>(fill) + drain +
                             stm_config.fill_pipeline_cycles +
                             stm_config.drain_pipeline_cycles;
-    breakdown.transfers += static_cast<u64>(block.passes) * 2 * block.fill_lines.size();
+    breakdown.transfers += static_cast<u64>(block.passes) * 2 * block.entries;
     breakdown.cycles += block.passes * pass_cycles;
     breakdown.block_passes += block.passes;
   }

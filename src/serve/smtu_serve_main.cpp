@@ -81,6 +81,17 @@ int serve_main(int argc, const char* const* argv) {
     cli.fail(format("option --rate expects a positive finite number, got '%g'",
                     gen.arrival.rate_rps));
   }
+  if (!valid_zipf_skew(gen.arrival.zipf_skew)) {
+    cli.fail(format("option --zipf expects a finite number, got '%g'", gen.arrival.zipf_skew));
+  }
+  if (!valid_fraction(gen.arrival.hism_fraction)) {
+    cli.fail(format("option --hism-fraction expects a number in [0, 1], got '%g'",
+                    gen.arrival.hism_fraction));
+  }
+  if (!valid_fraction(gen.arrival.alt_config_fraction)) {
+    cli.fail(format("option --alt-config-fraction expects a number in [0, 1], got '%g'",
+                    gen.arrival.alt_config_fraction));
+  }
 
   if (telemetry_on || !telemetry_json.empty()) telemetry::set_enabled(true);
 

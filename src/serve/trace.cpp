@@ -145,6 +145,10 @@ bool valid_arrival_mode(const std::string& mode) {
 
 bool valid_rate(double rate_rps) { return rate_rps > 0.0 && std::isfinite(rate_rps); }
 
+bool valid_zipf_skew(double skew) { return std::isfinite(skew); }
+
+bool valid_fraction(double fraction) { return fraction >= 0.0 && fraction <= 1.0; }
+
 const char* kernel_name(Kernel kernel) {
   switch (kernel) {
     case Kernel::kHism:
@@ -180,6 +184,13 @@ Trace generate_trace(const GeneratorOptions& options) {
   // would wrap the arrival times.
   SMTU_CHECK_MSG(valid_rate(options.arrival.rate_rps),
                  "trace generator needs a positive finite rate_rps");
+  // The trace writer would turn a non-finite skew into null, which replay
+  // rejects; a fraction outside [0, 1] is not a probability.
+  SMTU_CHECK_MSG(valid_zipf_skew(options.arrival.zipf_skew),
+                 "trace generator needs a finite zipf_skew");
+  SMTU_CHECK_MSG(valid_fraction(options.arrival.hism_fraction) &&
+                     valid_fraction(options.arrival.alt_config_fraction),
+                 "trace generator needs hism_fraction and alt_config_fraction in [0, 1]");
   const auto set = suite::build_dsab_set(options.set, options.suite);
   SMTU_CHECK_MSG(!set.empty(), "suite set '" + options.set + "' is empty");
 

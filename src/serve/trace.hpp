@@ -67,6 +67,11 @@ struct Trace {
 bool valid_arrival_mode(const std::string& mode);
 // True for a rate_rps the generator accepts: a positive finite number.
 bool valid_rate(double rate_rps);
+// True for a zipf_skew the generator accepts: a finite number.
+bool valid_zipf_skew(double skew);
+// True for a hism_fraction or alt_config_fraction the generator accepts: a
+// probability, i.e. a number in [0, 1].
+bool valid_fraction(double fraction);
 
 // Deterministic in options: same options, same trace, on any host.
 Trace generate_trace(const GeneratorOptions& options);

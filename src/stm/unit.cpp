@@ -75,15 +75,64 @@ void sort_drain_order(std::vector<StmEntry>& entries, std::vector<StmEntry>& scr
 
 }  // namespace
 
-u32 stream_cycles(std::span<const u8> lines, const StmConfig& config) {
-  return stream_pass(lines.size(), [&](usize i) { return lines[i]; }, config,
-                     [](usize, u32) {});
-}
-
-StmUnit::StmUnit(const StmConfig& config) : config_(config) {
+void check_stm_config(const StmConfig& config) {
   SMTU_CHECK_MSG(config.bandwidth >= 1, "buffer bandwidth must be positive");
   SMTU_CHECK_MSG(config.lines >= 1 && config.lines <= config.section,
                  "accessible lines must be in [1, section]");
+}
+
+u32 stream_cycles(std::span<const StmRun> runs, const StmConfig& config) {
+  const u32 bandwidth = config.bandwidth;
+  const u32 lines = config.lines;
+  u32 cycles = 0;
+  usize r = 0;
+  u32 left = 0;  // entries of runs[r] still to move; 0 until runs[r] starts
+  while (r < runs.size()) {
+    if (left == 0) left = runs[r].count;
+    // Cycles that start inside a run with >= B entries left take B of them.
+    cycles += left / bandwidth;
+    left %= bandwidth;
+    if (left == 0) {
+      ++r;
+      continue;
+    }
+    // One cycle takes the run's last entries, then whole runs while they fit
+    // in the cycle's remaining room, up to L runs in all, and under the
+    // strict rule only lines in [anchor, anchor + L).
+    ++cycles;
+    u32 room = bandwidth - left;
+    const u32 anchor = runs[r].line;
+    const usize window_end = std::min(runs.size(), r + lines);
+    left = 0;
+    for (++r; r < window_end; ++r) {
+      const u32 line = runs[r].line;
+      if (config.strict_consecutive_lines && (line < anchor || line >= anchor + lines)) break;
+      if (runs[r].count >= room) {
+        // The run fills the cycle; what it has left starts the next one.
+        left = runs[r].count - room;
+        if (left == 0) ++r;
+        break;
+      }
+      room -= runs[r].count;
+    }
+  }
+  return cycles;
+}
+
+u32 grouped_drain_cycles(std::span<const StmRun> runs, const StmConfig& config) {
+  u32 cumulative = 0;
+  usize r = 0;
+  for (u32 group = 0; group < config.section; group += config.lines) {
+    u32 count = 0;
+    while (r < runs.size() && runs[r].line < group + config.lines) count += runs[r++].count;
+    cumulative += std::max<u32>(1, static_cast<u32>(ceil_div(count, config.bandwidth)));
+    if (r == runs.size()) break;
+  }
+  return cumulative;
+}
+
+StmUnit::StmUnit(const StmConfig& config) : config_(config) {
+  check_stm_config(config);
   banks_.reserve(config.double_buffer ? 2 : 1);
   banks_.emplace_back(config.section);
   if (config.double_buffer) banks_.emplace_back(config.section);

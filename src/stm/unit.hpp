@@ -150,9 +150,40 @@ class StmUnit {
   std::vector<StmEntry> sort_scratch_;
 };
 
-// Shared cycle engine: number of I/O-buffer cycles needed to stream entries
-// whose line ids are `lines` (row ids when filling, column ids when
-// draining), under bandwidth B and the L-consecutive-lines rule.
-u32 stream_cycles(std::span<const u8> lines, const StmConfig& config);
+// Aborts unless bandwidth >= 1 and lines is in [1, section]: with a B or L
+// of 0 no entry could ever move. StmUnit's constructor and
+// kernels::stm_utilization check this on entry.
+void check_stm_config(const StmConfig& config);
+
+// `count` consecutive entries of a stream on the same line: a row id when
+// filling, a column id when draining. A line holds up to s = 256 entries,
+// so the count does not fit in 8 bits.
+struct StmRun {
+  u16 line = 0;
+  u16 count = 0;
+
+  friend bool operator==(const StmRun&, const StmRun&) = default;
+};
+
+// StmUnit's timing rules over a stream given as its maximal runs (counts
+// >= 1, neighbouring runs on different lines), for the trace-based timing
+// in kernels/utilization. `config` must pass check_stm_config.
+//
+// stream_cycles is StmUnit's fill and skip_empty_lines drain rule: one cycle
+// moves at most B entries from at most L runs, whose lines lie in
+// [anchor, anchor + L) under the strict rule, where anchor is the line the
+// cycle starts on. The relaxed rule counts runs, not distinct lines, so
+// lines a, b, a are three. The walk charges the whole B-entry cycles inside
+// a run with one division and then fills one partial cycle from the runs
+// that follow, so it takes about one step per run where StmUnit takes one
+// per entry, and returns the same count.
+u32 stream_cycles(std::span<const StmRun> runs, const StmConfig& config);
+
+// The drain without per-line occupancy bits (skip_empty_lines = false):
+// aligned groups of L lines are scanned in order, one cycle minimum even
+// when empty, exactly as StmUnit charges it. `runs` is in drain order
+// (ascending lines). Returns the cycle on which the last entry moves
+// (= StmUnit::BlockResult::read_cycles).
+u32 grouped_drain_cycles(std::span<const StmRun> runs, const StmConfig& config);
 
 }  // namespace smtu

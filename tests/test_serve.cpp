@@ -125,6 +125,27 @@ TEST(ServeTraceDeathTest, GeneratorRejectsARateThatIsNotPositiveFinite) {
   }
 }
 
+TEST(ServeTraceDeathTest, GeneratorRejectsASkewOrFractionItCannotHonour) {
+  // The command line rejects these too. A non-finite skew would be written
+  // as null, which replay rejects; a fraction outside [0, 1] is no
+  // probability.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double skew : {kNan, kInf, -kInf}) {
+    GeneratorOptions options = small_generator();
+    options.arrival.zipf_skew = skew;
+    EXPECT_DEATH(generate_trace(options), "finite zipf_skew") << skew;
+  }
+  for (const double fraction : {-3.0, 1.5, kNan, kInf}) {
+    GeneratorOptions hism = small_generator();
+    hism.arrival.hism_fraction = fraction;
+    EXPECT_DEATH(generate_trace(hism), "alt_config_fraction in \\[0, 1\\]") << fraction;
+    GeneratorOptions alt = small_generator();
+    alt.arrival.alt_config_fraction = fraction;
+    EXPECT_DEATH(generate_trace(alt), "alt_config_fraction in \\[0, 1\\]") << fraction;
+  }
+}
+
 TEST(ServeTrace, JsonRoundTripIsByteIdentical) {
   const Trace trace = generate_trace(small_generator());
   const std::string first = trace_to_string(trace);
@@ -570,6 +591,14 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {generate + " --rate=0", "option --rate expects a positive finite number"},
       {generate + " --rate=nan", "option --rate expects a positive finite number"},
       {generate + " --rate=-5", "option --rate expects a positive finite number"},
+      {generate + " --zipf=nan", "option --zipf expects a finite number"},
+      {generate + " --zipf=inf", "option --zipf expects a finite number"},
+      {generate + " --hism-fraction=-3", "option --hism-fraction expects a number in [0, 1]"},
+      {generate + " --hism-fraction=nan", "option --hism-fraction expects a number in [0, 1]"},
+      {generate + " --alt-config-fraction=inf",
+       "option --alt-config-fraction expects a number in [0, 1]"},
+      {generate + " --alt-config-fraction=1.5",
+       "option --alt-config-fraction expects a number in [0, 1]"},
       {replay + " --workers=0", "option --workers expects an integer in [1, "},
       {"--replay=" + bad_trace, "\"set\" is not locality, anz or size"},
       {"--replay=" + string_scale_trace, "suite \"scale\" is not a number"},

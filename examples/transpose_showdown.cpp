@@ -42,9 +42,25 @@ int main(int argc, char** argv) {
   } else if (pattern == "banded") {
     matrix = suite::gen_banded_rows(dim, 12, 24, rng);
   } else if (pattern == "random") {
+    const Index cells = dim * dim;
+    if (nnz > cells) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] (--dim squared) for "
+                      "--pattern=random, got '%zu'",
+                      static_cast<unsigned long long>(cells), nnz));
+    }
     matrix = suite::gen_random_uniform(dim, dim, nnz, rng);
   } else if (pattern == "clusters") {
-    matrix = suite::gen_block_clusters((dim + 31) / 32 * 32, nnz / 200 + 1, 200, rng);
+    // One 200-entry cluster per started 200 non-zeros, each in its own
+    // 32 x 32 block of the grid.
+    const Index grid = (dim + 31) / 32;
+    const Index max_nnz = 200 * grid * grid - 1;
+    if (nnz > max_nnz) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] for --pattern=clusters "
+                      "with --dim=%llu, got '%zu'",
+                      static_cast<unsigned long long>(max_nnz),
+                      static_cast<unsigned long long>(dim), nnz));
+    }
+    matrix = suite::gen_block_clusters(grid * 32, nnz / 200 + 1, 200, rng);
   } else if (pattern == "diagonal") {
     matrix = suite::gen_diagonal(dim, rng);
   } else {

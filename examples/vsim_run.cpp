@@ -35,7 +35,10 @@
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
-  const i64 section = cli.get_int("section", 64);
+  const u32 section = cli.get_u32("section", 64, 2);
+  if (section > 256) {
+    cli.fail(format("option --section expects an integer in [2, 256], got '%u'", section));
+  }
   const bool no_chaining = cli.get_flag("no-chaining");
   const i64 trace = cli.get_int("trace", 0);
   const bool dump_regs = cli.get_flag("dump-regs");
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
   }
 
   vsim::MachineConfig config;
-  config.section = static_cast<u32>(section);
+  config.section = section;
   config.chaining = !no_chaining;
   vsim::Machine machine(config);
 

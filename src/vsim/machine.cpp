@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -24,6 +25,15 @@
 #define SMTU_VEC_LOOP _Pragma("GCC ivdep")
 #else
 #define SMTU_VEC_LOOP
+#endif
+
+// For the helpers that take an IssueState: a scalar run keeps its issue
+// state in registers only while every call that takes the local's address
+// is inlined (exec_scalar_run).
+#if defined(__GNUC__) || defined(__clang__)
+#define SMTU_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define SMTU_ALWAYS_INLINE inline
 #endif
 
 namespace smtu::vsim {
@@ -51,18 +61,59 @@ constexpr u32 ceil_rate(u64 amount, u64 per_cycle) {
   return static_cast<u32>(ceil_div(amount, per_cycle));
 }
 
+// Issue bookkeeping shared by the vector and scalar handlers; `is` is the
+// issue state in use (ExecState::issue, or a scalar run's local copy).
+SMTU_ALWAYS_INLINE Cycle take_issue_slot(IssueState& is, Cycle earliest) {
+  if (earliest > is.issue_cycle) {
+    is.issue_cycle = earliest;
+    is.issue_used = 0;
+  }
+  if (is.issue_used >= is.issue_width) {
+    ++is.issue_cycle;
+    is.issue_used = 0;
+  }
+  ++is.issue_used;
+  return is.issue_cycle;
+}
+
+SMTU_ALWAYS_INLINE Cycle take_scalar_mem_slot(IssueState& is, Cycle earliest) {
+  if (earliest > is.scalar_mem_cycle) {
+    is.scalar_mem_cycle = earliest;
+    is.scalar_mem_used = 0;
+  }
+  if (is.scalar_mem_used >= is.scalar_mem_ports) {
+    ++is.scalar_mem_cycle;
+    is.scalar_mem_used = 0;
+  }
+  ++is.scalar_mem_used;
+  return is.scalar_mem_cycle;
+}
+
+// A scalar result in `dest` becomes readable at `ready`.
+SMTU_ALWAYS_INLINE void retire_scalar(ExecState& es, IssueState& is, u32 dest, Cycle ready) {
+  if (dest != kRegZero) es.sreg_ready[dest] = std::max(es.sreg_ready[dest], ready);
+  is.bump_watermark(ready);
+}
+
+// Machine::enable_trace output: one stderr line per executed instruction
+// while the allowance lasts.
+inline void trace_line(ExecState& es, usize pc, const Instruction& inst) {
+  if (es.trace_remaining > 0) [[unlikely]] {
+    --es.trace_remaining;
+    std::fprintf(stderr, "[trace] pc=%zu %s\n", pc, to_string(inst).c_str());
+  }
+}
+
 // Shared front of every handler: budget check, instruction count, optional
 // stderr trace. Returns the watermark before this instruction (the
-// profiler's conservation bracket).
+// profiler's conservation bracket). A scalar run checks the budget and
+// counts once for the whole run (Machine::run, exec_scalar_run).
 inline Cycle step_prologue(ExecState& es, const Instruction& inst) {
   SMTU_CHECK_MSG(es.stats.instructions < es.max_instructions,
                  "instruction budget exceeded (runaway program?)");
   ++es.stats.instructions;
-  if (es.trace_remaining > 0) [[unlikely]] {
-    --es.trace_remaining;
-    std::fprintf(stderr, "[trace] pc=%zu %s\n", es.pc, to_string(inst).c_str());
-  }
-  return es.watermark;
+  trace_line(es, es.issue.pc, inst);
+  return es.issue.watermark;
 }
 
 // Main-memory footprint of a vector memory instruction (primary base
@@ -369,12 +420,13 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   const Cycle profile_w_before = step_prologue(es, inst);
   ++es.stats.vector_instructions;
   es.stats.vector_elements += es.vl;
+  IssueState& is = es.issue;
 
   // Scalar sources the instruction needs at issue (predecoded). Alongside
   // the ready time, track which constraint set it (the profiler's stall
   // reason); strictly-later constraints win, so ties keep the first-listed
   // reason.
-  Cycle ready = es.pc_redirect;
+  Cycle ready = is.pc_redirect;
   StallReason stall_why = StallReason::kScalarFetch;
   if (es.vl_ready > ready) {
     ready = es.vl_ready;
@@ -389,9 +441,9 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   }
   // Start absent hazard/resource constraints: the fetch point plus
   // sequential issue — the profiler's baseline for constraint delay.
-  const Cycle profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
-  const Cycle t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
-  es.last_issue = t_issue;
+  const Cycle profile_unblocked = std::max(is.pc_redirect, is.last_issue + 1);
+  const Cycle t_issue = take_issue_slot(is, std::max(ready, is.last_issue));
+  is.last_issue = t_issue;
   if (t_issue > ready) stall_why = StallReason::kIssueLimit;
 
   constexpr ExecUnit kUnit = op_unit(OP);
@@ -501,7 +553,7 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
                                      : kUnit == ExecUnit::kVAlu ? TraceUnit::kVAlu
                                                                 : TraceUnit::kStm;
     es.trace_sink->record(
-        {es.pc, OP, es.vl, kTraceUnit, t_issue, t_start, first_out, last_out, es.core_id});
+        {is.pc, OP, es.vl, kTraceUnit, t_issue, t_start, first_out, last_out, es.core_id});
   }
   for (u32 i = 0; i < dec.num_dsts; ++i) {
     const u8 r = dec.dsts[i];
@@ -516,32 +568,38 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
 
   // Scalar side effects of vector instructions.
   if constexpr (OP == Op::kVLdb || OP == Op::kVStb) {
-    es.retire_scalar(inst.c, t_issue + es.scalar_op_latency);
-    es.retire_scalar(inst.d, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.c, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.d, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kVStbv) {
-    es.retire_scalar(inst.b, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.b, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kVRedSum || OP == Op::kVFRedSum || OP == Op::kVExtract) {
-    es.retire_scalar(inst.a, last_out + 1);
+    retire_scalar(es, is, inst.a, last_out + 1);
   }
-  es.bump_watermark(last_out);
+  is.bump_watermark(last_out);
   if (es.profiler != nullptr) {
     constexpr BusyKind kBusy =
         kUnit == ExecUnit::kVMem
             ? (op_indexed_vmem(OP) ? BusyKind::kVMemIndexed : BusyKind::kVMemStream)
             : (kUnit == ExecUnit::kStm ? BusyKind::kStm : BusyKind::kVAlu);
-    es.profiler->record({es.pc, OP, es.vl, kBusy, stall_why, t_start, profile_unblocked,
-                         profile_w_before, es.watermark, busy});
+    es.profiler->record({is.pc, OP, es.vl, kBusy, stall_why, t_start, profile_unblocked,
+                         profile_w_before, is.watermark, busy});
   }
-  ++es.pc;
+  ++is.pc;
 }
 
 // Full execution of one scalar instruction: hazards, issue slot, memory
-// port, functional body, retirement, trace/profile.
-template <Op OP>
-void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  const Cycle profile_w_before = step_prologue(es, inst);
-  ++es.stats.scalar_instructions;
-  Cycle ready = es.pc_redirect;
+// port, functional body, retirement, trace/profile. `is` is where the issue
+// state lives: ExecState::issue when an instruction is its own dispatch
+// (exec_scalar), a local copy inside a scalar run (exec_scalar_run). The
+// caller has checked the budget and counted the instruction. A run on a
+// machine with no profiler, trace sink or enable_trace allowance passes
+// kObserved = false: the observer checks compile away, and with them the
+// stall bookkeeping only the observers read.
+template <Op OP, bool kObserved>
+SMTU_ALWAYS_INLINE void scalar_body(ExecState& es, IssueState& is, const Instruction& inst,
+                                    const DecodedInst& dec) {
+  const Cycle profile_w_before = is.watermark;
+  Cycle ready = is.pc_redirect;
   StallReason stall_why = StallReason::kScalarFetch;
   for (u32 i = 0; i < dec.num_sregs; ++i) {
     const Cycle r = es.sreg_ready[dec.sregs[i]];
@@ -551,90 +609,90 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     }
   }
 
-  const Cycle profile_unblocked = std::max(es.pc_redirect, es.last_issue + 1);
-  Cycle t_issue = es.take_issue_slot(std::max(ready, es.last_issue));
+  const Cycle profile_unblocked = std::max(is.pc_redirect, is.last_issue + 1);
+  Cycle t_issue = take_issue_slot(is, std::max(ready, is.last_issue));
   if (t_issue > ready) stall_why = StallReason::kIssueLimit;
   if constexpr (op_scalar_mem(OP)) {
-    const Cycle slot = es.take_scalar_mem_slot(t_issue);
+    const Cycle slot = take_scalar_mem_slot(is, t_issue);
     if (slot > t_issue) {
       t_issue = slot;
       stall_why = StallReason::kMemPort;
     }
   }
-  es.last_issue = t_issue;
-  es.bump_watermark(t_issue);
+  is.last_issue = t_issue;
+  is.bump_watermark(t_issue);
 
-  usize next_pc = es.pc + 1;
+  usize next_pc = is.pc + 1;
   if constexpr (OP == Op::kLi) {
     es.set_sreg(inst.a, static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kMv) {
     es.set_sreg(inst.a, es.sreg(inst.b));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kAdd) {
     es.set_sreg(inst.a, es.sreg(inst.b) + es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSub) {
     es.set_sreg(inst.a, es.sreg(inst.b) - es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kMul) {
     es.set_sreg(inst.a, es.sreg(inst.b) * es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.mul_latency);
   } else if constexpr (OP == Op::kAnd) {
     es.set_sreg(inst.a, es.sreg(inst.b) & es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kOr) {
     es.set_sreg(inst.a, es.sreg(inst.b) | es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kXor) {
     es.set_sreg(inst.a, es.sreg(inst.b) ^ es.sreg(inst.c));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSll) {
     es.set_sreg(inst.a, es.sreg(inst.b) << (es.sreg(inst.c) & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSrl) {
     es.set_sreg(inst.a, es.sreg(inst.b) >> (es.sreg(inst.c) & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kMin) {
     es.set_sreg(inst.a, std::min(es.sreg(inst.b), es.sreg(inst.c)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kMax) {
     es.set_sreg(inst.a, std::max(es.sreg(inst.b), es.sreg(inst.c)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kFAdd) {
     es.set_sreg(inst.a,
                 std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) +
                                    std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.mul_latency);
   } else if constexpr (OP == Op::kFMul) {
     es.set_sreg(inst.a,
                 std::bit_cast<u32>(std::bit_cast<float>(static_cast<u32>(es.sreg(inst.b))) *
                                    std::bit_cast<float>(static_cast<u32>(es.sreg(inst.c)))));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.mul_latency);
   } else if constexpr (OP == Op::kAddi) {
     es.set_sreg(inst.a, es.sreg(inst.b) + static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kMuli) {
     es.set_sreg(inst.a, es.sreg(inst.b) * static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.mul_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.mul_latency);
   } else if constexpr (OP == Op::kAndi) {
     es.set_sreg(inst.a, es.sreg(inst.b) & static_cast<u64>(inst.imm));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSlli) {
     es.set_sreg(inst.a, es.sreg(inst.b) << (inst.imm & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSrli) {
     es.set_sreg(inst.a, es.sreg(inst.b) >> (inst.imm & 63));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kLw) {
     es.set_sreg(inst.a, es.memory->read_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_load_latency);
   } else if constexpr (OP == Op::kLhu) {
     es.set_sreg(inst.a, es.memory->read_u16(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_load_latency);
   } else if constexpr (OP == Op::kLbu) {
     es.set_sreg(inst.a, es.memory->read_u8(es.sreg(inst.b) + static_cast<u64>(inst.imm)));
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_load_latency);
   } else if constexpr (OP == Op::kSw) {
     es.memory->write_u32(es.sreg(inst.b) + static_cast<u64>(inst.imm),
                          static_cast<u32>(es.sreg(inst.a)));
@@ -646,13 +704,13 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
                         static_cast<u8>(es.sreg(inst.a)));
   } else if constexpr (OP == Op::kAmoAdd) {
     // Atomic fetch-and-add: atomicity comes for free because the system
-    // interleaves whole instructions; the memory round trip costs a
-    // scalar load latency.
+    // interleaves whole instructions (step mode never runs a scalar run);
+    // the memory round trip costs a scalar load latency.
     const Addr addr = es.sreg(inst.b) + static_cast<u64>(inst.imm);
     const u32 old = es.memory->read_u32(addr);
     es.memory->write_u32(addr, old + static_cast<u32>(es.sreg(inst.c)));
     es.set_sreg(inst.a, old);
-    es.retire_scalar(inst.a, t_issue + es.scalar_load_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_load_latency);
   } else if constexpr (OP == Op::kBeq || OP == Op::kBne || OP == Op::kBlt || OP == Op::kBge) {
     const i64 lhs = static_cast<i64>(es.sreg(inst.a));
     const i64 rhs = static_cast<i64>(es.sreg(inst.b));
@@ -663,39 +721,39 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     else taken = lhs >= rhs;
     if (taken) {
       next_pc = static_cast<usize>(inst.imm);
-      es.pc_redirect = t_issue + 1 + es.branch_penalty;
+      is.pc_redirect = t_issue + 1 + es.branch_penalty;
     }
   } else if constexpr (OP == Op::kJal) {
-    es.set_sreg(inst.a, static_cast<u64>(es.pc + 1));
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    es.set_sreg(inst.a, static_cast<u64>(is.pc + 1));
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
     next_pc = static_cast<usize>(inst.imm);
-    es.pc_redirect = t_issue + 1 + es.branch_penalty;
+    is.pc_redirect = t_issue + 1 + es.branch_penalty;
   } else if constexpr (OP == Op::kJr) {
     next_pc = static_cast<usize>(es.sreg(inst.a));
-    es.pc_redirect = t_issue + 1 + es.branch_penalty;
+    is.pc_redirect = t_issue + 1 + es.branch_penalty;
   } else if constexpr (OP == Op::kSsvl) {
     const u64 remaining = es.sreg(inst.a);
     es.vl = static_cast<u32>(std::min<u64>(es.section, remaining));
     es.set_sreg(inst.a, remaining - es.vl);
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
     es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kSetvl) {
     es.vl = static_cast<u32>(std::min<u64>(es.section, es.sreg(inst.b)));
     es.set_sreg(inst.a, es.vl);
-    es.retire_scalar(inst.a, t_issue + es.scalar_op_latency);
+    retire_scalar(es, is, inst.a, t_issue + es.scalar_op_latency);
     es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kBarrier) {
     // Rendezvous: this core is done when everything it issued completes
     // (the watermark). The trace/profiler sample is deferred to
     // release_barrier(), where the wait's true extent is known.
     es.status = StepStatus::kAtBarrier;
-    es.barrier_arrival = es.watermark;
+    es.barrier_arrival = is.watermark;
     es.barrier_issue = t_issue;
     es.barrier_unblocked = profile_unblocked;
     es.barrier_w_before = profile_w_before;
-    es.barrier_pc = es.pc;
+    es.barrier_pc = is.pc;
     es.barrier_why = stall_why;
-    es.pc = next_pc;
+    is.pc = next_pc;
     return;
   } else if constexpr (OP == Op::kHalt) {
     es.status = StepStatus::kHalted;
@@ -704,16 +762,77 @@ void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   } else {
     static_assert(always_false_op<OP>, "unhandled scalar op in execute");
   }
-  if (es.trace_sink != nullptr) [[unlikely]] {
+  if (kObserved && es.trace_sink != nullptr) [[unlikely]] {
     const Cycle done = inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue;
-    es.trace_sink->record({es.pc, OP, 0, TraceUnit::kScalar, t_issue, t_issue,
+    es.trace_sink->record({is.pc, OP, 0, TraceUnit::kScalar, t_issue, t_issue,
                            std::max(t_issue, done), std::max(t_issue, done), es.core_id});
   }
-  if (es.profiler != nullptr) {
-    es.profiler->record({es.pc, OP, 0, BusyKind::kScalar, stall_why, t_issue,
-                         profile_unblocked, profile_w_before, es.watermark, 1});
+  if (kObserved && es.profiler != nullptr) {
+    es.profiler->record({is.pc, OP, 0, BusyKind::kScalar, stall_why, t_issue,
+                         profile_unblocked, profile_w_before, is.watermark, 1});
   }
-  es.pc = next_pc;
+  is.pc = next_pc;
+}
+
+// One scalar instruction as its own dispatch: the handler step() always
+// uses, and run() outside scalar runs.
+template <Op OP>
+void exec_scalar(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
+  step_prologue(es, inst);
+  ++es.stats.scalar_instructions;
+  scalar_body<OP, true>(es, es.issue, inst, dec);
+}
+
+// The opcodes a scalar run may hold, one case each in exec_scalar_run's
+// switch; the static_assert keeps the list equal to op_in_scalar_run.
+#define SMTU_SCALAR_RUN_OPS(X)                                                          \
+  X(kLi) X(kMv) X(kAdd) X(kSub) X(kMul) X(kAnd) X(kOr) X(kXor) X(kSll) X(kSrl) X(kMin) \
+  X(kMax) X(kAddi) X(kMuli) X(kAndi) X(kSlli) X(kSrli) X(kFAdd) X(kFMul) X(kLw) X(kSw) \
+  X(kLhu) X(kSh) X(kLbu) X(kSb) X(kAmoAdd) X(kBeq) X(kBne) X(kBlt) X(kBge) X(kJal)     \
+  X(kJr) X(kNop) X(kSsvl) X(kSetvl)
+
+constexpr bool all_scalar_run_ops_listed() {
+#define SMTU_RUN_OP_ENTRY(NAME) Op::NAME,
+  constexpr Op kListed[] = {SMTU_SCALAR_RUN_OPS(SMTU_RUN_OP_ENTRY)};
+#undef SMTU_RUN_OP_ENTRY
+  usize in_runs = 0;
+  for (usize i = 0; i < kOpCount; ++i) {
+    if (op_in_scalar_run(static_cast<Op>(i))) ++in_runs;
+  }
+  // The switch rejects a duplicate, so equal counts mean equal sets.
+  return std::size(kListed) == in_runs && std::ranges::all_of(kListed, op_in_scalar_run);
+}
+static_assert(all_scalar_run_ops_listed());
+
+// Executes the straight-line scalar run at the pc (DecodedInst::run_len
+// instructions, the last possibly a branch) as one dispatch. The issue
+// state sits in a local for the run and is written back once, and the
+// instruction counters move once; each instruction runs its handler's body
+// and, when kObserved, records the same trace and profile samples. The
+// caller has checked that the whole run fits the instruction budget.
+template <bool kObserved>
+void exec_scalar_run(ExecState& es, u32 len) {
+  IssueState is = es.issue;
+  const Instruction* const insts = es.insts;
+  const DecodedInst* const decoded = es.decoded;
+  for (u32 n = 0; n < len; ++n) {
+    const Instruction& inst = insts[is.pc];
+    const DecodedInst& dec = decoded[is.pc];
+    if constexpr (kObserved) trace_line(es, is.pc, inst);
+    switch (inst.op) {
+#define SMTU_RUN_CASE(NAME)                              \
+  case Op::NAME:                                         \
+    scalar_body<Op::NAME, kObserved>(es, is, inst, dec); \
+    break;
+      SMTU_SCALAR_RUN_OPS(SMTU_RUN_CASE)
+#undef SMTU_RUN_CASE
+      default:
+        SMTU_CHECK_MSG(false, "opcode cannot be in a scalar run");
+    }
+  }
+  es.issue = is;
+  es.stats.instructions += len;
+  es.stats.scalar_instructions += len;
 }
 
 template <Op OP>
@@ -767,8 +886,6 @@ void Machine::init_exec_state() {
   es_.section = config_.section;
   es_.vreg_data.assign(static_cast<usize>(kNumVectorRegs) * config_.section, 0);
   es_.lanes = config_.lanes;
-  es_.scalar_issue_width = config_.scalar_issue_width;
-  es_.scalar_mem_ports = config_.scalar_mem_ports;
   es_.mem_bytes_per_cycle = config_.mem_bytes_per_cycle;
   es_.mem_indexed_elems_per_cycle = config_.mem_indexed_elems_per_cycle;
   es_.scalar_op_latency = config_.scalar_op_latency;
@@ -812,13 +929,9 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
   es_.vreg_readers_done.fill(0);
   es_.unit_free.fill(0);
   es_.vl_ready = 0;
-  es_.last_issue = 0;
-  es_.pc_redirect = 0;
-  es_.watermark = 0;
-  es_.issue_cycle = 0;
-  es_.issue_used = 0;
-  es_.scalar_mem_cycle = 0;
-  es_.scalar_mem_used = 0;
+  es_.issue = {.pc = entry_pc,
+               .issue_width = config_.scalar_issue_width,
+               .scalar_mem_ports = config_.scalar_mem_ports};
   es_.stm_fill_done[0] = 0;
   es_.stm_fill_done[1] = 0;
   es_.stm_drain_done[0] = 0;
@@ -827,7 +940,6 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
   es_.vmem_last_indexed = false;
   es_.stats = {};
   stm_before_ = es_.stm->stats();
-  es_.pc = entry_pc;
   es_.status = StepStatus::kRunning;
   if (es_.profiler != nullptr) es_.profiler->begin_run(program);
 }
@@ -835,10 +947,10 @@ void Machine::begin_run(const Program& program, usize entry_pc) {
 StepStatus Machine::step() {
   SMTU_CHECK_MSG(es_.status == StepStatus::kRunning,
                  "step() on a core that is halted or waiting at a barrier");
-  SMTU_CHECK_MSG(es_.pc < es_.program_size,
+  SMTU_CHECK_MSG(es_.issue.pc < es_.program_size,
                  "pc ran off the end of the program (missing halt?)");
-  const DecodedInst& dec = es_.decoded[es_.pc];
-  dec.handler(es_, es_.insts[es_.pc], dec);
+  const DecodedInst& dec = es_.decoded[es_.issue.pc];
+  dec.handler(es_, es_.insts[es_.issue.pc], dec);
   return es_.status;
 }
 
@@ -848,8 +960,8 @@ void Machine::release_barrier(Cycle release) {
   SMTU_CHECK(release >= es_.barrier_arrival);
   // The front end resumes at the release; everything after the barrier is
   // ordered behind it.
-  es_.pc_redirect = std::max(es_.pc_redirect, release);
-  es_.bump_watermark(release);
+  es_.issue.pc_redirect = std::max(es_.issue.pc_redirect, release);
+  es_.issue.bump_watermark(release);
   if (es_.trace_sink != nullptr) {
     es_.trace_sink->record({es_.barrier_pc, Op::kBarrier, 0, TraceUnit::kScalar,
                             es_.barrier_issue, es_.barrier_issue, release, release,
@@ -861,14 +973,15 @@ void Machine::release_barrier(Cycle release) {
     const StallReason why =
         release > es_.barrier_arrival ? StallReason::kBarrierWait : es_.barrier_why;
     es_.profiler->record({es_.barrier_pc, Op::kBarrier, 0, BusyKind::kScalar, why, release,
-                          es_.barrier_unblocked, es_.barrier_w_before, es_.watermark, 1});
+                          es_.barrier_unblocked, es_.barrier_w_before, es_.issue.watermark,
+                          1});
   }
   es_.status = StepStatus::kRunning;
 }
 
 RunStats Machine::finish_run() {
   SMTU_CHECK_MSG(es_.status == StepStatus::kHalted, "finish_run() before halt");
-  es_.stats.cycles = es_.watermark;
+  es_.stats.cycles = es_.issue.watermark;
   const StmUnit::Stats& stm_stats = es_.stm->stats();
   es_.stats.stm_blocks = stm_stats.blocks - stm_before_.blocks;
   es_.stats.stm_write_cycles = stm_stats.write_cycles - stm_before_.write_cycles;
@@ -879,14 +992,29 @@ RunStats Machine::finish_run() {
 
 RunStats Machine::run(const Program& program, usize entry_pc) {
   begin_run(program, entry_pc);
-  // The hot loop: indirect call through the pre-bound handler, no
+  // The hot loop: a straight-line scalar run as one dispatch, anything
+  // else an indirect call through the pre-bound handler, no
   // per-instruction status branching beyond the exit check.
   ExecState& es = es_;
+  // Observers stay attached for the whole run and the enable_trace
+  // allowance only shrinks, so one test picks the runs' variant.
+  const bool observed =
+      es.profiler != nullptr || es.trace_sink != nullptr || es.trace_remaining > 0;
   while (true) {
-    SMTU_CHECK_MSG(es.pc < es.program_size,
+    SMTU_CHECK_MSG(es.issue.pc < es.program_size,
                    "pc ran off the end of the program (missing halt?)");
-    const DecodedInst& dec = es.decoded[es.pc];
-    dec.handler(es, es.insts[es.pc], dec);
+    const DecodedInst& dec = es.decoded[es.issue.pc];
+    // A run that would cross the budget goes instruction by instruction,
+    // so the budget abort fires at the same instruction.
+    if (dec.run_len >= 2 && es.max_instructions - es.stats.instructions >= dec.run_len) {
+      if (observed) {
+        exec_scalar_run<true>(es, dec.run_len);
+      } else {
+        exec_scalar_run<false>(es, dec.run_len);
+      }
+      continue;
+    }
+    dec.handler(es, es.insts[es.issue.pc], dec);
     if (es.status != StepStatus::kRunning) [[unlikely]] {
       if (es.status == StepStatus::kHalted) break;
       // A lone core's barrier releases the moment it arrives.

@@ -33,8 +33,11 @@
 // Dispatch is threaded-code style (HACKING.md "Interpreter internals"):
 // every predecoded instruction carries a per-opcode handler pointer bound
 // at assembly time, and all hot interpreter state lives in one SoA
-// ExecState the handlers receive directly. Golden digests of every kernel
-// class pin the model's output (tests/test_interpreter_golden.cpp).
+// ExecState the handlers receive directly. run() also executes each
+// straight-line scalar run (DecodedInst::run_len) as one dispatch that
+// keeps the scalar issue state in locals; step mode stays one instruction
+// per step. Golden digests of every kernel class pin the model's output
+// (tests/test_interpreter_golden.cpp).
 #pragma once
 
 #include <algorithm>
@@ -96,6 +99,27 @@ enum class StepStatus : u8 {
   kHalted,     // executed `halt`
 };
 
+// The scalar core's issue state: the pc, the in-order issue clock and
+// its width, the scalar memory ports, the fetch redirect after a taken
+// branch, and the completion watermark. Every instruction reads and
+// advances it. A handler (one instruction per dispatch) works on
+// ExecState::issue in place; a scalar run copies it into a local for the
+// run's length, so it stays in registers, and writes it back once.
+struct IssueState {
+  usize pc = 0;
+  Cycle last_issue = 0;
+  Cycle pc_redirect = 0;
+  Cycle watermark = 0;
+  Cycle issue_cycle = 0;
+  u32 issue_used = 0;
+  u32 issue_width = 1;  // MachineConfig::scalar_issue_width
+  Cycle scalar_mem_cycle = 0;
+  u32 scalar_mem_used = 0;
+  u32 scalar_mem_ports = 1;  // MachineConfig::scalar_mem_ports
+
+  void bump_watermark(Cycle cycle) { watermark = std::max(watermark, cycle); }
+};
+
 // Everything the interpreter's hot loop touches, gathered into one
 // cache-friendly structure-of-arrays block that every opcode handler
 // receives as its single context argument. Parallel arrays replace the
@@ -117,13 +141,7 @@ struct ExecState {
   std::array<Cycle, kNumVectorRegs> vreg_readers_done{};  // latest consumer read
   std::array<Cycle, 3> unit_free{};                       // indexed by ExecUnit
   Cycle vl_ready = 0;
-  Cycle last_issue = 0;
-  Cycle pc_redirect = 0;
-  Cycle watermark = 0;
-  Cycle issue_cycle = 0;
-  u32 issue_used = 0;
-  Cycle scalar_mem_cycle = 0;
-  u32 scalar_mem_used = 0;
+  IssueState issue;
   // STM phase ordering, tracked per bank: a bank's drain cannot start
   // before its fill completed, and icm cannot clear a bank whose drain is
   // still in flight. Single-buffer mode only uses index 0.
@@ -139,7 +157,6 @@ struct ExecState {
   const Instruction* insts = nullptr;
   const DecodedInst* decoded = nullptr;
   usize program_size = 0;
-  usize pc = 0;
   StepStatus status = StepStatus::kHalted;
   RunStats stats;
   // Startup latencies by StartupKind, resolved from the config once per run.
@@ -166,8 +183,6 @@ struct ExecState {
 
   // ---- Config scalars (copied from MachineConfig at construction) ---------
   u32 lanes = 1;
-  u32 scalar_issue_width = 1;
-  u32 scalar_mem_ports = 1;
   u32 mem_bytes_per_cycle = 1;
   u32 mem_indexed_elems_per_cycle = 1;
   u32 scalar_op_latency = 1;
@@ -191,44 +206,13 @@ struct ExecState {
   const u32* vreg_row(u32 index) const {
     return vreg_data.data() + static_cast<usize>(index) * section;
   }
-  u64 sreg(u32 index) const {
-    SMTU_CHECK(index < kNumScalarRegs);
-    return index == kRegZero ? 0 : sregs[index];
-  }
+  // Register access by the handlers. Unchecked: decode_instructions()
+  // validates every register number a program names; the host accessors
+  // Machine::sreg/set_sreg check theirs. r0 reads as zero because
+  // set_sreg never writes it.
+  u64 sreg(u32 index) const { return sregs[index]; }
   void set_sreg(u32 index, u64 value) {
-    SMTU_CHECK(index < kNumScalarRegs);
     if (index != kRegZero) sregs[index] = value;
-  }
-  void bump_watermark(Cycle cycle) { watermark = std::max(watermark, cycle); }
-
-  // Issue bookkeeping shared by the vector and scalar handlers.
-  Cycle take_issue_slot(Cycle earliest) {
-    if (earliest > issue_cycle) {
-      issue_cycle = earliest;
-      issue_used = 0;
-    }
-    if (issue_used >= scalar_issue_width) {
-      ++issue_cycle;
-      issue_used = 0;
-    }
-    ++issue_used;
-    return issue_cycle;
-  }
-  Cycle take_scalar_mem_slot(Cycle earliest) {
-    if (earliest > scalar_mem_cycle) {
-      scalar_mem_cycle = earliest;
-      scalar_mem_used = 0;
-    }
-    if (scalar_mem_used >= scalar_mem_ports) {
-      ++scalar_mem_cycle;
-      scalar_mem_used = 0;
-    }
-    ++scalar_mem_used;
-    return scalar_mem_cycle;
-  }
-  void retire_scalar(u32 dest, Cycle ready) {
-    if (dest != kRegZero) sreg_ready[dest] = std::max(sreg_ready[dest], ready);
-    bump_watermark(ready);
   }
 };
 
@@ -245,8 +229,14 @@ class Machine {
   StmUnit& stm_unit() { return *es_.stm; }
   u32 core_id() const { return es_.core_id; }
 
-  u64 sreg(u32 index) const { return es_.sreg(index); }
-  void set_sreg(u32 index, u64 value) { es_.set_sreg(index, value); }
+  u64 sreg(u32 index) const {
+    SMTU_CHECK(index < kNumScalarRegs);
+    return es_.sreg(index);
+  }
+  void set_sreg(u32 index, u64 value) {
+    SMTU_CHECK(index < kNumScalarRegs);
+    es_.set_sreg(index, value);
+  }
   std::span<const u32> vreg(u32 index) const;
   u32 vl() const { return es_.vl; }
 
@@ -266,7 +256,8 @@ class Machine {
   // Timing state and statistics are reset per run; memory and registers
   // persist so the host can stage inputs and read back outputs.
   // Equivalent to begin_run() + step() to completion + finish_run(), with
-  // any `barrier` released immediately (a lone core never waits).
+  // any `barrier` released immediately (a lone core never waits); it only
+  // executes each straight-line scalar run in one dispatch.
   RunStats run(const Program& program, usize entry_pc = 0);
 
   // ---- Step-mode interface (MultiCoreSystem scheduling) -------------------
@@ -287,7 +278,7 @@ class Machine {
   // Earliest cycle the next instruction could issue — the system scheduler
   // steps the core with the smallest horizon to keep simulated time
   // coherent across cores sharing the banked memory.
-  Cycle issue_horizon() const { return std::max(es_.pc_redirect, es_.last_issue); }
+  Cycle issue_horizon() const { return std::max(es_.issue.pc_redirect, es_.issue.last_issue); }
 
  private:
   void init_exec_state();

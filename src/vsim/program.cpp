@@ -1,5 +1,6 @@
 #include "vsim/program.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -193,8 +194,6 @@ void decode_scalar(const Instruction& inst, DecodedInst& d) {
   }
 }
 
-}  // namespace
-
 DecodedInst decode_instruction(const Instruction& inst) {
   DecodedInst d;
   if (op_is_vector(inst.op)) {
@@ -215,13 +214,36 @@ DecodedInst decode_instruction(const Instruction& inst) {
   for (u32 i = 0; i < d.num_dsts; ++i) {
     SMTU_CHECK_MSG(d.dsts[i] < kNumVectorRegs, "vector register out of range");
   }
+  // Scalar destinations: `a` of every scalar op (its destination, or a
+  // source of stores and branches; the trace sample reads its ready time)
+  // and of the vector ops that produce a scalar.
+  if (!op_is_vector(inst.op) || inst.op == Op::kVRedSum || inst.op == Op::kVFRedSum ||
+      inst.op == Op::kVExtract) {
+    SMTU_CHECK_MSG(inst.a < kNumScalarRegs, "scalar register out of range");
+  }
   return d;
 }
+
+}  // namespace
 
 std::vector<DecodedInst> decode_instructions(const std::vector<Instruction>& instructions) {
   std::vector<DecodedInst> decoded;
   decoded.reserve(instructions.size());
   for (const Instruction& inst : instructions) decoded.push_back(decode_instruction(inst));
+  // Run lengths back to front: each pc continues the run of pc + 1 unless
+  // it ends a run itself or cannot be in one.
+  u16 run_len = 0;
+  for (usize pc = instructions.size(); pc-- > 0;) {
+    const Op op = instructions[pc].op;
+    if (!op_in_scalar_run(op)) {
+      run_len = 0;
+    } else if (op_ends_scalar_run(op)) {
+      run_len = 1;
+    } else if (run_len < std::numeric_limits<u16>::max()) {
+      ++run_len;
+    }
+    decoded[pc].run_len = run_len;
+  }
   return decoded;
 }
 

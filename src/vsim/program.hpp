@@ -96,6 +96,19 @@ constexpr StartupKind op_startup(Op op) {
   }
 }
 
+// Straight-line scalar runs (DecodedInst::run_len). A run holds scalar
+// instructions only and stops before anything that leaves the scalar
+// core: a vector instruction, `barrier` or `halt`.
+constexpr bool op_in_scalar_run(Op op) {
+  return !op_is_vector(op) && op != Op::kHalt && op != Op::kBarrier;
+}
+
+// A run ends at, and includes, its first branch or jump.
+constexpr bool op_ends_scalar_run(Op op) {
+  return op == Op::kBeq || op == Op::kBne || op == Op::kBlt || op == Op::kBge ||
+         op == Op::kJal || op == Op::kJr;
+}
+
 // The interpreter's hot state bundle (vsim/machine.hpp).
 struct ExecState;
 
@@ -107,7 +120,9 @@ struct ExecState;
 // order the Machine's hazard checks evaluate them. `handler` is the
 // threaded-code dispatch target: a per-opcode function that executes the
 // instruction end to end (timing model + functional semantics) and
-// advances es.pc.
+// advances the pc. `run_len` is the length of the straight-line scalar run
+// that starts here (capped at 65535), 0 where none does; Machine::run
+// executes a run of two or more as one dispatch.
 struct DecodedInst {
   u8 num_sregs = 0;  // scalar source registers read at issue
   u8 num_srcs = 0;   // vector source registers
@@ -115,6 +130,7 @@ struct DecodedInst {
   u8 sregs[2] = {0, 0};
   u8 srcs[3] = {0, 0, 0};
   u8 dsts[2] = {0, 0};
+  u16 run_len = 0;  // sits in the padding before `handler`
   void (*handler)(ExecState&, const Instruction&, const DecodedInst&) = nullptr;
 };
 
@@ -126,10 +142,9 @@ using OpHandler = void (*)(ExecState&, const Instruction&, const DecodedInst&);
 // lifetime, so predecoded programs cached by ProgramCache stay valid.
 OpHandler opcode_handler(Op op);
 
-// Predecode of a single instruction / an instruction sequence. Machine::run
-// uses Program::decoded when present and falls back to decoding on the fly
-// for hand-built Programs.
-DecodedInst decode_instruction(const Instruction& inst);
+// Predecode of an instruction sequence; aborts on a register number out of
+// range. Machine::run uses Program::decoded when present and falls back to
+// decoding on the fly for hand-built Programs.
 std::vector<DecodedInst> decode_instructions(const std::vector<Instruction>& instructions);
 
 struct Program {

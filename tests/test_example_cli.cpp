@@ -1,6 +1,7 @@
-// Command-line checks of the example binaries: a size or STM parameter they
-// cannot run prints one line naming the option and exits 2, instead of
-// aborting, wrapping a negative value into a huge one, or running on.
+// Command-line checks of the example binaries: a size, STM or machine
+// parameter they cannot run prints one line naming the option and exits 2,
+// instead of aborting, wrapping a negative value into a huge one, or
+// running on.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -15,6 +16,23 @@
 namespace smtu {
 namespace {
 
+// Runs `command` with stderr captured; expects exit status 2 and `needle`
+// on stderr. ctest runs the tests in parallel, so each test captures into
+// a file of its own.
+void expect_usage_error(const std::string& command, const std::string& needle) {
+  const std::string stderr_path =
+      std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      "_stderr.txt";
+  const int status = std::system((command + " > /dev/null 2> " + stderr_path).c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream in(stderr_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_NE(text.str().find(needle), std::string::npos) << "stderr: " << text.str();
+  std::remove(stderr_path.c_str());
+}
+
 TEST(ExampleCli, TransposeShowdownRejectsSizesAndStmParametersOutOfRange) {
   // Each case: the arguments and the option its one-line diagnostic names.
   const std::vector<std::pair<std::string, std::string>> cases = {
@@ -26,21 +44,33 @@ TEST(ExampleCli, TransposeShowdownRejectsSizesAndStmParametersOutOfRange) {
       {"--dim=-1", "option --dim expects an integer in [1, "},
       {"--dim=0", "option --dim expects an integer in [1, "},
       {"--nnz=-1", "option --nnz expects an integer in [1, "},
+      // More non-zeros than the pattern's generator can place.
+      {"--dim=10 --nnz=1000", "option --nnz expects an integer in [1, 100]"},
+      {"--pattern=clusters --dim=8 --nnz=5000", "option --nnz expects an integer in [1, 199]"},
   };
-  const std::string stderr_path = "test_example_cli_stderr.txt";
   for (const auto& [args, needle] : cases) {
     SCOPED_TRACE("transpose_showdown " + args);
-    const std::string command = std::string(SMTU_TRANSPOSE_SHOWDOWN_BIN) +
-                                " --pattern=random " + args + " > /dev/null 2> " + stderr_path;
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
-    EXPECT_EQ(WEXITSTATUS(status), 2);
-    std::ifstream in(stderr_path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    EXPECT_NE(text.str().find(needle), std::string::npos) << "stderr: " << text.str();
+    const bool has_pattern = args.find("--pattern=") != std::string::npos;
+    expect_usage_error(std::string(SMTU_TRANSPOSE_SHOWDOWN_BIN) +
+                           (has_pattern ? " " : " --pattern=random ") + args,
+                       needle);
   }
-  std::remove(stderr_path.c_str());
+}
+
+TEST(ExampleCli, VsimRunRejectsSectionSizesOutOfRange) {
+  const std::string program_path = "test_example_cli_halt.s";
+  {
+    std::ofstream program(program_path);
+    program << "halt\n";
+  }
+  // 4294967298 is 2^32 + 2: it must not wrap to a section of 2.
+  for (const std::string value : {"0", "1", "1000", "-1", "4294967298"}) {
+    SCOPED_TRACE("vsim_run --section=" + value);
+    expect_usage_error(
+        std::string(SMTU_VSIM_RUN_BIN) + " --section=" + value + " " + program_path,
+        "option --section expects an integer in [2, ");
+  }
+  std::remove(program_path.c_str());
 }
 
 }  // namespace

@@ -6,13 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "formats/matrix_market.hpp"
-#include "hism/transpose.hpp"
-#include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
+#include "kernels/layout.hpp"
+#include "kernels/transpose_sim.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -67,13 +66,6 @@ TextTable sweep_average_table(const std::vector<suite::SuiteMatrix>& set,
   return table;
 }
 
-std::string render_profile_json(const vsim::PerfCounters& profile) {
-  std::ostringstream out;
-  JsonWriter json(out);
-  vsim::write_profile_json(json, profile);
-  return out.str();
-}
-
 BenchOptions parse_options(CommandLine& cli) {
   BenchOptions options;
   options.suite.scale = cli.get_double("scale", 1.0);
@@ -99,12 +91,14 @@ BenchOptions parse_options(CommandLine& cli) {
     options.telemetry = true;
   }
   cli.finish();
-  // Every output path is checked before the first simulation, so one that
-  // cannot be written fails before the run rather than after it.
+  // Every output path, and the sim-cache directory, is checked before the
+  // first simulation, so one that cannot be written fails before the run
+  // rather than after it.
   for (const auto* path : {&options.csv_path, &options.json_path, &options.trace_json_path,
                            &options.telemetry_json_path}) {
     if (*path) check_output_file(**path);
   }
+  if (options.sim_cache_dir) create_output_directory(*options.sim_cache_dir);
   if (options.telemetry) {
     telemetry::set_enabled(true);
     // Host spans join the Chrome dump (own pid) only when both were asked
@@ -131,78 +125,18 @@ TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
                                        bool profile, vsim::SimCache* sim_cache) {
   const auto started = std::chrono::steady_clock::now();
-  const auto hism_stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-  const auto crs_stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-
   TransposeComparison comparison;
   comparison.profiled = profile;
-
-  // The entry registers are a pure function of the staged image, so the
-  // (source, config, snapshot) triple fully keys each simulation.
-  std::string hism_key;
-  std::string crs_key;
-  std::optional<vsim::SimCache::Entry> hism_hit;
-  std::optional<vsim::SimCache::Entry> crs_hit;
-  if (sim_cache) {
-    hism_key = vsim::sim_cache_key(kernels::hism_transpose_source(false), config,
-                                   *hism_stage->snapshot, {});
-    crs_key = vsim::sim_cache_key(kernels::crs_transpose_source(config.section, {}), config,
-                                  *crs_stage->snapshot, {});
-    hism_hit = sim_cache->lookup(hism_key, verify, profile);
-    crs_hit = sim_cache->lookup(crs_key, verify, profile);
-  }
-
-  // Built only if a verifying run actually simulates (both kernels check
-  // against the same reference transpose).
-  std::optional<Coo> expected;
-  const auto expected_coo = [&]() -> const Coo& {
-    if (!expected) expected = entry.matrix.transposed();
-    return *expected;
-  };
-
-  if (hism_hit) {
-    comparison.hism_stats = hism_hit->stats;
-    comparison.hism_profile_json = hism_hit->profile_json;
-  } else {
-    vsim::PerfCounters counters;
-    vsim::PerfCounters* profiler = profile ? &counters : nullptr;
-    if (verify) {
-      const auto result = kernels::run_hism_transpose(
-          *hism_stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-      SMTU_CHECK_MSG(structurally_equal(result.transposed.to_coo(), expected_coo()),
-                     "HiSM kernel produced a wrong transpose for " + entry.name);
-      comparison.hism_stats = result.stats;
-    } else {
-      comparison.hism_stats = kernels::time_hism_transpose(
-          *hism_stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-    }
-    if (profile) comparison.hism_profile_json = render_profile_json(counters);
-    if (sim_cache) {
-      sim_cache->store(hism_key, {comparison.hism_stats, verify, comparison.hism_profile_json});
-    }
-  }
-
-  if (crs_hit) {
-    comparison.crs_stats = crs_hit->stats;
-    comparison.crs_profile_json = crs_hit->profile_json;
-  } else {
-    vsim::PerfCounters counters;
-    vsim::PerfCounters* profiler = profile ? &counters : nullptr;
-    if (verify) {
-      const auto result = kernels::run_crs_transpose(*crs_stage, config, {}, profiler);
-      SMTU_CHECK_MSG(structurally_equal(result.transposed, expected_coo()),
-                     "CRS kernel produced a wrong transpose for " + entry.name);
-      comparison.crs_stats = result.stats;
-    } else {
-      comparison.crs_stats = kernels::time_crs_transpose(*crs_stage, config, {}, profiler);
-    }
-    if (profile) comparison.crs_profile_json = render_profile_json(counters);
-    if (sim_cache) {
-      sim_cache->store(crs_key, {comparison.crs_stats, verify, comparison.crs_profile_json});
-    }
-  }
-  comparison.hism_cycles = comparison.hism_stats.cycles;
-  comparison.crs_cycles = comparison.crs_stats.cycles;
+  comparison.hism = kernels::simulate_transpose(kernels::TransposeKernel::kHism, entry.matrix,
+                                                config, verify, profile, sim_cache);
+  SMTU_CHECK_MSG(comparison.hism.correct,
+                 "HiSM kernel produced a wrong transpose for " + entry.name);
+  comparison.crs = kernels::simulate_transpose(kernels::TransposeKernel::kCrs, entry.matrix,
+                                               config, verify, profile, sim_cache);
+  SMTU_CHECK_MSG(comparison.crs.correct,
+                 "CRS kernel produced a wrong transpose for " + entry.name);
+  comparison.hism_cycles = comparison.hism.stats.cycles;
+  comparison.crs_cycles = comparison.crs.stats.cycles;
 
   const double nnz = static_cast<double>(std::max<usize>(entry.matrix.nnz(), 1));
   comparison.hism_cycles_per_nnz = static_cast<double>(comparison.hism_cycles) / nnz;
@@ -237,7 +171,8 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
   });
 }
 
-std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
+std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir,
+                                                    const vsim::MachineConfig& config) {
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) {
     exit_usage_error("--mtxdir: '" + dir + "' is not a readable directory");
@@ -255,6 +190,9 @@ std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
   std::vector<suite::SuiteMatrix> external;
   u32 index = 0;
   for (const auto& path : paths) {
+    const auto reject = [&](const std::string& why) {
+      exit_usage_error("--mtxdir: " + path.string() + ": " + why);
+    };
     suite::SuiteMatrix entry;
     entry.name = path.stem().string();
     entry.set = "external";
@@ -262,7 +200,21 @@ std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir) {
     try {
       entry.matrix = read_matrix_market_file(path.string());
     } catch (const std::runtime_error& error) {
-      exit_usage_error("--mtxdir: " + path.string() + ": " + error.what());
+      reject(error.what());
+    }
+    // What the machine cannot stage, by the rules staging itself applies.
+    const auto rows = static_cast<unsigned long long>(entry.matrix.rows());
+    const auto cols = static_cast<unsigned long long>(entry.matrix.cols());
+    if (!HismMatrix::key_fits(rows, cols, config.section)) {
+      reject(format("a %llu x %llu matrix needs a HiSM key of more than 64 bits at s = %u",
+                    rows, cols, config.section));
+    }
+    const Addr crs_end =
+        kernels::crs_image_layout(rows, cols, entry.matrix.nnz(), kernels::kImageBase).end;
+    if (crs_end > config.memory_limit) {
+      reject(format("its CRS image ends at byte %llu, past the machine's %llu-byte memory",
+                    static_cast<unsigned long long>(crs_end),
+                    static_cast<unsigned long long>(config.memory_limit)));
     }
     entry.metrics = suite::compute_metrics(entry.matrix);
     external.push_back(std::move(entry));
@@ -422,18 +374,18 @@ void write_matrix_records_json(JsonWriter& json, const std::vector<MatrixRecord>
     json.key("wall_ms");
     json.value(record.comparison.wall_ms);
     json.key("hism");
-    vsim::write_run_stats_json(json, record.comparison.hism_stats);
+    vsim::write_run_stats_json(json, record.comparison.hism.stats);
     json.key("crs");
-    vsim::write_run_stats_json(json, record.comparison.crs_stats);
+    vsim::write_run_stats_json(json, record.comparison.crs.stats);
     if (record.comparison.profiled) {
-      // Pre-rendered by render_profile_json (or replayed verbatim from the
+      // Pre-rendered by simulate_transpose (or replayed verbatim from the
       // sim cache), so cached and live reports are byte-identical.
       json.key("profile");
       json.begin_object();
       json.key("hism");
-      json.raw(record.comparison.hism_profile_json);
+      json.raw(record.comparison.hism.profile_json);
       json.key("crs");
-      json.raw(record.comparison.crs_profile_json);
+      json.raw(record.comparison.crs.profile_json);
       json.end_object();
     }
     json.end_object();

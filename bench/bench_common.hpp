@@ -46,6 +46,7 @@
 #include "formats/csr.hpp"
 #include "hism/hism.hpp"
 #include "kernels/staging.hpp"
+#include "kernels/transpose_sim.hpp"
 #include "kernels/utilization.hpp"
 #include "stm/unit.hpp"
 #include "suite/dsab.hpp"
@@ -84,9 +85,10 @@ struct BenchOptions {
 };
 
 // Parses the standard flags; calls cli.finish() so unknown flags fail fast.
-// A --scale outside (0, 1], a negative --jobs, or a --csv / --json /
-// --trace-json / --telemetry-json path that cannot be opened for writing
-// fails too (exit status 2, before any simulation).
+// A --scale outside (0, 1], a negative --jobs, a --csv / --json /
+// --trace-json / --telemetry-json path that cannot be opened for writing,
+// or a --sim-cache directory that cannot be created fails too (exit status
+// 2, before any simulation).
 // Side effect: enables process-wide telemetry when --telemetry /
 // --telemetry-json was given (and host trace events when --trace-json rides
 // along, so host spans land in the Chrome dump under their own pid).
@@ -107,22 +109,16 @@ struct TransposeComparison {
   double crs_cycles_per_nnz = 0.0;
   double speedup = 0.0;
   double wall_ms = 0.0;  // host wall time of this comparison (nondeterministic)
-  vsim::RunStats hism_stats;
-  vsim::RunStats crs_stats;
-  // Populated only when profiling was requested (see BenchOptions::profile):
-  // the per-kernel profile sections pre-rendered as JSON text, so cached
-  // replays are byte-identical to live runs by construction.
+  // Each kernel's run; its profile_json is set only when profiling was
+  // requested (see BenchOptions::profile), and then `profiled` is true.
+  kernels::TransposeRun hism;
+  kernels::TransposeRun crs;
   bool profiled = false;
-  std::string hism_profile_json;
-  std::string crs_profile_json;
 };
 
-// Renders vsim::write_profile_json to a string (the TransposeComparison /
-// SimCache profile payload format).
-std::string render_profile_json(const vsim::PerfCounters& profile);
-
-// A non-null `sim_cache` is consulted before each simulation and updated
-// after: hits replay the stored RunStats/profile without running the machine.
+// Both kernels through kernels::simulate_transpose: a non-null `sim_cache`
+// replays runs it has seen and stores the rest. A verifying run that
+// decodes a wrong transpose aborts, naming the matrix.
 TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
                                        const vsim::MachineConfig& config, bool verify,
                                        bool profile = false,
@@ -186,9 +182,12 @@ TextTable utilization_table(const UtilizationGrid& grid);
 
 // Loads every MatrixMarket file in `dir` as a suite (set = "external",
 // sorted by filename); computes the paper's metrics for each. A missing or
-// empty directory, or a file the reader rejects, is the user's mistake:
-// one line on stderr and exit status 2.
-std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir);
+// empty directory, a file the reader rejects, or a matrix `config`'s
+// machine cannot stage (a HiSM key wider than 64 bits, a CRS image past
+// its memory_limit) is the user's mistake: one line on stderr naming the
+// file and exit status 2.
+std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir,
+                                                    const vsim::MachineConfig& config);
 
 // Emits a table to stdout and, if requested, as CSV and/or JSON files: what
 // --csv/--json write for every table-shaped bench.
@@ -203,7 +202,7 @@ void emit(const TextTable& table, const std::optional<std::string>& csv_path);
 // Every ablation sweeps one knob over a value list, each value yielding a
 // labeled variant of a default config; the construction loop used to be
 // copy-pasted per bench. sweep_configs collapses it (prep for ROADMAP item
-// 5's sweepable config plumbing) and sweep_average_table the standard
+// 7's sweepable config plumbing) and sweep_average_table the standard
 // per-matrix + AVERAGE table scaffolding around the measured values.
 
 template <typename Config>

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const auto started = std::chrono::steady_clock::now();
   const auto suite_matrices =
       mtxdir.empty() ? suite::build_dsab_suite(options.suite)
-                     : bench::load_external_suite(mtxdir);
+                     : bench::load_external_suite(mtxdir, config);
   std::printf("== Headline: HiSM vs CRS transposition over %zu matrices (%s) ==\n",
               suite_matrices.size(),
               mtxdir.empty() ? "synthetic D-SAB stand-in" : mtxdir.c_str());

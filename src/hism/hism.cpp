@@ -71,6 +71,12 @@ void counting_sort(std::vector<KeyedEntry>& entries, u32 low_bits, u32 key_bits)
   }
 }
 
+// The least levels >= 1 with s^levels >= max(rows, cols), s = 2^bits.
+u32 hism_levels(Index rows, Index cols, u32 bits) {
+  const Index max_dim = std::max<Index>({rows, cols, 1});
+  return std::max<u32>(1, static_cast<u32>(ceil_div(log2_ceil(max_dim), bits)));
+}
+
 }  // namespace
 
 void sort_block_row_major(BlockArray& block) {
@@ -95,6 +101,11 @@ void sort_block_row_major(BlockArray& block) {
   block = std::move(sorted);
 }
 
+bool HismMatrix::key_fits(Index rows, Index cols, u32 section) {
+  const u32 bits = log2_floor(section);
+  return 2 * bits * hism_levels(rows, cols, bits) <= 64;
+}
+
 HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high_order) {
   SMTU_CHECK_MSG(valid_section(section), "section size must be a power of two in [2, 256]");
 
@@ -103,15 +114,14 @@ HismMatrix HismMatrix::from_coo(const Coo& coo, u32 section, HighLevelOrder high
   hism.rows_ = coo.rows();
   hism.cols_ = coo.cols();
 
-  // s^levels >= max_dim, with s = 2^bits.
   const u32 bits = log2_floor(section);
-  const Index max_dim = std::max<Index>({coo.rows(), coo.cols(), 1});
-  const u32 levels = std::max<u32>(1, static_cast<u32>(ceil_div(log2_ceil(max_dim), bits)));
+  const u32 levels = hism_levels(coo.rows(), coo.cols(), bits);
   const u32 key_bits = 2 * bits * levels;
-  SMTU_CHECK_MSG(key_bits <= 64,
+  SMTU_CHECK_MSG(key_fits(coo.rows(), coo.cols(), section),
                  format("a dimension of %llu at s = %u needs %u levels, a %u-bit HiSM key; "
                         "at most 64 bits are supported",
-                        static_cast<unsigned long long>(max_dim), section, levels, key_bits));
+                        static_cast<unsigned long long>(std::max(coo.rows(), coo.cols())),
+                        section, levels, key_bits));
   hism.levels_.resize(levels);
 
   // Canonical input is row-major, and so is every level-0 block: entries

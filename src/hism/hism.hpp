@@ -61,11 +61,15 @@ class HismMatrix {
 
   HismMatrix() = default;
 
+  // Whether from_coo can build a rows x cols matrix at a valid_section: its
+  // hierarchical key, 2 * log2(s) bits per level, must fit in 64 bits (no
+  // dimension beyond s^(32 / log2(s))).
+  static bool key_fits(Index rows, Index cols, u32 section);
+
   // Builds the hierarchy from a COO matrix for vector section size `section`
   // (valid_section). Level-0 block-arrays are ordered row-wise (the paper's
-  // layout); `high_order` selects the ordering of levels >= 1. Aborts when
-  // the hierarchical key, 2 * log2(s) bits per level, needs more than 64
-  // bits (a dimension beyond s^(32 / log2(s))).
+  // layout); `high_order` selects the ordering of levels >= 1. Aborts unless
+  // key_fits.
   static HismMatrix from_coo(const Coo& coo, u32 section,
                              HighLevelOrder high_order = HighLevelOrder::kRowMajor);
 

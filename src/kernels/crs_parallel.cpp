@@ -218,16 +218,6 @@ CrsImage stage_parallel_crs(vsim::MultiCoreSystem& system, const Csr& csr) {
   return image;
 }
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 }  // namespace
 
 ParallelCrsTransposeResult run_parallel_crs_transpose(
@@ -236,7 +226,7 @@ ParallelCrsTransposeResult run_parallel_crs_transpose(
   const auto program = vsim::ProgramCache::instance().get(parallel_crs_transpose_source());
   vsim::MultiCoreSystem system(config);
   const CrsImage image = stage_parallel_crs(system, csr);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
 
   ParallelCrsTransposeResult result;
   result.stats = system.run(*program);
@@ -251,7 +241,7 @@ vsim::SystemRunStats time_parallel_crs_transpose(
   const auto program = vsim::ProgramCache::instance().get(parallel_crs_transpose_source());
   vsim::MultiCoreSystem system(config);
   stage_parallel_crs(system, csr);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
   return system.run(*program);
 }
 

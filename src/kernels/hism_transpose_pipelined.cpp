@@ -7,115 +7,53 @@
 // Requires StmConfig::double_buffer — with a single bank, the second icm
 // would clear a block that is still draining (the functional model checks
 // exactly that).
+#include <string_view>
+
 #include "kernels/hism_transpose.hpp"
 #include "kernels/layout.hpp"
 #include "support/assert.hpp"
 #include "vsim/program_cache.hpp"
 
 namespace smtu::kernels {
+namespace {
+
+// Inserts `text` before the one occurrence of `anchor` in `source`.
+void insert_before(std::string& source, std::string_view anchor, std::string_view text) {
+  const auto at = source.find(anchor);
+  SMTU_CHECK_MSG(at != std::string::npos && source.find(anchor, at + 1) == std::string::npos,
+                 "pipelined kernel: anchor not found once in the base kernel");
+  source.insert(at, text);
+}
+
+vsim::Machine make_pipelined_machine(const HismStage& stage,
+                                     const vsim::MachineConfig& config) {
+  SMTU_CHECK_MSG(config.stm.double_buffer,
+                 "the software-pipelined kernel needs the double-buffered STM");
+  vsim::Machine machine = staged_machine(stage, config);
+  machine.set_sreg(1, stage.image.root_addr);
+  machine.set_sreg(2, stage.image.root_len);
+  machine.set_sreg(3, stage.image.levels - 1);
+  machine.set_sreg(vsim::kRegSp, kStackTop);
+  return machine;
+}
+
+}  // namespace
 
 std::string hism_transpose_pipelined_source() {
-  // Register use: as the sequential kernel for the block passes, plus in
-  // the pipelined children loop —
+  // The base kernel with its drains on vr3/vr4 (no hazards between the
+  // overlapped phases), plus a branch that sends a level-1 block's leaf
+  // children to the pipelined loop instead of the recursion. Register use
+  // in that loop, beside the base kernel's r1..r11 —
   //   r9 k (child being filled)   r13/r14/r15 fill pos/val/remaining
   //   r16/r17/r18 drain pos/val/remaining   r19..r21 temporaries
-  // Fill moves through vr1/vr2, drain through vr3/vr4 (no hazards between
-  // the overlapped phases).
-  static const std::string source = R"asm(
-main:
-    jal   transpose_block
-    halt
-
-# ---- transpose_block(r1 = BSA, r2 = BSL, r3 = LVL) --------------------
-;; profile: block_setup
-transpose_block:
-    beq   r2, r0, tb_done
-
-    add   r4, r2, r2
-    addi  r4, r4, 3
-    andi  r4, r4, -4
-    add   r4, r1, r4             # value/pointer array
-    slli  r5, r2, 2
-    add   r5, r4, r5             # lengths array (levels >= 1)
-
-    beq   r3, r0, tb_elems
-
-    # ---- lengths pass (sequential, as in the base kernel) --------------
-;; profile: len_fill
-    icm
-    mv    r6, r1
-    mv    r7, r5
-    mv    r8, r2
-tb_len_fill:
-    ssvl  r8
-    v_ldb vr1, vr2, r6, r7
-    v_stcr vr1, vr2
-    bne   r8, r0, tb_len_fill
-;; profile: len_drain
-    mv    r7, r5
-    mv    r8, r2
-tb_len_drain:
-    ssvl  r8
-    v_ldcc vr3, vr4
-    v_stbv vr3, r7
-    bne   r8, r0, tb_len_drain
-
-tb_elems:
-    # ---- element pass (sequential) --------------------------------------
-;; profile: elem_fill
-    icm
-    mv    r6, r1
-    mv    r7, r4
-    mv    r8, r2
-tb_elem_fill:
-    ssvl  r8
-    v_ldb vr1, vr2, r6, r7
-    v_stcr vr1, vr2
-    bne   r8, r0, tb_elem_fill
-;; profile: elem_drain
-    mv    r6, r1
-    mv    r7, r4
-    mv    r8, r2
-tb_elem_drain:
-    ssvl  r8
-    v_ldcc vr3, vr4
-    v_stb vr3, vr4, r6, r7
-    bne   r8, r0, tb_elem_drain
-
-    beq   r3, r0, tb_done
-
-    addi  r10, r3, -1
+  // Fill moves through vr1/vr2, drain through vr3/vr4.
+  static const std::string source = [] {
+    std::string text = hism_transpose_source(/*split_drain_registers=*/true);
+    insert_before(text, "    # ---- recursion", R"asm(    addi  r10, r3, -1
     beq   r10, r0, tb_pipe       # children are leaves: pipeline them
 
-    # ---- recursion for LVL > 1 (sequential, as in the base kernel) ------
-;; profile: recurse
-    li    r9, 0
-tb_child_loop:
-    bge   r9, r2, tb_done
-    addi  sp, sp, -24
-    sw    ra, 0(sp)
-    sw    r2, 4(sp)
-    sw    r3, 8(sp)
-    sw    r4, 12(sp)
-    sw    r5, 16(sp)
-    sw    r9, 20(sp)
-    slli  r10, r9, 2
-    add   r11, r4, r10
-    lw    r1, (r11)
-    add   r11, r5, r10
-    lw    r2, (r11)
-    addi  r3, r3, -1
-    jal   transpose_block
-    lw    ra, 0(sp)
-    lw    r2, 4(sp)
-    lw    r3, 8(sp)
-    lw    r4, 12(sp)
-    lw    r5, 16(sp)
-    lw    r9, 20(sp)
-    addi  sp, sp, 24
-    addi  r9, r9, 1
-    beq   r0, r0, tb_child_loop
-
+)asm");
+    insert_before(text, "\ntb_done:\n", R"asm(
     # ---- software-pipelined leaf children (LVL == 1) --------------------
 ;; profile: pipelined_leaves
 tb_pipe:
@@ -184,28 +122,11 @@ tb_pipe_tail_loop:
     v_ldcc vr3, vr4
     v_stb vr3, vr4, r16, r17
     bne   r18, r0, tb_pipe_tail_loop
-
-tb_done:
-    ret
-)asm";
+)asm");
+    return text;
+  }();
   return source;
 }
-
-namespace {
-
-vsim::Machine make_pipelined_machine(const HismStage& stage,
-                                     const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(config.stm.double_buffer,
-                 "the software-pipelined kernel needs the double-buffered STM");
-  vsim::Machine machine = staged_machine(stage, config);
-  machine.set_sreg(1, stage.image.root_addr);
-  machine.set_sreg(2, stage.image.root_len);
-  machine.set_sreg(3, stage.image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-  return machine;
-}
-
-}  // namespace
 
 HismTransposeResult run_hism_transpose_pipelined(const HismStage& stage,
                                                  const vsim::MachineConfig& config) {

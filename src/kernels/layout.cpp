@@ -12,13 +12,11 @@ Addr align16(Addr addr) { return round_up(addr, 16); }
 
 }  // namespace
 
-CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
-  SMTU_CHECK_MSG(csr.validate(), "refusing to stage an invalid CSR matrix");
-
+CrsImage crs_image_layout(Index rows, Index cols, usize nnz, Addr base) {
   CrsImage image;
-  image.rows = csr.rows();
-  image.cols = csr.cols();
-  image.nnz = csr.nnz();
+  image.rows = rows;
+  image.cols = cols;
+  image.nnz = nnz;
 
   Addr cursor = align16(base);
   auto reserve = [&](u64 size) {
@@ -33,6 +31,12 @@ CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
   image.jat = reserve(4 * image.nnz);
   image.iat = reserve(4 * (image.cols + 1));
   image.end = cursor;
+  return image;
+}
+
+CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes) {
+  SMTU_CHECK_MSG(csr.validate(), "refusing to stage an invalid CSR matrix");
+  const CrsImage image = crs_image_layout(csr.rows(), csr.cols(), csr.nnz(), base);
 
   // One zeroed buffer with the three input arrays copied in whole (their
   // element encodings match the machine's little-endian u32/f32 stores).

@@ -28,8 +28,12 @@ struct CrsImage {
   Addr end = 0;  // first free address past the image
 };
 
-// Serializes AN/JA/IA at their image addresses into `bytes`, which on
-// return covers [base, image.end); the output arrays stay zeroed.
+// The array addresses of the CRS image of a rows x cols matrix with `nnz`
+// non-zeros placed from `base`; image.end - base is the image's size.
+CrsImage crs_image_layout(Index rows, Index cols, usize nnz, Addr base);
+
+// Serializes AN/JA/IA at their crs_image_layout addresses into `bytes`,
+// which on return covers [base, image.end); the output arrays stay zeroed.
 // build_crs_stage wraps it in a shared snapshot.
 CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes);
 

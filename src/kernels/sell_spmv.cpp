@@ -78,16 +78,6 @@ done:
 
 namespace {
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 struct SellLayout {
   Addr y = 0;
 };
@@ -170,7 +160,7 @@ SellSpmvResult run_sell_spmv(const SellCSigma& sell, const std::vector<float>& x
   const auto program = vsim::ProgramCache::instance().get(sell_spmv_source());
   vsim::MultiCoreSystem system(config);
   const SellLayout layout = stage_sell_spmv(system, sell, x);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
 
   SellSpmvResult result;
   result.stats = system.run(*program);
@@ -187,7 +177,7 @@ vsim::SystemRunStats time_sell_spmv(const SellCSigma& sell, const std::vector<fl
   const auto program = vsim::ProgramCache::instance().get(sell_spmv_source());
   vsim::MultiCoreSystem system(config);
   stage_sell_spmv(system, sell, x);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
   return system.run(*program);
 }
 

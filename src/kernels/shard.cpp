@@ -248,16 +248,6 @@ StagedShard stage_sharded(vsim::MultiCoreSystem& system, const Coo& coo) {
   return staged;
 }
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 }  // namespace
 
 ShardedHismTransposeResult run_sharded_hism_transpose(
@@ -266,7 +256,7 @@ ShardedHismTransposeResult run_sharded_hism_transpose(
   const auto program = vsim::ProgramCache::instance().get(sharded_hism_transpose_source());
   vsim::MultiCoreSystem system(config);
   const StagedShard staged = stage_sharded(system, coo);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
 
   ShardedHismTransposeResult result;
   result.stats = system.run(*program);
@@ -292,7 +282,7 @@ vsim::SystemRunStats time_sharded_hism_transpose(
   const auto program = vsim::ProgramCache::instance().get(sharded_hism_transpose_source());
   vsim::MultiCoreSystem system(config);
   stage_sharded(system, coo);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
   return system.run(*program);
 }
 

@@ -324,16 +324,6 @@ SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr
   return SpgemmLayout{c_base, static_cast<Index>(n), static_cast<Index>(p)};
 }
 
-void attach_profilers(vsim::MultiCoreSystem& system,
-                      std::vector<vsim::PerfCounters>* profilers) {
-  if (profilers == nullptr) return;
-  profilers->clear();
-  profilers->resize(system.num_cores());
-  for (u32 c = 0; c < system.num_cores(); ++c) {
-    system.attach_profiler(c, &(*profilers)[c]);
-  }
-}
-
 }  // namespace
 
 Coo spgemm_at_b_reference(const Coo& a, const Csr& b) {
@@ -346,7 +336,7 @@ SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfi
       vsim::ProgramCache::instance().get(hism_spgemm_source(config.core.section));
   vsim::MultiCoreSystem system(config);
   const SpgemmLayout layout = stage_spgemm(system, a, b);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
 
   SpgemmResult result;
   result.stats = system.run(*program);
@@ -367,7 +357,7 @@ vsim::SystemRunStats time_hism_spgemm(const Coo& a, const Csr& b,
       vsim::ProgramCache::instance().get(hism_spgemm_source(config.core.section));
   vsim::MultiCoreSystem system(config);
   stage_spgemm(system, a, b);
-  attach_profilers(system, profilers);
+  system.attach_profilers(profilers);
   return system.run(*program);
 }
 

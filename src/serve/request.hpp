@@ -11,16 +11,15 @@
 
 #include <string>
 
+#include "kernels/transpose_sim.hpp"
 #include "support/types.hpp"
 #include "vsim/config.hpp"
 
 namespace smtu::serve {
 
-// Which simulated kernel serves the request.
-enum class Kernel : u32 {
-  kHism = 0,  // HiSM transpose through the STM (kernels/hism_transpose)
-  kCrs = 1,   // vectorized CRS baseline (kernels/crs_transpose)
-};
+// Which simulated kernel serves the request: kHism (HiSM through the STM)
+// or kCrs (the CRS baseline), run by kernels::simulate_transpose.
+using Kernel = kernels::TransposeKernel;
 inline constexpr u32 kKernelCount = 2;
 
 const char* kernel_name(Kernel kernel);

@@ -6,9 +6,8 @@
 #include <queue>
 #include <unordered_set>
 
-#include "kernels/crs_transpose.hpp"
-#include "kernels/hism_transpose.hpp"
 #include "kernels/staging.hpp"
+#include "kernels/transpose_sim.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
 #include "support/telemetry.hpp"
@@ -272,29 +271,9 @@ u64 simulate_key(const SimKey& key, const Trace& trace,
   static telemetry::LatencyHistogram& sim_wall = telemetry::histogram("serve.sim_wall_us");
   telemetry::HostSpan span("serve.sim_wall_us", sim_wall);
   const vsim::MachineConfig config = machine_config_for(trace.configs[key.config]);
-  const suite::SuiteMatrix& entry = set[key.matrix];
-  if (key.kernel == Kernel::kHism) {
-    const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-    if (sim_cache) {
-      const std::string cache_key = vsim::sim_cache_key(
-          kernels::hism_transpose_source(false), config, *stage->snapshot, {});
-      if (const auto hit = sim_cache->lookup(cache_key, false, false)) return hit->stats.cycles;
-      const vsim::RunStats stats = kernels::time_hism_transpose(*stage, config);
-      sim_cache->store(cache_key, {stats, false, ""});
-      return stats.cycles;
-    }
-    return kernels::time_hism_transpose(*stage, config).cycles;
-  }
-  const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-  if (sim_cache) {
-    const std::string cache_key = vsim::sim_cache_key(
-        kernels::crs_transpose_source(config.section, {}), config, *stage->snapshot, {});
-    if (const auto hit = sim_cache->lookup(cache_key, false, false)) return hit->stats.cycles;
-    const vsim::RunStats stats = kernels::time_crs_transpose(*stage, config);
-    sim_cache->store(cache_key, {stats, false, ""});
-    return stats.cycles;
-  }
-  return kernels::time_crs_transpose(*stage, config).cycles;
+  return kernels::simulate_transpose(key.kernel, set[key.matrix].matrix, config,
+                                     /*verify=*/false, /*profile=*/false, sim_cache)
+      .stats.cycles;
 }
 
 std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(

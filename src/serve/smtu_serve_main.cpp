@@ -93,6 +93,8 @@ int serve_main(int argc, const char* const* argv) {
                     gen.arrival.alt_config_fraction));
   }
 
+  if (options.sim_cache_dir) create_output_directory(*options.sim_cache_dir);
+
   if (telemetry_on || !telemetry_json.empty()) telemetry::set_enabled(true);
 
   if (generate) {

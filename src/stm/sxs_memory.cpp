@@ -9,7 +9,6 @@ SxsMemory::SxsMemory(u32 section)
     : section_(section),
       values_(static_cast<usize>(section) * section, 0),
       stamp_(static_cast<usize>(section) * section, 0),
-      row_count_(section, 0),
       col_count_(section, 0) {
   SMTU_CHECK_MSG(section >= 2 && section <= 256, "section size must be in [2, 256]");
 }
@@ -25,7 +24,6 @@ void SxsMemory::clear() {
     stamp_.assign(stamp_.size(), 0);
     epoch_ = 1;
   }
-  row_count_.assign(section_, 0);
   col_count_.assign(section_, 0);
   occupied_count_ = 0;
 }
@@ -34,7 +32,6 @@ void SxsMemory::erase(u32 row, u32 col) {
   const usize c = cell(row, col);
   SMTU_CHECK_MSG(stamp_[c] == epoch_, "erasing an empty s x s memory cell");
   stamp_[c] = epoch_ - 1;
-  row_count_[row]--;
   col_count_[col]--;
   occupied_count_--;
 }

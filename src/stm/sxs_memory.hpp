@@ -30,7 +30,6 @@ class SxsMemory {
     if (stamp_[c] == epoch_) [[unlikely]] duplicate_insert(row, col);
     stamp_[c] = epoch_;
     values_[c] = value_bits;
-    row_count_[row]++;
     col_count_[col]++;
     occupied_count_++;
   }
@@ -45,8 +44,7 @@ class SxsMemory {
   // A column's indicator line, as presented to the Non-zero Locator.
   std::vector<bool> col_indicators(u32 col) const;
 
-  // Per-line population, used by the timing engine to skip empty lines.
-  u32 row_count(u32 row) const { return row_count_[row]; }
+  // A column's population, for skipping empty columns.
   u32 col_count(u32 col) const { return col_count_[col]; }
 
  private:
@@ -64,7 +62,6 @@ class SxsMemory {
   // the hardware's flash clear, without the simulator paying per-cell cost.
   std::vector<u32> stamp_;
   u32 epoch_ = 1;
-  std::vector<u32> row_count_;
   std::vector<u32> col_count_;
 };
 

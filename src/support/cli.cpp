@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "support/strings.hpp"
 
@@ -16,6 +17,14 @@ std::ofstream open_output_file(const std::string& path) {
   std::ofstream out(path);
   if (!out) exit_usage_error("cannot open " + path);
   return out;
+}
+
+void create_output_directory(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec || !std::filesystem::is_directory(dir, ec)) {
+    exit_usage_error("cannot create directory " + dir);
+  }
 }
 
 CommandLine::CommandLine(int argc, const char* const* argv) {

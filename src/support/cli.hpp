@@ -28,6 +28,11 @@ namespace smtu {
 // created is a mistake in the command line.
 std::ofstream open_output_file(const std::string& path);
 
+// Creates the directory `dir` (and its parents) unless it exists, or
+// prints "cannot create directory <dir>" and exits with status 2: the same
+// rule for a directory named on the command line, such as --sim-cache.
+void create_output_directory(const std::string& dir);
+
 class CommandLine {
  public:
   // Parses argv; fails on malformed input.

@@ -17,9 +17,7 @@
 // dependences even when destination and source registers alias. Never put
 // this on float reductions (reassociation changes the result bits) or on
 // read-modify-write scatters (later lanes may hit earlier lanes' addresses).
-#if defined(SMTU_SIMD_OMP)
-#define SMTU_VEC_LOOP _Pragma("omp simd")
-#elif defined(__clang__)
+#if defined(__clang__)
 #define SMTU_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)
 #define SMTU_VEC_LOOP _Pragma("GCC ivdep")
@@ -906,15 +904,12 @@ std::span<const u32> Machine::vreg(u32 index) const {
 void Machine::begin_run(const Program& program, usize entry_pc) {
   SMTU_CHECK_MSG(entry_pc < program.size(), "entry pc out of range");
 
-  // Programs from assemble() arrive predecoded; hand-built ones (tests,
-  // generators) get a local decode so the hot loop has a single path.
+  // Every Program comes from assemble(), which predecodes it.
+  SMTU_CHECK_MSG(program.decoded.size() == program.instructions.size(),
+                 "program is not predecoded");
   es_.insts = program.instructions.data();
   es_.decoded = program.decoded.data();
   es_.program_size = program.size();
-  if (program.decoded.size() != program.instructions.size()) {
-    local_decode_ = decode_instructions(program.instructions);
-    es_.decoded = local_decode_.data();
-  }
   // Startup latencies by StartupKind, resolved from the config once per run
   // (indexed by the predecoded kind instead of re-deriving per dynamic
   // instruction).

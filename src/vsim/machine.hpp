@@ -226,7 +226,6 @@ class Machine {
   const MachineConfig& config() const { return config_; }
   Memory& memory() { return *es_.memory; }
   const Memory& memory() const { return *es_.memory; }
-  StmUnit& stm_unit() { return *es_.stm; }
   u32 core_id() const { return es_.core_id; }
 
   u64 sreg(u32 index) const {
@@ -289,7 +288,6 @@ class Machine {
   std::unique_ptr<StmUnit> owned_stm_;
 
   // Step-mode run state (valid between begin_run and finish_run).
-  std::vector<DecodedInst> local_decode_;
   StmUnit::Stats stm_before_;
 
   ExecState es_;

@@ -143,8 +143,7 @@ using OpHandler = void (*)(ExecState&, const Instruction&, const DecodedInst&);
 OpHandler opcode_handler(Op op);
 
 // Predecode of an instruction sequence; aborts on a register number out of
-// range. Machine::run uses Program::decoded when present and falls back to
-// decoding on the fly for hand-built Programs.
+// range. assemble() stores it in Program::decoded, which Machine::run needs.
 std::vector<DecodedInst> decode_instructions(const std::vector<Instruction>& instructions);
 
 struct Program {
@@ -155,8 +154,7 @@ struct Program {
   // Instruction::source_line points into; feeds the profiler's per-line
   // hot-spot tables.
   std::vector<std::string> source_lines;
-  // One entry per instruction when predecoded (assemble() always fills
-  // this); empty on hand-built programs until predecode() is called.
+  // One entry per instruction; assemble() fills it through predecode().
   std::vector<DecodedInst> decoded;
 
   usize size() const { return instructions.size(); }

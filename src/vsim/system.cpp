@@ -30,6 +30,13 @@ void MultiCoreSystem::attach_profiler(u32 core, PerfCounters* profiler) {
   cores_[core]->attach_profiler(profiler);
 }
 
+void MultiCoreSystem::attach_profilers(std::vector<PerfCounters>* profilers) {
+  if (profilers == nullptr) return;
+  profilers->clear();
+  profilers->resize(cores_.size());
+  for (usize c = 0; c < cores_.size(); ++c) cores_[c]->attach_profiler(&(*profilers)[c]);
+}
+
 SystemRunStats MultiCoreSystem::run(const Program& program, usize entry_pc) {
   memsys_->reset_timing();
   for (auto& core : cores_) core->begin_run(program, entry_pc);

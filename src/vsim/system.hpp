@@ -58,6 +58,9 @@ class MultiCoreSystem {
   // own PerfCounters: samples interleave across cores, and the per-run
   // conservation invariant holds per core, not across them.
   void attach_profiler(u32 core, PerfCounters* profiler);
+  // One fresh PerfCounters per core in `*profilers` (resized and cleared),
+  // each attached to its core; nullptr attaches nothing.
+  void attach_profilers(std::vector<PerfCounters>* profilers);
 
   // Runs `program` SPMD on all cores from `entry_pc` until every core
   // halts. Bank timing and contention statistics reset per run; memory

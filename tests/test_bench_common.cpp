@@ -91,7 +91,7 @@ TEST(BenchCommon, LoadExternalSuiteRoundTrip) {
   write_matrix_market_file((dir / "a_first.mtx").string(), a);
   write_matrix_market_file((dir / "ignored.txt").string(), a);  // wrong extension
 
-  const auto external = bench::load_external_suite(dir.string());
+  const auto external = bench::load_external_suite(dir.string(), vsim::MachineConfig{});
   ASSERT_EQ(external.size(), 2u);  // .txt skipped
   EXPECT_EQ(external[0].name, "a_first");  // sorted by filename
   EXPECT_EQ(external[1].name, "b_second");
@@ -110,15 +110,15 @@ TEST(BenchCommonDeathTest, EmptyExternalDirAborts) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "smtu_bench_common_empty";
   std::filesystem::create_directories(dir);
-  EXPECT_EXIT(bench::load_external_suite(dir.string()), ::testing::ExitedWithCode(2),
-              "--mtxdir: no .mtx files");
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2), "--mtxdir: no .mtx files");
   std::filesystem::remove_all(dir);
 }
 
 TEST(BenchCommonDeathTest, MissingExternalDirFailsWithClearMessage) {
   // A nonexistent --mtxdir must produce our diagnostic, not an unhandled
   // std::filesystem exception.
-  EXPECT_EXIT(bench::load_external_suite("/nonexistent/smtu_no_such_dir"),
+  EXPECT_EXIT(bench::load_external_suite("/nonexistent/smtu_no_such_dir", vsim::MachineConfig{}),
               ::testing::ExitedWithCode(2), "not a readable directory");
 }
 
@@ -131,8 +131,8 @@ TEST(BenchCommonDeathTest, MalformedExternalMatrixExitsWithCode2) {
     std::ofstream out(dir / "bad.mtx");
     out << "%%MatrixMarket matrix coordinate real general\n3 3 1\n5 1 1.0\n";
   }
-  EXPECT_EXIT(bench::load_external_suite(dir.string()), ::testing::ExitedWithCode(2),
-              "bad\\.mtx: matrix market: line 3: .*out of range");
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2), "bad\\.mtx: matrix market: line 3: .*out of range");
   std::filesystem::remove_all(dir);
 }
 
@@ -160,6 +160,53 @@ TEST(BenchCommonDeathTest, UnwritableJsonPathExitsWithCode2) {
   CommandLine cli(2, argv);
   EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
               "cannot open /nonexistent/smtu_no_such_dir/out.json");
+}
+
+TEST(BenchCommonDeathTest, SimCacheDirectoryThatCannotBeCreatedExitsWithCode2) {
+  // A regular file where the cache directory's parent should be; like the
+  // output paths, the directory is checked while the options are parsed.
+  const std::filesystem::path blocker =
+      std::filesystem::temp_directory_path() / "smtu_bench_common_blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  const std::string cache = (blocker / "cache").string();
+  const std::string flag = "--sim-cache=" + cache;
+  const char* argv[] = {"bench", flag.c_str()};
+  CommandLine cli(2, argv);
+  EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
+              "cannot create directory " + cache);
+  std::filesystem::remove(blocker);
+}
+
+// Writes a one-entry 1 x cols matrix as the only .mtx file of a fresh
+// directory, for the --mtxdir checks of what the machine can stage.
+std::filesystem::path one_row_matrix_dir(const char* tag, unsigned long long cols) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "wide.mtx") << "%%MatrixMarket matrix coordinate real general\n1 "
+                                  << cols << " 1\n1 " << cols << " 1.0\n";
+  return dir;
+}
+
+TEST(BenchCommonDeathTest, ExternalMatrixBeyondTheHismKeyExitsWithCode2) {
+  // 2^30 + 1 columns need six levels at s = 64, a 72-bit key.
+  const std::filesystem::path dir = one_row_matrix_dir("smtu_bench_common_wide_key", 1073741825);
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2),
+              "wide\\.mtx: a 1 x 1073741825 matrix needs a HiSM key of more than 64 bits");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchCommonDeathTest, ExternalMatrixBeyondTheMachineMemoryExitsWithCode2) {
+  // 2^30 columns fit the HiSM key, but the CRS image's IAT alone is 4 GiB,
+  // past the paper's machine's 1 GiB memory: the check fails before any
+  // image is built.
+  const std::filesystem::path dir = one_row_matrix_dir("smtu_bench_common_wide_image", 1073741824);
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2),
+              "wide\\.mtx: its CRS image ends at byte [0-9]+, past the machine's 1073741824-byte "
+              "memory");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelHarness, RunComparisonsIsDeterministicAcrossJobs) {
@@ -198,8 +245,8 @@ TEST(ParallelHarness, RunComparisonsIsDeterministicAcrossJobs) {
     std::ostringstream lhs, rhs;
     {
       JsonWriter a(lhs), b(rhs);
-      vsim::write_run_stats_json(a, base[i].comparison.hism_stats);
-      vsim::write_run_stats_json(b, fanned[i].comparison.hism_stats);
+      vsim::write_run_stats_json(a, base[i].comparison.hism.stats);
+      vsim::write_run_stats_json(b, fanned[i].comparison.hism.stats);
     }
     EXPECT_EQ(lhs.str(), rhs.str()) << base[i].name;
   }

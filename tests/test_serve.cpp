@@ -578,6 +578,10 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   const std::string string_scale_trace = "test_serve_cli_string_scale.json";
   std::ofstream(string_scale_trace) << with_member(checked_in, "scale", "\"0.05\"");
   const std::string missing_dir = "test_serve_cli_no_such_dir/out.json";
+  // A regular file where the --sim-cache directory's parent should be.
+  const std::string blocker = "test_serve_cli_blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  const std::string blocked_cache = blocker + "/cache";
   // Each case: the arguments and the option its one-line diagnostic names.
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"", "--generate or --replay"},
@@ -605,6 +609,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {"--generate --trace-out=" + missing_dir, "cannot open " + missing_dir},
       {replay + " --json=" + missing_dir, "cannot open " + missing_dir},
       {replay + " --telemetry-json=" + missing_dir, "cannot open " + missing_dir},
+      {replay + " --sim-cache=" + blocked_cache, "cannot create directory " + blocked_cache},
   };
   const std::string stderr_path = "test_serve_cli_stderr.txt";
   for (const auto& [args, needle] : cases) {
@@ -624,6 +629,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
   std::remove(trace_out.c_str());
   std::remove(bad_trace.c_str());
   std::remove(string_scale_trace.c_str());
+  std::remove(blocker.c_str());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 // must serialize to exactly the bytes the live simulation would have
 // produced.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include "kernels/hism_transpose.hpp"
 #include "kernels/staging.hpp"
 #include "support/json.hpp"
+#include "testing.hpp"
 #include "vsim/json_export.hpp"
 #include "vsim/memory.hpp"
 #include "vsim/program_cache.hpp"
@@ -47,20 +47,7 @@ std::string stats_json(const vsim::RunStats& stats) {
   return out.str();
 }
 
-class TempDir {
- public:
-  explicit TempDir(const char* tag)
-      : path_(std::filesystem::temp_directory_path() /
-              (std::string("smtu_test_") + tag + "_" +
-               std::to_string(::getpid()))) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  std::filesystem::path path_;
-};
+using testing::TempDir;
 
 TEST(SimHash, StableAndSensitive) {
   vsim::SimHash a;

@@ -2,6 +2,10 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "formats/coo.hpp"
 #include "kernels/staging.hpp"
@@ -43,5 +47,23 @@ inline ::testing::AssertionResult coo_equal(const Coo& lhs, const Coo& rhs) {
          << "matrices differ: lhs " << lhs.rows() << "x" << lhs.cols() << "/" << lhs.nnz()
          << " vs rhs " << rhs.rows() << "x" << rhs.cols() << "/" << rhs.nnz();
 }
+
+// A fresh directory under the system temp dir, named by `tag` and the
+// process id, removed with everything in it when the object goes away.
+class TempDir {
+ public:
+  explicit TempDir(const char* tag)
+      : path_(std::filesystem::temp_directory_path() /
+              (std::string("smtu_test_") + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace smtu::testing

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "formats/csr.hpp"
 #include "formats/jagged.hpp"
@@ -47,7 +48,11 @@ int main(int argc, char** argv) {
   Rng rng(7);
   Coo matrix;
   if (!path.empty()) {
-    matrix = read_matrix_market_file(path);
+    try {
+      matrix = read_matrix_market_file(path);
+    } catch (const std::runtime_error& error) {
+      cli.fail("--matrix: " + path + ": " + error.what());
+    }
     std::printf("loaded %s\n", path.c_str());
   } else if (pattern == "random") {
     matrix = suite::gen_random_uniform(dim, dim, nnz, rng);

@@ -5,6 +5,7 @@
 //   ./transpose_showdown [--matrix=<path.mtx>] [--pattern=banded] [--dim=4096]
 //                        [--nnz=40000] [--B=4] [--L=4] [--no-verify] [--stats]
 #include <cstdio>
+#include <stdexcept>
 
 #include "formats/csr.hpp"
 #include "formats/matrix_market.hpp"
@@ -38,7 +39,11 @@ int main(int argc, char** argv) {
   Rng rng(11);
   Coo matrix;
   if (!path.empty()) {
-    matrix = read_matrix_market_file(path);
+    try {
+      matrix = read_matrix_market_file(path);
+    } catch (const std::runtime_error& error) {
+      cli.fail("--matrix: " + path + ": " + error.what());
+    }
   } else if (pattern == "banded") {
     matrix = suite::gen_banded_rows(dim, 12, 24, rng);
   } else if (pattern == "random") {

@@ -1,5 +1,6 @@
 #include "formats/matrix_market.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -10,6 +11,8 @@
 
 namespace smtu {
 namespace {
+
+constexpr u64 kMaxReservedEntries = u64{1} << 16;
 
 [[noreturn]] void fail(usize line_number, const std::string& what) {
   throw std::runtime_error(format("matrix market: line %zu: %s", line_number, what.c_str()));
@@ -108,7 +111,10 @@ Coo read_matrix_market(std::istream& in) {
   if (!rows || !cols || !declared_nnz) fail(line_number, "bad size line");
 
   Coo coo(*rows, *cols);
-  coo.entries().reserve(*declared_nnz);
+  // The size line's count is only a claim: a short file may declare
+  // billions. Reserve at most kMaxReservedEntries up front and let the
+  // entries grow as they arrive, so such a file fails as truncated.
+  coo.entries().reserve(std::min<u64>(*declared_nnz, kMaxReservedEntries));
   usize seen = 0;
   while (seen < *declared_nnz) {
     if (!std::getline(in, line)) fail(line_number, "truncated entry data");

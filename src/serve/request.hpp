@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "kernels/transpose_sim.hpp"
 #include "support/types.hpp"
@@ -24,7 +25,7 @@ inline constexpr u32 kKernelCount = 2;
 
 const char* kernel_name(Kernel kernel);
 // Returns false (and leaves `kernel` untouched) for unknown names.
-bool kernel_from_name(const std::string& name, Kernel& kernel);
+bool kernel_from_name(std::string_view name, Kernel& kernel);
 
 // The machine-parameter knobs a trace may vary per request. Everything else
 // stays at the MachineConfig defaults (the paper's §IV-A machine), so a

@@ -139,7 +139,7 @@ bool read_arrival(const JsonValue& arrival, ArrivalSpec& spec, std::string* erro
 
 }  // namespace
 
-bool valid_arrival_mode(const std::string& mode) {
+bool valid_arrival_mode(std::string_view mode) {
   return mode == "poisson" || mode == "bursty" || mode == "heavytail";
 }
 
@@ -159,7 +159,7 @@ const char* kernel_name(Kernel kernel) {
   return "?";
 }
 
-bool kernel_from_name(const std::string& name, Kernel& kernel) {
+bool kernel_from_name(std::string_view name, Kernel& kernel) {
   for (u32 i = 0; i < kKernelCount; ++i) {
     if (name == kernel_name(static_cast<Kernel>(i))) {
       kernel = static_cast<Kernel>(i);
@@ -357,6 +357,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     set_error(error, "missing \"configs\" variant table");
     return std::nullopt;
   }
+  trace.configs.reserve(configs->size());
   for (const JsonValue& item : configs->items()) {
     const usize index = trace.configs.size();
     if (!item.is_object()) {
@@ -389,6 +390,7 @@ std::optional<Trace> parse_trace(const JsonValue& document, std::string* error) 
     return std::nullopt;
   }
   u64 previous_arrival = 0;
+  trace.requests.reserve(requests->size());
   for (const JsonValue& item : requests->items()) {
     if (!item.is_object()) {
       set_error(error, "request is not an object");

@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/request.hpp"
@@ -64,7 +65,7 @@ struct Trace {
 };
 
 // True for the arrival modes ArrivalSpec names: poisson, bursty, heavytail.
-bool valid_arrival_mode(const std::string& mode);
+bool valid_arrival_mode(std::string_view mode);
 // True for a rate_rps the generator accepts: a positive finite number.
 bool valid_rate(double rate_rps);
 // True for a zipf_skew the generator accepts: a finite number.

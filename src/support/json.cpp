@@ -1,10 +1,13 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <iterator>
 #include <limits>
+#include <memory>
+#include <memory_resource>
+#include <type_traits>
 
 #include "support/assert.hpp"
 #include "support/strings.hpp"
@@ -118,7 +121,7 @@ void JsonWriter::end_array() {
   after_value();
 }
 
-void JsonWriter::key(const std::string& name) {
+void JsonWriter::key(std::string_view name) {
   SMTU_CHECK_MSG(!stack_.empty() && stack_.back().scope == Scope::kObject,
                  "key outside of an object");
   SMTU_CHECK_MSG(!pending_key_, "two keys in a row");
@@ -128,7 +131,7 @@ void JsonWriter::key(const std::string& name) {
   pending_key_ = true;
 }
 
-void JsonWriter::value(const std::string& text) {
+void JsonWriter::value(std::string_view text) {
   before_value();
   write_string(text);
   after_value();
@@ -208,56 +211,61 @@ void write_table_as_json(std::ostream& out, const TextTable& table) {
 
 // ---- JsonValue -------------------------------------------------------------
 
-static_assert(sizeof(JsonValue) <= 40, "JsonValue should stay a 32-byte string plus a tag");
+// One block holds the whole document: the parser sizes it, and the two
+// arrays and the arena of decoded keys and strings take their room from it
+// in turn.
+struct JsonValue::Document {
+  explicit Document(usize bytes) : block(bytes) {}
+  std::pmr::monotonic_buffer_resource block;
+  JsonValue root;
+  std::pmr::vector<JsonValue> items{&block};     // every array's items, each array's run contiguous
+  std::pmr::vector<JsonMember> members{&block};  // every object's members, each object's run contiguous
+};
+
+static_assert(sizeof(JsonValue) == 16, "a flat value is a tag, a count and one word");
+
+const JsonValue& JsonValue::document_root() const { return payload_.document->root; }
+
+void JsonValue::release() { delete payload_.document; }
 
 bool JsonValue::as_bool() const {
-  const bool* flag = std::get_if<bool>(&data_);
-  SMTU_CHECK_MSG(flag != nullptr, "JSON value is not a bool");
-  return *flag;
+  SMTU_CHECK_MSG(kind_ == Kind::kBool, "JSON value is not a bool");
+  return node().payload_.flag;
 }
 
 double JsonValue::as_double() const {
-  const Number* number = std::get_if<Number>(&data_);
-  SMTU_CHECK_MSG(number != nullptr, "JSON value is not a number");
-  return number->real;
+  SMTU_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
+  const auto& payload = node().payload_;
+  switch (exact_) {
+    case Exact::kUnsigned: return static_cast<double>(payload.bits);
+    case Exact::kNegative: return static_cast<double>(static_cast<i64>(payload.bits));
+    case Exact::kNone: break;
+  }
+  return payload.real;
 }
 
 i64 JsonValue::as_i64() const {
-  const Number* number = std::get_if<Number>(&data_);
-  SMTU_CHECK_MSG(number != nullptr, "JSON value is not a number");
-  switch (number->exact) {
-    case Number::Exact::kNegative:
-      return static_cast<i64>(number->bits);
-    case Number::Exact::kUnsigned:
-      SMTU_CHECK_MSG(number->bits <= static_cast<u64>(std::numeric_limits<i64>::max()),
+  SMTU_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
+  const auto& payload = node().payload_;
+  switch (exact_) {
+    case Exact::kNegative:
+      return static_cast<i64>(payload.bits);
+    case Exact::kUnsigned:
+      SMTU_CHECK_MSG(payload.bits <= static_cast<u64>(std::numeric_limits<i64>::max()),
                      "JSON number is not an integer in i64 range");
-      return static_cast<i64>(number->bits);
-    case Number::Exact::kNone:
+      return static_cast<i64>(payload.bits);
+    case Exact::kNone:
       break;
   }
-  const double real = number->real;
+  const double real = payload.real;
   SMTU_CHECK_MSG(real >= -0x1p63 && real < 0x1p63 && std::trunc(real) == real,
                  "JSON number is not an integer in i64 range");
   return static_cast<i64>(real);
 }
 
-bool JsonValue::is_integer() const {
-  const Number* number = std::get_if<Number>(&data_);
-  return number != nullptr && number->exact != Number::Exact::kNone;
-}
-
-std::optional<u64> JsonValue::try_u64() const {
-  const Number* number = std::get_if<Number>(&data_);
-  if (number == nullptr) return std::nullopt;
-  switch (number->exact) {
-    case Number::Exact::kUnsigned:
-      return number->bits;
-    case Number::Exact::kNegative:
-      return std::nullopt;
-    case Number::Exact::kNone:
-      break;
-  }
-  const double real = number->real;
+std::optional<u64> JsonValue::real_as_u64() const {
+  if (kind_ != Kind::kNumber || exact_ != Exact::kNone) return std::nullopt;
+  const double real = node().payload_.real;
   if (!(real >= 0.0 && real < 0x1p64) || std::trunc(real) != real) return std::nullopt;
   return static_cast<u64>(real);
 }
@@ -269,93 +277,91 @@ u64 JsonValue::as_u64() const {
   return *number;
 }
 
-const std::string& JsonValue::as_string() const {
-  const std::string* text = std::get_if<std::string>(&data_);
-  SMTU_CHECK_MSG(text != nullptr, "JSON value is not a string");
-  return *text;
-}
-
-const std::vector<JsonValue>& JsonValue::items() const {
-  const auto* items = std::get_if<std::vector<JsonValue>>(&data_);
-  SMTU_CHECK_MSG(items != nullptr, "JSON value is not an array");
-  return *items;
-}
-
-const std::vector<JsonValue::Member>& JsonValue::members() const {
-  const auto* members = std::get_if<std::vector<Member>>(&data_);
-  SMTU_CHECK_MSG(members != nullptr, "JSON value is not an object");
-  return *members;
-}
-
-usize JsonValue::size() const {
-  if (const auto* items = std::get_if<std::vector<JsonValue>>(&data_)) return items->size();
-  if (const auto* members = std::get_if<std::vector<Member>>(&data_)) return members->size();
-  SMTU_CHECK_MSG(false, "JSON value has no size");
-  return 0;
-}
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  const auto* members = std::get_if<std::vector<Member>>(&data_);
-  if (members == nullptr) return nullptr;
-  for (const Member& member : *members) {
-    if (member.first == key) return &member.second;
-  }
-  return nullptr;
-}
-
 const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* value = find(key);
   SMTU_CHECK_MSG(value != nullptr, "missing JSON key " + std::string(key));
   return *value;
 }
 
-JsonValue JsonValue::make_null() { return JsonValue(); }
-
-JsonValue JsonValue::make_bool(bool flag) {
-  JsonValue value;
-  value.data_ = flag;
-  return value;
-}
-
-JsonValue JsonValue::make_number(double number) {
-  JsonValue value;
-  value.data_ = Number{number, 0, Number::Exact::kNone};
-  return value;
-}
-
-JsonValue JsonValue::make_string(std::string text) {
-  JsonValue value;
-  value.data_ = std::move(text);
-  return value;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue value;
-  value.data_ = std::move(items);
-  return value;
-}
-
-JsonValue JsonValue::make_object(std::vector<Member> members) {
-  JsonValue value;
-  value.data_ = std::move(members);
-  return value;
-}
-
 // ---- parser ----------------------------------------------------------------
 
-// Each parse_* fills `out`, a null JsonValue on entry, and returns false
-// after recording the first error. Containers collect their children on two
-// scratch stacks shared by every nesting level and move them into a vector
-// of exactly the right size when they close.
+namespace {
+
+// Counts the ':' bytes and the ',' or '[' bytes of `text`. Blocks of at
+// most 255 bytes keep the tallies in u8 lanes, which compilers vectorize.
+std::pair<usize, usize> count_marks(std::string_view text) {
+  constexpr usize kBlock = 255;
+  usize colons = 0;
+  usize item_marks = 0;
+  for (usize at = 0; at < text.size(); at += kBlock) {
+    const usize end = std::min(text.size(), at + kBlock);
+    u8 block_colons = 0;
+    u8 block_marks = 0;
+    for (usize i = at; i < end; ++i) {
+      const char c = text[i];
+      block_colons = static_cast<u8>(block_colons + (c == ':'));
+      block_marks = static_cast<u8>(block_marks + ((c == ',') | (c == '[')));
+    }
+    colons += block_colons;
+    item_marks += block_marks;
+  }
+  return {colons, item_marks};
+}
+
+}  // namespace
+
+// Fills the flat document in one recursive-descent pass. Each parse_* fills
+// `out`, a null JsonValue on entry, and returns false after recording the
+// first error.
+//
+// A container appends its children to the tail of its array (items or
+// members) as it reads them. Its children stay contiguous unless a child's
+// own descendants land in the same array between two of them: an array
+// inside an array, or an object anywhere below an object. Such a container
+// gathers its children when it closes. Each container child records where
+// its descendants begin in the parent's array, so a walk back from the tail
+// steps from child to child over those runs and moves the children to the
+// tail in order. A child moves at most once, and the slot it leaves stays
+// unused.
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  JsonParser(std::string_view text, usize max_count) : text_(text), max_count_(max_count) {
+    // Nothing the document holds ever moves, so a container points at its
+    // first child and a string into the arena. A decoded string is never
+    // longer than its JSON text. Every member has a ':' of its own and every
+    // item a '[' or ',' before it, and a gather leaves at most one unused
+    // slot per child, so twice those counts is room the arrays never
+    // outgrow; has_room keeps them within max_count as well.
+    const auto [colons, item_marks] = count_marks(text);
+    const usize item_room = std::min(2 * item_marks, max_count);
+    const usize member_room = std::min(2 * colons, max_count);
+    doc_ = std::make_unique<JsonValue::Document>(item_room * sizeof(JsonValue) +
+                                                 member_room * sizeof(JsonMember) + text.size() +
+                                                 kBlockSlack);
+    doc_->items.reserve(item_room);
+    doc_->members.reserve(member_room);
+    chars_end_ = static_cast<char*>(doc_->block.allocate(text.size(), 1));
+    items_ = doc_->items.data();
+    members_ = doc_->members.data();
+  }
 
   std::optional<JsonValue> parse(std::string* error) {
-    JsonValue value;
-    if (parse_value(value, 0)) {
+    JsonValue& root = doc_->root;
+    if (parse_value(root, 0)) {
       skip_whitespace();
-      if (pos_ == text_.size()) return value;
+      if (pos_ == text_.size()) {
+        // The views and child pointers in the document rely on this.
+        SMTU_CHECK(doc_->items.data() == items_ && doc_->members.data() == members_);
+        resolve(root);
+        // The value handed out owns the document and answers from its root.
+        JsonValue handle;
+        handle.kind_ = root.kind_;
+        handle.exact_ = root.exact_;
+        handle.size_ = root.size_;
+        handle.owner_ = true;
+        handle.payload_.document = doc_.release();
+        return handle;
+      }
       fail("trailing characters after JSON document");
     }
     if (error) *error = error_;
@@ -363,93 +369,143 @@ class JsonParser {
   }
 
  private:
-  using Number = JsonValue::Number;
+  using Kind = JsonValue::Kind;
+  using Exact = JsonValue::Exact;
   static constexpr usize kMaxDepth = 256;
+  // Room for aligning the three parts inside the block.
+  static constexpr usize kBlockSlack = 64;
 
   bool parse_value(JsonValue& out, usize depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_whitespace();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object(out, depth);
-      case '[': return parse_array(out, depth);
-      case '"': return parse_string(out.data_.emplace<std::string>());
+      case '{': return parse_container(out, doc_->members, depth);
+      case '[': return parse_container(out, doc_->items, depth);
+      case '"': {
+        std::string_view text;
+        if (!parse_string(text)) return false;
+        out.kind_ = Kind::kString;
+        out.size_ = static_cast<u32>(text.size());
+        out.payload_.chars = text.data();
+        return true;
+      }
       case 't':
-        if (!parse_literal("true")) return false;
-        out.data_ = true;
+      case 'f': {
+        const bool flag = text_[pos_] == 't';
+        if (!parse_literal(flag ? "true" : "false")) return false;
+        out.kind_ = Kind::kBool;
+        out.payload_.flag = flag;
         return true;
-      case 'f':
-        if (!parse_literal("false")) return false;
-        out.data_ = false;
-        return true;
+      }
       case 'n': return parse_literal("null");
       default: return parse_number(out);
     }
   }
 
-  bool parse_object(JsonValue& out, usize depth) {
-    ++pos_;  // '{'
-    const usize base = members_.size();
+  static JsonValue& value_of(JsonValue& item) { return item; }
+  static JsonValue& value_of(JsonMember& member) { return member.value; }
+
+  // An object fills `members`, an array `items`: the grammar differs only
+  // in the key before each object value.
+  template <typename Entry>
+  bool parse_container(JsonValue& out, std::pmr::vector<Entry>& entries, usize depth) {
+    constexpr bool kObject = std::is_same_v<Entry, JsonMember>;
+    constexpr char kClose = kObject ? '}' : ']';
+    ++pos_;  // '{' or '['
+    const usize start = entries.size();  // where this container's descendants begin
+    usize first = start;
+    usize count = 0;
     skip_whitespace();
-    if (!consume('}')) {
+    if (!consume(kClose)) {
       while (true) {
-        skip_whitespace();
-        if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected object key");
-        std::string key;
-        if (!parse_string(key)) return false;
-        skip_whitespace();
-        if (!consume(':')) return fail("expected ':' after object key");
-        JsonValue value;
+        Entry entry;
+        if constexpr (kObject) {
+          skip_whitespace();
+          if (pos_ >= text_.size() || text_[pos_] != '"') return fail("expected object key");
+          if (!parse_string(entry.key)) return false;
+          skip_whitespace();
+          if (!consume(':')) return fail("expected ':' after object key");
+        }
+        const usize subtree = entries.size();
+        JsonValue& value = value_of(entry);
         if (!parse_value(value, depth + 1)) return false;
-        members_.emplace_back(std::move(key), std::move(value));
+        if (value.is_array() || value.is_object()) {
+          value.payload_.pending.subtree = static_cast<u32>(subtree);
+        }
+        if (!has_room(entries.size(), 1)) return false;
+        if (count++ == 0) first = entries.size();
+        entries.push_back(std::move(entry));
         skip_whitespace();
         if (consume(',')) continue;
-        if (consume('}')) break;
-        return fail("expected ',' or '}' in object");
+        if (consume(kClose)) break;
+        return fail(kObject ? "expected ',' or '}' in object" : "expected ',' or ']' in array");
       }
     }
-    out.data_ = take_above(members_, base);
+    if (entries.size() - first != count) {
+      if (!has_room(entries.size(), count)) return false;
+      first = gather(entries, start, count);
+    }
+    // The children are in place for good: their own children need no
+    // subtree index any more.
+    for (usize i = first; i < first + count; ++i) resolve(value_of(entries[i]));
+    out.kind_ = kObject ? Kind::kObject : Kind::kArray;
+    out.size_ = static_cast<u32>(count);
+    out.payload_.pending = {static_cast<u32>(first), 0};
     return true;
   }
 
-  bool parse_array(JsonValue& out, usize depth) {
-    ++pos_;  // '['
-    const usize base = items_.size();
-    skip_whitespace();
-    if (!consume(']')) {
-      while (true) {
-        JsonValue value;
-        if (!parse_value(value, depth + 1)) return false;
-        items_.push_back(std::move(value));
-        skip_whitespace();
-        if (consume(',')) continue;
-        if (consume(']')) break;
-        return fail("expected ',' or ']' in array");
-      }
+  // Points a closed container at its first child.
+  void resolve(JsonValue& value) const {
+    if (value.kind_ == Kind::kArray) {
+      value.payload_.items = items_ + value.payload_.pending.first;
+    } else if (value.kind_ == Kind::kObject) {
+      value.payload_.members = members_ + value.payload_.pending.first;
     }
-    out.data_ = take_above(items_, base);
-    return true;
   }
 
-  // Moves the entries above `base` off a scratch stack into their own
-  // exactly-sized vector.
-  template <typename T>
-  static std::vector<T> take_above(std::vector<T>& stack, usize base) {
-    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
-    std::vector<T> taken(std::make_move_iterator(first), std::make_move_iterator(stack.end()));
-    stack.erase(first, stack.end());
-    return taken;
+  // Moves the `count` children of the container whose descendants begin at
+  // `start` to the tail of `entries`, in order, and returns where they now
+  // begin. Walking back from the tail, everything between one child and the
+  // one before it is the later child's descendants, which begin at its
+  // recorded subtree index.
+  template <typename Entry>
+  static usize gather(std::pmr::vector<Entry>& entries, usize start, usize count) {
+    const usize end = entries.size();
+    entries.resize(end + count);
+    usize to = end + count;
+    usize at = end;
+    while (at > start) {
+      --at;
+      const JsonValue& value = value_of(entries[at]);
+      const usize previous =
+          value.is_array() || value.is_object() ? value.payload_.pending.subtree : at;
+      entries[--to] = std::move(entries[at]);
+      at = previous;
+    }
+    return end;
   }
 
-  bool parse_string(std::string& decoded) {
+  // True when `used` + `added` stays within the 32-bit counts and indices
+  // of the flat layout; records the error otherwise.
+  bool has_room(usize used, usize added) {
+    if (added <= max_count_ && used <= max_count_ - added) return true;
+    return fail("document too large for 32-bit counts");
+  }
+
+  // Decodes a string into the arena and points `out` at it.
+  bool parse_string(std::string_view& out) {
+    char* const begin = chars_end_;
+    char* to = begin;
     ++pos_;  // opening quote
     while (true) {
-      const usize run = pos_;
-      while (pos_ < text_.size() && !needs_escape(text_[pos_])) ++pos_;
-      decoded.append(text_.data() + run, pos_ - run);
+      while (pos_ < text_.size() && !needs_escape(text_[pos_])) *to++ = text_[pos_++];
       if (pos_ >= text_.size()) return fail("unterminated string");
       if (text_[pos_] == '"') {
+        if (!has_room(0, static_cast<usize>(to - begin))) return false;
         ++pos_;
+        chars_end_ = to;
+        out = std::string_view(begin, static_cast<usize>(to - begin));
         return true;
       }
       if (text_[pos_] != '\\') return fail("raw control character in string");
@@ -457,14 +513,14 @@ class JsonParser {
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char escape = text_[pos_++];
       switch (escape) {
-        case '"': decoded += '"'; break;
-        case '\\': decoded += '\\'; break;
-        case '/': decoded += '/'; break;
-        case 'b': decoded += '\b'; break;
-        case 'f': decoded += '\f'; break;
-        case 'n': decoded += '\n'; break;
-        case 'r': decoded += '\r'; break;
-        case 't': decoded += '\t'; break;
+        case '"': *to++ = '"'; break;
+        case '\\': *to++ = '\\'; break;
+        case '/': *to++ = '/'; break;
+        case 'b': *to++ = '\b'; break;
+        case 'f': *to++ = '\f'; break;
+        case 'n': *to++ = '\n'; break;
+        case 'r': *to++ = '\r'; break;
+        case 't': *to++ = '\t'; break;
         case 'u': {
           std::optional<u32> code = parse_hex4();
           if (!code) return false;
@@ -482,7 +538,7 @@ class JsonParser {
           } else if (codepoint >= 0xDC00 && codepoint <= 0xDFFF) {
             return fail("unpaired UTF-16 surrogate");
           }
-          append_utf8(decoded, codepoint);
+          to = write_utf8(to, codepoint);
           break;
         }
         default: return fail("unknown escape character");
@@ -510,22 +566,24 @@ class JsonParser {
     return value;
   }
 
-  static void append_utf8(std::string& out, u32 codepoint) {
+  // Writes `codepoint` as UTF-8 at `to`; returns the end of what it wrote.
+  static char* write_utf8(char* to, u32 codepoint) {
     if (codepoint < 0x80) {
-      out += static_cast<char>(codepoint);
+      *to++ = static_cast<char>(codepoint);
     } else if (codepoint < 0x800) {
-      out += static_cast<char>(0xC0 | (codepoint >> 6));
-      out += static_cast<char>(0x80 | (codepoint & 0x3F));
+      *to++ = static_cast<char>(0xC0 | (codepoint >> 6));
+      *to++ = static_cast<char>(0x80 | (codepoint & 0x3F));
     } else if (codepoint < 0x10000) {
-      out += static_cast<char>(0xE0 | (codepoint >> 12));
-      out += static_cast<char>(0x80 | ((codepoint >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (codepoint & 0x3F));
+      *to++ = static_cast<char>(0xE0 | (codepoint >> 12));
+      *to++ = static_cast<char>(0x80 | ((codepoint >> 6) & 0x3F));
+      *to++ = static_cast<char>(0x80 | (codepoint & 0x3F));
     } else {
-      out += static_cast<char>(0xF0 | (codepoint >> 18));
-      out += static_cast<char>(0x80 | ((codepoint >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((codepoint >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (codepoint & 0x3F));
+      *to++ = static_cast<char>(0xF0 | (codepoint >> 18));
+      *to++ = static_cast<char>(0x80 | ((codepoint >> 12) & 0x3F));
+      *to++ = static_cast<char>(0x80 | ((codepoint >> 6) & 0x3F));
+      *to++ = static_cast<char>(0x80 | (codepoint & 0x3F));
     }
+    return to;
   }
 
   bool parse_number(JsonValue& out) {
@@ -555,18 +613,20 @@ class JsonParser {
     // The span is a valid JSON number, which from_chars reads in full.
     const char* first = text_.data() + begin;
     const char* last = text_.data() + pos_;
+    out.kind_ = Kind::kNumber;
     if (integer && negative) {
       i64 exact = 0;
       // "-0" stays a double so its sign survives.
       if (std::from_chars(first, last, exact).ec == std::errc() && exact < 0) {
-        out.data_ = Number{static_cast<double>(exact), static_cast<u64>(exact),
-                           Number::Exact::kNegative};
+        out.exact_ = Exact::kNegative;
+        out.payload_.bits = static_cast<u64>(exact);
         return true;
       }
     } else if (integer) {
       u64 exact = 0;
       if (std::from_chars(first, last, exact).ec == std::errc()) {
-        out.data_ = Number{static_cast<double>(exact), exact, Number::Exact::kUnsigned};
+        out.exact_ = Exact::kUnsigned;
+        out.payload_.bits = exact;
         return true;
       }
     }
@@ -580,7 +640,7 @@ class JsonParser {
     } else if (ec != std::errc() || end != last) {
       return fail("malformed number");
     }
-    out.data_ = Number{real, 0, Number::Exact::kNone};
+    out.payload_.real = real;
     return true;
   }
 
@@ -615,13 +675,22 @@ class JsonParser {
 
   std::string_view text_;
   usize pos_ = 0;
+  usize max_count_;  // largest array, object or string the layout counts
   std::string error_;
-  std::vector<JsonValue::Member> members_;  // open objects' members, innermost last
-  std::vector<JsonValue> items_;            // open arrays' items, innermost last
+  std::unique_ptr<JsonValue::Document> doc_;  // handed to the root on success
+  // Where the reservations put the arrays; they never move.
+  const JsonValue* items_;
+  const JsonMember* members_;
+  char* chars_end_;  // the arena's first unused byte
 };
 
 std::optional<JsonValue> parse_json(std::string_view text, std::string* error) {
-  return JsonParser(text).parse(error);
+  return JsonParser(text, std::numeric_limits<u32>::max()).parse(error);
+}
+
+std::optional<JsonValue> detail::parse_json_with_limit(std::string_view text, usize max_count,
+                                                       std::string* error) {
+  return JsonParser(text, max_count).parse(error);
 }
 
 }  // namespace smtu

@@ -136,6 +136,21 @@ TEST(BenchCommonDeathTest, MalformedExternalMatrixExitsWithCode2) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BenchCommonDeathTest, ExternalMatrixDeclaringHugeNnzExitsWithCode2) {
+  // Three lines that declare 4e12 entries: truncated data, not an attempt
+  // to reserve them.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "smtu_bench_common_huge_nnz";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "huge.mtx") << "%%MatrixMarket matrix coordinate real general\n"
+                                     "4 4 4000000000000\n1 1 1.0\n";
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2),
+              "huge\\.mtx: matrix market: line 3: truncated entry data");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BenchCommonDeathTest, ScaleOutsideUnitIntervalExitsWithCode2) {
   for (const char* scale : {"--scale=0", "--scale=-1", "--scale=1.5"}) {
     const char* argv[] = {"bench", scale};

@@ -139,7 +139,7 @@ TEST(BenchJson, ReproduceAllEmitsSchemaValidArtifact) {
   // Stable top-level key order — downstream tooling (bench_diff, plotting)
   // may rely on it for readable diffs.
   std::vector<std::string> keys;
-  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  for (const auto& [key, value] : doc.members()) keys.emplace_back(key);
   EXPECT_EQ(keys, (std::vector<std::string>{"schema", "bench", "config", "suite", "harness",
                                             "host", "fig10", "figures", "headline",
                                             "storage"}));

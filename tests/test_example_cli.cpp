@@ -1,7 +1,7 @@
 // Command-line checks of the example binaries: a size, STM or machine
-// parameter they cannot run prints one line naming the option and exits 2,
-// instead of aborting, wrapping a negative value into a huge one, or
-// running on.
+// parameter they cannot run, or a --matrix file they cannot read, prints one
+// line naming the option or file and exits 2, instead of aborting, wrapping
+// a negative value into a huge one, or running on.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -55,6 +55,28 @@ TEST(ExampleCli, TransposeShowdownRejectsSizesAndStmParametersOutOfRange) {
                            (has_pattern ? " " : " --pattern=random ") + args,
                        needle);
   }
+}
+
+TEST(ExampleCli, UnreadableMatrixFilesExitWith2) {
+  const std::string bad_header = "test_example_cli_bad_header.mtx";
+  const std::string huge_nnz = "test_example_cli_huge_nnz.mtx";
+  std::ofstream(bad_header) << "%%NotMatrixMarket nope\n1 1 0\n";
+  std::ofstream(huge_nnz) << "%%MatrixMarket matrix coordinate real general\n"
+                             "4 4 4000000000000\n1 1 1.0\n";
+  // Each case: the file and the start of the reader's reason.
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"test_example_cli_missing.mtx", "cannot open test_example_cli_missing.mtx"},
+      {bad_header, "matrix market: line 1: expected"},
+      {huge_nnz, "matrix market: line 3: truncated entry data"},
+  };
+  for (const std::string binary : {SMTU_TRANSPOSE_SHOWDOWN_BIN, SMTU_HISM_EXPLORER_BIN}) {
+    for (const auto& [file, reason] : files) {
+      SCOPED_TRACE(binary + " --matrix=" + file);
+      expect_usage_error(binary + " --matrix=" + file, "--matrix: " + file + ": " + reason);
+    }
+  }
+  std::remove(bad_header.c_str());
+  std::remove(huge_nnz.c_str());
 }
 
 TEST(ExampleCli, VsimRunRejectsSectionSizesOutOfRange) {

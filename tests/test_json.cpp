@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -96,6 +98,23 @@ TEST(Json, StringEscaping) {
   json.value(std::string("v"));
   json.end_object();
   EXPECT_EQ(out.str(), R"({"k\"\n":"v"})");
+}
+
+TEST(Json, LiteralsAndViewsWriteStrings) {
+  // A string literal takes the const char* overload, never the bool one; a
+  // view need not end in a NUL, as keys and values read back from a
+  // document do not.
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_object();
+  json.key(std::string_view("key-and-more").substr(0, 3));
+  json.begin_array();
+  json.value("x");
+  json.value(std::string_view("y-and-more").substr(0, 1));
+  json.value(std::string("z"));
+  json.end_array();
+  json.end_object();
+  EXPECT_EQ(out.str(), R"({"key":["x","y","z"]})");
 }
 
 TEST(Json, WriterBuffersUntilTheRootCloses) {
@@ -225,11 +244,76 @@ TEST(JsonParse, ObjectPreservesMemberOrder) {
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->is_object());
   ASSERT_EQ(doc->size(), 3u);
-  EXPECT_EQ(doc->members()[0].first, "zeta");
-  EXPECT_EQ(doc->members()[1].first, "alpha");
-  EXPECT_EQ(doc->members()[2].first, "mid");
+  EXPECT_EQ(doc->members()[0].key, "zeta");
+  EXPECT_EQ(doc->members()[1].key, "alpha");
+  EXPECT_EQ(doc->members()[2].key, "mid");
   EXPECT_EQ(doc->at("alpha").as_u64(), 2u);
   EXPECT_EQ(doc->find("absent"), nullptr);
+
+  // A repeated key keeps both members; find returns the first.
+  const auto repeated = parse_json(R"({"k":1,"x":2,"k":3})");
+  ASSERT_TRUE(repeated.has_value());
+  EXPECT_EQ(repeated->size(), 3u);
+  EXPECT_EQ(repeated->at("k").as_u64(), 1u);
+  EXPECT_EQ(repeated->members()[2].value.as_u64(), 3u);
+}
+
+TEST(JsonParse, NestedContainersKeepTheirChildrenInOrder) {
+  // Arrays inside arrays and objects below objects put their own children
+  // between their parent's; every container still sees its own, in order.
+  const auto doc = parse_json(
+      R"([[1,[2,[3]],4],[],{"a":{"b":[{"c":5},{}],"d":6},"e":[7]},[[[]],8]])");
+  ASSERT_TRUE(doc.has_value());
+  const auto items = doc->items();
+  ASSERT_EQ(items.size(), 4u);
+  ASSERT_EQ(items[0].size(), 3u);
+  EXPECT_EQ(items[0].items()[0].as_u64(), 1u);
+  EXPECT_EQ(items[0].items()[1].items()[0].as_u64(), 2u);
+  EXPECT_EQ(items[0].items()[1].items()[1].items()[0].as_u64(), 3u);
+  EXPECT_EQ(items[0].items()[2].as_u64(), 4u);
+  EXPECT_EQ(items[1].size(), 0u);
+  const JsonValue& object = items[2];
+  ASSERT_EQ(object.size(), 2u);
+  EXPECT_EQ(object.members()[0].key, "a");
+  EXPECT_EQ(object.members()[1].key, "e");
+  EXPECT_EQ(object.at("a").members()[0].key, "b");
+  EXPECT_EQ(object.at("a").at("b").items()[0].at("c").as_u64(), 5u);
+  EXPECT_EQ(object.at("a").at("b").items()[1].size(), 0u);
+  EXPECT_EQ(object.at("a").at("d").as_u64(), 6u);
+  EXPECT_EQ(object.at("e").items()[0].as_u64(), 7u);
+  ASSERT_EQ(items[3].size(), 2u);
+  EXPECT_EQ(items[3].items()[0].items()[0].size(), 0u);
+  EXPECT_EQ(items[3].items()[1].as_u64(), 8u);
+}
+
+TEST(JsonParse, ViewsOutliveAMoveOfTheRoot) {
+  std::optional<JsonValue> doc = parse_json(R"({"name":"smtu","list":[1,2]})");
+  ASSERT_TRUE(doc.has_value());
+  const std::string_view name = doc->at("name").as_string();
+  const auto list = doc->at("list").items();
+  const JsonValue root = std::move(*doc);
+  doc.reset();
+  EXPECT_EQ(name, "smtu");
+  EXPECT_EQ(list[1].as_u64(), 2u);
+  EXPECT_EQ(root.members()[0].key, "name");
+}
+
+TEST(JsonParse, CountsPastTheLimitAreRejectedAtAnOffset) {
+  // The flat layout counts in 32 bits; a document past that is rejected,
+  // not wrapped. A lowered limit reaches the same check on small inputs.
+  std::string error;
+  EXPECT_TRUE(detail::parse_json_with_limit("[1,2]", 2, &error).has_value()) << error;
+  EXPECT_FALSE(detail::parse_json_with_limit("[1,2,3]", 2, &error).has_value());
+  EXPECT_EQ(error, "document too large for 32-bit counts (at byte 6)");
+  EXPECT_FALSE(detail::parse_json_with_limit(R"({"a":1,"b":2,"c":3})", 2, &error).has_value());
+  EXPECT_NE(error.find("too large"), std::string::npos) << error;
+  EXPECT_TRUE(detail::parse_json_with_limit(R"("abcd")", 4, &error).has_value()) << error;
+  EXPECT_FALSE(detail::parse_json_with_limit(R"("abcde")", 4, &error).has_value());
+  EXPECT_EQ(error, "document too large for 32-bit counts (at byte 6)");
+  // Gathering the outer array's interleaved children needs two more slots.
+  EXPECT_TRUE(detail::parse_json_with_limit("[[1],[2]]", 6, &error).has_value()) << error;
+  EXPECT_FALSE(detail::parse_json_with_limit("[[1],[2]]", 5, &error).has_value());
+  EXPECT_EQ(error, "document too large for 32-bit counts (at byte 9)");
 }
 
 TEST(JsonParse, NestedStructure) {

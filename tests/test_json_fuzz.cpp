@@ -3,6 +3,8 @@
 // escaped string) and a nested serve report. A mutated document must come
 // back as a value or as an error whose "at byte K" lies inside the input,
 // never as a crash; an unmutated one must parse and re-render byte for byte.
+// The readers above the JSON layer get the same mutations: a trace goes on
+// through parse_trace, and a sim-cache entry file through SimCache::lookup.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -171,6 +173,14 @@ void mutate(std::string& text, Rng& rng) {
   }
 }
 
+// The mutated text of one document: one to three edits of the original.
+std::string mutated(const std::string& original, Rng& rng) {
+  std::string text = original;
+  const u64 edits = 1 + rng.below(3);
+  for (u64 e = 0; e < edits; ++e) mutate(text, rng);
+  return text;
+}
+
 TEST(JsonFuzz, WriterDocumentsRoundTripByteIdentically) {
   for (const auto& [name, text] : documents()) {
     ASSERT_FALSE(text.empty()) << name;
@@ -186,10 +196,7 @@ TEST(JsonFuzz, MutatedDocumentsParseOrReportAnOffsetInside) {
   for (const auto& [name, original] : documents()) {
     usize rejected = 0;
     for (int i = 0; i < kCasesPerDocument; ++i) {
-      std::string text = original;
-      const u64 edits = 1 + rng.below(3);
-      for (u64 e = 0; e < edits; ++e) mutate(text, rng);
-
+      const std::string text = mutated(original, rng);
       std::string error;
       const auto parsed = parse_json(text, &error);
       if (parsed.has_value()) continue;
@@ -202,6 +209,52 @@ TEST(JsonFuzz, MutatedDocumentsParseOrReportAnOffsetInside) {
     // Most single-byte damage to a document is visible to the parser.
     EXPECT_GT(rejected, usize{kCasesPerDocument / 2}) << name;
   }
+}
+
+TEST(JsonFuzz, MutatedTracesReplayOrSayWhy) {
+  const std::string& original = documents()[0].second;
+  Rng rng(kFuzzSeed + 1);
+  usize replayed = 0;
+  usize rejected = 0;
+  for (int i = 0; i < kCasesPerDocument; ++i) {
+    const std::string text = mutated(original, rng);
+    const auto document = parse_json(text);
+    if (!document.has_value()) continue;
+    std::string error;
+    const auto trace = serve::parse_trace(*document, &error);
+    if (trace.has_value()) {
+      ++replayed;
+      EXPECT_FALSE(trace->requests.empty()) << "case " << i;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "case " << i;
+    }
+  }
+  // Both outcomes occur: damage past the JSON layer reaches the schema
+  // checks, and some of it is harmless.
+  EXPECT_GT(replayed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(JsonFuzz, MutatedSimCacheEntriesHitOrMiss) {
+  const std::string& original = documents()[1].second;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("smtu_test_json_fuzz_lookup_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Rng rng(kFuzzSeed + 2);
+  usize hits = 0;
+  for (int i = 0; i < kCasesPerDocument; ++i) {
+    std::ofstream(dir / "entry.json", std::ios::binary) << mutated(original, rng);
+    // A fresh cache each time: its memo would answer from the last case.
+    vsim::SimCache cache(dir.string());
+    if (cache.lookup("entry", false, false).has_value()) ++hits;
+  }
+  std::filesystem::remove_all(dir);
+  // A mutation that misses the fields the reader checks still hits.
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, usize{kCasesPerDocument});
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "formats/matrix_market.hpp"
 #include "testing.hpp"
@@ -100,6 +102,22 @@ TEST(MatrixMarket, RejectsTruncatedData) {
       "2 2 2\n"
       "1 1 1.0\n");
   EXPECT_THROW(read_matrix_market(in), std::runtime_error);
+}
+
+TEST(MatrixMarket, RejectsADeclaredCountTheDataDoesNotHold) {
+  // The count on the size line is not reserved up front: a short file that
+  // declares billions of entries is truncated data, not an allocation.
+  for (const char* nnz : {"4000000000000", "900000000"}) {
+    std::istringstream in(std::string("%%MatrixMarket matrix coordinate real general\n4 4 ") +
+                          nnz + "\n1 1 1.0\n");
+    try {
+      read_matrix_market(in);
+      ADD_FAILURE() << nnz << ": no error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("line 3: truncated entry data"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(MatrixMarket, RejectsBadHeader) {

@@ -278,7 +278,8 @@ TEST(Profiler, SpeedscopeExportIsValidJson) {
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->at("name").as_string(), "unit");
   EXPECT_FALSE(doc->at("shared").at("frames").items().empty());
-  const JsonValue& prof = doc->at("profiles").items().at(0);
+  ASSERT_FALSE(doc->at("profiles").items().empty());
+  const JsonValue& prof = doc->at("profiles").items()[0];
   EXPECT_EQ(prof.at("endValue").as_u64(), run.stats.cycles);
   u64 weight_sum = 0;
   for (const JsonValue& weight : prof.at("weights").items()) {

@@ -65,23 +65,44 @@ TEST(RunStatsJson, RoundTripsEveryCounter) {
   EXPECT_EQ(back->stm_busy_cycles, stats.stm_busy_cycles);
 }
 
+// The counters document re-written with member `skip` left out and member
+// `as_text` holding a string in place of its number.
+std::string edited(const JsonValue& doc, usize skip, usize as_text) {
+  std::ostringstream out;
+  JsonWriter json(out);
+  json.begin_object();
+  for (usize i = 0; i < doc.size(); ++i) {
+    if (i == skip) continue;
+    const JsonMember& member = doc.members()[i];
+    json.key(member.key);
+    if (i == as_text) {
+      json.value("not a number");
+    } else {
+      json.value(member.value.as_u64());
+    }
+  }
+  json.end_object();
+  return out.str();
+}
+
 TEST(RunStatsJson, RejectsMissingOrNonNumericCounter) {
   const auto doc = parse_json(to_json(distinct_stats()));
   ASSERT_TRUE(doc.has_value());
+  const usize none = doc->size();
+  const auto reparsed = [](const std::string& text) {
+    auto value = parse_json(text);
+    EXPECT_TRUE(value.has_value()) << text;
+    return value.has_value() ? std::move(*value) : JsonValue();
+  };
+  ASSERT_TRUE(vsim::run_stats_from_json(reparsed(edited(*doc, none, none))).has_value());
 
   // Drop one member at a time: every counter must be required.
   for (usize skip = 0; skip < doc->size(); ++skip) {
-    std::vector<JsonValue::Member> members = doc->members();
-    members.erase(members.begin() + static_cast<std::ptrdiff_t>(skip));
-    EXPECT_FALSE(
-        vsim::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
+    EXPECT_FALSE(vsim::run_stats_from_json(reparsed(edited(*doc, skip, none))).has_value())
+        << doc->members()[skip].key;
   }
-
-  std::vector<JsonValue::Member> members = doc->members();
-  members[0].second = JsonValue::make_string("not a number");
-  EXPECT_FALSE(
-      vsim::run_stats_from_json(JsonValue::make_object(std::move(members))).has_value());
-  EXPECT_FALSE(vsim::run_stats_from_json(JsonValue::make_number(3.0)).has_value());
+  EXPECT_FALSE(vsim::run_stats_from_json(reparsed(edited(*doc, none, 0))).has_value());
+  EXPECT_FALSE(vsim::run_stats_from_json(reparsed("3.0")).has_value());
 }
 
 TEST(MachineConfigJson, EmitsTimingKnobsAndStmBlock) {
@@ -155,13 +176,13 @@ TEST(ChromeTrace, ExportsValidTraceEventDocument) {
   std::set<std::string> thread_names;
   std::set<u64> x_tids;
   for (const JsonValue& event : events.items()) {
-    const std::string& phase = event.at("ph").as_string();
+    const std::string_view phase = event.at("ph").as_string();
     EXPECT_EQ(event.at("pid").as_u64(), 1u);
     if (phase == "M") {
       if (event.at("name").as_string() == "process_name") {
         EXPECT_EQ(event.at("args").at("name").as_string(), "unit-test");
       } else if (event.at("name").as_string() == "thread_name") {
-        thread_names.insert(event.at("args").at("name").as_string());
+        thread_names.emplace(event.at("args").at("name").as_string());
       }
       continue;
     }

@@ -8,9 +8,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "kernels/crs_transpose.hpp"
-#include "kernels/hism_transpose.hpp"
-#include "support/parallel.hpp"
 #include "vsim/assembler.hpp"
 #include "vsim/machine.hpp"
 
@@ -58,39 +55,27 @@ int main(int argc, char** argv) {
   suite_options.scale = std::min(suite_options.scale, 0.25);
   const auto set = suite::build_dsab_set(suite::kSetAnz, suite_options);
 
+  vsim::MachineConfig unchained = config;
+  unchained.chaining = false;
+  const std::vector<bench::TransposeVariant> variants = {
+      {"HiSM chained", kernels::hism_transpose_program(), config},
+      {"HiSM unchained", kernels::hism_transpose_program(), unchained},
+      {"CRS chained", kernels::crs_transpose_program(config.section), config},
+      {"CRS unchained", kernels::crs_transpose_program(config.section), unchained}};
+  const auto rows = bench::sweep_transposes(set, variants, options);
+
   TextTable table({"matrix", "HiSM chained", "HiSM unchained", "CRS chained",
                    "CRS unchained"});
-  struct ChainTimings {
-    u64 hism_on;
-    u64 hism_off;
-    u64 crs_on;
-    u64 crs_off;
+  const auto slowdown = [](Cycle on, Cycle off) {
+    return format("%llu (+%.0f%%)", static_cast<unsigned long long>(off),
+                  100.0 * (static_cast<double>(off) / static_cast<double>(on) - 1.0));
   };
-  ThreadPool pool(options.jobs);
-  const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    // Each task mutates its own copy of the machine config.
-    vsim::MachineConfig local = config;
-    auto& stages = kernels::MatrixStageCache::instance();
-    const auto hism = stages.hism(entry.matrix, local.section);
-    const auto crs = stages.crs(entry.matrix);
-    ChainTimings t;
-    local.chaining = true;
-    t.hism_on = kernels::time_hism_transpose(*hism, local).cycles;
-    t.crs_on = kernels::time_crs_transpose(*crs, local).cycles;
-    local.chaining = false;
-    t.hism_off = kernels::time_hism_transpose(*hism, local).cycles;
-    t.crs_off = kernels::time_crs_transpose(*crs, local).cycles;
-    return t;
-  });
   for (usize i = 0; i < set.size(); ++i) {
-    const auto& entry = set[i];
-    const ChainTimings& t = timings[i];
-    table.add_row({entry.name, format("%llu", static_cast<unsigned long long>(t.hism_on)),
-                   format("%llu (+%.0f%%)", static_cast<unsigned long long>(t.hism_off),
-                          100.0 * (static_cast<double>(t.hism_off) / static_cast<double>(t.hism_on) - 1.0)),
-                   format("%llu", static_cast<unsigned long long>(t.crs_on)),
-                   format("%llu (+%.0f%%)", static_cast<unsigned long long>(t.crs_off),
-                          100.0 * (static_cast<double>(t.crs_off) / static_cast<double>(t.crs_on) - 1.0))});
+    const bench::SweepRow& row = rows[i];
+    table.add_row({set[i].name, format("%llu", static_cast<unsigned long long>(row.cycles(0))),
+                   slowdown(row.cycles(0), row.cycles(1)),
+                   format("%llu", static_cast<unsigned long long>(row.cycles(2))),
+                   slowdown(row.cycles(2), row.cycles(3))});
   }
   bench::emit(table, options);
   bench::finish_telemetry(options);

@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "kernels/crs_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
@@ -26,30 +25,24 @@ int main(int argc, char** argv) {
   const auto set = suite::build_dsab_set(suite::kSetAnz, suite_options);
 
   std::printf("== Ablation A5: CRS phase 1 — scalar histogram vs mask vectors ==\n");
-  struct Timings {
-    u64 scalar_cycles;
-    u64 masked_cycles;
-  };
-  ThreadPool pool(options.jobs);
-  const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-    kernels::CrsKernelOptions scalar_options;
-    kernels::CrsKernelOptions masked_options;
-    masked_options.masked_phase1 = true;
-    return Timings{kernels::time_crs_transpose(*stage, config, scalar_options).cycles,
-                   kernels::time_crs_transpose(*stage, config, masked_options).cycles};
-  });
+  const std::string masked =
+      kernels::crs_transpose_source(config.section, {.masked_phase1 = true});
+  const std::vector<bench::TransposeVariant> variants = {
+      {"scalar", kernels::crs_transpose_program(config.section), config},
+      {"masked", {kernels::TransposeImage::kCrs, masked}, config}};
+  const auto rows = bench::sweep_transposes(set, variants, options);
 
   TextTable table({"matrix", "nnz", "cols", "scalar total", "masked total", "slowdown"});
   for (usize i = 0; i < set.size(); ++i) {
     const auto& entry = set[i];
-    const Timings& t = timings[i];
+    const Cycle scalar_cycles = rows[i].cycles(0);
+    const Cycle masked_cycles = rows[i].cycles(1);
     table.add_row({entry.name, format("%zu", entry.matrix.nnz()),
                    format("%llu", static_cast<unsigned long long>(entry.matrix.cols())),
-                   format("%llu", static_cast<unsigned long long>(t.scalar_cycles)),
-                   format("%llu", static_cast<unsigned long long>(t.masked_cycles)),
-                   format("%.1fx", static_cast<double>(t.masked_cycles) /
-                                       static_cast<double>(t.scalar_cycles))});
+                   format("%llu", static_cast<unsigned long long>(scalar_cycles)),
+                   format("%llu", static_cast<unsigned long long>(masked_cycles)),
+                   format("%.1fx", static_cast<double>(masked_cycles) /
+                                       static_cast<double>(scalar_cycles))});
   }
   bench::emit(table, options);
   std::printf("\nreading: the masked variant loses by growing factors as matrices grow —\n"

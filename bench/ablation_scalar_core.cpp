@@ -7,43 +7,37 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "kernels/crs_transpose.hpp"
-#include "kernels/hism_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
   const bench::BenchOptions options = bench::parse_options(cli);
 
-  const auto variants = bench::sweep_configs<vsim::MachineConfig>(
-      "lat=", {2, 4, 8, 16, 32},
-      [](vsim::MachineConfig& config, u32 latency) { config.scalar_load_latency = latency; });
+  // Variant 2l runs HiSM and variant 2l + 1 runs CRS at the l-th latency.
+  std::vector<std::string> labels;
+  std::vector<bench::TransposeVariant> variants;
+  for (const u32 latency : {2u, 4u, 8u, 16u, 32u}) {
+    vsim::MachineConfig config;
+    config.scalar_load_latency = latency;
+    const std::string& label = labels.emplace_back(format("lat=%u", latency));
+    variants.push_back({label + " HiSM", kernels::hism_transpose_program(), config});
+    variants.push_back({label + " CRS", kernels::crs_transpose_program(config.section), config});
+  }
 
   std::printf("== Ablation A7: scalar load latency vs HiSM/CRS speedup (locality set) ==\n");
   suite::SuiteOptions suite_options = options.suite;
   suite_options.scale = std::min(suite_options.scale, 0.5);
   const auto set = suite::build_dsab_set(suite::kSetLocality, suite_options);
 
-  ThreadPool pool(options.jobs);
-  const auto speedup_rows = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    auto& stages = kernels::MatrixStageCache::instance();
-    std::vector<double> speedups;
-    speedups.reserve(variants.size());
-    for (const auto& variant : variants) {
-      const u64 hism_cycles =
-          kernels::time_hism_transpose(*stages.hism(entry.matrix, variant.config.section),
-                                       variant.config)
-              .cycles;
-      const u64 crs_cycles =
-          kernels::time_crs_transpose(*stages.crs(entry.matrix), variant.config).cycles;
-      speedups.push_back(static_cast<double>(crs_cycles) / static_cast<double>(hism_cycles));
+  std::vector<std::vector<double>> speedup_rows;
+  for (const bench::SweepRow& row : bench::sweep_transposes(set, variants, options)) {
+    std::vector<double>& speedups = speedup_rows.emplace_back();
+    for (usize l = 0; l < labels.size(); ++l) {
+      speedups.push_back(static_cast<double>(row.cycles(2 * l + 1)) /
+                         static_cast<double>(row.cycles(2 * l)));
     }
-    return speedups;
-  });
-  bench::emit(bench::sweep_average_table(set, bench::variant_labels(variants), speedup_rows,
-                                         "%.1f", "AVERAGE"),
-              options);
+  }
+  bench::emit(bench::sweep_average_table(set, labels, speedup_rows, "%.1f", "AVERAGE"), options);
   std::printf(
       "\nreading: the CRS baseline's scalar histogram phase scales with the load\n"
       "latency, so the speedup does too. The qualitative conclusions (HiSM wins,\n"

@@ -6,36 +6,33 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "kernels/hism_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
   const bench::BenchOptions options = bench::parse_options(cli);
 
-  const auto variants = bench::sweep_configs<vsim::MachineConfig>(
-      "s=", {16, 32, 64, 128, 256},
-      [](vsim::MachineConfig& config, u32 section) { config.section = section; });
+  std::vector<bench::TransposeVariant> variants;
+  for (const u32 section : {16u, 32u, 64u, 128u, 256u}) {
+    vsim::MachineConfig config;
+    config.section = section;
+    variants.push_back({format("s=%u", section), kernels::hism_transpose_program(), config});
+  }
 
   std::printf("== Ablation A4: HiSM transpose vs section size (locality set) ==\n");
   suite::SuiteOptions suite_options = options.suite;
   suite_options.scale = std::min(suite_options.scale, 0.3);
   const auto set = suite::build_dsab_set(suite::kSetLocality, suite_options);
 
-  ThreadPool pool(options.jobs);
-  const auto per_nnz_rows = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    std::vector<double> per_nnz_row;
-    per_nnz_row.reserve(variants.size());
-    for (const auto& variant : variants) {
-      const auto stage =
-          kernels::MatrixStageCache::instance().hism(entry.matrix, variant.config.section);
-      const u64 cycles = kernels::time_hism_transpose(*stage, variant.config).cycles;
-      per_nnz_row.push_back(static_cast<double>(cycles) /
-                            static_cast<double>(std::max<usize>(1, entry.matrix.nnz())));
+  const auto rows = bench::sweep_transposes(set, variants, options);
+  std::vector<std::vector<double>> per_nnz_rows;
+  for (usize i = 0; i < set.size(); ++i) {
+    const double nnz = static_cast<double>(std::max<usize>(1, set[i].matrix.nnz()));
+    std::vector<double>& per_nnz = per_nnz_rows.emplace_back();
+    for (usize v = 0; v < variants.size(); ++v) {
+      per_nnz.push_back(static_cast<double>(rows[i].cycles(v)) / nnz);
     }
-    return per_nnz_row;
-  });
+  }
   bench::emit(bench::sweep_average_table(set, bench::variant_labels(variants), per_nnz_rows,
                                          "%.2f", "AVERAGE cyc/nnz"),
               options);

@@ -8,7 +8,6 @@
 
 #include "bench_common.hpp"
 #include "kernels/crs_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
@@ -16,32 +15,29 @@ int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::parse_options(cli);
   const vsim::MachineConfig config;
 
-  constexpr u32 kThresholds[] = {0, 2, 4, 8, 16, 64};
+  std::vector<bench::TransposeVariant> variants;
+  for (const u32 threshold : {0u, 2u, 4u, 8u, 16u, 64u}) {
+    const std::string source =
+        kernels::crs_transpose_source(config.section, {.short_row_threshold = threshold});
+    variants.push_back(
+        {format("t=%u", threshold), {kernels::TransposeImage::kCrs, source}, config});
+  }
 
   std::printf("== Ablation A6: CRS phase-3 short-row threshold (cycles/nnz, ANZ set) ==\n");
   suite::SuiteOptions suite_options = options.suite;
   suite_options.scale = std::min(suite_options.scale, 0.5);
   const auto set = suite::build_dsab_set(suite::kSetAnz, suite_options);
 
-  TextTable table({"matrix", "nnz/row", "t=0", "t=2", "t=4", "t=8", "t=16", "t=64"});
-  ThreadPool pool(options.jobs);
-  const auto cycle_rows = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    const auto stage = kernels::MatrixStageCache::instance().crs(entry.matrix);
-    std::vector<u64> cycles_row;
-    cycles_row.reserve(std::size(kThresholds));
-    for (const u32 threshold : kThresholds) {
-      kernels::CrsKernelOptions kernel_options;
-      kernel_options.short_row_threshold = threshold;
-      cycles_row.push_back(kernels::time_crs_transpose(*stage, config, kernel_options).cycles);
-    }
-    return cycles_row;
-  });
+  std::vector<std::string> header = {"matrix", "nnz/row"};
+  for (const std::string& label : bench::variant_labels(variants)) header.push_back(label);
+  TextTable table(std::move(header));
+  const auto rows = bench::sweep_transposes(set, variants, options);
   for (usize i = 0; i < set.size(); ++i) {
     const auto& entry = set[i];
     std::vector<std::string> row = {entry.name,
                                     format("%.1f", entry.metrics.avg_nnz_per_row)};
-    for (const u64 cycles : cycle_rows[i]) {
-      row.push_back(format("%.1f", static_cast<double>(cycles) /
+    for (usize v = 0; v < variants.size(); ++v) {
+      row.push_back(format("%.1f", static_cast<double>(rows[i].cycles(v)) /
                                        static_cast<double>(entry.matrix.nnz())));
     }
     table.add_row(std::move(row));

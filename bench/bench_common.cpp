@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "formats/matrix_market.hpp"
+#include "hism/stats.hpp"
 #include "kernels/hism_transpose.hpp"
 #include "kernels/layout.hpp"
 #include "kernels/transpose_sim.hpp"
@@ -72,7 +73,7 @@ BenchOptions parse_options(CommandLine& cli) {
   if (!suite::valid_scale(options.suite.scale)) {
     cli.fail(format("option --scale expects a number in (0, 1], got '%g'", options.suite.scale));
   }
-  options.suite.seed = static_cast<u64>(cli.get_int("seed", 0xD5ABD5ABll));
+  options.suite.seed = cli.get_u64("seed", 0xD5ABD5ABull);
   options.jobs = cli.get_u32("jobs", 0);
   const std::string csv = cli.get_string("csv", "");
   if (!csv.empty()) options.csv_path = csv;
@@ -121,36 +122,36 @@ void finish_telemetry(const BenchOptions& options) {
                telemetry::MetricsRegistry::instance().summary().c_str());
 }
 
-TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
-                                       const vsim::MachineConfig& config, bool verify,
-                                       bool profile, vsim::SimCache* sim_cache) {
-  const auto started = std::chrono::steady_clock::now();
-  TransposeComparison comparison;
-  comparison.profiled = profile;
-  comparison.hism = kernels::simulate_transpose(kernels::TransposeKernel::kHism, entry.matrix,
-                                                config, verify, profile, sim_cache);
-  SMTU_CHECK_MSG(comparison.hism.correct,
-                 "HiSM kernel produced a wrong transpose for " + entry.name);
-  comparison.crs = kernels::simulate_transpose(kernels::TransposeKernel::kCrs, entry.matrix,
-                                               config, verify, profile, sim_cache);
-  SMTU_CHECK_MSG(comparison.crs.correct,
-                 "CRS kernel produced a wrong transpose for " + entry.name);
-  comparison.hism_cycles = comparison.hism.stats.cycles;
-  comparison.crs_cycles = comparison.crs.stats.cycles;
+std::vector<std::string> variant_labels(const std::vector<TransposeVariant>& variants) {
+  std::vector<std::string> labels;
+  labels.reserve(variants.size());
+  for (const TransposeVariant& variant : variants) labels.push_back(variant.label);
+  return labels;
+}
 
-  const double nnz = static_cast<double>(std::max<usize>(entry.matrix.nnz(), 1));
-  comparison.hism_cycles_per_nnz = static_cast<double>(comparison.hism_cycles) / nnz;
-  comparison.crs_cycles_per_nnz = static_cast<double>(comparison.crs_cycles) / nnz;
-  comparison.speedup = comparison.hism_cycles == 0
-                           ? 0.0
-                           : static_cast<double>(comparison.crs_cycles) /
-                                 static_cast<double>(comparison.hism_cycles);
-  comparison.wall_ms = elapsed_ms(started);
-  if (telemetry::enabled()) {
-    telemetry::histogram("bench.item_wall_us")
-        .record(static_cast<u64>(comparison.wall_ms * 1000.0));
-  }
-  return comparison;
+std::vector<SweepRow> sweep_transposes(const std::vector<suite::SuiteMatrix>& set,
+                                       const std::vector<TransposeVariant>& variants,
+                                       const BenchOptions& options, bool profile) {
+  vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
+  ThreadPool pool(options.jobs);
+  return parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
+    const auto started = std::chrono::steady_clock::now();
+    SweepRow row;
+    row.runs.reserve(variants.size());
+    for (const TransposeVariant& variant : variants) {
+      row.runs.push_back(kernels::simulate_transpose(variant.program, entry.matrix,
+                                                     variant.config, options.verify, profile,
+                                                     sim_cache));
+      SMTU_CHECK_MSG(row.runs.back().correct, "variant '" + variant.label +
+                                                  "' decoded a wrong transpose of matrix " +
+                                                  entry.name);
+    }
+    row.wall_ms = elapsed_ms(started);
+    if (telemetry::enabled()) {
+      telemetry::histogram("bench.item_wall_us").record(static_cast<u64>(row.wall_ms * 1000.0));
+    }
+    return row;
+  });
 }
 
 std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>& set,
@@ -158,17 +159,58 @@ std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>&
                                           const BenchOptions& options,
                                           const std::string& metric_name,
                                           double (*metric)(const suite::MatrixMetrics&)) {
-  vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
-  ThreadPool pool(options.jobs);
-  return parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    return MatrixRecord{
-        entry.name,
-        entry.set,
-        metric_name,
-        metric ? metric(entry.metrics) : 0.0,
-        entry.matrix.nnz(),
-        compare_transposes(entry, config, options.verify, options.profile, sim_cache)};
+  const std::vector<TransposeVariant> variants = {
+      {"HiSM", kernels::hism_transpose_program(), config},
+      {"CRS", kernels::crs_transpose_program(config.section), config}};
+  std::vector<SweepRow> rows = sweep_transposes(set, variants, options, options.profile);
+  std::vector<MatrixRecord> records;
+  records.reserve(set.size());
+  for (usize i = 0; i < set.size(); ++i) {
+    const suite::SuiteMatrix& entry = set[i];
+    TransposeComparison comparison;
+    comparison.hism = std::move(rows[i].runs[0]);
+    comparison.crs = std::move(rows[i].runs[1]);
+    comparison.profiled = options.profile;
+    comparison.hism_cycles = comparison.hism.stats.cycles;
+    comparison.crs_cycles = comparison.crs.stats.cycles;
+    const double nnz = static_cast<double>(std::max<usize>(entry.matrix.nnz(), 1));
+    comparison.hism_cycles_per_nnz = static_cast<double>(comparison.hism_cycles) / nnz;
+    comparison.crs_cycles_per_nnz = static_cast<double>(comparison.crs_cycles) / nnz;
+    comparison.speedup = comparison.hism_cycles == 0
+                             ? 0.0
+                             : static_cast<double>(comparison.crs_cycles) /
+                                   static_cast<double>(comparison.hism_cycles);
+    comparison.wall_ms = rows[i].wall_ms;
+    records.push_back({entry.name, entry.set, metric_name, metric ? metric(entry.metrics) : 0.0,
+                       entry.matrix.nnz(), std::move(comparison)});
+  }
+  return records;
+}
+
+StorageSummary storage_footprints(const std::vector<suite::SuiteMatrix>& set, u32 section,
+                                  u32 jobs) {
+  ThreadPool pool(jobs);
+  StorageSummary summary;
+  summary.matrices = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
+    auto& stages = kernels::MatrixStageCache::instance();
+    const HismStats stats = compute_stats(stages.hism(entry.matrix, section)->hism);
+    const u64 crs_bytes = stages.crs(entry.matrix)->csr.storage_bytes();
+    return StorageFootprint{crs_bytes, stats.storage_bytes,
+                            static_cast<double>(stats.storage_bytes) /
+                                static_cast<double>(crs_bytes),
+                            stats.overhead_fraction};
   });
+  // Summed in set order, off the pool: identical for every -j value.
+  double ratio_sum = 0.0;
+  double overhead_sum = 0.0;
+  for (const StorageFootprint& footprint : summary.matrices) {
+    ratio_sum += footprint.ratio;
+    overhead_sum += footprint.overhead_fraction;
+  }
+  const auto n = static_cast<double>(summary.matrices.size());
+  summary.ratio_avg = ratio_sum / n;
+  summary.overhead_fraction_avg = overhead_sum / n;
+  return summary;
 }
 
 std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir,
@@ -499,7 +541,7 @@ void write_transpose_trace_json(const std::string& path, const suite::SuiteMatri
                                 const vsim::MachineConfig& config) {
   const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
   vsim::ExecutionTrace trace(1u << 20);
-  kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/false, &trace);
+  kernels::run_hism_transpose(*stage, config, {}, &trace);
   std::ofstream out = open_output_file(path);
   vsim::write_chrome_trace(out, trace, "hism_transpose:" + entry.name);
   std::fprintf(stderr, "wrote Chrome trace (%zu events) to %s\n", trace.events().size(),

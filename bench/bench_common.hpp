@@ -17,16 +17,17 @@
 //                      of the HiSM transpose of the first suite matrix
 //                      (fig11-13, summary_speedup)
 //   --verify           decode results from simulated memory and check them
-//                      (the comparison benches, reproduce_all, ext_kernel_suite)
+//                      (every bench that sweeps single-core transposes,
+//                      ext_kernel_suite)
 //   --profile          attach the cycle-attribution profiler; JSON reports
 //                      gain a per-matrix "profile" section (docs/PROFILING.md;
 //                      the comparison benches and reproduce_all)
-//   --sim-cache=<dir>  content-addressed on-disk result cache (the
-//                      comparison benches, reproduce_all, serve_sweep):
+//   --sim-cache=<dir>  content-addressed on-disk result cache (every bench
+//                      that sweeps single-core transposes, serve_sweep):
 //                      simulations whose (program, config, image) triple was
 //                      seen before are skipped and their RunStats/profile
 //                      replayed from <dir> (see HACKING.md "Host
-//                      performance"). Reports stay bit-identical modulo
+//                      performance"). Output stays bit-identical modulo
 //                      wall_ms/host keys
 //   --telemetry        collect host telemetry (ThreadPool, caches, per-item
 //                      latency — docs/TELEMETRY.md); JSON reports gain a
@@ -99,6 +100,41 @@ BenchOptions parse_options(CommandLine& cli);
 // summary to stderr. No-op when telemetry is off.
 void finish_telemetry(const BenchOptions& options);
 
+// ---- transposition sweeps ---------------------------------------------------
+//
+// Every bench that times single-core transposes asks one question: how many
+// cycles does each program take on each machine? A sweep is a list of
+// variants run against every matrix of a set.
+
+// One column of a sweep: a transposition program on a machine.
+struct TransposeVariant {
+  std::string label;  // table column header, e.g. "s=64"
+  kernels::TransposeProgram program;
+  vsim::MachineConfig config;
+};
+
+std::vector<std::string> variant_labels(const std::vector<TransposeVariant>& variants);
+
+// One matrix of a sweep: a run per variant, in variant order.
+struct SweepRow {
+  std::vector<kernels::TransposeRun> runs;
+  double wall_ms = 0.0;  // host wall time of the row (nondeterministic)
+
+  Cycle cycles(usize variant) const { return runs[variant].stats.cycles; }
+};
+
+// Runs every variant on every matrix of `set` through the one cached
+// transpose path (kernels/transpose_sim.hpp), fanned over a thread pool
+// sized by options.jobs; rows come back in set order and every -j value
+// gives the same runs. options.verify decodes and checks each result, and
+// a wrong transpose aborts, naming the matrix and the variant;
+// options.sim_cache_dir replays runs seen before and stores the rest.
+// `profile` attaches the cycle-attribution profiler (the comparison benches
+// pass --profile).
+std::vector<SweepRow> sweep_transposes(const std::vector<suite::SuiteMatrix>& set,
+                                       const std::vector<TransposeVariant>& variants,
+                                       const BenchOptions& options, bool profile = false);
+
 // One matrix through both transposition paths on the simulated machine.
 // The full per-run counters (unit busy cycles, instruction mix, STM phase
 // cycles) ride along for the JSON reports.
@@ -115,14 +151,6 @@ struct TransposeComparison {
   kernels::TransposeRun crs;
   bool profiled = false;
 };
-
-// Both kernels through kernels::simulate_transpose: a non-null `sim_cache`
-// replays runs it has seen and stores the rest. A verifying run that
-// decodes a wrong transpose aborts, naming the matrix.
-TransposeComparison compare_transposes(const suite::SuiteMatrix& entry,
-                                       const vsim::MachineConfig& config, bool verify,
-                                       bool profile = false,
-                                       vsim::SimCache* sim_cache = nullptr);
 
 // ---- the paper's figures ----------------------------------------------------
 
@@ -180,6 +208,27 @@ UtilizationGrid utilization_grid(ThreadPool& pool,
 // The Fig. 10 table: one row per B, one column per L.
 TextTable utilization_table(const UtilizationGrid& grid);
 
+// The §II storage claim for one matrix: CRS against HiSM bytes at one
+// section size, and the hierarchy's share of the HiSM bytes.
+struct StorageFootprint {
+  u64 crs_bytes = 0;
+  u64 hism_bytes = 0;
+  double ratio = 0.0;              // hism_bytes / crs_bytes
+  double overhead_fraction = 0.0;  // HismStats::overhead_fraction
+};
+
+struct StorageSummary {
+  std::vector<StorageFootprint> matrices;  // in set order
+  double ratio_avg = 0.0;
+  double overhead_fraction_avg = 0.0;
+};
+
+// Every matrix's footprint at section `section`, computed across a pool of
+// `jobs` workers from MatrixStageCache's conversions and averaged in set
+// order, so every -j value gives the same bits.
+StorageSummary storage_footprints(const std::vector<suite::SuiteMatrix>& set, u32 section,
+                                  u32 jobs);
+
 // Loads every MatrixMarket file in `dir` as a suite (set = "external",
 // sorted by filename); computes the paper's metrics for each. A missing or
 // empty directory, a file the reader rejects, or a matrix `config`'s
@@ -196,44 +245,6 @@ void emit(const TextTable& table, const BenchOptions& options);
 // Stdout and CSV only: for the benches whose --json writes a report of its
 // own (smtu-bench-v1 and the like) instead of the table.
 void emit(const TextTable& table, const std::optional<std::string>& csv_path);
-
-// ---- config sweeps (ablation benches) --------------------------------------
-//
-// Every ablation sweeps one knob over a value list, each value yielding a
-// labeled variant of a default config; the construction loop used to be
-// copy-pasted per bench. sweep_configs collapses it (prep for ROADMAP item
-// 7's sweepable config plumbing) and sweep_average_table the standard
-// per-matrix + AVERAGE table scaffolding around the measured values.
-
-template <typename Config>
-struct ConfigVariant {
-  std::string label;  // table column header, e.g. "s=64"
-  Config config;
-};
-
-// One variant per value: label = label_prefix + value; config = a copy of
-// `base` with `apply(config, value)` run on it.
-template <typename Config, typename Apply>
-std::vector<ConfigVariant<Config>> sweep_configs(const char* label_prefix,
-                                                 std::initializer_list<u32> values,
-                                                 Apply&& apply, const Config& base = {}) {
-  std::vector<ConfigVariant<Config>> variants;
-  variants.reserve(values.size());
-  for (const u32 value : values) {
-    Config config = base;
-    apply(config, value);
-    variants.push_back({format("%s%u", label_prefix, value), std::move(config)});
-  }
-  return variants;
-}
-
-template <typename Config>
-std::vector<std::string> variant_labels(const std::vector<ConfigVariant<Config>>& variants) {
-  std::vector<std::string> labels;
-  labels.reserve(variants.size());
-  for (const auto& variant : variants) labels.push_back(variant.label);
-  return labels;
-}
 
 // The standard ablation table: "matrix" + one column per variant label, one
 // row per suite matrix (values[i][v] rendered with value_format), closed by
@@ -255,12 +266,9 @@ struct MatrixRecord {
   TransposeComparison comparison;
 };
 
-// Runs compare_transposes for every matrix of `set` across a thread pool
-// sized by options.jobs, preserving set order in the returned records. Each
-// task runs its own Machine against immutable shared stages, so cycle counts
-// are identical for every jobs value; only wall_ms differs. When
-// options.sim_cache_dir is set, results are replayed from / stored to the
-// on-disk cache.
+// Sweeps the paper's HiSM kernel and its CRS baseline on `config` over
+// `set` (sweep_transposes, profiled under --profile), preserving set order
+// in the returned records; only wall_ms differs between -j values.
 std::vector<MatrixRecord> run_comparisons(const std::vector<suite::SuiteMatrix>& set,
                                           const vsim::MachineConfig& config,
                                           const BenchOptions& options,

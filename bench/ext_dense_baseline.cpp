@@ -9,7 +9,6 @@
 #include "bench_common.hpp"
 #include "formats/dense.hpp"
 #include "kernels/dense_transpose.hpp"
-#include "kernels/hism_transpose.hpp"
 #include "suite/generators.hpp"
 #include "support/rng.hpp"
 
@@ -27,17 +26,23 @@ int main(int argc, char** argv) {
   Rng rng(options.suite.seed);
   const Coo probe = suite::gen_random_uniform(kDim, kDim, 1000, rng);
   const u64 dense_cycles =
-      kernels::time_dense_transpose(Dense::from_coo(probe), config).cycles;
+      kernels::run_dense_transpose(Dense::from_coo(probe), config).stats.cycles;
+
+  constexpr double kDensities[] = {0.001, 0.005, 0.02, 0.08, 0.3, 0.6};
+  std::vector<suite::SuiteMatrix> set;
+  for (const double density : kDensities) {
+    suite::SuiteMatrix& entry = set.emplace_back();
+    entry.name = format("density-%.3f", density);
+    const usize nnz = static_cast<usize>(density * static_cast<double>(kDim) * kDim);
+    entry.matrix = suite::gen_random_uniform(kDim, kDim, nnz, rng);
+  }
+  const auto rows =
+      bench::sweep_transposes(set, {{"HiSM", kernels::hism_transpose_program(), config}}, options);
 
   TextTable table({"density", "nnz", "HiSM cycles", "dense cycles", "HiSM wins by"});
-  for (const double density : {0.001, 0.005, 0.02, 0.08, 0.3, 0.6}) {
-    const usize nnz = static_cast<usize>(density * static_cast<double>(kDim) * kDim);
-    const Coo coo = suite::gen_random_uniform(kDim, kDim, nnz, rng);
-    const u64 hism_cycles =
-        kernels::time_hism_transpose(
-            *kernels::MatrixStageCache::instance().hism(coo, config.section), config)
-            .cycles;
-    table.add_row({format("%.3f", density), format("%zu", nnz),
+  for (usize i = 0; i < set.size(); ++i) {
+    const u64 hism_cycles = rows[i].cycles(0);
+    table.add_row({format("%.3f", kDensities[i]), format("%zu", set[i].matrix.nnz()),
                    format("%llu", static_cast<unsigned long long>(hism_cycles)),
                    format("%llu", static_cast<unsigned long long>(dense_cycles)),
                    format("%.1fx", static_cast<double>(dense_cycles) /

@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "kernels/hism_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
@@ -27,33 +26,29 @@ int main(int argc, char** argv) {
   const auto set = suite::build_dsab_set(suite::kSetLocality, suite_options);
 
   TextTable table({"matrix", "single", "dbuf naive", "dbuf pipelined", "gain"});
-  struct BufferTimings {
-    u64 single;
-    u64 naive;
-    u64 pipelined;
-  };
-  ThreadPool pool(options.jobs);
-  const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    vsim::MachineConfig config;
-    const auto stage = kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-    BufferTimings t;
-    config.stm.double_buffer = false;
-    t.single =
-        kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/true).cycles;
-    config.stm.double_buffer = true;
-    t.naive =
-        kernels::time_hism_transpose(*stage, config, /*split_drain_registers=*/true).cycles;
-    t.pipelined = kernels::time_hism_transpose_pipelined(*stage, config).cycles;
-    return t;
-  });
+  // The single- and double-buffered runs of the unmodified kernel both use
+  // its split-drain registers, so only the bank count differs.
+  const kernels::TransposeProgram split{
+      kernels::TransposeImage::kHism,
+      kernels::hism_transpose_source(/*split_drain_registers=*/true)};
+  const kernels::TransposeProgram pipelined{kernels::TransposeImage::kHism,
+                                            kernels::hism_transpose_pipelined_source()};
+  const vsim::MachineConfig single;
+  vsim::MachineConfig twin;
+  twin.stm.double_buffer = true;
+  const std::vector<bench::TransposeVariant> variants = {
+      {"single", split, single},
+      {"dbuf naive", split, twin},
+      {"dbuf pipelined", pipelined, twin}};
+  const auto rows = bench::sweep_transposes(set, variants, options);
   double total_gain = 0.0;
   for (usize i = 0; i < set.size(); ++i) {
-    const BufferTimings& t = timings[i];
-    const double gain = static_cast<double>(t.single) / static_cast<double>(t.pipelined);
+    const bench::SweepRow& row = rows[i];
+    const double gain = static_cast<double>(row.cycles(0)) / static_cast<double>(row.cycles(2));
     total_gain += gain;
-    table.add_row({set[i].name, format("%llu", static_cast<unsigned long long>(t.single)),
-                   format("%llu", static_cast<unsigned long long>(t.naive)),
-                   format("%llu", static_cast<unsigned long long>(t.pipelined)),
+    table.add_row({set[i].name, format("%llu", static_cast<unsigned long long>(row.cycles(0))),
+                   format("%llu", static_cast<unsigned long long>(row.cycles(1))),
+                   format("%llu", static_cast<unsigned long long>(row.cycles(2))),
                    format("%.2fx", gain)});
   }
   table.add_row({"AVERAGE", "", "", "",

@@ -146,18 +146,13 @@ MatrixKernels bench_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
     for (const u32 cores : kCores) {
       vsim::SystemConfig config = base;
       config.cores = cores;
-      ScalePoint point;
-      point.cores = cores;
+      const kernels::SellSpmvResult run = kernels::run_sell_spmv(sell, x, config);
       if (verify) {
-        const kernels::SellSpmvResult run = kernels::run_sell_spmv(sell, x, config);
         check_bits(run.y, want,
                    entry.name + " SELL-" + std::to_string(kSellChunks[v]) + " SpMV at N=" +
                        std::to_string(cores));
-        point.cycles = run.stats.cycles;
-      } else {
-        point.cycles = kernels::time_sell_spmv(sell, x, config).cycles;
       }
-      result.sell[v].push_back(point);
+      result.sell[v].push_back({cores, run.stats.cycles});
     }
   }
 
@@ -167,16 +162,11 @@ MatrixKernels bench_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
   for (const u32 cores : kCores) {
     vsim::SystemConfig config = base;
     config.cores = cores;
-    ScalePoint point;
-    point.cores = cores;
+    const kernels::SpgemmResult run = kernels::run_hism_spgemm(entry.matrix, csr, config);
     if (verify) {
-      const kernels::SpgemmResult run = kernels::run_hism_spgemm(entry.matrix, csr, config);
       check_bits(run.dense, want_dense, entry.name + " SpGEMM at N=" + std::to_string(cores));
-      point.cycles = run.stats.cycles;
-    } else {
-      point.cycles = kernels::time_hism_spgemm(entry.matrix, csr, config).cycles;
     }
-    result.spgemm.push_back(point);
+    result.spgemm.push_back({cores, run.stats.cycles});
   }
   return result;
 }

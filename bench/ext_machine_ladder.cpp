@@ -8,8 +8,6 @@
 
 #include "bench_common.hpp"
 #include "kernels/crs_transpose.hpp"
-#include "kernels/hism_transpose.hpp"
-#include "support/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
@@ -24,28 +22,20 @@ int main(int argc, char** argv) {
 
   TextTable table({"matrix", "scalar c/nnz", "vector c/nnz", "HiSM c/nnz",
                    "vector gain", "STM gain", "total"});
-  struct LadderTimings {
-    u64 scalar_cycles;
-    u64 vector_cycles;
-    u64 hism_cycles;
-  };
-  ThreadPool pool(options.jobs);
-  const auto timings = parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-    auto& stages = kernels::MatrixStageCache::instance();
-    const auto crs = stages.crs(entry.matrix);
-    const auto hism = stages.hism(entry.matrix, config.section);
-    return LadderTimings{kernels::time_scalar_crs_transpose(*crs, config).cycles,
-                         kernels::time_crs_transpose(*crs, config).cycles,
-                         kernels::time_hism_transpose(*hism, config).cycles};
-  });
+  const std::vector<bench::TransposeVariant> variants = {
+      {"scalar CRS", {kernels::TransposeImage::kCrs, kernels::scalar_crs_transpose_source()},
+       config},
+      {"vector CRS", kernels::crs_transpose_program(config.section), config},
+      {"HiSM", kernels::hism_transpose_program(), config}};
+  const auto rows = bench::sweep_transposes(set, variants, options);
   double total_vector = 0.0;
   double total_stm = 0.0;
   for (usize i = 0; i < set.size(); ++i) {
     const auto& entry = set[i];
     const double nnz = static_cast<double>(std::max<usize>(1, entry.matrix.nnz()));
-    const u64 scalar_cycles = timings[i].scalar_cycles;
-    const u64 vector_cycles = timings[i].vector_cycles;
-    const u64 hism_cycles = timings[i].hism_cycles;
+    const Cycle scalar_cycles = rows[i].cycles(0);
+    const Cycle vector_cycles = rows[i].cycles(1);
+    const Cycle hism_cycles = rows[i].cycles(2);
 
     const double vector_gain =
         static_cast<double>(scalar_cycles) / static_cast<double>(vector_cycles);

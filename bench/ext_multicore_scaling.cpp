@@ -72,13 +72,13 @@ MatrixScaling scale_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
 
     ScalePoint hism;
     hism.cores = cores;
-    hism.stats = kernels::time_sharded_hism_transpose(entry.matrix, config, &profilers);
+    hism.stats = kernels::run_sharded_hism_transpose(entry.matrix, config, &profilers).stats;
     hism.per_core = collect_core_profiles(profilers);
     scaling.hism.push_back(std::move(hism));
 
     ScalePoint crs;
     crs.cores = cores;
-    crs.stats = kernels::time_parallel_crs_transpose(csr, config, &profilers);
+    crs.stats = kernels::run_parallel_crs_transpose(csr, config, &profilers).stats;
     crs.per_core = collect_core_profiles(profilers);
     scaling.crs.push_back(std::move(crs));
   }

@@ -19,7 +19,6 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "hism/stats.hpp"
 #include "kernels/utilization.hpp"
 #include "support/assert.hpp"
 #include "support/json.hpp"
@@ -40,11 +39,6 @@ void markdown_table(std::ostream& out, const TextTable& table) {
 struct FigureResult {
   const bench::FigureSeries& series;
   std::vector<bench::MatrixRecord> records;
-};
-
-struct StorageSummary {
-  double hism_crs_byte_ratio_avg = 0.0;
-  double overhead_fraction_avg = 0.0;
 };
 
 }  // namespace
@@ -137,36 +131,11 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr, "storage ...\n");
   out << "## Storage (§II claim)\n\n";
-  StorageSummary storage;
-  {
-    struct StorageRow {
-      double ratio;
-      double overhead;
-    };
-    ThreadPool pool(options.jobs);
-    const std::vector<StorageRow> rows =
-        parallel_map(pool, suite_matrices, [&](const suite::SuiteMatrix& entry) {
-          const auto crs = kernels::MatrixStageCache::instance().crs(entry.matrix);
-          const auto hism =
-              kernels::MatrixStageCache::instance().hism(entry.matrix, config.section);
-          const HismStats stats = compute_stats(hism->hism);
-          return StorageRow{static_cast<double>(stats.storage_bytes) /
-                                static_cast<double>(crs->csr.storage_bytes()),
-                            stats.overhead_fraction};
-        });
-    // Summed in suite order, off the pool: identical for every -j value.
-    double ratio_sum = 0.0;
-    double overhead_sum = 0.0;
-    for (const StorageRow& row : rows) {
-      ratio_sum += row.ratio;
-      overhead_sum += row.overhead;
-    }
-    storage.hism_crs_byte_ratio_avg = ratio_sum / static_cast<double>(rows.size());
-    storage.overhead_fraction_avg = overhead_sum / static_cast<double>(rows.size());
-    out << format("HiSM/CRS byte ratio averages %.2f over the suite; hierarchy overhead "
-                  "averages %.1f%% (paper: ~2-5%% at s = 64).\n",
-                  storage.hism_crs_byte_ratio_avg, 100.0 * storage.overhead_fraction_avg);
-  }
+  const bench::StorageSummary storage =
+      bench::storage_footprints(suite_matrices, config.section, options.jobs);
+  out << format("HiSM/CRS byte ratio averages %.2f over the suite; hierarchy overhead "
+                "averages %.1f%% (paper: ~2-5%% at s = 64).\n",
+                storage.ratio_avg, 100.0 * storage.overhead_fraction_avg);
 
   // ---- pointers beyond the paper ------------------------------------------
   out << "\n## Beyond the paper\n\n";
@@ -267,7 +236,7 @@ int main(int argc, char** argv) {
     json.key("storage");
     json.begin_object();
     json.key("hism_crs_byte_ratio_avg");
-    json.value(storage.hism_crs_byte_ratio_avg);
+    json.value(storage.ratio_avg);
     json.key("overhead_fraction_avg");
     json.value(storage.overhead_fraction_avg);
     json.end_object();

@@ -20,6 +20,7 @@
 #include "kernels/spmv.hpp"
 #include "suite/generators.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -35,11 +36,21 @@ float dot(const std::vector<float>& a, const std::vector<float>& b) {
 
 int main(int argc, char** argv) {
   CommandLine cli(argc, argv);
-  const Index rows = static_cast<Index>(cli.get_int("rows", 1200));
-  const Index cols = static_cast<Index>(cli.get_int("cols", 800));
-  const usize nnz = static_cast<usize>(cli.get_int("nnz", 12000));
-  const int iters = static_cast<int>(cli.get_int("iters", 40));
+  const Index rows = cli.get_u32("rows", 1200, 1);
+  const Index cols = cli.get_u32("cols", 800, 1);
+  const usize nnz = cli.get_u32("nnz", 12000, 1);
+  const u32 iters = cli.get_u32("iters", 40, 1);
   cli.finish();
+  // The strengthened diagonal block needs a row per column, and the random
+  // part a cell per non-zero.
+  if (cols > rows) {
+    cli.fail(format("option --cols expects an integer in [1, %llu] (at most --rows), got '%llu'",
+                    static_cast<unsigned long long>(rows), static_cast<unsigned long long>(cols)));
+  }
+  if (nnz > rows * cols) {
+    cli.fail(format("option --nnz expects an integer in [1, %llu] (--rows times --cols), got '%zu'",
+                    static_cast<unsigned long long>(rows * cols), nnz));
+  }
 
   // A well-conditioned random sparse A and a known solution x*.
   Rng rng(17);
@@ -61,8 +72,8 @@ int main(int argc, char** argv) {
   float gamma = dot(s, s);
   const float gamma0 = gamma;
 
-  int used_iters = 0;
-  for (int k = 0; k < iters && gamma > 1e-10f * gamma0; ++k) {
+  u32 used_iters = 0;
+  for (u32 k = 0; k < iters && gamma > 1e-10f * gamma0; ++k) {
     const std::vector<float> q = a.spmv(p);
     const float alpha = gamma / dot(q, q);
     for (usize i = 0; i < x.size(); ++i) x[i] += alpha * p[i];
@@ -81,7 +92,7 @@ int main(int argc, char** argv) {
     err += (x[i] - x_true[i]) * (x[i] - x_true[i]);
     norm += x_true[i] * x_true[i];
   }
-  std::printf("CGLS on %llux%llu, %zu nnz: %d iterations, relative error %.2e\n",
+  std::printf("CGLS on %llux%llu, %zu nnz: %u iterations, relative error %.2e\n",
               static_cast<unsigned long long>(rows), static_cast<unsigned long long>(cols),
               a.nnz(), used_iters, std::sqrt(err / norm));
 
@@ -89,8 +100,9 @@ int main(int argc, char** argv) {
   const vsim::MachineConfig config;
   const kernels::HismStage hism =
       kernels::build_hism_stage(HismMatrix::from_coo(coo, config.section));
-  const u64 hism_cycles = kernels::time_hism_transpose(hism, config).cycles;
-  const u64 crs_cycles = kernels::time_crs_transpose(kernels::build_crs_stage(a), config).cycles;
+  const u64 hism_cycles = kernels::run_hism_transpose(hism, config).stats.cycles;
+  const u64 crs_cycles =
+      kernels::run_crs_transpose(kernels::build_crs_stage(a), config).stats.cycles;
   std::printf("\nbuilding the explicit A^T once on the simulated vector processor:\n");
   std::printf("  HiSM + STM:          %9llu cycles\n",
               static_cast<unsigned long long>(hism_cycles));

@@ -23,8 +23,12 @@ int main(int argc, char** argv) {
   const bool pool = cli.get_flag("pool");
   suite::SuiteOptions options;
   options.scale = cli.get_double("scale", 1.0);
-  options.seed = static_cast<u64>(cli.get_int("seed", 0xD5ABD5ABll));
+  options.seed = cli.get_u64("seed", 0xD5ABD5ABull);
   cli.finish();
+  // Checked before the output directory is created.
+  if (!suite::valid_scale(options.scale)) {
+    cli.fail(format("option --scale expects a number in (0, 1], got '%g'", options.scale));
+  }
 
   std::filesystem::create_directories(dir);
   const auto suite_matrices = pool ? suite::build_dsab_pool(options)

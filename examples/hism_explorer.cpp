@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
   const std::string path = cli.get_string("matrix", "");
   const i64 section_arg = cli.get_int("section", 64);
   const std::string pattern = cli.get_string("pattern", "stencil5");
-  const Index dim = static_cast<Index>(cli.get_int("dim", 1000));
-  const usize nnz = static_cast<usize>(cli.get_int("nnz", 20000));
+  const Index dim = cli.get_u32("dim", 1000, 1);
+  const usize nnz = cli.get_u32("nnz", 20000, 1);
   const std::string trace_json = cli.get_string("trace-json", "");
   cli.finish();
   if (section_arg < 0 || !HismMatrix::valid_section(static_cast<u64>(section_arg))) {
@@ -55,6 +55,11 @@ int main(int argc, char** argv) {
     }
     std::printf("loaded %s\n", path.c_str());
   } else if (pattern == "random") {
+    if (nnz > dim * dim) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] (--dim squared) for "
+                      "--pattern=random, got '%zu'",
+                      static_cast<unsigned long long>(dim * dim), nnz));
+    }
     matrix = suite::gen_random_uniform(dim, dim, nnz, rng);
   } else if (pattern == "stencil5") {
     matrix = suite::gen_stencil5(static_cast<Index>(std::max<i64>(2, i64(dim) / 32)), rng);
@@ -65,7 +70,17 @@ int main(int argc, char** argv) {
   } else if (pattern == "diagonal") {
     matrix = suite::gen_diagonal(dim, rng);
   } else if (pattern == "clusters") {
-    matrix = suite::gen_block_clusters((dim + 31) / 32 * 32, nnz / 128 + 1, 128, rng);
+    // One 128-entry cluster per started 128 non-zeros, each in its own
+    // 32 x 32 block of the grid.
+    const Index grid = (dim + 31) / 32;
+    const Index max_nnz = 128 * grid * grid - 1;
+    if (nnz > max_nnz) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] for --pattern=clusters "
+                      "with --dim=%llu, got '%zu'",
+                      static_cast<unsigned long long>(max_nnz),
+                      static_cast<unsigned long long>(dim), nnz));
+    }
+    matrix = suite::gen_block_clusters(grid * 32, nnz / 128 + 1, 128, rng);
   } else {
     std::fprintf(stderr, "unknown --pattern=%s\n", pattern.c_str());
     return 2;
@@ -112,9 +127,8 @@ int main(int argc, char** argv) {
     vsim::ExecutionTrace trace(usize{1} << 20);
     std::printf("\nsimulated HiSM transposition (s=%u, STM B=%u, L=%u):\n", section,
                 machine_config.stm.bandwidth, machine_config.stm.lines);
-    const auto result = kernels::run_hism_transpose(kernels::build_hism_stage(hism),
-                                                    machine_config,
-                                                    /*split_drain_registers=*/false, &trace);
+    const auto result =
+        kernels::run_hism_transpose(kernels::build_hism_stage(hism), machine_config, {}, &trace);
     if (!structurally_equal(result.transposed.to_coo(), matrix.transposed())) {
       std::fprintf(stderr, "simulated transpose does not match the reference\n");
       return 1;

@@ -12,14 +12,19 @@
 #include "kernels/spmv.hpp"
 #include "suite/generators.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
-  const Index dim = static_cast<Index>(cli.get_int("dim", 1024));
-  const usize nnz = static_cast<usize>(cli.get_int("nnz", 20000));
-  const int iters = static_cast<int>(cli.get_int("iters", 30));
+  const Index dim = cli.get_u32("dim", 1024, 1);
+  const usize nnz = cli.get_u32("nnz", 20000, 1);
+  const u32 iters = cli.get_u32("iters", 30, 1);
   cli.finish();
+  if (nnz > dim * dim) {
+    cli.fail(format("option --nnz expects an integer in [1, %llu] (--dim squared), got '%zu'",
+                    static_cast<unsigned long long>(dim * dim), nnz));
+  }
 
   // A random non-negative matrix plus a strong diagonal: a well-behaved
   // dominant eigenpair for power iteration.
@@ -36,8 +41,8 @@ int main(int argc, char** argv) {
   std::vector<float> x(dim, 1.0f / std::sqrt(static_cast<float>(dim)));
   double lambda = 0.0;
   u64 total_cycles = 0;
-  int used = 0;
-  for (int k = 0; k < iters; ++k) {
+  u32 used = 0;
+  for (u32 k = 0; k < iters; ++k) {
     const auto product = kernels::run_hism_spmv(hism, x, config);
     total_cycles += product.stats.cycles;
     ++used;
@@ -61,7 +66,7 @@ int main(int argc, char** argv) {
   // Cross-check against a host-side power iteration.
   std::vector<float> xref(dim, 1.0f / std::sqrt(static_cast<float>(dim)));
   double lambda_ref = 0.0;
-  for (int k = 0; k < used; ++k) {
+  for (u32 k = 0; k < used; ++k) {
     const auto y = csr.spmv(xref);
     double dot_xy = 0.0;
     double norm_sq = 0.0;
@@ -78,7 +83,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dim), static_cast<unsigned long long>(dim),
               coo.nnz());
   std::printf("  dominant eigenvalue: %.6f (host reference: %.6f)\n", lambda, lambda_ref);
-  std::printf("  %d simulated SpMV steps, %llu total cycles (%.2f cycles/nnz/step)\n", used,
+  std::printf("  %u simulated SpMV steps, %llu total cycles (%.2f cycles/nnz/step)\n", used,
               static_cast<unsigned long long>(total_cycles),
               static_cast<double>(total_cycles) / static_cast<double>(used) /
                   static_cast<double>(coo.nnz()));

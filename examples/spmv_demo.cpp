@@ -13,22 +13,38 @@
 #include "suite/generators.hpp"
 #include "suite/metrics.hpp"
 #include "support/cli.hpp"
+#include "support/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace smtu;
   CommandLine cli(argc, argv);
   const std::string pattern = cli.get_string("pattern", "clusters");
-  const Index dim = static_cast<Index>(cli.get_int("dim", 2048));
-  const usize nnz = static_cast<usize>(cli.get_int("nnz", 40000));
+  const Index dim = cli.get_u32("dim", 2048, 1);
+  const usize nnz = cli.get_u32("nnz", 40000, 1);
   cli.finish();
 
   Rng rng(23);
   Coo matrix;
   if (pattern == "clusters") {
-    matrix = suite::gen_block_clusters((dim + 31) / 32 * 32, nnz / 300 + 1, 300, rng);
+    // One 300-entry cluster per started 300 non-zeros, each in its own
+    // 32 x 32 block of the grid.
+    const Index grid = (dim + 31) / 32;
+    const Index max_nnz = 300 * grid * grid - 1;
+    if (nnz > max_nnz) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] for --pattern=clusters "
+                      "with --dim=%llu, got '%zu'",
+                      static_cast<unsigned long long>(max_nnz),
+                      static_cast<unsigned long long>(dim), nnz));
+    }
+    matrix = suite::gen_block_clusters(grid * 32, nnz / 300 + 1, 300, rng);
   } else if (pattern == "banded") {
     matrix = suite::gen_banded_rows(dim, 16, 32, rng);
   } else if (pattern == "random") {
+    if (nnz > dim * dim) {
+      cli.fail(format("option --nnz expects an integer in [1, %llu] (--dim squared) for "
+                      "--pattern=random, got '%zu'",
+                      static_cast<unsigned long long>(dim * dim), nnz));
+    }
     matrix = suite::gen_random_uniform(dim, dim, nnz, rng);
   } else {
     std::fprintf(stderr, "unknown --pattern=%s\n", pattern.c_str());

@@ -235,14 +235,4 @@ ParallelCrsTransposeResult run_parallel_crs_transpose(
   return result;
 }
 
-vsim::SystemRunStats time_parallel_crs_transpose(
-    const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(parallel_crs_transpose_source());
-  vsim::MultiCoreSystem system(config);
-  stage_parallel_crs(system, csr);
-  system.attach_profilers(profilers);
-  return system.run(*program);
-}
-
 }  // namespace smtu::kernels

@@ -41,9 +41,4 @@ ParallelCrsTransposeResult run_parallel_crs_transpose(
     const Csr& csr, const vsim::SystemConfig& config,
     std::vector<vsim::PerfCounters>* profilers = nullptr);
 
-// Cycle counts only (skips the read-back for benchmark sweeps).
-vsim::SystemRunStats time_parallel_crs_transpose(
-    const Csr& csr, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
-
 }  // namespace smtu::kernels

@@ -309,78 +309,17 @@ sr_done:
   return source;
 }
 
-namespace {
-
-void set_entry_sregs(vsim::Machine& machine, const CrsImage& image) {
-  machine.set_sreg(1, image.an);
-  machine.set_sreg(2, image.ja);
-  machine.set_sreg(3, image.ia);
-  machine.set_sreg(4, image.ant);
-  machine.set_sreg(5, image.jat);
-  machine.set_sreg(6, image.iat);
-  machine.set_sreg(7, image.rows);
-  machine.set_sreg(8, image.cols);
-  machine.set_sreg(9, image.nnz);
-}
-
-vsim::Machine make_machine_with_stage(const CrsStage& stage,
-                                      const vsim::MachineConfig& config) {
-  vsim::Machine machine = staged_machine(stage, config);
-  set_entry_sregs(machine, stage.image);
-  return machine;
-}
-
-std::shared_ptr<const vsim::Program> vector_program(u32 section,
-                                                    const CrsKernelOptions& options) {
-  return vsim::ProgramCache::instance().get(crs_transpose_source(section, options));
-}
-
-std::shared_ptr<const vsim::Program> scalar_program() {
-  return vsim::ProgramCache::instance().get(scalar_crs_transpose_source());
-}
-
-}  // namespace
-
 CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options,
-                                     vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
+                                     std::string_view source, vsim::PerfCounters* profiler) {
+  const auto program =
+      source.empty() ? vsim::ProgramCache::instance().get(crs_transpose_source(config.section))
+                     : vsim::ProgramCache::instance().get(source);
+  vsim::Machine machine = transpose_machine(stage, config);
   machine.attach_profiler(profiler);
   CrsTransposeResult result;
   result.stats = machine.run(*program);
   result.transposed = read_back_crs_transpose(machine.memory(), stage.image);
   return result;
-}
-
-vsim::RunStats time_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options,
-                                  vsim::PerfCounters* profiler) {
-  const auto program = vector_program(config.section, options);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
-}
-
-CrsTransposeResult run_scalar_crs_transpose(const CrsStage& stage,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  CrsTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_crs_transpose(machine.memory(), stage.image);
-  return result;
-}
-
-vsim::RunStats time_scalar_crs_transpose(const CrsStage& stage,
-                                         const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler) {
-  const auto program = scalar_program();
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
 }
 
 }  // namespace smtu::kernels

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "kernels/staging.hpp"
 #include "vsim/machine.hpp"
@@ -52,21 +53,14 @@ struct CrsTransposeResult {
   Coo transposed;  // read back from simulated memory
 };
 
-// Each runner runs on a fresh machine that attaches the stage's snapshot
-// (kernels/staging.hpp). A non-null `profiler` receives cycle attribution
-// for the run (see vsim/profiler.hpp and docs/PROFILING.md); counters are
-// not reset first. The time_* runners skip the read-back.
+// Runs a transposition program on transpose_machine(stage, config)
+// (kernels/staging.hpp) and reads the transpose back. An empty `source`
+// runs the paper's baseline, crs_transpose_source(config.section); the
+// variants above are programs for it too. A non-null `profiler` receives
+// cycle attribution for the run (see vsim/profiler.hpp and
+// docs/PROFILING.md); counters are not reset first.
 CrsTransposeResult run_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                     const CrsKernelOptions& options = {},
+                                     std::string_view source = {},
                                      vsim::PerfCounters* profiler = nullptr);
-vsim::RunStats time_crs_transpose(const CrsStage& stage, const vsim::MachineConfig& config,
-                                  const CrsKernelOptions& options = {},
-                                  vsim::PerfCounters* profiler = nullptr);
-CrsTransposeResult run_scalar_crs_transpose(const CrsStage& stage,
-                                            const vsim::MachineConfig& config,
-                                            vsim::PerfCounters* profiler = nullptr);
-vsim::RunStats time_scalar_crs_transpose(const CrsStage& stage,
-                                         const vsim::MachineConfig& config,
-                                         vsim::PerfCounters* profiler = nullptr);
 
 }  // namespace smtu::kernels

@@ -41,34 +41,22 @@ done:
   return source;
 }
 
-namespace {
-
-vsim::Machine stage(const Dense& matrix, const vsim::MachineConfig& config, Addr& a_addr,
-                    Addr& at_addr) {
+DenseTransposeResult run_dense_transpose(const Dense& matrix,
+                                         const vsim::MachineConfig& config) {
+  const auto program = vsim::ProgramCache::instance().get(dense_transpose_source());
   vsim::Machine machine(config);
-  a_addr = kImageBase;
+  const Addr a_addr = kImageBase;
   for (Index r = 0; r < matrix.rows(); ++r) {
     for (Index c = 0; c < matrix.cols(); ++c) {
       machine.memory().write_f32(a_addr + 4 * (r * matrix.cols() + c), matrix.at(r, c));
     }
   }
-  at_addr = round_up(a_addr + 4 * matrix.rows() * matrix.cols(), 16);
+  const Addr at_addr = round_up(a_addr + 4 * matrix.rows() * matrix.cols(), 16);
   machine.memory().ensure(at_addr, 4 * std::max<u64>(1, matrix.rows() * matrix.cols()));
   machine.set_sreg(1, a_addr);
   machine.set_sreg(2, at_addr);
   machine.set_sreg(7, matrix.rows());
   machine.set_sreg(8, matrix.cols());
-  return machine;
-}
-
-}  // namespace
-
-DenseTransposeResult run_dense_transpose(const Dense& matrix,
-                                         const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(dense_transpose_source());
-  Addr a_addr = 0;
-  Addr at_addr = 0;
-  vsim::Machine machine = stage(matrix, config, a_addr, at_addr);
 
   DenseTransposeResult result;
   result.stats = machine.run(*program);
@@ -80,14 +68,6 @@ DenseTransposeResult run_dense_transpose(const Dense& matrix,
     }
   }
   return result;
-}
-
-vsim::RunStats time_dense_transpose(const Dense& matrix, const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(dense_transpose_source());
-  Addr a_addr = 0;
-  Addr at_addr = 0;
-  vsim::Machine machine = stage(matrix, config, a_addr, at_addr);
-  return machine.run(*program);
 }
 
 }  // namespace smtu::kernels

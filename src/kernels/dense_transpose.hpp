@@ -25,6 +25,4 @@ struct DenseTransposeResult {
 DenseTransposeResult run_dense_transpose(const Dense& matrix,
                                          const vsim::MachineConfig& config);
 
-vsim::RunStats time_dense_transpose(const Dense& matrix, const vsim::MachineConfig& config);
-
 }  // namespace smtu::kernels

@@ -122,52 +122,20 @@ tb_done:
   return resolved;
 }
 
-namespace {
-
-void set_entry_sregs(vsim::Machine& machine, const HismImage& image) {
-  machine.set_sreg(1, image.root_addr);
-  machine.set_sreg(2, image.root_len);
-  machine.set_sreg(3, image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-}
-
-vsim::Machine make_machine_with_stage(const HismStage& stage,
-                                      const vsim::MachineConfig& config) {
-  vsim::Machine machine = staged_machine(stage, config);
-  set_entry_sregs(machine, stage.image);
-  return machine;
-}
-
-std::shared_ptr<const vsim::Program> transpose_program(bool split_drain_registers) {
-  return vsim::ProgramCache::instance().get(hism_transpose_source(split_drain_registers));
-}
-
-}  // namespace
-
 HismTransposeResult run_hism_transpose(const HismStage& stage,
                                        const vsim::MachineConfig& config,
-                                       bool split_drain_registers,
-                                       vsim::ExecutionTrace* trace,
+                                       std::string_view source, vsim::ExecutionTrace* trace,
                                        vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
+  const auto program = source.empty()
+                           ? vsim::ProgramCache::instance().get(hism_transpose_source())
+                           : vsim::ProgramCache::instance().get(source);
+  vsim::Machine machine = transpose_machine(stage, config);
   machine.attach_trace(trace);
   machine.attach_profiler(profiler);
   HismTransposeResult result;
   result.stats = machine.run(*program);
   result.transposed = read_back_hism(machine, stage.image, /*swap_dims=*/true);
   return result;
-}
-
-vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineConfig& config,
-                                   bool split_drain_registers,
-                                   vsim::ExecutionTrace* trace,
-                                   vsim::PerfCounters* profiler) {
-  const auto program = transpose_program(split_drain_registers);
-  vsim::Machine machine = make_machine_with_stage(stage, config);
-  machine.attach_trace(trace);
-  machine.attach_profiler(profiler);
-  return machine.run(*program);
 }
 
 }  // namespace smtu::kernels

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "hism/hism.hpp"
 #include "kernels/staging.hpp"
@@ -31,36 +32,29 @@ namespace smtu::kernels {
 // paper's Fig. 7 register usage.
 std::string hism_transpose_source(bool split_drain_registers = false);
 
+// Software-pipelined variant for the double-buffered STM (extension E4):
+// while leaf child k drains from one bank, child k+1 fills the other. It
+// runs only on StmConfig::double_buffer: on a single bank, the second icm
+// of a level-1 block with two or more leaf children would clear a block
+// still draining, which the STM model refuses.
+std::string hism_transpose_pipelined_source();
+
 struct HismTransposeResult {
   vsim::RunStats stats;
   HismMatrix transposed;  // decoded back from simulated memory
 };
 
-// Runs the kernel on a fresh machine that attaches the stage's snapshot
-// (kernels/staging.hpp) and decodes the result. A non-null `trace` collects
+// Runs a transposition program on transpose_machine(stage, config)
+// (kernels/staging.hpp) and decodes the result. An empty `source` runs the
+// paper's kernel, hism_transpose_source(). A non-null `trace` collects
 // per-instruction timing events (see vsim/trace.hpp and docs/TRACE.md); the
 // trace is not cleared first. A non-null `profiler` receives cycle
 // attribution (vsim/profiler.hpp, docs/PROFILING.md); counters are not
 // reset first.
 HismTransposeResult run_hism_transpose(const HismStage& stage,
                                        const vsim::MachineConfig& config,
-                                       bool split_drain_registers = false,
+                                       std::string_view source = {},
                                        vsim::ExecutionTrace* trace = nullptr,
                                        vsim::PerfCounters* profiler = nullptr);
-
-// Cycle count only (skips the decode for benchmark sweeps).
-vsim::RunStats time_hism_transpose(const HismStage& stage, const vsim::MachineConfig& config,
-                                   bool split_drain_registers = false,
-                                   vsim::ExecutionTrace* trace = nullptr,
-                                   vsim::PerfCounters* profiler = nullptr);
-
-// Software-pipelined variant for the double-buffered STM (extension E4):
-// while leaf child k drains from one bank, child k+1 fills the other.
-// Requires config.stm.double_buffer.
-std::string hism_transpose_pipelined_source();
-HismTransposeResult run_hism_transpose_pipelined(const HismStage& stage,
-                                                 const vsim::MachineConfig& config);
-vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
-                                             const vsim::MachineConfig& config);
 
 }  // namespace smtu::kernels

@@ -6,13 +6,12 @@
 //
 // Requires StmConfig::double_buffer — with a single bank, the second icm
 // would clear a block that is still draining (the functional model checks
-// exactly that).
+// exactly that). It runs through run_hism_transpose like every program on
+// a HiSM image.
 #include <string_view>
 
 #include "kernels/hism_transpose.hpp"
-#include "kernels/layout.hpp"
 #include "support/assert.hpp"
-#include "vsim/program_cache.hpp"
 
 namespace smtu::kernels {
 namespace {
@@ -23,18 +22,6 @@ void insert_before(std::string& source, std::string_view anchor, std::string_vie
   SMTU_CHECK_MSG(at != std::string::npos && source.find(anchor, at + 1) == std::string::npos,
                  "pipelined kernel: anchor not found once in the base kernel");
   source.insert(at, text);
-}
-
-vsim::Machine make_pipelined_machine(const HismStage& stage,
-                                     const vsim::MachineConfig& config) {
-  SMTU_CHECK_MSG(config.stm.double_buffer,
-                 "the software-pipelined kernel needs the double-buffered STM");
-  vsim::Machine machine = staged_machine(stage, config);
-  machine.set_sreg(1, stage.image.root_addr);
-  machine.set_sreg(2, stage.image.root_len);
-  machine.set_sreg(3, stage.image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kStackTop);
-  return machine;
 }
 
 }  // namespace
@@ -126,23 +113,6 @@ tb_pipe_tail_loop:
     return text;
   }();
   return source;
-}
-
-HismTransposeResult run_hism_transpose_pipelined(const HismStage& stage,
-                                                 const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  vsim::Machine machine = make_pipelined_machine(stage, config);
-  HismTransposeResult result;
-  result.stats = machine.run(*program);
-  result.transposed = read_back_hism(machine, stage.image, /*swap_dims=*/true);
-  return result;
-}
-
-vsim::RunStats time_hism_transpose_pipelined(const HismStage& stage,
-                                             const vsim::MachineConfig& config) {
-  const auto program = vsim::ProgramCache::instance().get(hism_transpose_pipelined_source());
-  vsim::Machine machine = make_pipelined_machine(stage, config);
-  return machine.run(*program);
 }
 
 }  // namespace smtu::kernels

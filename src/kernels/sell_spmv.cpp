@@ -171,14 +171,4 @@ SellSpmvResult run_sell_spmv(const SellCSigma& sell, const std::vector<float>& x
   return result;
 }
 
-vsim::SystemRunStats time_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
-                                    const vsim::SystemConfig& config,
-                                    std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(sell_spmv_source());
-  vsim::MultiCoreSystem system(config);
-  stage_sell_spmv(system, sell, x);
-  system.attach_profilers(profilers);
-  return system.run(*program);
-}
-
 }  // namespace smtu::kernels

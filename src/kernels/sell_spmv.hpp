@@ -34,9 +34,4 @@ SellSpmvResult run_sell_spmv(const SellCSigma& sell, const std::vector<float>& x
                              const vsim::SystemConfig& config,
                              std::vector<vsim::PerfCounters>* profilers = nullptr);
 
-// Timing-only variant (no result read-back) for the bench harness.
-vsim::SystemRunStats time_sell_spmv(const SellCSigma& sell, const std::vector<float>& x,
-                                    const vsim::SystemConfig& config,
-                                    std::vector<vsim::PerfCounters>* profilers = nullptr);
-
 }  // namespace smtu::kernels

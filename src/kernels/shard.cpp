@@ -276,14 +276,4 @@ ShardedHismTransposeResult run_sharded_hism_transpose(
   return result;
 }
 
-vsim::SystemRunStats time_sharded_hism_transpose(
-    const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers) {
-  const auto program = vsim::ProgramCache::instance().get(sharded_hism_transpose_source());
-  vsim::MultiCoreSystem system(config);
-  stage_sharded(system, coo);
-  system.attach_profilers(profilers);
-  return system.run(*program);
-}
-
 }  // namespace smtu::kernels

@@ -61,9 +61,4 @@ ShardedHismTransposeResult run_sharded_hism_transpose(
     const Coo& coo, const vsim::SystemConfig& config,
     std::vector<vsim::PerfCounters>* profilers = nullptr);
 
-// Cycle counts only (skips the decode for benchmark sweeps).
-vsim::SystemRunStats time_sharded_hism_transpose(
-    const Coo& coo, const vsim::SystemConfig& config,
-    std::vector<vsim::PerfCounters>* profilers = nullptr);
-
 }  // namespace smtu::kernels

@@ -350,15 +350,4 @@ SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfi
   return result;
 }
 
-vsim::SystemRunStats time_hism_spgemm(const Coo& a, const Csr& b,
-                                      const vsim::SystemConfig& config,
-                                      std::vector<vsim::PerfCounters>* profilers) {
-  const auto program =
-      vsim::ProgramCache::instance().get(hism_spgemm_source(config.core.section));
-  vsim::MultiCoreSystem system(config);
-  stage_spgemm(system, a, b);
-  system.attach_profilers(profilers);
-  return system.run(*program);
-}
-
 }  // namespace smtu::kernels

@@ -53,9 +53,4 @@ Coo spgemm_at_b_reference(const Coo& a, const Csr& b);
 SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfig& config,
                              std::vector<vsim::PerfCounters>* profilers = nullptr);
 
-// Timing-only variant (no result read-back) for the bench harness.
-vsim::SystemRunStats time_hism_spgemm(const Coo& a, const Csr& b,
-                                      const vsim::SystemConfig& config,
-                                      std::vector<vsim::PerfCounters>* profilers = nullptr);
-
 }  // namespace smtu::kernels

@@ -61,6 +61,30 @@ vsim::Machine staged_machine(const CrsStage& stage, const vsim::MachineConfig& c
   return machine;
 }
 
+vsim::Machine transpose_machine(const HismStage& stage, const vsim::MachineConfig& config) {
+  vsim::Machine machine = staged_machine(stage, config);
+  machine.set_sreg(1, stage.image.root_addr);
+  machine.set_sreg(2, stage.image.root_len);
+  machine.set_sreg(3, stage.image.levels - 1);
+  machine.set_sreg(vsim::kRegSp, kStackTop);
+  return machine;
+}
+
+vsim::Machine transpose_machine(const CrsStage& stage, const vsim::MachineConfig& config) {
+  vsim::Machine machine = staged_machine(stage, config);
+  const CrsImage& image = stage.image;
+  machine.set_sreg(1, image.an);
+  machine.set_sreg(2, image.ja);
+  machine.set_sreg(3, image.ia);
+  machine.set_sreg(4, image.ant);
+  machine.set_sreg(5, image.jat);
+  machine.set_sreg(6, image.iat);
+  machine.set_sreg(7, image.rows);
+  machine.set_sreg(8, image.cols);
+  machine.set_sreg(9, image.nnz);
+  return machine;
+}
+
 MatrixStageCache& MatrixStageCache::instance() {
   static MatrixStageCache cache;
   return cache;

@@ -53,6 +53,15 @@ CrsStage build_crs_stage(Csr csr);
 vsim::Machine staged_machine(const HismStage& stage, const vsim::MachineConfig& config);
 vsim::Machine staged_machine(const CrsStage& stage, const vsim::MachineConfig& config);
 
+// A staged machine with the entry registers every single-core transposition
+// program on that image expects — one setup per image kind:
+//   HiSM: r1 root block-array address, r2 its length, r3 the top level, sp
+//         the stack top;
+//   CRS:  r1 &AN, r2 &JA, r3 &IA, r4 &ANT, r5 &JAT, r6 &IAT, r7 rows,
+//         r8 cols, r9 nnz.
+vsim::Machine transpose_machine(const HismStage& stage, const vsim::MachineConfig& config);
+vsim::Machine transpose_machine(const CrsStage& stage, const vsim::MachineConfig& config);
+
 // Process-wide cache from matrix content to its staged image. Thread-safe;
 // keyed by dimensions plus a content hash of the COO entries (and the
 // section size for HiSM, whose layout depends on it).

@@ -9,6 +9,7 @@
 #include "support/json.hpp"
 #include "vsim/json_export.hpp"
 #include "vsim/profiler.hpp"
+#include "vsim/program_cache.hpp"
 #include "vsim/sim_cache.hpp"
 
 namespace smtu::kernels {
@@ -21,35 +22,20 @@ std::string render_profile_json(const vsim::PerfCounters& profile) {
   return out.str();
 }
 
-// One live run; `correct` is false when a verifying run decodes the wrong
-// transpose.
-TransposeRun run_hism(const HismStage& stage, const Coo& matrix,
-                      const vsim::MachineConfig& config, bool verify,
-                      vsim::PerfCounters* profiler) {
-  if (!verify) {
-    return {time_hism_transpose(stage, config, /*split_drain_registers=*/false, nullptr,
-                                profiler),
-            {}, true};
-  }
-  const HismTransposeResult result =
-      run_hism_transpose(stage, config, /*split_drain_registers=*/false, nullptr, profiler);
-  return {result.stats, {}, structurally_equal(result.transposed.to_coo(), matrix.transposed())};
-}
-
-TransposeRun run_crs(const CrsStage& stage, const Coo& matrix,
-                     const vsim::MachineConfig& config, bool verify,
-                     vsim::PerfCounters* profiler) {
-  if (!verify) return {time_crs_transpose(stage, config, {}, profiler), {}, true};
-  const CrsTransposeResult result = run_crs_transpose(stage, config, {}, profiler);
-  return {result.stats, {}, structurally_equal(result.transposed, matrix.transposed())};
-}
-
 }  // namespace
 
-TransposeRun simulate_transpose(TransposeKernel kernel, const Coo& matrix,
+TransposeProgram hism_transpose_program() {
+  return {TransposeImage::kHism, hism_transpose_source()};
+}
+
+TransposeProgram crs_transpose_program(u32 section) {
+  return {TransposeImage::kCrs, crs_transpose_source(section)};
+}
+
+TransposeRun simulate_transpose(const TransposeProgram& program, const Coo& matrix,
                                 const vsim::MachineConfig& config, bool verify, bool profile,
                                 vsim::SimCache* cache) {
-  const bool hism = kernel == TransposeKernel::kHism;
+  const bool hism = program.image == TransposeImage::kHism;
   std::shared_ptr<const HismStage> hism_stage;
   std::shared_ptr<const CrsStage> crs_stage;
   if (hism) {
@@ -60,9 +46,8 @@ TransposeRun simulate_transpose(TransposeKernel kernel, const Coo& matrix,
 
   std::string key;
   if (cache != nullptr) {
-    key = vsim::sim_cache_key(
-        hism ? hism_transpose_source(false) : crs_transpose_source(config.section, {}), config,
-        hism ? *hism_stage->snapshot : *crs_stage->snapshot, {});
+    key = vsim::sim_cache_key(program.source, config,
+                              hism ? *hism_stage->snapshot : *crs_stage->snapshot, {});
     if (std::optional<vsim::SimCache::Entry> hit = cache->lookup(key, verify, profile)) {
       return {hit->stats, std::move(hit->profile_json), true};
     }
@@ -70,8 +55,23 @@ TransposeRun simulate_transpose(TransposeKernel kernel, const Coo& matrix,
 
   vsim::PerfCounters counters;
   vsim::PerfCounters* profiler = profile ? &counters : nullptr;
-  TransposeRun run = hism ? run_hism(*hism_stage, matrix, config, verify, profiler)
-                          : run_crs(*crs_stage, matrix, config, verify, profiler);
+  TransposeRun run;
+  if (verify && hism) {
+    const HismTransposeResult result =
+        run_hism_transpose(*hism_stage, config, program.source, nullptr, profiler);
+    run.stats = result.stats;
+    run.correct = structurally_equal(result.transposed.to_coo(), matrix.transposed());
+  } else if (verify) {
+    const CrsTransposeResult result =
+        run_crs_transpose(*crs_stage, config, program.source, profiler);
+    run.stats = result.stats;
+    run.correct = structurally_equal(result.transposed, matrix.transposed());
+  } else {
+    vsim::Machine machine = hism ? transpose_machine(*hism_stage, config)
+                                 : transpose_machine(*crs_stage, config);
+    machine.attach_profiler(profiler);
+    run.stats = machine.run(*vsim::ProgramCache::instance().get(program.source));
+  }
   if (profile) run.profile_json = render_profile_json(counters);
   if (cache != nullptr && run.correct) cache->store(key, {run.stats, verify, run.profile_json});
   return run;

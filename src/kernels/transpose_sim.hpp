@@ -1,10 +1,12 @@
-// One transpose simulation as the benches and the server run it: the
-// paper's HiSM kernel through the STM (Figs. 6/7) or its CRS baseline
-// (Fig. 9) on one matrix, through the on-disk sim cache when one is given.
+// One single-core transposition as the benches and the server run it: a
+// program on a staged HiSM or CRS image of one matrix (the paper's HiSM
+// kernel through the STM, Figs. 6/7, its CRS baseline, Fig. 9, or a variant
+// of either), through the on-disk sim cache when one is given.
 //
-// This is the one place that derives a sim-cache key. The key hashes the
-// kernel source the runners' defaults choose, the MachineConfig and the
-// staged image; the entry registers are a pure function of that image.
+// This is the one place that derives a sim-cache key, and the one path that
+// runs a transposition without decoding its result. The key hashes the
+// program source, the MachineConfig and the staged image; the entry
+// registers are a pure function of that image (kernels::transpose_machine).
 #pragma once
 
 #include <string>
@@ -18,11 +20,22 @@ class SimCache;
 
 namespace smtu::kernels {
 
-// serve::Kernel is this enum, with the same values.
-enum class TransposeKernel : u32 {
-  kHism = 0,  // HiSM transpose through the STM (kernels/hism_transpose)
-  kCrs = 1,   // vectorized CRS baseline (kernels/crs_transpose)
+// The staged image a transposition program runs on; it fixes the entry
+// registers (kernels/staging.hpp) and the decode.
+enum class TransposeImage : u8 {
+  kHism,  // HismStage: the program transposes the image in place
+  kCrs,   // CrsStage: the program writes ANT/JAT/IAT
 };
+
+struct TransposeProgram {
+  TransposeImage image = TransposeImage::kHism;
+  std::string source;
+};
+
+// The two programs the paper compares: hism_transpose_source() on the HiSM
+// image and crs_transpose_source(section) on the CRS image.
+TransposeProgram hism_transpose_program();
+TransposeProgram crs_transpose_program(u32 section);
 
 struct TransposeRun {
   vsim::RunStats stats;
@@ -33,13 +46,15 @@ struct TransposeRun {
   bool correct = true;
 };
 
-// Runs `kernel` on `matrix`, staged through MatrixStageCache. A non-null
+// Runs `program` on `matrix`, staged through MatrixStageCache. A non-null
 // `cache` replays an entry that is verified when `verify` is set and
 // profiled when `profile` is set; otherwise the run simulates and stores
-// (or upgrades) its entry. `verify` decodes the result from simulated
-// memory and compares it with matrix.transposed(); `profile` attaches a
-// cycle-attribution profiler.
-TransposeRun simulate_transpose(TransposeKernel kernel, const Coo& matrix,
+// (or upgrades) its entry. `verify` runs the image's runner
+// (run_hism_transpose / run_crs_transpose), which decodes the result from
+// simulated memory, and compares it with matrix.transposed(); without it
+// the run skips the decode. `profile` attaches a cycle-attribution
+// profiler.
+TransposeRun simulate_transpose(const TransposeProgram& program, const Coo& matrix,
                                 const vsim::MachineConfig& config, bool verify, bool profile,
                                 vsim::SimCache* cache);
 

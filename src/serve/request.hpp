@@ -12,15 +12,19 @@
 #include <string>
 #include <string_view>
 
-#include "kernels/transpose_sim.hpp"
 #include "support/types.hpp"
 #include "vsim/config.hpp"
 
 namespace smtu::serve {
 
-// Which simulated kernel serves the request: kHism (HiSM through the STM)
-// or kCrs (the CRS baseline), run by kernels::simulate_transpose.
-using Kernel = kernels::TransposeKernel;
+// Which simulated kernel serves the request, run by
+// kernels::simulate_transpose: the paper's HiSM kernel through the STM or
+// its CRS baseline (kernels::hism_transpose_program /
+// kernels::crs_transpose_program).
+enum class Kernel : u32 {
+  kHism = 0,
+  kCrs = 1,
+};
 inline constexpr u32 kKernelCount = 2;
 
 const char* kernel_name(Kernel kernel);

@@ -271,7 +271,10 @@ u64 simulate_key(const SimKey& key, const Trace& trace,
   static telemetry::LatencyHistogram& sim_wall = telemetry::histogram("serve.sim_wall_us");
   telemetry::HostSpan span("serve.sim_wall_us", sim_wall);
   const vsim::MachineConfig config = machine_config_for(trace.configs[key.config]);
-  return kernels::simulate_transpose(key.kernel, set[key.matrix].matrix, config,
+  const kernels::TransposeProgram program = key.kernel == Kernel::kHism
+                                                ? kernels::hism_transpose_program()
+                                                : kernels::crs_transpose_program(config.section);
+  return kernels::simulate_transpose(program, set[key.matrix].matrix, config,
                                      /*verify=*/false, /*profile=*/false, sim_cache)
       .stats.cycles;
 }

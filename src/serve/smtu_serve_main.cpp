@@ -33,7 +33,7 @@ int serve_main(int argc, const char* const* argv) {
 
   // Generator options.
   GeneratorOptions gen;
-  gen.seed = static_cast<u64>(cli.get_int("seed", static_cast<i64>(gen.seed)));
+  gen.seed = cli.get_u64("seed", gen.seed);
   gen.set = cli.get_string("set", gen.set);
   gen.suite.scale = cli.get_double("scale", gen.suite.scale);
   gen.requests = cli.get_u32("requests", gen.requests, 1);

@@ -142,7 +142,11 @@ void StmUnit::clear() {
   const u32 incoming = config_.double_buffer ? fill_bank_ ^ 1 : 0u;
   Bank& bank = banks_[incoming];
   SMTU_CHECK_MSG(bank.fully_drained(),
-                 "icm would clear a bank that still holds undrained elements");
+                 config_.double_buffer
+                     ? "icm would clear a bank that still holds undrained elements"
+                     : "icm would clear a bank that still holds undrained elements; a kernel "
+                       "that fills one block while another drains needs the double-buffered "
+                       "STM");
   bank.grid.clear();
   bank.filled.clear();
   bank.draining = false;

@@ -95,6 +95,17 @@ u32 CommandLine::get_u32(const std::string& key, u32 default_value, u32 min) {
   return static_cast<u32>(value);
 }
 
+u64 CommandLine::get_u64(const std::string& key, u64 default_value) {
+  const auto raw = take(key);
+  if (!raw) return default_value;
+  const auto parsed = parse_uint(*raw);
+  if (!parsed) {
+    fail(format("option --%s expects an integer in [0, %llu], got '%s'", key.c_str(),
+                static_cast<unsigned long long>(~u64{0}), raw->c_str()));
+  }
+  return *parsed;
+}
+
 void CommandLine::finish() const {
   if (options_.empty()) return;
   for (const auto& [key, value] : options_) {

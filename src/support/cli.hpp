@@ -46,6 +46,9 @@ class CommandLine {
   // An integer stored in a u32: fails unless min <= value <= 2^32 - 1, so a
   // negative count never wraps into a huge one.
   u32 get_u32(const std::string& key, u32 default_value, u32 min = 0);
+  // An integer stored in a u64, such as a seed: fails on a sign or a value
+  // above 2^64 - 1, so -1 never wraps into 2^64 - 1.
+  u64 get_u64(const std::string& key, u64 default_value);
 
   const std::vector<std::string>& positional() const { return positional_; }
 

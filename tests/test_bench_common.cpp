@@ -62,7 +62,13 @@ TEST(BenchCommon, ParseOptionsAcceptsJobsSpellings) {
   }
 }
 
-TEST(BenchCommon, CompareTransposesConsistentWithAndWithoutVerify) {
+TEST(BenchCommon, ParseOptionsReadsSeedsUpTo2To64Minus1) {
+  const char* argv[] = {"bench", "--seed=18446744073709551615"};
+  CommandLine cli(2, argv);
+  EXPECT_EQ(bench::parse_options(cli).suite.seed, ~u64{0});
+}
+
+TEST(BenchCommon, RunComparisonsConsistentWithAndWithoutVerify) {
   Rng rng(1);
   suite::SuiteMatrix entry;
   entry.name = "probe";
@@ -71,13 +77,40 @@ TEST(BenchCommon, CompareTransposesConsistentWithAndWithoutVerify) {
   entry.metrics = suite::compute_metrics(entry.matrix);
 
   const vsim::MachineConfig config;
-  const auto timed = bench::compare_transposes(entry, config, /*verify=*/false);
-  const auto verified = bench::compare_transposes(entry, config, /*verify=*/true);
+  bench::BenchOptions options;
+  options.jobs = 1;
+  const auto timed = bench::run_comparisons({entry}, config, options).at(0).comparison;
+  options.verify = true;
+  const auto verified = bench::run_comparisons({entry}, config, options).at(0).comparison;
   EXPECT_EQ(timed.hism_cycles, verified.hism_cycles);
   EXPECT_EQ(timed.crs_cycles, verified.crs_cycles);
   EXPECT_GT(timed.speedup, 1.0);
   EXPECT_NEAR(timed.hism_cycles_per_nnz * static_cast<double>(entry.matrix.nnz()),
               static_cast<double>(timed.hism_cycles), 1.0);
+}
+
+TEST(BenchCommonDeathTest, VerifyingSweepAbortsOnAWrongTransposeAndStoresNothing) {
+  // A HiSM-image program that only halts leaves the image as it was, so on
+  // a square, non-symmetric matrix it decodes to the matrix, not its
+  // transpose.
+  Rng rng(5);
+  suite::SuiteMatrix entry;
+  entry.name = "square-probe";
+  entry.set = "test";
+  entry.matrix = testing::random_coo(90, 90, 400, rng);
+  ASSERT_FALSE(structurally_equal(entry.matrix, entry.matrix.transposed()));
+
+  const testing::TempDir dir("bench_common_wrong_transpose");
+  std::filesystem::create_directories(dir.str());
+  bench::BenchOptions options;
+  options.jobs = 1;
+  options.verify = true;
+  options.sim_cache_dir = dir.str();
+  const std::vector<bench::TransposeVariant> variants = {
+      {"halt-only", {kernels::TransposeImage::kHism, "halt\n"}, vsim::MachineConfig{}}};
+  EXPECT_DEATH(bench::sweep_transposes({entry}, variants, options),
+               "variant 'halt-only' decoded a wrong transpose of matrix square-probe");
+  EXPECT_TRUE(std::filesystem::is_empty(dir.str()));
 }
 
 TEST(BenchCommon, LoadExternalSuiteRoundTrip) {
@@ -158,6 +191,17 @@ TEST(BenchCommonDeathTest, ScaleOutsideUnitIntervalExitsWithCode2) {
     EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
                 "option --scale expects a number in \\(0, 1\\]")
         << scale;
+  }
+}
+
+TEST(BenchCommonDeathTest, SignedOrOversizedSeedExitsWithCode2) {
+  // -1 must not wrap into seed 2^64 - 1, and 2^64 does not fit.
+  for (const char* seed : {"--seed=-1", "--seed=18446744073709551616"}) {
+    const char* argv[] = {"bench", seed};
+    CommandLine cli(2, argv);
+    EXPECT_EXIT(bench::parse_options(cli), ::testing::ExitedWithCode(2),
+                "option --seed expects an integer in \\[0, 18446744073709551615\\]")
+        << seed;
   }
 }
 

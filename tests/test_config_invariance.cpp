@@ -98,7 +98,7 @@ TEST(ConfigInvariance, InstructionCountsAreTimingIndependent) {
   u64 baseline_instructions = 0;
   for (const vsim::MachineConfig& config : timing_variants()) {
     const auto stats =
-        kernels::time_hism_transpose(testing::hism_stage(coo, config.section), config);
+        kernels::run_hism_transpose(testing::hism_stage(coo, config.section), config).stats;
     if (baseline_instructions == 0) {
       baseline_instructions = stats.instructions;
     } else {

@@ -111,8 +111,12 @@ TEST(Docs, KernelReferenceCoversEveryKernelAndItsRegions) {
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/KERNELS.md does not mention " << needle;
   }
-  // The run_/time_ runner convention and the bit-identity invariant.
-  EXPECT_NE(doc.find("time_"), std::string::npos);
+  // One decoding runner per kernel, simulate_transpose as the only path
+  // that skips the decode, and the bit-identity invariant.
+  EXPECT_NE(doc.find("One runner per kernel"), std::string::npos);
+  EXPECT_NE(doc.find("`simulate_transpose` is the only path that skips the decode"),
+            std::string::npos);
+  EXPECT_EQ(doc.find("time_"), std::string::npos) << "docs/KERNELS.md names a timing-only twin";
   EXPECT_NE(doc.find("bit-identical"), std::string::npos);
 
   // Cross-links: the top-level docs route readers here, and the kernel

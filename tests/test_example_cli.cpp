@@ -1,12 +1,13 @@
-// Command-line checks of the example binaries: a size, STM or machine
-// parameter they cannot run, or a --matrix file they cannot read, prints one
-// line naming the option or file and exits 2, instead of aborting, wrapping
-// a negative value into a huge one, or running on.
+// Command-line checks of the example binaries: a size, count, scale, seed,
+// STM or machine parameter they cannot run, or a --matrix file they cannot
+// read, prints one line naming the option or file and exits 2, instead of
+// aborting, wrapping a negative value into a huge one, or running on.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -54,6 +55,57 @@ TEST(ExampleCli, TransposeShowdownRejectsSizesAndStmParametersOutOfRange) {
     expect_usage_error(std::string(SMTU_TRANSPOSE_SHOWDOWN_BIN) +
                            (has_pattern ? " " : " --pattern=random ") + args,
                        needle);
+  }
+}
+
+TEST(ExampleCli, CountsOutOfRangeExitWith2) {
+  // Each case: the command and the option its one-line diagnostic names. A
+  // count below 1 never wraps, and an --nnz the pattern cannot place never
+  // reaches the generator.
+  const std::string spmv_demo = SMTU_SPMV_DEMO_BIN;
+  const std::string power_iteration = SMTU_POWER_ITERATION_BIN;
+  const std::string hism_explorer = SMTU_HISM_EXPLORER_BIN;
+  const std::string cgls_solver = SMTU_CGLS_SOLVER_BIN;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {spmv_demo + " --dim=-1", "option --dim expects an integer in [1, "},
+      {spmv_demo + " --nnz=-1", "option --nnz expects an integer in [1, "},
+      {spmv_demo + " --pattern=random --dim=10 --nnz=1000",
+       "option --nnz expects an integer in [1, 100]"},
+      {spmv_demo + " --dim=8 --nnz=5000", "option --nnz expects an integer in [1, 299]"},
+      {power_iteration + " --nnz=-5", "option --nnz expects an integer in [1, "},
+      {power_iteration + " --iters=0", "option --iters expects an integer in [1, "},
+      {power_iteration + " --dim=10 --nnz=1000", "option --nnz expects an integer in [1, 100]"},
+      {hism_explorer + " --pattern=random --nnz=-1", "option --nnz expects an integer in [1, "},
+      {hism_explorer + " --pattern=random --dim=10 --nnz=1000",
+       "option --nnz expects an integer in [1, 100]"},
+      {hism_explorer + " --pattern=clusters --dim=8 --nnz=5000",
+       "option --nnz expects an integer in [1, 127]"},
+      {cgls_solver + " --rows=-3", "option --rows expects an integer in [1, "},
+      {cgls_solver + " --iters=-1", "option --iters expects an integer in [1, "},
+      {cgls_solver + " --rows=10 --cols=20", "option --cols expects an integer in [1, 10]"},
+      {cgls_solver + " --rows=10 --cols=5 --nnz=100",
+       "option --nnz expects an integer in [1, 50]"},
+  };
+  for (const auto& [command, needle] : cases) {
+    SCOPED_TRACE(command);
+    expect_usage_error(command, needle);
+  }
+}
+
+TEST(ExampleCli, DsabExportChecksScaleAndSeedBeforeWriting) {
+  const std::string dir = "test_example_cli_dsab";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--scale=0", "option --scale expects a number in (0, 1]"},
+      {"--scale=-1", "option --scale expects a number in (0, 1]"},
+      {"--scale=2", "option --scale expects a number in (0, 1]"},
+      {"--scale=nan", "option --scale expects a number in (0, 1]"},
+      {"--seed=-1", "option --seed expects an integer in [0, 18446744073709551615]"},
+  };
+  for (const auto& [args, needle] : cases) {
+    SCOPED_TRACE("dsab_export " + args);
+    expect_usage_error(std::string(SMTU_DSAB_EXPORT_BIN) + " --dir=" + dir + " " + args,
+                       needle);
+    EXPECT_FALSE(std::filesystem::exists(dir)) << "a failed run created its directory";
   }
 }
 

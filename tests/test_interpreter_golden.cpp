@@ -109,18 +109,12 @@ TEST(InterpreterGolden, HismTransposeOverTheSuite) {
   for (const suite::SuiteMatrix& entry : suite::build_dsab_suite({.scale = 0.05})) {
     const kernels::HismStage stage =
         kernels::build_hism_stage(HismMatrix::from_coo(entry.matrix, config.section));
-    const HismImage& image = stage.image;
-    vsim::Machine machine(config);
-    machine.memory().attach_base(stage.snapshot);
-    machine.set_sreg(1, image.root_addr);
-    machine.set_sreg(2, image.root_len);
-    machine.set_sreg(3, image.levels - 1);
-    machine.set_sreg(vsim::kRegSp, kernels::kStackTop);
+    vsim::Machine machine = kernels::transpose_machine(stage, config);
     vsim::PerfCounters profile;
     machine.attach_profiler(&profile);
     const vsim::RunStats stats = machine.run(program);
     add_run(digest, stats, profile);
-    add_coo(digest, kernels::read_back_hism(machine, image, /*swap_dims=*/true).to_coo());
+    add_coo(digest, kernels::read_back_hism(machine, stage.image, /*swap_dims=*/true).to_coo());
     digest.update(machine.memory().raw());
   }
   expect_digest(digest, "e97950e434d90aba9c93f3e89bf2382b");

@@ -116,7 +116,7 @@ std::string sim_cache_document() {
   const auto stage = kernels::build_crs_stage(Csr::from_coo(coo));
   const vsim::MachineConfig config;
   vsim::PerfCounters counters;
-  const vsim::RunStats stats = kernels::time_crs_transpose(stage, config, {}, &counters);
+  const vsim::RunStats stats = kernels::run_crs_transpose(stage, config, {}, &counters).stats;
   std::ostringstream profile;
   {
     JsonWriter json(profile);

@@ -94,7 +94,8 @@ TEST(CrsKernel, SmallSectionMachine) {
 TEST(ScalarCrsKernel, MatchesReference) {
   Rng rng(20);
   const Coo coo = random_coo(150, 150, 1100, rng);
-  const auto result = kernels::run_scalar_crs_transpose(crs_stage(coo), {});
+  const auto result =
+      kernels::run_crs_transpose(crs_stage(coo), {}, kernels::scalar_crs_transpose_source());
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
   EXPECT_EQ(result.stats.vector_instructions, 0u);  // pure scalar code
 }
@@ -103,18 +104,20 @@ TEST(ScalarCrsKernel, MatchesVectorKernelOutput) {
   Rng rng(21);
   const Coo coo = random_coo(80, 120, 700, rng);
   const kernels::CrsStage stage = crs_stage(coo);
-  const auto scalar = kernels::run_scalar_crs_transpose(stage, {});
+  const auto scalar = kernels::run_crs_transpose(stage, {}, kernels::scalar_crs_transpose_source());
   const auto vectorized = kernels::run_crs_transpose(stage, {});
   EXPECT_TRUE(coo_equal(scalar.transposed, vectorized.transposed));
 }
 
 TEST(ScalarCrsKernel, EmptyAndEdgeShapes) {
-  EXPECT_EQ(kernels::run_scalar_crs_transpose(crs_stage(Coo(16, 16)), {})
+  EXPECT_EQ(kernels::run_crs_transpose(crs_stage(Coo(16, 16)), {},
+                                       kernels::scalar_crs_transpose_source())
                 .transposed.nnz(),
             0u);
   const Coo single = make_coo(1, 200, {{0, 173, 5.0f}});
   EXPECT_TRUE(coo_equal(
-      kernels::run_scalar_crs_transpose(crs_stage(single), {}).transposed,
+      kernels::run_crs_transpose(crs_stage(single), {}, kernels::scalar_crs_transpose_source())
+          .transposed,
       single.transposed()));
 }
 
@@ -130,8 +133,9 @@ TEST(ScalarCrsKernel, VectorKernelIsFasterOnLongRows) {
   }
   coo.canonicalize();
   const kernels::CrsStage stage = crs_stage(coo);
-  const u64 scalar_cycles = kernels::time_scalar_crs_transpose(stage, {}).cycles;
-  const u64 vector_cycles = kernels::time_crs_transpose(stage, {}).cycles;
+  const u64 scalar_cycles =
+      kernels::run_crs_transpose(stage, {}, kernels::scalar_crs_transpose_source()).stats.cycles;
+  const u64 vector_cycles = kernels::run_crs_transpose(stage, {}).stats.cycles;
   EXPECT_LT(vector_cycles, scalar_cycles);
 }
 
@@ -139,18 +143,16 @@ TEST(CrsKernel, MaskedPhase1ProducesSameResult) {
   // The rejected §IV-A variant must still be *correct*.
   Rng rng(23);
   const Coo coo = random_coo(60, 60, 300, rng);
-  kernels::CrsKernelOptions options;
-  options.masked_phase1 = true;
-  const auto result = kernels::run_crs_transpose(crs_stage(coo), {}, options);
+  const auto result = kernels::run_crs_transpose(
+      crs_stage(coo), {}, kernels::crs_transpose_source(64, {.masked_phase1 = true}));
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 
 TEST(CrsKernel, ZeroThresholdAllVectorVariantCorrect) {
   Rng rng(24);
   const Coo coo = random_coo(100, 100, 300, rng);
-  kernels::CrsKernelOptions options;
-  options.short_row_threshold = 0;
-  const auto result = kernels::run_crs_transpose(crs_stage(coo), {}, options);
+  const auto result = kernels::run_crs_transpose(
+      crs_stage(coo), {}, kernels::crs_transpose_source(64, {.short_row_threshold = 0}));
   EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()));
 }
 

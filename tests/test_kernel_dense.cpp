@@ -90,8 +90,8 @@ TEST(DenseKernel, CostIsDensityIndependent) {
   Rng rng(2);
   const Dense sparse = Dense::from_coo(random_coo(64, 64, 40, rng));
   const Dense full = Dense::from_coo(random_coo(64, 64, 4000, rng));
-  const u64 sparse_cycles = kernels::time_dense_transpose(sparse, {}).cycles;
-  const u64 full_cycles = kernels::time_dense_transpose(full, {}).cycles;
+  const u64 sparse_cycles = kernels::run_dense_transpose(sparse, {}).stats.cycles;
+  const u64 full_cycles = kernels::run_dense_transpose(full, {}).stats.cycles;
   EXPECT_EQ(sparse_cycles, full_cycles);
 }
 
@@ -99,8 +99,8 @@ TEST(DenseKernel, CostScalesWithArea) {
   Rng rng(3);
   const Dense small = Dense::from_coo(random_coo(64, 64, 100, rng));
   const Dense large = Dense::from_coo(random_coo(128, 128, 100, rng));
-  const u64 small_cycles = kernels::time_dense_transpose(small, {}).cycles;
-  const u64 large_cycles = kernels::time_dense_transpose(large, {}).cycles;
+  const u64 small_cycles = kernels::run_dense_transpose(small, {}).stats.cycles;
+  const u64 large_cycles = kernels::run_dense_transpose(large, {}).stats.cycles;
   // 4x the elements: roughly 4x the cycles (strided path dominates).
   EXPECT_GT(large_cycles, 3 * small_cycles);
   EXPECT_LT(large_cycles, 6 * small_cycles);

@@ -149,7 +149,7 @@ TEST(HismKernel, BandwidthSweepIsMonotone) {
   for (const u32 bandwidth : {1u, 2u, 4u, 8u}) {
     vsim::MachineConfig config;
     config.stm.bandwidth = bandwidth;
-    const u64 cycles = kernels::time_hism_transpose(hism_stage(coo, config.section), config).cycles;
+    const u64 cycles = run_hism_transpose(hism_stage(coo, config.section), config).stats.cycles;
     EXPECT_LE(cycles, previous) << "B=" << bandwidth;
     previous = cycles;
   }

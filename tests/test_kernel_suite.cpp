@@ -88,8 +88,8 @@ TEST(SellSpmvKernel, BeatsCrsKernelOnIrregularRows) {
   vsim::SystemConfig config;
   config.cores = 1;
   const SellCSigma sell = SellCSigma::from_coo(coo, 16, 0);
-  const auto sellr = kernels::time_sell_spmv(sell, x, config);
-  EXPECT_LT(sellr.cycles, crs.stats.cycles)
+  const auto sellr = kernels::run_sell_spmv(sell, x, config);
+  EXPECT_LT(sellr.stats.cycles, crs.stats.cycles)
       << "SELL-C-σ should beat per-row CRS strip-mining on power-law rows";
 }
 

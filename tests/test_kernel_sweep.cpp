@@ -45,12 +45,15 @@ TEST_P(KernelGrid, AllKernelsProduceTheExactTranspose) {
   EXPECT_TRUE(coo_equal(kernels::run_hism_transpose(stage, config).transposed.to_coo(),
                         expected));
   EXPECT_TRUE(coo_equal(
-      kernels::run_hism_transpose(stage, config, /*split_drain_registers=*/true)
+      kernels::run_hism_transpose(stage, config,
+                                  kernels::hism_transpose_source(/*split_drain_registers=*/true))
           .transposed.to_coo(),
       expected));
   if (grid.double_buffer) {
     EXPECT_TRUE(coo_equal(
-        kernels::run_hism_transpose_pipelined(stage, config).transposed.to_coo(), expected));
+        kernels::run_hism_transpose(stage, config, kernels::hism_transpose_pipelined_source())
+            .transposed.to_coo(),
+        expected));
   }
   EXPECT_TRUE(coo_equal(
       kernels::run_crs_transpose(testing::crs_stage(coo), config).transposed, expected));

@@ -192,15 +192,15 @@ TEST(ShardedHismTranspose, MoreCoresThanBlockRows) {
 
 TEST(ShardedHismTranspose, MultiCoreBeatsSingleCore) {
   const Coo coo = test_matrix(11);
-  const Cycle one = kernels::time_sharded_hism_transpose(coo, system_config(1)).cycles;
-  const Cycle four = kernels::time_sharded_hism_transpose(coo, system_config(4)).cycles;
+  const Cycle one = kernels::run_sharded_hism_transpose(coo, system_config(1)).stats.cycles;
+  const Cycle four = kernels::run_sharded_hism_transpose(coo, system_config(4)).stats.cycles;
   EXPECT_LT(four, one);
 }
 
 TEST(ShardedHismTranspose, DeterministicAcrossRuns) {
   const Coo coo = test_matrix(5);
-  const vsim::SystemRunStats a = kernels::time_sharded_hism_transpose(coo, system_config(4));
-  const vsim::SystemRunStats b = kernels::time_sharded_hism_transpose(coo, system_config(4));
+  const vsim::SystemRunStats a = kernels::run_sharded_hism_transpose(coo, system_config(4)).stats;
+  const vsim::SystemRunStats b = kernels::run_sharded_hism_transpose(coo, system_config(4)).stats;
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.memory.contention_cycles, b.memory.contention_cycles);
   ASSERT_EQ(a.core_stats.size(), b.core_stats.size());
@@ -217,7 +217,7 @@ TEST(ShardedHismTranspose, PerCoreProfilerConservation) {
   const Coo coo = test_matrix(3);
   std::vector<vsim::PerfCounters> profilers;
   const vsim::SystemRunStats stats =
-      kernels::time_sharded_hism_transpose(coo, system_config(4), &profilers);
+      kernels::run_sharded_hism_transpose(coo, system_config(4), &profilers).stats;
   ASSERT_EQ(profilers.size(), 4u);
   for (u32 c = 0; c < 4; ++c) {
     EXPECT_EQ(profilers[c].total_cycles(), stats.core_stats[c].cycles) << "core " << c;
@@ -240,10 +240,8 @@ TEST(ParallelCrsTranspose, MatchesReferenceAtAllCoreCounts) {
 TEST(ParallelCrsTranspose, DeterministicAcrossRuns) {
   const Coo coo = test_matrix(13);
   const Csr csr = Csr::from_coo(coo);
-  const vsim::SystemRunStats a =
-      kernels::time_parallel_crs_transpose(csr, system_config(8));
-  const vsim::SystemRunStats b =
-      kernels::time_parallel_crs_transpose(csr, system_config(8));
+  const vsim::SystemRunStats a = kernels::run_parallel_crs_transpose(csr, system_config(8)).stats;
+  const vsim::SystemRunStats b = kernels::run_parallel_crs_transpose(csr, system_config(8)).stats;
   EXPECT_EQ(a.cycles, b.cycles);
   for (usize c = 0; c < a.core_stats.size(); ++c) {
     EXPECT_EQ(a.core_stats[c].cycles, b.core_stats[c].cycles) << "core " << c;

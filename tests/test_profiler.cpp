@@ -311,7 +311,7 @@ TEST(Profiler, CrsHotSpotIsTheIndexedPermuteLoop) {
 
   PerfCounters profile;
   const vsim::MachineConfig config;
-  kernels::time_crs_transpose(stage, config, {}, &profile);
+  kernels::run_crs_transpose(stage, config, {}, &profile);
   EXPECT_EQ(profile.attributed_cycles(), profile.total_cycles());
 
   // The permute loop is the dominant region of the whole kernel.

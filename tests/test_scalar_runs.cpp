@@ -78,22 +78,9 @@ Outcome run_observed(vsim::Machine& machine, const vsim::Program& program, Obser
   return outcome;
 }
 
-void set_crs_entry(vsim::Machine& machine, const kernels::CrsImage& image) {
-  machine.set_sreg(1, image.an);
-  machine.set_sreg(2, image.ja);
-  machine.set_sreg(3, image.ia);
-  machine.set_sreg(4, image.ant);
-  machine.set_sreg(5, image.jat);
-  machine.set_sreg(6, image.iat);
-  machine.set_sreg(7, image.rows);
-  machine.set_sreg(8, image.cols);
-  machine.set_sreg(9, image.nnz);
-}
-
 Outcome run_crs(const kernels::CrsStage& stage, const vsim::Program& program,
                 const vsim::MachineConfig& config, Observer observer) {
-  vsim::Machine machine = kernels::staged_machine(stage, config);
-  set_crs_entry(machine, stage.image);
+  vsim::Machine machine = kernels::transpose_machine(stage, config);
   Outcome outcome = run_observed(machine, program, observer);
   outcome.result = kernels::read_back_crs_transpose(machine.memory(), stage.image);
   return outcome;
@@ -101,11 +88,7 @@ Outcome run_crs(const kernels::CrsStage& stage, const vsim::Program& program,
 
 Outcome run_hism(const kernels::HismStage& stage, const vsim::Program& program,
                  const vsim::MachineConfig& config, Observer observer) {
-  vsim::Machine machine = kernels::staged_machine(stage, config);
-  machine.set_sreg(1, stage.image.root_addr);
-  machine.set_sreg(2, stage.image.root_len);
-  machine.set_sreg(3, stage.image.levels - 1);
-  machine.set_sreg(vsim::kRegSp, kernels::kStackTop);
+  vsim::Machine machine = kernels::transpose_machine(stage, config);
   Outcome outcome = run_observed(machine, program, observer);
   outcome.result = kernels::read_back_hism(machine, stage.image, /*swap_dims=*/true).to_coo();
   return outcome;
@@ -154,10 +137,8 @@ TEST(ScalarExecRuns, StepModeMatchesRunOnSuiteMatrices) {
     SCOPED_TRACE(matrices[index].name);
     const kernels::CrsStage stage =
         kernels::build_crs_stage(Csr::from_coo(matrices[index].matrix));
-    vsim::Machine ran = kernels::staged_machine(stage, config);
-    vsim::Machine stepped = kernels::staged_machine(stage, config);
-    set_crs_entry(ran, stage.image);
-    set_crs_entry(stepped, stage.image);
+    vsim::Machine ran = kernels::transpose_machine(stage, config);
+    vsim::Machine stepped = kernels::transpose_machine(stage, config);
     const vsim::RunStats run_stats = ran.run(program);
     EXPECT_EQ(stats_json(run_stats), stats_json(step_to_halt(stepped, program)));
     expect_same_machine(ran, stepped);

@@ -592,6 +592,7 @@ TEST(ServeCli, CommandLineMistakesExitWithCode2) {
       {generate + " --set=foo", "option --set expects locality, anz or size"},
       {generate + " --arrival=foo", "option --arrival expects poisson, bursty or heavytail"},
       {generate + " --requests=0", "option --requests expects an integer in [1, "},
+      {generate + " --seed=-1", "option --seed expects an integer in [0, 18446744073709551615]"},
       {generate + " --rate=0", "option --rate expects a positive finite number"},
       {generate + " --rate=nan", "option --rate expects a positive finite number"},
       {generate + " --rate=-5", "option --rate expects a positive finite number"},

@@ -145,7 +145,7 @@ TEST(SimCache, RoundTripIsByteIdentical) {
 
   const auto stage = kernels::build_hism_stage(HismMatrix::from_coo(small_matrix(), 64));
   const vsim::MachineConfig config;
-  const vsim::RunStats live = kernels::time_hism_transpose(stage, config);
+  const vsim::RunStats live = kernels::run_hism_transpose(stage, config).stats;
 
   const std::string key = vsim::sim_cache_key(kernels::hism_transpose_source(), config,
                                               *stage.snapshot, {});
@@ -174,7 +174,7 @@ TEST(SimCache, ProfiledReplayMatchesLiveRender) {
   const auto stage = kernels::build_crs_stage(Csr::from_coo(small_matrix()));
   const vsim::MachineConfig config;
   vsim::PerfCounters counters;
-  const vsim::RunStats live = kernels::time_crs_transpose(stage, config, {}, &counters);
+  const vsim::RunStats live = kernels::run_crs_transpose(stage, config, {}, &counters).stats;
 
   std::ostringstream rendered;
   JsonWriter json(rendered);

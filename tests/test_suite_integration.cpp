@@ -49,11 +49,11 @@ TEST(SuiteIntegrationFigures, SpeedupGrowsWithLocalityAtSmallScale) {
   for (const auto& entry : set) {
     const double speedup =
         static_cast<double>(
-            kernels::time_crs_transpose(testing::crs_stage(entry.matrix), config).cycles) /
+            kernels::run_crs_transpose(testing::crs_stage(entry.matrix), config).stats.cycles) /
         static_cast<double>(
-            kernels::time_hism_transpose(testing::hism_stage(entry.matrix, config.section),
-                                         config)
-                .cycles);
+            kernels::run_hism_transpose(testing::hism_stage(entry.matrix, config.section),
+                                        config)
+                .stats.cycles);
     (entry.index < 5 ? low : high) += speedup;
   }
   EXPECT_GT(high, 1.5 * low);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/bits.hpp"
 #include "support/cli.hpp"
@@ -141,6 +142,27 @@ TEST(Cli, ParsesOptionsAndPositionals) {
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos1");
   cli.finish();
+}
+
+TEST(Cli, GetU64ReadsTheWholeUnsignedRange) {
+  const char* argv[] = {"prog", "--zero=0", "--max=18446744073709551615"};
+  CommandLine cli(3, argv);
+  EXPECT_EQ(cli.get_u64("zero", 7), 0u);
+  EXPECT_EQ(cli.get_u64("max", 7), ~u64{0});
+  EXPECT_EQ(cli.get_u64("missing", 7), 7u);
+  cli.finish();
+}
+
+TEST(CliDeathTest, GetU64RejectsSignsAndValuesPast2To64Minus1) {
+  for (const char* value : {"-1", "+1", "18446744073709551616", "1e3", "x"}) {
+    const std::string arg = std::string("--seed=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    CommandLine cli(2, argv);
+    EXPECT_EXIT(cli.get_u64("seed", 0), ::testing::ExitedWithCode(2),
+                "prog: option --seed expects an integer in \\[0, 18446744073709551615\\], "
+                "got '")
+        << value;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // kernels::simulate_transpose, the one path on which the benches and the
-// server run a HiSM or CRS transpose through the sim cache: live runs match
-// the runners, cached runs replay them byte for byte, and the cache key is
-// the one earlier builds wrote, so their cache directories keep replaying.
+// server run a transposition program on a HiSM or CRS image through the sim
+// cache: live runs match the runners, cached runs replay them byte for
+// byte, and the paper programs' cache keys are the ones earlier builds
+// wrote, so their cache directories keep replaying.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -24,9 +25,19 @@
 namespace smtu {
 namespace {
 
-using kernels::TransposeKernel;
+using kernels::TransposeImage;
+using kernels::TransposeProgram;
 
-constexpr TransposeKernel kKernels[] = {TransposeKernel::kHism, TransposeKernel::kCrs};
+struct NamedProgram {
+  const char* name;
+  TransposeProgram program;
+};
+
+// The paper's pair, as the figure benches and the server run them.
+std::vector<NamedProgram> paper_programs(const vsim::MachineConfig& config) {
+  return {{"hism", kernels::hism_transpose_program()},
+          {"crs", kernels::crs_transpose_program(config.section)}};
+}
 
 std::string stats_json(const vsim::RunStats& stats) {
   std::ostringstream out;
@@ -43,15 +54,15 @@ std::string profile_json(const vsim::PerfCounters& profile) {
 }
 
 // The runner simulate_transpose must agree with.
-vsim::RunStats time_directly(TransposeKernel kernel, const Coo& matrix,
-                             const vsim::MachineConfig& config,
-                             vsim::PerfCounters* profiler = nullptr) {
-  if (kernel == TransposeKernel::kHism) {
+vsim::RunStats run_directly(const TransposeProgram& program, const Coo& matrix,
+                            const vsim::MachineConfig& config,
+                            vsim::PerfCounters* profiler = nullptr) {
+  if (program.image == TransposeImage::kHism) {
     const auto stage = kernels::MatrixStageCache::instance().hism(matrix, config.section);
-    return kernels::time_hism_transpose(*stage, config, false, nullptr, profiler);
+    return kernels::run_hism_transpose(*stage, config, program.source, nullptr, profiler).stats;
   }
   const auto stage = kernels::MatrixStageCache::instance().crs(matrix);
-  return kernels::time_crs_transpose(*stage, config, {}, profiler);
+  return kernels::run_crs_transpose(*stage, config, program.source, profiler).stats;
 }
 
 std::set<std::string> files_in(const testing::TempDir& dir) {
@@ -75,28 +86,68 @@ TEST(TransposeSim, LiveRunsMatchTheRunnersOnSuiteMatrices) {
   const vsim::MachineConfig config;
   for (usize i = 0; i < 3; ++i) {
     const Coo& matrix = set[i].matrix;
-    for (const TransposeKernel kernel : kKernels) {
-      SCOPED_TRACE(set[i].name + (kernel == TransposeKernel::kHism ? " hism" : " crs"));
-      const std::string expected = stats_json(time_directly(kernel, matrix, config));
+    for (const auto& [name, program] : paper_programs(config)) {
+      SCOPED_TRACE(set[i].name + " " + name);
+      const std::string expected = stats_json(run_directly(program, matrix, config));
 
       const kernels::TransposeRun timed =
-          kernels::simulate_transpose(kernel, matrix, config, false, false, nullptr);
+          kernels::simulate_transpose(program, matrix, config, false, false, nullptr);
       EXPECT_EQ(stats_json(timed.stats), expected);
       EXPECT_TRUE(timed.profile_json.empty());
       EXPECT_TRUE(timed.correct);
 
       vsim::PerfCounters live;
-      time_directly(kernel, matrix, config, &live);
+      run_directly(program, matrix, config, &live);
       const kernels::TransposeRun profiled =
-          kernels::simulate_transpose(kernel, matrix, config, false, true, nullptr);
+          kernels::simulate_transpose(program, matrix, config, false, true, nullptr);
       EXPECT_EQ(stats_json(profiled.stats), expected);
       EXPECT_EQ(profiled.profile_json, profile_json(live));
 
       const kernels::TransposeRun verified =
-          kernels::simulate_transpose(kernel, matrix, config, true, false, nullptr);
+          kernels::simulate_transpose(program, matrix, config, true, false, nullptr);
       EXPECT_TRUE(verified.correct);
       EXPECT_EQ(stats_json(verified.stats), expected);
     }
+  }
+}
+
+TEST(TransposeSim, EverySweptProgramMatchesItsRunnerAndVerifies) {
+  // The variants the ablation and extension benches sweep, each on the
+  // machine its bench runs it on.
+  const vsim::MachineConfig config;
+  vsim::MachineConfig twin;
+  twin.stm.double_buffer = true;
+  const struct {
+    const char* name;
+    TransposeProgram program;
+    vsim::MachineConfig config;
+  } variants[] = {
+      {"split-drain hism",
+       {TransposeImage::kHism, kernels::hism_transpose_source(/*split_drain_registers=*/true)},
+       config},
+      {"pipelined hism", {TransposeImage::kHism, kernels::hism_transpose_pipelined_source()},
+       twin},
+      {"masked-phase-1 crs",
+       {TransposeImage::kCrs, kernels::crs_transpose_source(64, {.masked_phase1 = true})},
+       config},
+      {"threshold-16 crs",
+       {TransposeImage::kCrs, kernels::crs_transpose_source(64, {.short_row_threshold = 16})},
+       config},
+      {"scalar crs", {TransposeImage::kCrs, kernels::scalar_crs_transpose_source()}, config},
+  };
+  Rng rng(23);
+  const Coo matrix = testing::random_coo(300, 260, 2400, rng);
+  for (const auto& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    const std::string expected =
+        stats_json(run_directly(variant.program, matrix, variant.config));
+    const kernels::TransposeRun timed = kernels::simulate_transpose(
+        variant.program, matrix, variant.config, false, false, nullptr);
+    EXPECT_EQ(stats_json(timed.stats), expected);
+    const kernels::TransposeRun verified = kernels::simulate_transpose(
+        variant.program, matrix, variant.config, true, false, nullptr);
+    EXPECT_TRUE(verified.correct);
+    EXPECT_EQ(stats_json(verified.stats), expected);
   }
 }
 
@@ -105,17 +156,17 @@ TEST(TransposeSim, CacheStoresMissesAndReplaysHits) {
   vsim::SimCache cache(dir.str());
   const Coo matrix = seeded_matrix();
   const vsim::MachineConfig config;
-  for (const TransposeKernel kernel : kKernels) {
-    SCOPED_TRACE(kernel == TransposeKernel::kHism ? "hism" : "crs");
+  for (const auto& [name, program] : paper_programs(config)) {
+    SCOPED_TRACE(name);
     const vsim::SimCache::Stats before = cache.stats();
     const kernels::TransposeRun first =
-        kernels::simulate_transpose(kernel, matrix, config, false, true, &cache);
+        kernels::simulate_transpose(program, matrix, config, false, true, &cache);
     vsim::SimCache::Stats now = cache.stats();
     EXPECT_EQ(now.misses, before.misses + 1);
     EXPECT_EQ(now.stores, before.stores + 1);
 
     const kernels::TransposeRun replayed =
-        kernels::simulate_transpose(kernel, matrix, config, false, true, &cache);
+        kernels::simulate_transpose(program, matrix, config, false, true, &cache);
     now = cache.stats();
     EXPECT_EQ(now.hits, before.hits + 1);
     EXPECT_EQ(now.stores, before.stores + 1);
@@ -126,14 +177,14 @@ TEST(TransposeSim, CacheStoresMissesAndReplaysHits) {
     // The stored run was not verified: a verifying call misses, runs the
     // check and upgrades the entry, which the next verifying call replays.
     const kernels::TransposeRun verified =
-        kernels::simulate_transpose(kernel, matrix, config, true, true, &cache);
+        kernels::simulate_transpose(program, matrix, config, true, true, &cache);
     now = cache.stats();
     EXPECT_EQ(now.misses, before.misses + 2);
     EXPECT_EQ(now.stores, before.stores + 2);
     EXPECT_TRUE(verified.correct);
     EXPECT_EQ(stats_json(verified.stats), stats_json(first.stats));
     const kernels::TransposeRun reverified =
-        kernels::simulate_transpose(kernel, matrix, config, true, true, &cache);
+        kernels::simulate_transpose(program, matrix, config, true, true, &cache);
     now = cache.stats();
     EXPECT_EQ(now.hits, before.hits + 2);
     EXPECT_EQ(now.stores, before.stores + 2);
@@ -144,10 +195,10 @@ TEST(TransposeSim, CacheStoresMissesAndReplaysHits) {
   // Another machine is another key: a second file for each kernel.
   vsim::MachineConfig narrow = config;
   narrow.stm.bandwidth = 2;
-  for (const TransposeKernel kernel : kKernels) {
+  for (const auto& [name, program] : paper_programs(narrow)) {
     const kernels::TransposeRun run =
-        kernels::simulate_transpose(kernel, matrix, narrow, false, false, &cache);
-    EXPECT_EQ(stats_json(run.stats), stats_json(time_directly(kernel, matrix, narrow)));
+        kernels::simulate_transpose(program, matrix, narrow, false, false, &cache);
+    EXPECT_EQ(stats_json(run.stats), stats_json(run_directly(program, matrix, narrow)));
   }
   EXPECT_EQ(files_in(dir).size(), 4u);
 }
@@ -159,13 +210,13 @@ TEST(TransposeSim, KeysAreTheOnesEarlierCacheDirectoriesHold) {
   vsim::SimCache cache(dir.str());
   const Coo matrix = seeded_matrix();
   const vsim::MachineConfig config;
-  EXPECT_EQ(kernels::simulate_transpose(TransposeKernel::kHism, matrix, config, false, false,
-                                        &cache)
+  EXPECT_EQ(kernels::simulate_transpose(kernels::hism_transpose_program(), matrix, config, false,
+                                        false, &cache)
                 .stats.cycles,
             1250u);
   EXPECT_EQ(files_in(dir), std::set<std::string>{"37d99dea2e49ef823f3fbcdb828e6923.json"});
-  EXPECT_EQ(kernels::simulate_transpose(TransposeKernel::kCrs, matrix, config, false, false,
-                                        &cache)
+  EXPECT_EQ(kernels::simulate_transpose(kernels::crs_transpose_program(config.section), matrix,
+                                        config, false, false, &cache)
                 .stats.cycles,
             28803u);
   EXPECT_EQ(files_in(dir), (std::set<std::string>{"37d99dea2e49ef823f3fbcdb828e6923.json",
@@ -181,8 +232,8 @@ TEST(TransposeSim, ConcurrentCallsOnOneKeyAgreeAndLeaveOneFile) {
   std::vector<std::thread> threads;
   for (usize t = 0; t < runs.size(); ++t) {
     threads.emplace_back([&, t] {
-      runs[t] = kernels::simulate_transpose(TransposeKernel::kHism, matrix, config, false, true,
-                                            &cache);
+      runs[t] = kernels::simulate_transpose(kernels::hism_transpose_program(), matrix, config,
+                                            false, true, &cache);
     });
   }
   for (std::thread& thread : threads) thread.join();

@@ -1,8 +1,15 @@
 #include "formats/dense.hpp"
 
+#include <utility>
+
 #include "support/assert.hpp"
 
 namespace smtu {
+
+Dense::Dense(Index rows, Index cols, std::vector<float> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  SMTU_CHECK_MSG(data_.size() == rows * cols, "dense data must hold rows x cols values");
+}
 
 Dense Dense::from_coo(const Coo& coo) {
   Coo storage;

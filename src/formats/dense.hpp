@@ -13,6 +13,8 @@ class Dense {
  public:
   Dense() = default;
   Dense(Index rows, Index cols) : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
+  // Takes `data` as the row-major values of a rows x cols matrix.
+  Dense(Index rows, Index cols, std::vector<float> data);
 
   static Dense from_coo(const Coo& coo);
   Coo to_coo() const;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <sstream>
 
+#include "formats/dense.hpp"
 #include "hism/hism.hpp"
 #include "hism/image.hpp"
 #include "kernels/layout.hpp"
@@ -217,18 +219,6 @@ std::vector<float> spgemm_at_b_reference_dense(const Coo& a, const Csr& b) {
 
 namespace {
 
-Coo dense_to_coo(const std::vector<float>& dense, Index rows, Index cols) {
-  Coo coo(rows, cols);
-  for (Index i = 0; i < rows; ++i) {
-    for (Index j = 0; j < cols; ++j) {
-      const float v = dense[static_cast<usize>(i) * cols + j];
-      if (v != 0.0f) coo.add(i, j, v);
-    }
-  }
-  coo.canonicalize();
-  return coo;
-}
-
 struct SpgemmLayout {
   Addr c_base = 0;
   Index n = 0;  // rows of C
@@ -327,7 +317,7 @@ SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr
 }  // namespace
 
 Coo spgemm_at_b_reference(const Coo& a, const Csr& b) {
-  return dense_to_coo(spgemm_at_b_reference_dense(a, b), a.cols(), b.cols());
+  return Dense(a.cols(), b.cols(), spgemm_at_b_reference_dense(a, b)).to_coo();
 }
 
 SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfig& config,
@@ -343,10 +333,9 @@ SpgemmResult run_hism_spgemm(const Coo& a, const Csr& b, const vsim::SystemConfi
   result.rows = layout.n;
   result.cols = layout.p;
   result.dense.resize(static_cast<usize>(layout.n) * layout.p);
-  for (usize i = 0; i < result.dense.size(); ++i) {
-    result.dense[i] = system.memory().read_f32(layout.c_base + 4 * i);
+  if (const u64 bytes = 4ull * result.dense.size(); bytes != 0) {
+    std::memcpy(result.dense.data(), system.memory().read_span(layout.c_base, bytes), bytes);
   }
-  result.product = dense_to_coo(result.dense, layout.n, layout.p);
   return result;
 }
 

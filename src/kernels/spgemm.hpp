@@ -39,7 +39,6 @@ struct SpgemmResult {
   Index rows = 0;              // n = a.cols()
   Index cols = 0;              // p = b.cols()
   std::vector<float> dense;    // row-major n x p accumulator read-back
-  Coo product;                 // dense with exact zeros dropped, canonical
 };
 
 // Host-side reference with the kernel's exact accumulation order (per output

@@ -366,6 +366,8 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
   SMTU_CHECK_MSG(set.size() == trace.matrix_count,
                  "trace matrix count does not match the regenerated suite set");
   vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
+  const vsim::SimCache::Stats cache_before =
+      sim_cache != nullptr ? sim_cache->stats() : vsim::SimCache::Stats{};
 
   ServeReport report;
   const auto started = std::chrono::steady_clock::now();
@@ -398,6 +400,12 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
     report.host.simulations = trace.requests.size();
   }
   report.host.sim_wall_us = elapsed_us(sim_started);
+  if (sim_cache != nullptr) {
+    const vsim::SimCache::Stats after = sim_cache->stats();
+    report.host.sim_cache = vsim::SimCache::Stats{after.hits - cache_before.hits,
+                                                  after.misses - cache_before.misses,
+                                                  after.stores - cache_before.stores};
+  }
 
   report.virt = run_virtual(trace.requests, key_cycles, options);
 
@@ -541,6 +549,19 @@ void write_serve_report_json(JsonWriter& json, const Trace& trace,
   json.value(kernels::MatrixStageCache::instance().stats().hits);
   json.key("stage_cache_misses");
   json.value(kernels::MatrixStageCache::instance().stats().misses);
+  json.key("sim_cache");
+  if (const auto& cache = report.host.sim_cache) {
+    json.begin_object();
+    json.key("hits");
+    json.value(cache->hits);
+    json.key("misses");
+    json.value(cache->misses);
+    json.key("stores");
+    json.value(cache->stores);
+    json.end_object();
+  } else {
+    json.null();
+  }
   json.end_object();
   if (telemetry::enabled()) {
     // Skipped wholesale by tools/bench_diff.py, like the bench reports'

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "serve/trace.hpp"
+#include "vsim/sim_cache.hpp"
 
 namespace smtu::serve {
 
@@ -108,6 +109,9 @@ struct HostReport {
   double wall_us = 0.0;
   double req_per_sec = 0.0;   // trace requests / wall seconds
   double sim_wall_us = 0.0;   // wall time inside the simulation phase
+  // This serve_trace call's sim-cache lookups and stores; set only when
+  // options.sim_cache_dir names a cache.
+  std::optional<vsim::SimCache::Stats> sim_cache;
 };
 
 struct ServeReport {

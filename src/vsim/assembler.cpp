@@ -2,129 +2,27 @@
 
 #include <charconv>
 #include <map>
+#include <utility>
 
 #include "support/strings.hpp"
 
 namespace smtu::vsim {
 namespace {
 
-// How a mnemonic's operand list is parsed.
-enum class Form {
-  kNone,        // halt
-  kR,           // jr rs
-  kRR,          // mv rd, rs
-  kRRR,         // add rd, rs1, rs2
-  kRRI,         // addi rd, rs, imm
-  kRI,          // li rd, imm
-  kRRMem,       // amo_add rd, rs2, off(rs1)
-  kRMem,        // lw rd, off(rs)
-  kBranch,      // beq rs1, rs2, label
-  kLabel,       // jal label
-  kVMem,        // v_ld vd, off(rs)
-  kVMemIdx,     // v_ldx vd, off(rs), vidx
-  kVMemStride,  // v_lds vd, off(rs), rstride
-  kVVV,         // v_add vd, vs1, vs2
-  kVVI,         // v_addi vd, vs, imm
-  kVVR,         // v_adds vd, vs, rs
-  kVR,          // v_bcast vd, rs
-  kVI,          // v_bcasti vd, imm
-  kV,           // v_iota vd
-  kRV,          // v_redsum rd, vs
-  kRVR,         // v_extract rd, vs, rs
-  kVV,          // v_stcr vval, vpos
-  kVVRR,        // v_ldb vval, vpos, rpos, rval
-  kVRr,         // v_stbv vval, rval
+// Mnemonics beyond each opcode's own: `call` for jal, and the paper's
+// names for four opcodes.
+constexpr std::pair<const char*, Op> kAliases[] = {
+    {"call", Op::kJal},        {"v_ld_idx", Op::kVLdx},    {"v_st_idx", Op::kVStx},
+    {"v_add_imm", Op::kVAddi}, {"v_setimm", Op::kVBcasti},
 };
 
-struct Mnemonic {
-  Op op;
-  Form form;
-};
-
-const std::map<std::string, Mnemonic>& mnemonics() {
-  static const std::map<std::string, Mnemonic> table = {
-      {"li", {Op::kLi, Form::kRI}},
-      {"mv", {Op::kMv, Form::kRR}},
-      {"add", {Op::kAdd, Form::kRRR}},
-      {"sub", {Op::kSub, Form::kRRR}},
-      {"mul", {Op::kMul, Form::kRRR}},
-      {"and", {Op::kAnd, Form::kRRR}},
-      {"or", {Op::kOr, Form::kRRR}},
-      {"xor", {Op::kXor, Form::kRRR}},
-      {"sll", {Op::kSll, Form::kRRR}},
-      {"srl", {Op::kSrl, Form::kRRR}},
-      {"min", {Op::kMin, Form::kRRR}},
-      {"max", {Op::kMax, Form::kRRR}},
-      {"addi", {Op::kAddi, Form::kRRI}},
-      {"muli", {Op::kMuli, Form::kRRI}},
-      {"andi", {Op::kAndi, Form::kRRI}},
-      {"slli", {Op::kSlli, Form::kRRI}},
-      {"srli", {Op::kSrli, Form::kRRI}},
-      {"fadd", {Op::kFAdd, Form::kRRR}},
-      {"fmul", {Op::kFMul, Form::kRRR}},
-      {"lw", {Op::kLw, Form::kRMem}},
-      {"sw", {Op::kSw, Form::kRMem}},
-      {"lhu", {Op::kLhu, Form::kRMem}},
-      {"sh", {Op::kSh, Form::kRMem}},
-      {"lbu", {Op::kLbu, Form::kRMem}},
-      {"sb", {Op::kSb, Form::kRMem}},
-      {"beq", {Op::kBeq, Form::kBranch}},
-      {"bne", {Op::kBne, Form::kBranch}},
-      {"blt", {Op::kBlt, Form::kBranch}},
-      {"bge", {Op::kBge, Form::kBranch}},
-      {"jal", {Op::kJal, Form::kLabel}},
-      {"call", {Op::kJal, Form::kLabel}},
-      {"jr", {Op::kJr, Form::kR}},
-      {"halt", {Op::kHalt, Form::kNone}},
-      {"nop", {Op::kNop, Form::kNone}},
-      {"barrier", {Op::kBarrier, Form::kNone}},
-      {"amo_add", {Op::kAmoAdd, Form::kRRMem}},
-      {"ssvl", {Op::kSsvl, Form::kR}},
-      {"setvl", {Op::kSetvl, Form::kRR}},
-      {"v_ld", {Op::kVLd, Form::kVMem}},
-      {"v_st", {Op::kVSt, Form::kVMem}},
-      {"v_ldx", {Op::kVLdx, Form::kVMemIdx}},
-      {"v_ld_idx", {Op::kVLdx, Form::kVMemIdx}},
-      {"v_stx", {Op::kVStx, Form::kVMemIdx}},
-      {"v_st_idx", {Op::kVStx, Form::kVMemIdx}},
-      {"v_lds", {Op::kVLds, Form::kVMemStride}},
-      {"v_sts", {Op::kVSts, Form::kVMemStride}},
-      {"v_add", {Op::kVAdd, Form::kVVV}},
-      {"v_sub", {Op::kVSub, Form::kVVV}},
-      {"v_mul", {Op::kVMul, Form::kVVV}},
-      {"v_and", {Op::kVAnd, Form::kVVV}},
-      {"v_or", {Op::kVOr, Form::kVVV}},
-      {"v_xor", {Op::kVXor, Form::kVVV}},
-      {"v_min", {Op::kVMin, Form::kVVV}},
-      {"v_max", {Op::kVMax, Form::kVVV}},
-      {"v_addi", {Op::kVAddi, Form::kVVI}},
-      {"v_add_imm", {Op::kVAddi, Form::kVVI}},
-      {"v_adds", {Op::kVAdds, Form::kVVR}},
-      {"v_bcast", {Op::kVBcast, Form::kVR}},
-      {"v_bcasti", {Op::kVBcasti, Form::kVI}},
-      {"v_setimm", {Op::kVBcasti, Form::kVI}},
-      {"v_iota", {Op::kVIota, Form::kV}},
-      {"v_slideup", {Op::kVSlideUp, Form::kVVI}},
-      {"v_slidedown", {Op::kVSlideDown, Form::kVVI}},
-      {"v_redsum", {Op::kVRedSum, Form::kRV}},
-      {"v_extract", {Op::kVExtract, Form::kRVR}},
-      {"v_seq", {Op::kVSeq, Form::kVVV}},
-      {"v_seqs", {Op::kVSeqS, Form::kVVR}},
-      {"v_fadd", {Op::kVFAdd, Form::kVVV}},
-      {"v_fmul", {Op::kVFMul, Form::kVVV}},
-      {"v_fredsum", {Op::kVFRedSum, Form::kRV}},
-      {"icm", {Op::kIcm, Form::kNone}},
-      {"v_ldb", {Op::kVLdb, Form::kVVRR}},
-      {"v_stcr", {Op::kVStcr, Form::kVV}},
-      {"v_ldcc", {Op::kVLdcc, Form::kVV}},
-      {"v_stb", {Op::kVStb, Form::kVVRR}},
-      {"v_stbv", {Op::kVStbv, Form::kVRr}},
-      {"v_gthc", {Op::kVGthC, Form::kVMemIdx}},
-      {"v_scar", {Op::kVScaR, Form::kVMemIdx}},
-      {"v_gthr", {Op::kVGthR, Form::kVMemIdx}},
-      {"v_scac", {Op::kVScaC, Form::kVMemIdx}},
-      {"v_scax", {Op::kVScaX, Form::kVMemIdx}},
-  };
+const std::map<std::string, Op>& mnemonics() {
+  static const std::map<std::string, Op> table = [] {
+    std::map<std::string, Op> map;
+    for (const OpInfo& row : kOpTable) map.emplace(row.mnemonic, row.op);
+    for (const auto& [alias, op] : kAliases) map.emplace(alias, op);
+    return map;
+  }();
   return table;
 }
 
@@ -180,7 +78,9 @@ class Parser {
       const auto* end = body.data() + body.size();
       const auto [ptr, ec] = std::from_chars(begin, end, value, 16);
       if (ec != std::errc{} || ptr != end) fail("bad hex immediate '" + std::string(text) + "'");
-      return negative ? -static_cast<i64>(value) : static_cast<i64>(value);
+      // 64-bit two's complement: negated as unsigned, so -0x8000000000000000
+      // reads as the most negative immediate instead of overflowing.
+      return static_cast<i64>(negative ? 0 - value : value);
     }
     if (const auto value = parse_int(text)) return *value;
     fail("expected immediate, got '" + std::string(token) + "'");
@@ -327,7 +227,7 @@ Program assemble(std::string_view source) {
 
     const auto it = mnemonics().find(mnemonic);
     if (it == mnemonics().end()) parser.fail("unknown mnemonic '" + mnemonic + "'");
-    inst.op = it->second.op;
+    inst.op = it->second;
 
     auto need = [&](usize count) {
       if (operands.size() != count) {
@@ -336,7 +236,7 @@ Program assemble(std::string_view source) {
       }
     };
 
-    switch (it->second.form) {
+    switch (op_info(inst.op).form) {
       case Form::kNone:
         need(0);
         break;
@@ -476,11 +376,6 @@ Program assemble(std::string_view source) {
         inst.b = parser.vector_reg(operands[1]);
         inst.c = parser.scalar_reg(operands[2]);
         inst.d = parser.scalar_reg(operands[3]);
-        break;
-      case Form::kVRr:
-        need(2);
-        inst.a = parser.vector_reg(operands[0]);
-        inst.b = parser.scalar_reg(operands[1]);
         break;
     }
     program.instructions.push_back(inst);

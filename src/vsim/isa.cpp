@@ -4,88 +4,6 @@
 
 namespace smtu::vsim {
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kLi: return "li";
-    case Op::kMv: return "mv";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kAnd: return "and";
-    case Op::kOr: return "or";
-    case Op::kXor: return "xor";
-    case Op::kSll: return "sll";
-    case Op::kSrl: return "srl";
-    case Op::kMin: return "min";
-    case Op::kMax: return "max";
-    case Op::kAddi: return "addi";
-    case Op::kMuli: return "muli";
-    case Op::kAndi: return "andi";
-    case Op::kSlli: return "slli";
-    case Op::kSrli: return "srli";
-    case Op::kFAdd: return "fadd";
-    case Op::kFMul: return "fmul";
-    case Op::kLw: return "lw";
-    case Op::kSw: return "sw";
-    case Op::kLhu: return "lhu";
-    case Op::kSh: return "sh";
-    case Op::kLbu: return "lbu";
-    case Op::kSb: return "sb";
-    case Op::kBeq: return "beq";
-    case Op::kBne: return "bne";
-    case Op::kBlt: return "blt";
-    case Op::kBge: return "bge";
-    case Op::kJal: return "jal";
-    case Op::kJr: return "jr";
-    case Op::kHalt: return "halt";
-    case Op::kNop: return "nop";
-    case Op::kSsvl: return "ssvl";
-    case Op::kSetvl: return "setvl";
-    case Op::kVLd: return "v_ld";
-    case Op::kVSt: return "v_st";
-    case Op::kVLdx: return "v_ldx";
-    case Op::kVStx: return "v_stx";
-    case Op::kVLds: return "v_lds";
-    case Op::kVSts: return "v_sts";
-    case Op::kVAdd: return "v_add";
-    case Op::kVSub: return "v_sub";
-    case Op::kVMul: return "v_mul";
-    case Op::kVAnd: return "v_and";
-    case Op::kVOr: return "v_or";
-    case Op::kVXor: return "v_xor";
-    case Op::kVMin: return "v_min";
-    case Op::kVMax: return "v_max";
-    case Op::kVAddi: return "v_addi";
-    case Op::kVAdds: return "v_adds";
-    case Op::kVBcast: return "v_bcast";
-    case Op::kVBcasti: return "v_bcasti";
-    case Op::kVIota: return "v_iota";
-    case Op::kVSlideUp: return "v_slideup";
-    case Op::kVSlideDown: return "v_slidedown";
-    case Op::kVRedSum: return "v_redsum";
-    case Op::kVExtract: return "v_extract";
-    case Op::kVSeq: return "v_seq";
-    case Op::kVSeqS: return "v_seqs";
-    case Op::kVFAdd: return "v_fadd";
-    case Op::kVFMul: return "v_fmul";
-    case Op::kVFRedSum: return "v_fredsum";
-    case Op::kIcm: return "icm";
-    case Op::kVLdb: return "v_ldb";
-    case Op::kVStcr: return "v_stcr";
-    case Op::kVLdcc: return "v_ldcc";
-    case Op::kVStb: return "v_stb";
-    case Op::kVStbv: return "v_stbv";
-    case Op::kVGthC: return "v_gthc";
-    case Op::kVScaR: return "v_scar";
-    case Op::kVGthR: return "v_gthr";
-    case Op::kVScaC: return "v_scac";
-    case Op::kVScaX: return "v_scax";
-    case Op::kBarrier: return "barrier";
-    case Op::kAmoAdd: return "amo_add";
-  }
-  return "?";
-}
-
 std::string to_string(const Instruction& inst) {
   return format("%-10s a=%u b=%u c=%u d=%u imm=%lld", op_name(inst.op), inst.a, inst.b,
                 inst.c, inst.d, static_cast<long long>(inst.imm));

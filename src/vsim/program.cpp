@@ -8,218 +8,119 @@
 namespace smtu::vsim {
 namespace {
 
-void decode_vector(const Instruction& inst, DecodedInst& d) {
-  // Scalar sources the instruction needs at issue.
-  switch (inst.op) {
-    case Op::kVLd:
-    case Op::kVSt:
-    case Op::kVLdx:
-    case Op::kVStx:
-    case Op::kVBcast:
-    case Op::kVStbv:
-    case Op::kVGthC:
-    case Op::kVScaR:
-    case Op::kVGthR:
-    case Op::kVScaC:
-    case Op::kVScaX:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kVLds:
-    case Op::kVSts:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVAdds:
-    case Op::kVExtract:
-    case Op::kVSeqS:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVLdb:
-    case Op::kVStb:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.c);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.d);
-      break;
-    default:
-      break;
-  }
-
-  // Vector sources and destinations by opcode.
-  switch (inst.op) {
-    case Op::kVLd:
-    case Op::kVLds:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      break;
-    case Op::kVSt:
-    case Op::kVSts:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.a);
-      break;
-    case Op::kVLdx:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVStx:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVAdd:
-    case Op::kVSub:
-    case Op::kVMul:
-    case Op::kVAnd:
-    case Op::kVOr:
-    case Op::kVXor:
-    case Op::kVMin:
-    case Op::kVMax:
-    case Op::kVFAdd:
-    case Op::kVFMul:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.b);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVAddi:
-    case Op::kVAdds:
-    case Op::kVSeqS:
-    case Op::kVSlideUp:
-    case Op::kVSlideDown:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kVSeq:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.b);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVGthC:
-    case Op::kVGthR:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVScaR:
-    case Op::kVScaC:
-    case Op::kVScaX:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kVBcast:
-    case Op::kVBcasti:
-    case Op::kVIota:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      break;
-    case Op::kVRedSum:
-    case Op::kVFRedSum:
-    case Op::kVExtract:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kIcm:
-      break;
-    case Op::kVLdb:
-    case Op::kVLdcc:
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.a);
-      d.dsts[d.num_dsts++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kVStcr:
-    case Op::kVStb:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.a);
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kVStbv:
-      d.srcs[d.num_srcs++] = static_cast<u8>(inst.a);
-      break;
-    default:
-      break;
-  }
-}
-
-void decode_scalar(const Instruction& inst, DecodedInst& d) {
-  switch (inst.op) {
-    case Op::kLi:
-      break;
-    case Op::kMv:
-    case Op::kAddi:
-    case Op::kMuli:
-    case Op::kAndi:
-    case Op::kSlli:
-    case Op::kSrli:
-    case Op::kJr:
-    case Op::kSsvl:
-    case Op::kSetvl:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      if (inst.op == Op::kJr || inst.op == Op::kSsvl) {
-        d.sregs[d.num_sregs++] = static_cast<u8>(inst.a);
-      }
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kMin:
-    case Op::kMax:
-    case Op::kFAdd:
-    case Op::kFMul:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.c);
-      break;
-    case Op::kLw:
-    case Op::kLhu:
-    case Op::kLbu:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kSw:
-    case Op::kSh:
-    case Op::kSb:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.a);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.a);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      break;
-    case Op::kJal:
-    case Op::kHalt:
-    case Op::kNop:
-    case Op::kBarrier:
-      break;
-    case Op::kAmoAdd:
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.b);
-      d.sregs[d.num_sregs++] = static_cast<u8>(inst.c);
-      break;
-    default:
-      SMTU_CHECK_MSG(false, "unhandled scalar op in decode");
-  }
-}
-
 DecodedInst decode_instruction(const Instruction& inst) {
   DecodedInst d;
-  if (op_is_vector(inst.op)) {
-    decode_vector(inst, d);
-  } else {
-    decode_scalar(inst, d);
-  }
-  // Bind the threaded-dispatch target once per static instruction; the
-  // handlers index register-timing arrays with these numbers, so validate
-  // them here rather than per dynamic execution.
+  // Bind the threaded-dispatch target once per static instruction (this
+  // also checks the opcode); the handlers index register-timing arrays with
+  // the numbers below, so validate them here rather than per dynamic
+  // execution.
   d.handler = opcode_handler(inst.op);
-  for (u32 i = 0; i < d.num_sregs; ++i) {
-    SMTU_CHECK_MSG(d.sregs[i] < kNumScalarRegs, "scalar register out of range");
-  }
-  for (u32 i = 0; i < d.num_srcs; ++i) {
-    SMTU_CHECK_MSG(d.srcs[i] < kNumVectorRegs, "vector register out of range");
-  }
-  for (u32 i = 0; i < d.num_dsts; ++i) {
-    SMTU_CHECK_MSG(d.dsts[i] < kNumVectorRegs, "vector register out of range");
-  }
-  // Scalar destinations: `a` of every scalar op (its destination, or a
-  // source of stores and branches; the trace sample reads its ready time)
-  // and of the vector ops that produce a scalar.
-  if (!op_is_vector(inst.op) || inst.op == Op::kVRedSum || inst.op == Op::kVFRedSum ||
-      inst.op == Op::kVExtract) {
-    SMTU_CHECK_MSG(inst.a < kNumScalarRegs, "scalar register out of range");
+  const auto scalar = [](u8 r) {
+    SMTU_CHECK_MSG(r < kNumScalarRegs, "scalar register out of range");
+    return r;
+  };
+  const auto vector = [](u8 r) {
+    SMTU_CHECK_MSG(r < kNumVectorRegs, "vector register out of range");
+    return r;
+  };
+  // Scalar sources needed at issue, vector sources, vector destinations.
+  const auto sreg = [&](u8 r) { d.sregs[d.num_sregs++] = scalar(r); };
+  const auto src = [&](u8 r) { d.srcs[d.num_srcs++] = vector(r); };
+  const auto dst = [&](u8 r) { d.dsts[d.num_dsts++] = vector(r); };
+  const OpInfo& info = op_info(inst.op);
+  // The vector data operand(s) of a memory or STM access: stores read it.
+  const bool store = (info.flags & kStore) != 0;
+  const auto data = [&](u8 r) { store ? src(r) : dst(r); };
+  // A scalar destination is not listed, but the handlers write it (and the
+  // trace sample reads its ready time), so it is checked too.
+  switch (info.form) {
+    case Form::kNone:   // `a` is r0
+    case Form::kLabel:  // `a` is ra, jal's link register
+    case Form::kRI:
+      scalar(inst.a);
+      break;
+    case Form::kR:  // jr, ssvl: `b` (always r0) is listed before `a`
+      sreg(inst.b);
+      sreg(inst.a);
+      break;
+    case Form::kRR:
+    case Form::kRRI:
+      scalar(inst.a);
+      sreg(inst.b);
+      break;
+    case Form::kRRR:
+    case Form::kRRMem:
+      scalar(inst.a);
+      sreg(inst.b);
+      sreg(inst.c);
+      break;
+    case Form::kRMem:
+      if (store) {
+        sreg(inst.a);
+      } else {
+        scalar(inst.a);
+      }
+      sreg(inst.b);
+      break;
+    case Form::kBranch:
+      sreg(inst.a);
+      sreg(inst.b);
+      break;
+    case Form::kVMem:
+      sreg(inst.b);
+      data(inst.a);
+      break;
+    case Form::kVMemIdx:
+      sreg(inst.b);
+      data(inst.a);
+      src(inst.c);
+      break;
+    case Form::kVMemStride:
+      sreg(inst.b);
+      sreg(inst.c);
+      data(inst.a);
+      break;
+    case Form::kVVV:
+      dst(inst.a);
+      src(inst.b);
+      src(inst.c);
+      break;
+    case Form::kVVI:
+      dst(inst.a);
+      src(inst.b);
+      break;
+    case Form::kVVR:
+      sreg(inst.c);
+      dst(inst.a);
+      src(inst.b);
+      break;
+    case Form::kVR:
+      sreg(inst.b);
+      data(inst.a);
+      break;
+    case Form::kVI:
+    case Form::kV:
+      dst(inst.a);
+      break;
+    case Form::kRV:
+      scalar(inst.a);
+      src(inst.b);
+      break;
+    case Form::kRVR:
+      scalar(inst.a);
+      sreg(inst.c);
+      src(inst.b);
+      break;
+    case Form::kVV:
+      data(inst.a);
+      data(inst.b);
+      break;
+    case Form::kVVRR:
+      sreg(inst.c);
+      sreg(inst.d);
+      data(inst.a);
+      data(inst.b);
+      break;
   }
   return d;
 }

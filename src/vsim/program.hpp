@@ -19,96 +19,6 @@ struct ProfileRegion {
   usize end = 0;
 };
 
-// Functional unit a vector instruction occupies. Values match the
-// Machine's internal unit indices.
-enum class ExecUnit : u8 { kVMem = 0, kVAlu = 1, kStm = 2 };
-
-// Which MachineConfig field supplies an instruction's startup latency.
-// Resolved to a cycle count once per run (the config is per-Machine, the
-// kind is per-opcode).
-enum class StartupKind : u8 { kMem = 0, kValu = 1, kStmFill = 2, kStmDrain = 3, kNone = 4 };
-inline constexpr usize kStartupKindCount = static_cast<usize>(StartupKind::kNone) + 1;
-
-// Per-opcode static properties, constexpr so the per-opcode handler
-// templates (machine.cpp) resolve them at compile time.
-
-// Vector memory accesses that move one element per cycle (an address per
-// element) rather than streaming at the port's byte rate.
-constexpr bool op_indexed_vmem(Op op) {
-  return op == Op::kVLdx || op == Op::kVStx || op == Op::kVLds || op == Op::kVSts ||
-         op == Op::kVScaX;
-}
-
-// Scalar loads/stores contend for the scalar memory ports.
-constexpr bool op_scalar_mem(Op op) {
-  switch (op) {
-    case Op::kLw:
-    case Op::kLhu:
-    case Op::kLbu:
-    case Op::kSw:
-    case Op::kSh:
-    case Op::kSb:
-    case Op::kAmoAdd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Functional unit a vector instruction occupies (meaningful only when
-// op_is_vector(op)).
-constexpr ExecUnit op_unit(Op op) {
-  switch (op) {
-    case Op::kVLd:
-    case Op::kVSt:
-    case Op::kVLdx:
-    case Op::kVStx:
-    case Op::kVLds:
-    case Op::kVSts:
-    case Op::kVLdb:
-    case Op::kVStb:
-    case Op::kVStbv:
-    case Op::kVGthC:
-    case Op::kVScaR:
-    case Op::kVGthR:
-    case Op::kVScaC:
-    case Op::kVScaX:
-      return ExecUnit::kVMem;
-    case Op::kIcm:
-    case Op::kVStcr:
-    case Op::kVLdcc:
-      return ExecUnit::kStm;
-    default:
-      return ExecUnit::kVAlu;
-  }
-}
-
-constexpr StartupKind op_startup(Op op) {
-  switch (op) {
-    case Op::kIcm:
-      return StartupKind::kNone;
-    case Op::kVStcr:
-      return StartupKind::kStmFill;
-    case Op::kVLdcc:
-      return StartupKind::kStmDrain;
-    default:
-      return op_unit(op) == ExecUnit::kVMem ? StartupKind::kMem : StartupKind::kValu;
-  }
-}
-
-// Straight-line scalar runs (DecodedInst::run_len). A run holds scalar
-// instructions only and stops before anything that leaves the scalar
-// core: a vector instruction, `barrier` or `halt`.
-constexpr bool op_in_scalar_run(Op op) {
-  return !op_is_vector(op) && op != Op::kHalt && op != Op::kBarrier;
-}
-
-// A run ends at, and includes, its first branch or jump.
-constexpr bool op_ends_scalar_run(Op op) {
-  return op == Op::kBeq || op == Op::kBne || op == Op::kBlt || op == Op::kBge ||
-         op == Op::kJal || op == Op::kJr;
-}
-
 // The interpreter's hot state bundle (vsim/machine.hpp).
 struct ExecState;
 
@@ -142,8 +52,10 @@ using OpHandler = void (*)(ExecState&, const Instruction&, const DecodedInst&);
 // lifetime, so predecoded programs cached by ProgramCache stay valid.
 OpHandler opcode_handler(Op op);
 
-// Predecode of an instruction sequence; aborts on a register number out of
-// range. assemble() stores it in Program::decoded, which Machine::run needs.
+// Predecode of an instruction sequence: each instruction's operand lists
+// follow from its opcode's Form and kStore flag (vsim/isa.hpp). Aborts on a
+// register number out of range. assemble() stores it in Program::decoded,
+// which Machine::run needs.
 std::vector<DecodedInst> decode_instructions(const std::vector<Instruction>& instructions);
 
 struct Program {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "formats/csr.hpp"
+#include "formats/dense.hpp"
 #include "formats/sell.hpp"
 #include "kernels/crs_transpose.hpp"
 #include "kernels/hism_transpose.hpp"
@@ -159,7 +160,7 @@ TEST(InterpreterGolden, Spgemm) {
   vsim::SimHash digest;
   add_system_run(digest, result.stats, profiles);
   add_floats(digest, result.dense);
-  add_coo(digest, result.product);
+  add_coo(digest, Dense(result.rows, result.cols, result.dense).to_coo());
   expect_digest(digest, "7c2c8f3e219ace6160bf54cd613ecebb");
 }
 

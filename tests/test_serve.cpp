@@ -26,6 +26,7 @@
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 #include "support/json.hpp"
+#include "testing.hpp"
 
 namespace smtu::serve {
 namespace {
@@ -537,6 +538,45 @@ TEST(ServeEndToEnd, RoundTrippedTraceReplaysBitIdentically) {
   const std::string replayed =
       deterministic_fragment(*parsed, options, serve_trace(*parsed, options));
   EXPECT_EQ(original, replayed);
+}
+
+TEST(ServeEndToEnd, SimCacheCountersCoverOneReplay) {
+  // A cold replay into an empty cache directory simulates and stores every
+  // distinct key; a second replay in the same process hits every one.
+  const Trace trace = generate_trace(small_generator());
+  const testing::TempDir dir("serve_sim_cache");
+  ServeOptions options;
+  options.sim_cache_dir = dir.str();
+
+  const ServeReport cold = serve_trace(trace, options);
+  const u64 keys = cold.virt.distinct_sims;
+  ASSERT_GT(keys, 0u);
+  ASSERT_TRUE(cold.host.sim_cache.has_value());
+  EXPECT_EQ(cold.host.sim_cache->hits, 0u);
+  EXPECT_EQ(cold.host.sim_cache->misses, keys);
+  EXPECT_EQ(cold.host.sim_cache->stores, keys);
+
+  const ServeReport warm = serve_trace(trace, options);
+  ASSERT_TRUE(warm.host.sim_cache.has_value());
+  EXPECT_EQ(warm.host.sim_cache->hits, keys);
+  EXPECT_EQ(warm.host.sim_cache->misses, 0u);
+  EXPECT_EQ(warm.host.sim_cache->stores, 0u);
+
+  // The report carries the counters under "host", and null without a cache.
+  const auto report_json = [&](const ServeOptions& opts, const ServeReport& report) {
+    std::ostringstream out;
+    JsonWriter json(out);
+    write_serve_report_json(json, trace, opts, report);
+    return parse_json(out.str()).value();
+  };
+  const JsonValue counted = report_json(options, warm);
+  const JsonValue& counters = counted.at("host").at("sim_cache");
+  EXPECT_EQ(counters.at("hits").as_u64(), keys);
+  EXPECT_EQ(counters.at("misses").as_u64(), 0u);
+  EXPECT_EQ(counters.at("stores").as_u64(), 0u);
+  const ServeOptions uncached;
+  const JsonValue none = report_json(uncached, serve_trace(trace, uncached));
+  EXPECT_TRUE(none.at("host").at("sim_cache").is_null());
 }
 
 TEST(ServeEndToEnd, CheckedInTraceMeetsStructuralSpeedupFloor) {

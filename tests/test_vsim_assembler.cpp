@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "vsim/assembler.hpp"
 
 namespace smtu::vsim {
@@ -44,10 +46,14 @@ TEST(Assembler, ResolvesLabelsForwardAndBackward) {
 }
 
 TEST(Assembler, HexAndNegativeImmediates) {
-  const Program p = assemble("li r1, 0x10\nli r2, -0x10\nandi r3, r1, -4\nhalt\n");
+  const Program p = assemble(
+      "li r1, 0x10\nli r2, -0x10\nandi r3, r1, -4\nli r4, -0x8000000000000000\n"
+      "li r5, 0xFFFFFFFFFFFFFFFF\nhalt\n");
   EXPECT_EQ(p.instructions[0].imm, 16);
   EXPECT_EQ(p.instructions[1].imm, -16);
   EXPECT_EQ(p.instructions[2].imm, -4);
+  EXPECT_EQ(p.instructions[3].imm, std::numeric_limits<i64>::min());
+  EXPECT_EQ(p.instructions[4].imm, -1);
 }
 
 TEST(Assembler, RegisterAliases) {

@@ -54,6 +54,16 @@ Header parse_header(const std::string& line) {
   return header;
 }
 
+// A symmetric or skew-symmetric file stores one triangle and mirrors it
+// into the other, which only fits a square matrix.
+void check_square(const Header& header, u64 rows, u64 cols, usize line_number) {
+  if (header.symmetry != Header::Symmetry::General && rows != cols) {
+    fail(line_number, format("a symmetric matrix must be square, not %llu x %llu",
+                             static_cast<unsigned long long>(rows),
+                             static_cast<unsigned long long>(cols)));
+  }
+}
+
 }  // namespace
 
 Coo read_matrix_market(std::istream& in) {
@@ -80,9 +90,12 @@ Coo read_matrix_market(std::istream& in) {
     const auto rows = parse_uint(size_tokens[0]);
     const auto cols = parse_uint(size_tokens[1]);
     if (!rows || !cols) fail(line_number, "bad array dimensions");
+    check_square(header, *rows, *cols, line_number);
     Coo coo(*rows, *cols);
-    // Array data is column-major, one value per line.
-    for (Index c = 0; c < *cols; ++c) {
+    // Array data is column-major, one value per line; a matrix with no rows
+    // holds no values, however many columns it declares.
+    const Index columns = *rows == 0 ? 0 : *cols;
+    for (Index c = 0; c < columns; ++c) {
       const Index row_limit = header.symmetry == Header::Symmetry::General ? 0 : c;
       for (Index r = row_limit; r < *rows; ++r) {
         if (!std::getline(in, line)) fail(line_number, "truncated array data");
@@ -109,6 +122,7 @@ Coo read_matrix_market(std::istream& in) {
   const auto cols = parse_uint(size_tokens[1]);
   const auto declared_nnz = parse_uint(size_tokens[2]);
   if (!rows || !cols || !declared_nnz) fail(line_number, "bad size line");
+  check_square(header, *rows, *cols, line_number);
 
   Coo coo(*rows, *cols);
   // The size line's count is only a claim: a short file may declare

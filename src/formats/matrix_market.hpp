@@ -6,7 +6,8 @@
 // dropping the .mtx files in and pointing the bench binaries at them.
 //
 // Supported: `matrix coordinate {real,integer,pattern} {general,symmetric,
-// skew-symmetric}` and `matrix array real general`. Complex is rejected.
+// skew-symmetric}` and `matrix array real` with the same symmetries; a
+// symmetric or skew-symmetric matrix must be square. Complex is rejected.
 #pragma once
 
 #include <iosfwd>

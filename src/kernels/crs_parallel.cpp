@@ -1,8 +1,7 @@
 #include "kernels/crs_parallel.hpp"
 
-#include <algorithm>
-
 #include "kernels/layout.hpp"
+#include "kernels/shard.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "vsim/program_cache.hpp"
@@ -173,7 +172,6 @@ CrsImage stage_parallel_crs(vsim::MultiCoreSystem& system, const Csr& csr) {
 
   // Scratch arrays past the image: COUNT, SLOT, PARTIAL, descriptors.
   const u64 cols = image.cols;
-  const u64 rows = image.rows;
   const u64 nnz = image.nnz;
   const Addr count = round_up(image.end, 16);
   const Addr slot = round_up(count + 4 * cols, 16);
@@ -183,16 +181,7 @@ CrsImage stage_parallel_crs(vsim::MultiCoreSystem& system, const Csr& csr) {
 
   // Phase-3 row ranges cut where the running non-zero count passes each
   // core's share, so scatter work balances even with skewed rows.
-  const std::vector<u32>& row_ptr = csr.row_ptr();
-  std::vector<u64> row_cut(cores + 1, 0);
-  row_cut[cores] = rows;
-  for (u32 c = 1; c < cores; ++c) {
-    const u32 target = static_cast<u32>(nnz * c / cores);
-    row_cut[c] = static_cast<u64>(
-        std::lower_bound(row_ptr.begin(), row_ptr.end(), target) - row_ptr.begin());
-    row_cut[c] = std::min<u64>(row_cut[c], rows);
-    row_cut[c] = std::max(row_cut[c], row_cut[c - 1]);
-  }
+  const std::vector<u64> row_cut = balanced_cuts(csr.row_ptr(), cores);
 
   for (u32 c = 0; c < cores; ++c) {
     const Addr desc = desc_base + 96ull * c;

@@ -1,9 +1,9 @@
 #include "kernels/sell_spmv.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "kernels/layout.hpp"
+#include "kernels/shard.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "vsim/program_cache.hpp"
@@ -123,16 +123,7 @@ SellLayout stage_sell_spmv(vsim::MultiCoreSystem& system, const SellCSigma& sell
 
   // Chunk ranges cut where the running slot count passes each core's share,
   // so wide (long-row) chunks don't pile onto one core.
-  const std::vector<u32>& chunk_ptr = sell.chunk_ptr();
-  std::vector<u64> cut(cores + 1, 0);
-  cut[cores] = nchunks;
-  for (u32 c = 1; c < cores; ++c) {
-    const u32 target = static_cast<u32>(slots * c / cores);
-    cut[c] = static_cast<u64>(
-        std::lower_bound(chunk_ptr.begin(), chunk_ptr.end(), target) - chunk_ptr.begin());
-    cut[c] = std::min<u64>(cut[c], nchunks);
-    cut[c] = std::max(cut[c], cut[c - 1]);
-  }
+  const std::vector<u64> cut = balanced_cuts(sell.chunk_ptr(), cores);
 
   for (u32 c = 0; c < cores; ++c) {
     const Addr desc = desc_base + 64ull * c;

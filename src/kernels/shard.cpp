@@ -29,6 +29,18 @@ void hierarchy_geometry(Index rows, Index cols, u32 section, u32* levels, u64* b
 
 }  // namespace
 
+std::vector<u64> balanced_cuts(std::span<const u32> prefix, u32 parts) {
+  SMTU_CHECK(!prefix.empty() && parts >= 1);
+  const u64 total = prefix.back();
+  std::vector<u64> cuts(parts + 1, 0);
+  cuts[parts] = prefix.size() - 1;
+  for (u32 c = 1; c < parts; ++c) {
+    cuts[c] = static_cast<u64>(
+        std::lower_bound(prefix.begin(), prefix.end(), total * c / parts) - prefix.begin());
+  }
+  return cuts;
+}
+
 HismShardPlan shard_hism(const Coo& coo, u32 section, u32 cores) {
   SMTU_CHECK(cores >= 1);
   u32 levels = 0;
@@ -36,28 +48,20 @@ HismShardPlan shard_hism(const Coo& coo, u32 section, u32 cores) {
   hierarchy_geometry(coo.rows(), coo.cols(), section, &levels, &block_span);
 
   const u64 num_top_rows = ceil_div(std::max<u64>(1, coo.rows()), block_span);
-  std::vector<u64> top_row_nnz(num_top_rows, 0);
-  for (const CooEntry& entry : coo.entries()) ++top_row_nnz[entry.row / block_span];
+  // Non-zeros before each top-level block row. Trailing empty block rows
+  // fold into the last panel.
+  std::vector<u32> nnz_before(num_top_rows + 1, 0);
+  for (const CooEntry& entry : coo.entries()) ++nnz_before[entry.row / block_span + 1];
+  for (u64 row = 0; row < num_top_rows; ++row) nnz_before[row + 1] += nnz_before[row];
+  const std::vector<u64> cuts = balanced_cuts(nnz_before, cores);
 
-  // Greedy contiguous split: panel p ends once the running total reaches
-  // p+1 shares of the non-zeros. Trailing empty block rows fold into the
-  // last panel.
   HismShardPlan plan;
   plan.levels = levels;
   plan.panels.resize(cores);
-  const u64 total = coo.nnz();
-  u64 acc = 0;
-  u64 row = 0;
   for (u32 p = 0; p < cores; ++p) {
-    const u64 target = total * (p + 1) / cores;
-    plan.panels[p].top_row_begin = static_cast<u32>(row);
-    while (row < num_top_rows && acc < target) {
-      acc += top_row_nnz[row];
-      ++row;
-    }
-    plan.panels[p].top_row_end = static_cast<u32>(row);
+    plan.panels[p].top_row_begin = static_cast<u32>(cuts[p]);
+    plan.panels[p].top_row_end = static_cast<u32>(cuts[p + 1]);
   }
-  plan.panels[cores - 1].top_row_end = static_cast<u32>(num_top_rows);
 
   // Panel COO keeps global coordinates and the full declared dimensions, so
   // every panel builds the same level count and root-level coordinates stay

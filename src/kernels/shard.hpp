@@ -14,6 +14,7 @@
 // subtrees where they already live — the merge copies only the root.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,15 @@
 #include "vsim/system.hpp"
 
 namespace smtu::kernels {
+
+// The work split of every SPMD kernel: contiguous item ranges of near-equal
+// work, one per part. `prefix` is the prefix sum of the items' work
+// (prefix[0] == 0 and prefix[i + 1] - prefix[i] is item i's work), so it
+// holds one entry more than there are items. Cut c, for 0 < c < parts, is
+// the first index where the prefix reaches c/parts of the total; cut 0 is
+// 0 and cut `parts` the item count. Returns the parts + 1 cuts; part p
+// owns items [cut p, cut p+1), which may be empty.
+std::vector<u64> balanced_cuts(std::span<const u32> prefix, u32 parts);
 
 // One core's panel: a standalone HiSM covering a contiguous range of
 // top-level block rows (empty when the matrix has fewer useful block rows
@@ -39,7 +49,7 @@ struct HismShardPlan {
 };
 
 // Cuts `coo` into `cores` panels along top-level block rows, balancing
-// non-zeros greedily over contiguous block-row ranges.
+// non-zeros over contiguous block-row ranges (balanced_cuts).
 HismShardPlan shard_hism(const Coo& coo, u32 section, u32 cores);
 
 // The SPMD kernel source: per-core panel transpose (the unmodified

@@ -9,6 +9,7 @@
 #include "hism/hism.hpp"
 #include "hism/image.hpp"
 #include "kernels/layout.hpp"
+#include "kernels/shard.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 #include "vsim/program_cache.hpp"
@@ -276,20 +277,12 @@ SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr
   // Output stripes: s-aligned cuts over the columns of A (= rows of C),
   // balanced by the non-zeros of A that land in each stripe.
   const u64 num_stripes = ceil_div(std::max<u64>(1, a.cols()), static_cast<u64>(section));
-  std::vector<u64> stripe_nnz(num_stripes, 0);
-  for (const CooEntry& e : a.entries()) ++stripe_nnz[e.col / section];
-  std::vector<u64> cut(cores + 1, 0);
-  cut[cores] = num_stripes;
-  u64 acc = 0;
-  u64 stripe = 0;
-  for (u32 c = 0; c + 1 < cores; ++c) {
-    const u64 target = a.nnz() * (c + 1) / cores;
-    while (stripe < num_stripes && acc < target) {
-      acc += stripe_nnz[stripe];
-      ++stripe;
-    }
-    cut[c + 1] = stripe;
+  std::vector<u32> nnz_before(num_stripes + 1, 0);
+  for (const CooEntry& e : a.entries()) ++nnz_before[e.col / section + 1];
+  for (u64 stripe = 0; stripe < num_stripes; ++stripe) {
+    nnz_before[stripe + 1] += nnz_before[stripe];
   }
+  const std::vector<u64> cut = balanced_cuts(nnz_before, cores);
 
   const Addr stack_span = (kStackTop / cores) & ~static_cast<Addr>(15);
   for (u32 c = 0; c < cores; ++c) {

@@ -90,13 +90,16 @@ MatrixStageCache& MatrixStageCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const HismStage> MatrixStageCache::hism(const Coo& coo, u32 section) {
+template <typename Stage, typename Build>
+std::shared_ptr<const Stage> MatrixStageCache::lookup(Entries<Stage>& entries, const Coo& coo,
+                                                      std::string_view layout, u64 salt,
+                                                      Build&& build) {
   telemetry::HostSpan span("cache.stage.lookup_us");
-  const std::string key = coo_key(coo, "hism", section);
+  const std::string key = coo_key(coo, layout, salt);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = hism_entries_.find(key);
-    if (it != hism_entries_.end()) {
+    const auto it = entries.find(key);
+    if (it != entries.end()) {
       ++stats_.hits;
       if (telemetry::enabled()) telemetry::counter("cache.stage.hits_total").add(1);
       return it->second;
@@ -104,37 +107,23 @@ std::shared_ptr<const HismStage> MatrixStageCache::hism(const Coo& coo, u32 sect
   }
   // Build outside the lock (conversions are the expensive part); a racing
   // duplicate builds twice and the first insert wins.
-  auto stage =
-      std::make_shared<const HismStage>(build_hism_stage(HismMatrix::from_coo(coo, section)));
+  auto stage = std::make_shared<const Stage>(build());
   if (telemetry::enabled()) {
     telemetry::counter("cache.stage.misses_total").add(1);
     telemetry::counter("cache.stage.bytes_total").add(stage->snapshot->size());
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.misses;
-  return hism_entries_.emplace(key, std::move(stage)).first->second;
+  return entries.emplace(key, std::move(stage)).first->second;
+}
+
+std::shared_ptr<const HismStage> MatrixStageCache::hism(const Coo& coo, u32 section) {
+  return lookup(hism_entries_, coo, "hism", section,
+                [&] { return build_hism_stage(HismMatrix::from_coo(coo, section)); });
 }
 
 std::shared_ptr<const CrsStage> MatrixStageCache::crs(const Coo& coo) {
-  telemetry::HostSpan span("cache.stage.lookup_us");
-  const std::string key = coo_key(coo, "crs", 0);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = crs_entries_.find(key);
-    if (it != crs_entries_.end()) {
-      ++stats_.hits;
-      if (telemetry::enabled()) telemetry::counter("cache.stage.hits_total").add(1);
-      return it->second;
-    }
-  }
-  auto stage = std::make_shared<const CrsStage>(build_crs_stage(Csr::from_coo(coo)));
-  if (telemetry::enabled()) {
-    telemetry::counter("cache.stage.misses_total").add(1);
-    telemetry::counter("cache.stage.bytes_total").add(stage->snapshot->size());
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  return crs_entries_.emplace(key, std::move(stage)).first->second;
+  return lookup(crs_entries_, coo, "crs", 0, [&] { return build_crs_stage(Csr::from_coo(coo)); });
 }
 
 MatrixStageCache::Stats MatrixStageCache::stats() const {

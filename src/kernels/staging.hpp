@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -81,9 +82,18 @@ class MatrixStageCache {
   void clear();
 
  private:
+  template <typename Stage>
+  using Entries = std::unordered_map<std::string, std::shared_ptr<const Stage>>;
+
+  // The one lookup behind hism() and crs(): the stage cached under the
+  // matrix's content key for `layout`, built by `build` on a miss.
+  template <typename Stage, typename Build>
+  std::shared_ptr<const Stage> lookup(Entries<Stage>& entries, const Coo& coo,
+                                      std::string_view layout, u64 salt, Build&& build);
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const HismStage>> hism_entries_;
-  std::unordered_map<std::string, std::shared_ptr<const CrsStage>> crs_entries_;
+  Entries<HismStage> hism_entries_;
+  Entries<CrsStage> crs_entries_;
   Stats stats_;
 };
 

@@ -136,74 +136,51 @@ void write_chrome_trace(std::ostream& out, const ExecutionTrace& trace,
   json.value(process_name);
   json.end_object();
   json.end_object();
-  // Multi-core traces map each core to its own process (pid = core + 1) so
-  // viewers group per-core tracks; a single-core trace stays byte-identical
-  // to the pre-multi-core format (every event carries core 0 -> pid 1).
-  for (u32 core = 1; core <= trace.max_core(); ++core) {
+  for (usize tid = 0; tid < std::size(kUnitTracks); ++tid) {
     json.begin_object();
     json.key("name");
-    json.value("process_name");
+    json.value("thread_name");
     json.key("ph");
     json.value("M");
     json.key("pid");
-    json.value(static_cast<u64>(core) + 1);
+    json.value(u64{1});
+    json.key("tid");
+    json.value(static_cast<u64>(tid));
     json.key("args");
     json.begin_object();
     json.key("name");
-    json.value(format("core %u", core));
+    json.value(kUnitTracks[tid].name);
     json.end_object();
     json.end_object();
-  }
-  constexpr TraceUnit kUnits[] = {TraceUnit::kScalar, TraceUnit::kVMem, TraceUnit::kVAlu,
-                                  TraceUnit::kStm};
-  for (u32 core = 0; core <= trace.max_core(); ++core) {
-    for (const TraceUnit unit : kUnits) {
-      const u64 pid = static_cast<u64>(core) + 1;
-      const u64 tid = static_cast<u8>(unit);
-      json.begin_object();
-      json.key("name");
-      json.value("thread_name");
-      json.key("ph");
-      json.value("M");
-      json.key("pid");
-      json.value(pid);
-      json.key("tid");
-      json.value(tid);
-      json.key("args");
-      json.begin_object();
-      json.key("name");
-      json.value(trace_unit_name(unit));
-      json.end_object();
-      json.end_object();
-      json.begin_object();
-      json.key("name");
-      json.value("thread_sort_index");
-      json.key("ph");
-      json.value("M");
-      json.key("pid");
-      json.value(pid);
-      json.key("tid");
-      json.value(tid);
-      json.key("args");
-      json.begin_object();
-      json.key("sort_index");
-      json.value(tid);
-      json.end_object();
-      json.end_object();
-    }
+    json.begin_object();
+    json.key("name");
+    json.value("thread_sort_index");
+    json.key("ph");
+    json.value("M");
+    json.key("pid");
+    json.value(u64{1});
+    json.key("tid");
+    json.value(static_cast<u64>(tid));
+    json.key("args");
+    json.begin_object();
+    json.key("sort_index");
+    json.value(static_cast<u64>(tid));
+    json.end_object();
+    json.end_object();
   }
 
   // One complete ("X") slice per instruction on its unit's track. ts/dur are
   // in the format's microsecond unit; we map one simulated cycle to 1 us so
   // viewers show raw cycle numbers.
-  for (const TraceEvent& event : trace.events()) {
+  for (const InstRecord& event : trace.events()) {
     const u64 start = static_cast<u64>(event.start);
     const u64 last = static_cast<u64>(std::max(event.last, event.start));
+    const usize tid = unit_track(event.op);
     json.begin_object();
     json.key("name");
     json.value(op_name(event.op));
     json.key("cat");
-    json.value(trace_unit_name(event.unit));
+    json.value(kUnitTracks[tid].name);
     json.key("ph");
     json.value("X");
     json.key("ts");
@@ -211,9 +188,9 @@ void write_chrome_trace(std::ostream& out, const ExecutionTrace& trace,
     json.key("dur");
     json.value(std::max<u64>(1, last - start));
     json.key("pid");
-    json.value(static_cast<u64>(event.core) + 1);
+    json.value(u64{1});
     json.key("tid");
-    json.value(static_cast<u64>(static_cast<u8>(event.unit)));
+    json.value(static_cast<u64>(tid));
     json.key("args");
     json.begin_object();
     json.key("pc");
@@ -283,17 +260,6 @@ void write_chrome_trace(std::ostream& out, const ExecutionTrace& trace,
   json.value(static_cast<u64>(trace.capacity()));
   json.key("dropped");
   json.value(trace.dropped());
-  // Per-core drop counts appear only once a core other than 0 has recorded
-  // an event, so single-core dumps stay byte-identical.
-  if (trace.max_core() > 0) {
-    json.key("dropped_per_core");
-    json.begin_array();
-    const auto& per_core = trace.dropped_per_core();
-    for (u32 core = 0; core <= trace.max_core(); ++core) {
-      json.value(core < per_core.size() ? per_core[core] : u64{0});
-    }
-    json.end_array();
-  }
   json.end_object();
   json.key("dropped");  // legacy location, kept for old consumers
   json.value(trace.dropped());

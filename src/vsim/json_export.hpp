@@ -36,12 +36,12 @@ void write_machine_config_json(JsonWriter& json, const MachineConfig& config);
 // Chrome trace-event export. Produces a complete JSON object document:
 //   {"traceEvents": [...], "displayTimeUnit": "ns",
 //    "trace": {"events": N, "capacity": C, "dropped": D}, "dropped": D}
-// with one metadata-named thread (track) per TraceUnit and one complete "X"
-// event per trace record (ts = start cycle, dur = last - start, clamped to
-// at least 1 so zero-length scalar ops stay visible). `process_name` labels
-// the single process track group. The "trace" object makes truncation
-// machine-detectable (dropped > 0); the top-level "dropped" key is kept for
-// backwards compatibility.
+// with one metadata-named thread per unit track (kUnitTracks) and one
+// complete "X" event per record (ts = start cycle, dur = last - start,
+// clamped to at least 1 so zero-length scalar ops stay visible).
+// `process_name` labels the single process track group. The "trace" object
+// makes truncation machine-detectable (dropped > 0); the top-level
+// "dropped" key is kept for backwards compatibility.
 void write_chrome_trace(std::ostream& out, const ExecutionTrace& trace,
                         const std::string& process_name = "vsim");
 

@@ -114,6 +114,13 @@ inline Cycle step_prologue(ExecState& es, const Instruction& inst) {
   return es.issue.watermark;
 }
 
+// Hands one executed instruction's record to the attached observers. The
+// reporting sites build the record only when one is attached.
+inline void report(const ExecState& es, const InstRecord& record) {
+  if (es.trace_sink != nullptr) es.trace_sink->record(record);
+  if (es.profiler != nullptr) es.profiler->record(record);
+}
+
 // Main-memory footprint of a vector memory instruction (primary base
 // address + total bytes moved), for bank arbitration. The bank model
 // arbitrates one request per vector memory instruction: its total traffic
@@ -415,7 +422,7 @@ inline u32 exec_vector_body(ExecState& es, const Instruction& inst) {
 // at compile time.
 template <Op OP>
 void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec) {
-  const Cycle profile_w_before = step_prologue(es, inst);
+  const Cycle w_before = step_prologue(es, inst);
   ++es.stats.vector_instructions;
   es.stats.vector_elements += es.vl;
   IssueState& is = es.issue;
@@ -439,7 +446,7 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
   }
   // Start absent hazard/resource constraints: the fetch point plus
   // sequential issue — the profiler's baseline for constraint delay.
-  const Cycle profile_unblocked = std::max(is.pc_redirect, is.last_issue + 1);
+  const Cycle unblocked = std::max(is.pc_redirect, is.last_issue + 1);
   const Cycle t_issue = take_issue_slot(is, std::max(ready, is.last_issue));
   is.last_issue = t_issue;
   if (t_issue > ready) stall_why = StallReason::kIssueLimit;
@@ -546,13 +553,6 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     es.stats.stm_busy_cycles += busy;
   }
 
-  if (es.trace_sink != nullptr) [[unlikely]] {
-    constexpr TraceUnit kTraceUnit = kUnit == ExecUnit::kVMem   ? TraceUnit::kVMem
-                                     : kUnit == ExecUnit::kVAlu ? TraceUnit::kVAlu
-                                                                : TraceUnit::kStm;
-    es.trace_sink->record(
-        {is.pc, OP, es.vl, kTraceUnit, t_issue, t_start, first_out, last_out, es.core_id});
-  }
   for (u32 i = 0; i < dec.num_dsts; ++i) {
     const u8 r = dec.dsts[i];
     es.vreg_first[r] = first_out;
@@ -574,19 +574,17 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
     retire_scalar(es, is, inst.a, last_out + 1);
   }
   is.bump_watermark(last_out);
-  if (es.profiler != nullptr) {
-    constexpr BusyKind kBusy =
-        kUnit == ExecUnit::kVMem
-            ? (op_indexed_vmem(OP) ? BusyKind::kVMemIndexed : BusyKind::kVMemStream)
-            : (kUnit == ExecUnit::kStm ? BusyKind::kStm : BusyKind::kVAlu);
-    es.profiler->record({is.pc, OP, es.vl, kBusy, stall_why, t_start, profile_unblocked,
-                         profile_w_before, is.watermark, busy});
+  if (es.trace_sink != nullptr || es.profiler != nullptr) [[unlikely]] {
+    report(es, {.pc = is.pc, .op = OP, .wait = stall_why, .vl = es.vl, .issue = t_issue,
+                .start = t_start, .first = first_out, .last = last_out,
+                .unblocked = unblocked, .watermark_before = w_before,
+                .watermark_after = is.watermark, .occupancy = busy});
   }
   ++is.pc;
 }
 
 // Full execution of one scalar instruction: hazards, issue slot, memory
-// port, functional body, retirement, trace/profile. `is` is where the issue
+// port, functional body, retirement, record. `is` is where the issue
 // state lives: ExecState::issue when an instruction is its own dispatch
 // (exec_scalar), a local copy inside a scalar run (exec_scalar_run). The
 // caller has checked the budget and counted the instruction. A run on a
@@ -596,7 +594,7 @@ void exec_vector(ExecState& es, const Instruction& inst, const DecodedInst& dec)
 template <Op OP, bool kObserved>
 SMTU_ALWAYS_INLINE void scalar_body(ExecState& es, IssueState& is, const Instruction& inst,
                                     const DecodedInst& dec) {
-  const Cycle profile_w_before = is.watermark;
+  const Cycle w_before = is.watermark;
   Cycle ready = is.pc_redirect;
   StallReason stall_why = StallReason::kScalarFetch;
   for (u32 i = 0; i < dec.num_sregs; ++i) {
@@ -607,7 +605,7 @@ SMTU_ALWAYS_INLINE void scalar_body(ExecState& es, IssueState& is, const Instruc
     }
   }
 
-  const Cycle profile_unblocked = std::max(is.pc_redirect, is.last_issue + 1);
+  const Cycle unblocked = std::max(is.pc_redirect, is.last_issue + 1);
   Cycle t_issue = take_issue_slot(is, std::max(ready, is.last_issue));
   if (t_issue > ready) stall_why = StallReason::kIssueLimit;
   if constexpr (op_scalar_mem(OP)) {
@@ -742,15 +740,15 @@ SMTU_ALWAYS_INLINE void scalar_body(ExecState& es, IssueState& is, const Instruc
     es.vl_ready = std::max(es.vl_ready, t_issue + es.scalar_op_latency);
   } else if constexpr (OP == Op::kBarrier) {
     // Rendezvous: this core is done when everything it issued completes
-    // (the watermark). The trace/profiler sample is deferred to
-    // release_barrier(), where the wait's true extent is known.
+    // (the watermark). Its record is reported by release_barrier(), where
+    // the wait's true extent is known.
     es.status = StepStatus::kAtBarrier;
     es.barrier_arrival = is.watermark;
-    es.barrier_issue = t_issue;
-    es.barrier_unblocked = profile_unblocked;
-    es.barrier_w_before = profile_w_before;
-    es.barrier_pc = is.pc;
-    es.barrier_why = stall_why;
+    if (es.trace_sink != nullptr || es.profiler != nullptr) {
+      es.barrier_record = {.pc = is.pc, .op = OP, .wait = stall_why, .issue = t_issue,
+                           .start = t_issue, .unblocked = unblocked,
+                           .watermark_before = w_before, .occupancy = 1};
+    }
     is.pc = next_pc;
     return;
   } else if constexpr (OP == Op::kHalt) {
@@ -760,14 +758,12 @@ SMTU_ALWAYS_INLINE void scalar_body(ExecState& es, IssueState& is, const Instruc
   } else {
     static_assert(always_false_op<OP>, "unhandled scalar op in execute");
   }
-  if (kObserved && es.trace_sink != nullptr) [[unlikely]] {
-    const Cycle done = inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue;
-    es.trace_sink->record({is.pc, OP, 0, TraceUnit::kScalar, t_issue, t_issue,
-                           std::max(t_issue, done), std::max(t_issue, done), es.core_id});
-  }
-  if (kObserved && es.profiler != nullptr) {
-    es.profiler->record({is.pc, OP, 0, BusyKind::kScalar, stall_why, t_issue,
-                         profile_unblocked, profile_w_before, is.watermark, 1});
+  if (kObserved && (es.trace_sink != nullptr || es.profiler != nullptr)) [[unlikely]] {
+    const Cycle done = std::max(t_issue, inst.a != kRegZero ? es.sreg_ready[inst.a] : t_issue);
+    report(es, {.pc = is.pc, .op = OP, .wait = stall_why, .issue = t_issue, .start = t_issue,
+                .first = done, .last = done, .unblocked = unblocked,
+                .watermark_before = w_before, .watermark_after = is.watermark,
+                .occupancy = 1});
   }
   is.pc = next_pc;
 }
@@ -806,8 +802,8 @@ static_assert(all_scalar_run_ops_listed());
 // instructions, the last possibly a branch) as one dispatch. The issue
 // state sits in a local for the run and is written back once, and the
 // instruction counters move once; each instruction runs its handler's body
-// and, when kObserved, records the same trace and profile samples. The
-// caller has checked that the whole run fits the instruction budget.
+// and, when kObserved, reports the same record. The caller has checked
+// that the whole run fits the instruction budget.
 template <bool kObserved>
 void exec_scalar_run(ExecState& es, u32 len) {
   IssueState is = es.issue;
@@ -874,9 +870,6 @@ Machine::Machine(const MachineConfig& config, const CoreContext& context) : conf
   es_.memory_system = context.memory_system;
   owned_stm_ = std::make_unique<StmUnit>(stm_config_for(config_));
   es_.stm = owned_stm_.get();
-  es_.profiler = context.profiler;
-  es_.trace_sink = context.trace;
-  es_.core_id = context.core_id;
   init_exec_state();
 }
 
@@ -957,19 +950,16 @@ void Machine::release_barrier(Cycle release) {
   // ordered behind it.
   es_.issue.pc_redirect = std::max(es_.issue.pc_redirect, release);
   es_.issue.bump_watermark(release);
-  if (es_.trace_sink != nullptr) {
-    es_.trace_sink->record({es_.barrier_pc, Op::kBarrier, 0, TraceUnit::kScalar,
-                            es_.barrier_issue, es_.barrier_issue, release, release,
-                            es_.core_id});
-  }
-  if (es_.profiler != nullptr) {
-    // Cycles spent past the core's own arrival are the barrier's fault;
-    // anything before that keeps the reason the issue path found.
-    const StallReason why =
-        release > es_.barrier_arrival ? StallReason::kBarrierWait : es_.barrier_why;
-    es_.profiler->record({es_.barrier_pc, Op::kBarrier, 0, BusyKind::kScalar, why, release,
-                          es_.barrier_unblocked, es_.barrier_w_before, es_.issue.watermark,
-                          1});
+  if (es_.trace_sink != nullptr || es_.profiler != nullptr) {
+    // The barrier completes at the release. Cycles spent past the core's
+    // own arrival are the barrier's fault; anything before that keeps the
+    // reason the issue path found.
+    InstRecord& record = es_.barrier_record;
+    record.first = release;
+    record.last = release;
+    record.watermark_after = es_.issue.watermark;
+    if (release > es_.barrier_arrival) record.wait = StallReason::kBarrierWait;
+    report(es_, record);
   }
   es_.status = StepStatus::kRunning;
 }

@@ -81,15 +81,12 @@ struct RunStats {
 // utilization percentages).
 std::string run_stats_summary(const RunStats& stats);
 
-// How a core may borrow its environment instead of owning it. All pointers
-// must outlive the Machine; `memory` is required, the rest optional. Each
-// core always builds its own private STM (one s x s memory per core).
+// How a core may borrow its environment instead of owning it. Both
+// pointers must outlive the Machine; `memory` is required. Each core always
+// builds its own private STM (one s x s memory per core).
 struct CoreContext {
   Memory* memory = nullptr;
   MemorySystem* memory_system = nullptr;  // bank timing; null = untimed
-  PerfCounters* profiler = nullptr;
-  ExecutionTrace* trace = nullptr;
-  u32 core_id = 0;
 };
 
 // Result of executing one instruction in step mode.
@@ -162,15 +159,11 @@ struct ExecState {
   // Startup latencies by StartupKind, resolved from the config once per run.
   std::array<u32, kStartupKindCount> startup_by_kind{};
 
-  // Pending-barrier bookkeeping (valid while status == kAtBarrier): the
-  // profiler/trace sample is deferred to release_barrier(), where the
-  // barrier's true cost is known.
+  // Pending barrier (valid while status == kAtBarrier): the cycle this core
+  // arrived, and the barrier's record, which release_barrier() completes
+  // and reports once the wait's true extent is known.
   Cycle barrier_arrival = 0;
-  Cycle barrier_issue = 0;
-  Cycle barrier_unblocked = 0;
-  Cycle barrier_w_before = 0;
-  usize barrier_pc = 0;
-  StallReason barrier_why = StallReason::kScalarFetch;
+  InstRecord barrier_record;
 
   // ---- Environment (borrowed; the Machine manages ownership) --------------
   Memory* memory = nullptr;
@@ -179,7 +172,6 @@ struct ExecState {
   PerfCounters* profiler = nullptr;
   ExecutionTrace* trace_sink = nullptr;
   u64 trace_remaining = 0;
-  u32 core_id = 0;
 
   // ---- Config scalars (copied from MachineConfig at construction) ---------
   u32 lanes = 1;
@@ -226,7 +218,6 @@ class Machine {
   const MachineConfig& config() const { return config_; }
   Memory& memory() { return *es_.memory; }
   const Memory& memory() const { return *es_.memory; }
-  u32 core_id() const { return es_.core_id; }
 
   u64 sreg(u32 index) const {
     SMTU_CHECK(index < kNumScalarRegs);
@@ -242,8 +233,8 @@ class Machine {
   // Prints executed instructions (at most `max_lines`) to stderr.
   void enable_trace(u64 max_lines) { es_.trace_remaining = max_lines; }
 
-  // Records structured timing events into `trace` during run() (nullptr
-  // detaches). The trace is not cleared automatically.
+  // Keeps each executed instruction's InstRecord in `trace` during run()
+  // (nullptr detaches). The trace is not cleared automatically.
   void attach_trace(ExecutionTrace* trace) { es_.trace_sink = trace; }
 
   // Attaches a cycle-attribution profiler (nullptr detaches). run() calls

@@ -66,9 +66,12 @@ void PerfCounters::begin_run(const Program& program) {
                  "PerfCounters reused across different programs (call reset())");
 }
 
-void PerfCounters::record(const ProfileSample& sample) {
-  SMTU_CHECK(sample.watermark_after >= sample.watermark_before);
-  const Cycle increment = sample.watermark_after - sample.watermark_before;
+void PerfCounters::record(const InstRecord& record) {
+  SMTU_CHECK(record.watermark_after >= record.watermark_before);
+  const Cycle increment = record.watermark_after - record.watermark_before;
+  // A barrier's record runs from its issue to its release; its cycles count
+  // from the release, where the core resumes.
+  const Cycle start = record.op == Op::kBarrier ? record.last : record.start;
   // Two ways an instruction's increment can be waiting rather than working:
   //   * dead time — its start lies beyond everything that has completed
   //     (the gap from the old watermark to the start), e.g. the fetch
@@ -79,34 +82,34 @@ void PerfCounters::record(const ProfileSample& sample) {
   //     delayed instruction is what the constraint cost end to end.
   // The wait part is the larger of the two, clamped to the increment so
   // the buckets still telescope to the exact cycle count.
-  const Cycle bound = std::min(sample.t_start, sample.watermark_after);
-  const Cycle dead = bound > sample.watermark_before ? bound - sample.watermark_before : 0;
-  const Cycle delay =
-      sample.t_start > sample.t_unblocked ? sample.t_start - sample.t_unblocked : 0;
+  const Cycle bound = std::min(start, record.watermark_after);
+  const Cycle dead = bound > record.watermark_before ? bound - record.watermark_before : 0;
+  const Cycle delay = start > record.unblocked ? start - record.unblocked : 0;
   const Cycle wait = std::min(increment, std::max(dead, delay));
   const Cycle busy = increment - wait;
+  const usize kind = static_cast<usize>(busy_kind_of(record.op));
 
   attributed_cycles_ += increment;
-  stall_cycles_[static_cast<usize>(sample.wait)] += wait;
-  busy_cycles_[static_cast<usize>(sample.busy)] += busy;
+  stall_cycles_[static_cast<usize>(record.wait)] += wait;
+  busy_cycles_[kind] += busy;
 
-  OpCounters& op = ops_[static_cast<usize>(sample.op)];
+  OpCounters& op = ops_[static_cast<usize>(record.op)];
   ++op.issued;
   ++op.retired;
-  op.elements += sample.vl;
+  op.elements += record.vl;
   op.busy_cycles += busy;
   op.stall_cycles += wait;
 
-  FuCounters& fu = fus_[static_cast<usize>(sample.busy)];
+  FuCounters& fu = fus_[kind];
   ++fu.instructions;
-  fu.occupancy_cycles += sample.occupancy;
+  fu.occupancy_cycles += record.occupancy;
 
-  if (sample.pc < per_pc_.size()) {
-    PcCounters& pc = per_pc_[sample.pc];
+  if (record.pc < per_pc_.size()) {
+    PcCounters& pc = per_pc_[record.pc];
     ++pc.issued;
     pc.busy_cycles += busy;
     pc.stall_cycles += wait;
-    pc.stalls[static_cast<usize>(sample.wait)] += wait;
+    pc.stalls[static_cast<usize>(record.wait)] += wait;
   }
 }
 

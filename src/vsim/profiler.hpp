@@ -3,7 +3,7 @@
 //
 // The machine is an analytic resource-time model: run() advances a single
 // completion watermark as each instruction's finish time is resolved. A
-// PerfCounters attached to the Machine receives one ProfileSample per
+// PerfCounters attached to the Machine receives one InstRecord per
 // executed instruction, bracketing the watermark before and after it. The
 // watermark increment is split into a *wait* part — the larger of the dead
 // gap past the old watermark (fetch bubbles) and the delay the binding
@@ -68,15 +68,32 @@ inline constexpr usize kBusyKindCount = static_cast<usize>(BusyKind::kCount);
 // Stable snake_case name used in JSON keys and reports, e.g. "vmem_indexed".
 const char* busy_kind_name(BusyKind kind);
 
-// One executed instruction, as reported by Machine::run().
-struct ProfileSample {
+// The bucket an opcode's busy cycles go to: its unit in the opcode table,
+// with the vector memory pipe split by access kind.
+constexpr BusyKind busy_kind_of(Op op) {
+  switch (op_unit(op)) {
+    case ExecUnit::kVMem:
+      return op_indexed_vmem(op) ? BusyKind::kVMemIndexed : BusyKind::kVMemStream;
+    case ExecUnit::kVAlu: return BusyKind::kVAlu;
+    case ExecUnit::kStm: return BusyKind::kStm;
+    case ExecUnit::kScalar: break;
+  }
+  return BusyKind::kScalar;
+}
+
+// One executed instruction, as the Machine reports it: built once per
+// instruction and handed to whichever of an ExecutionTrace (vsim/trace.hpp)
+// and a PerfCounters are attached. The instruction's unit is op_unit(op).
+struct InstRecord {
   usize pc = 0;
   Op op = Op::kNop;
-  u32 vl = 0;                                  // 0 for scalar instructions
-  BusyKind busy = BusyKind::kScalar;
   StallReason wait = StallReason::kIssueLimit; // binding start constraint
-  Cycle t_start = 0;        // unit start (issue slot for scalar ops)
-  Cycle t_unblocked = 0;    // start absent hazard/resource constraints
+  u32 vl = 0;                                  // 0 for scalar instructions
+  Cycle issue = 0;          // in-order scalar issue slot
+  Cycle start = 0;          // unit start (== issue for scalar ops)
+  Cycle first = 0;          // first result available
+  Cycle last = 0;           // last result available / completion
+  Cycle unblocked = 0;      // start absent hazard/resource constraints
   Cycle watermark_before = 0;
   Cycle watermark_after = 0;
   Cycle occupancy = 0;      // cycles the unit was reserved (1 for scalar)
@@ -121,7 +138,7 @@ class PerfCounters {
   // begin_run() captures the program's line/region tables (first call) or
   // checks the same program is being re-run (accumulation across runs).
   void begin_run(const Program& program);
-  void record(const ProfileSample& sample);
+  void record(const InstRecord& record);
   // Folds the run's cycle count into the totals and enforces the
   // conservation invariant: attributed_cycles() == total_cycles().
   void end_run(Cycle run_cycles);

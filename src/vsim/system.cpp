@@ -11,11 +11,8 @@ MultiCoreSystem::MultiCoreSystem(const SystemConfig& config) : config_(config) {
   config_.memory.memory_limit = config_.core.memory_limit;
   memsys_ = std::make_unique<MemorySystem>(config_.memory);
   cores_.reserve(config_.cores);
+  const CoreContext context{.memory = &memsys_->memory(), .memory_system = memsys_.get()};
   for (u32 i = 0; i < config_.cores; ++i) {
-    CoreContext context;
-    context.memory = &memsys_->memory();
-    context.memory_system = memsys_.get();
-    context.core_id = i;
     cores_.push_back(std::make_unique<Machine>(config_.core, context));
   }
 }

@@ -6,42 +6,25 @@
 
 namespace smtu::vsim {
 
-const char* trace_unit_name(TraceUnit unit) {
-  switch (unit) {
-    case TraceUnit::kScalar: return "scalar";
-    case TraceUnit::kVMem: return "vmem";
-    case TraceUnit::kVAlu: return "valu";
-    case TraceUnit::kStm: return "stm";
-  }
-  return "?";
-}
-
-void ExecutionTrace::record(const TraceEvent& event) {
-  max_core_ = std::max(max_core_, event.core);
+void ExecutionTrace::record(const InstRecord& record) {
   if (events_.size() >= capacity_) {
     ++dropped_;
-    if (event.core >= dropped_per_core_.size()) {
-      dropped_per_core_.resize(event.core + 1, 0);
-    }
-    ++dropped_per_core_[event.core];
     return;
   }
-  events_.push_back(event);
+  events_.push_back(record);
 }
 
 void ExecutionTrace::clear() {
   events_.clear();
   dropped_ = 0;
-  dropped_per_core_.clear();
-  max_core_ = 0;
 }
 
 void ExecutionTrace::print_table(std::ostream& out) const {
   out << format("%-5s %-11s %-6s %4s %8s %8s %8s %8s\n", "pc", "op", "unit", "vl", "issue",
                 "start", "first", "last");
-  for (const TraceEvent& e : events_) {
+  for (const InstRecord& e : events_) {
     out << format("%-5zu %-11s %-6s %4u %8llu %8llu %8llu %8llu\n", e.pc, op_name(e.op),
-                  trace_unit_name(e.unit), e.vl,
+                  kUnitTracks[unit_track(e.op)].name, e.vl,
                   static_cast<unsigned long long>(e.issue),
                   static_cast<unsigned long long>(e.start),
                   static_cast<unsigned long long>(e.first),
@@ -63,19 +46,18 @@ void ExecutionTrace::print_timeline(std::ostream& out, usize width) const {
     return;
   }
   Cycle horizon = 1;
-  for (const TraceEvent& e : events_) horizon = std::max(horizon, e.last);
+  for (const InstRecord& e : events_) horizon = std::max(horizon, e.last);
   const double scale = static_cast<double>(width) / static_cast<double>(horizon + 1);
-  const char unit_glyph[] = {'S', 'M', 'A', 'T'};
 
   out << format("cycles 0 .. %llu, one column ~ %.1f cycles\n",
                 static_cast<unsigned long long>(horizon), 1.0 / scale);
-  for (const TraceEvent& e : events_) {
+  for (const InstRecord& e : events_) {
     const usize begin = static_cast<usize>(static_cast<double>(e.start) * scale);
     const usize end = std::max(
         begin + 1, static_cast<usize>(static_cast<double>(e.last) * scale));
     std::string lane(width, ' ');
     for (usize i = begin; i < std::min(end, width); ++i) {
-      lane[i] = unit_glyph[static_cast<u8>(e.unit)];
+      lane[i] = kUnitTracks[unit_track(e.op)].glyph;
     }
     out << format("%-11s |%s|\n", op_name(e.op), lane.c_str());
   }

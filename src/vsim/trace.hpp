@@ -1,64 +1,60 @@
-// Structured execution tracing: per-instruction timing records and a text
-// timeline renderer. Attach an ExecutionTrace to a Machine to see *why* a
-// kernel spends its cycles — which unit each instruction occupied, how
-// chaining overlapped producers and consumers, where the pipeline drained.
+// Structured execution tracing: the machine's per-instruction records kept
+// in order, with a text table and timeline renderer. Attach an
+// ExecutionTrace to a Machine to see *why* a kernel spends its cycles —
+// which unit each instruction occupied, how chaining overlapped producers
+// and consumers, where the pipeline drained.
 #pragma once
 
 #include <ostream>
 #include <vector>
 
-#include "vsim/isa.hpp"
+#include "vsim/profiler.hpp"
 
 namespace smtu::vsim {
 
-enum class TraceUnit : u8 { kScalar = 0, kVMem = 1, kVAlu = 2, kStm = 3 };
-
-const char* trace_unit_name(TraceUnit unit);
-
-struct TraceEvent {
-  usize pc = 0;
-  Op op = Op::kNop;
-  u32 vl = 0;          // vector length at execution (0 for scalar ops)
-  TraceUnit unit = TraceUnit::kScalar;
-  Cycle issue = 0;     // scalar issue slot
-  Cycle start = 0;     // unit start (== issue for scalar ops)
-  Cycle first = 0;     // first result available
-  Cycle last = 0;      // last result available / completion
-  u32 core = 0;        // originating core (0 for single-core machines)
+// The renderings' unit tracks, top to bottom; a track's index is its
+// Chrome trace tid.
+struct UnitTrack {
+  ExecUnit unit;
+  const char* name;
+  char glyph;  // print_timeline's lane letter
 };
+inline constexpr UnitTrack kUnitTracks[] = {{ExecUnit::kScalar, "scalar", 'S'},
+                                            {ExecUnit::kVMem, "vmem", 'M'},
+                                            {ExecUnit::kVAlu, "valu", 'A'},
+                                            {ExecUnit::kStm, "stm", 'T'}};
+
+// The index in kUnitTracks of the track an opcode's unit (op_unit) is
+// drawn on.
+constexpr usize unit_track(Op op) {
+  usize track = 0;
+  while (kUnitTracks[track].unit != op_unit(op)) ++track;
+  return track;
+}
 
 class ExecutionTrace {
  public:
   // Records at most `capacity` events; later ones are counted but dropped.
   explicit ExecutionTrace(usize capacity = 4096) : capacity_(capacity) {}
 
-  void record(const TraceEvent& event);
+  void record(const InstRecord& record);
   void clear();
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const std::vector<InstRecord>& events() const { return events_; }
   usize capacity() const { return capacity_; }
   u64 dropped() const { return dropped_; }
-  // Drops attributed per originating core, so concurrent cores sharing one
-  // trace keep their accounting separate. Indexed by core id; cores past
-  // the end dropped nothing. Empty until the first drop.
-  const std::vector<u64>& dropped_per_core() const { return dropped_per_core_; }
-  // Highest core id seen across recorded *and* dropped events (0 when only
-  // a single core ever recorded).
-  u32 max_core() const { return max_core_; }
 
   // One line per event: pc, mnemonic, unit, issue/start/first/last columns.
   void print_table(std::ostream& out) const;
 
   // ASCII timeline: each event's busy interval drawn over a scaled cycle
-  // axis, labelled with the unit letter (S/M/A/T). `width` columns of axis.
+  // axis, labelled with its unit track's glyph. `width` columns of axis.
   void print_timeline(std::ostream& out, usize width = 72) const;
 
  private:
   usize capacity_;
-  std::vector<TraceEvent> events_;
+  std::vector<InstRecord> events_;
   u64 dropped_ = 0;
-  std::vector<u64> dropped_per_core_;
-  u32 max_core_ = 0;
 };
 
 }  // namespace smtu::vsim

@@ -169,6 +169,20 @@ TEST(BenchCommonDeathTest, MalformedExternalMatrixExitsWithCode2) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BenchCommonDeathTest, NonSquareSymmetricExternalMatrixExitsWithCode2) {
+  // Mirroring the stored triangle would place entries outside the matrix.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "smtu_bench_common_non_square";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "tall.mtx") << "%%MatrixMarket matrix coordinate real symmetric\n"
+                                     "2 5 1\n1 5 1.0\n";
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), vsim::MachineConfig{}),
+              ::testing::ExitedWithCode(2),
+              "tall\\.mtx: matrix market: line 2: a symmetric matrix must be square");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BenchCommonDeathTest, ExternalMatrixDeclaringHugeNnzExitsWithCode2) {
   // Three lines that declare 4e12 entries: truncated data, not an attempt
   // to reserve them.

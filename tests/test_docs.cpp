@@ -47,7 +47,7 @@ TEST(Docs, IsaReferenceCoversAssemblerAliases) {
 TEST(Docs, TraceReferenceDescribesEventFieldsAndTracks) {
   const std::string doc = read_doc("TRACE.md");
   ASSERT_FALSE(doc.empty());
-  // The TraceEvent timing fields, as documented for both renderers and the
+  // The record's timing fields, as documented for both renderers and the
   // Chrome export.
   for (const char* field : {"`issue`", "`start`", "`first`", "`last`", "`pc`", "`vl`"}) {
     EXPECT_NE(doc.find(field), std::string::npos)

@@ -131,6 +131,28 @@ TEST(ExampleCli, UnreadableMatrixFilesExitWith2) {
   std::remove(huge_nnz.c_str());
 }
 
+TEST(ExampleCli, NonSquareSymmetricMatrixFilesExitWith2) {
+  // The mirrored triangle of each would fall outside the matrix.
+  const std::vector<std::pair<std::string, std::string>> files = {
+      {"test_example_cli_symmetric.mtx",
+       "%%MatrixMarket matrix coordinate real symmetric\n2 5 1\n1 5 1.0\n"},
+      {"test_example_cli_array_symmetric.mtx",
+       "%%MatrixMarket matrix array real symmetric\n5 2\n1\n2\n3\n4\n5\n6\n7\n8\n9\n"},
+      {"test_example_cli_skew.mtx",
+       "%%MatrixMarket matrix coordinate real skew-symmetric\n3 4 2\n2 1 1.0\n3 2 2.0\n"},
+  };
+  for (const auto& [file, text] : files) std::ofstream(file) << text;
+  for (const std::string binary : {SMTU_TRANSPOSE_SHOWDOWN_BIN, SMTU_HISM_EXPLORER_BIN}) {
+    for (const auto& [file, text] : files) {
+      SCOPED_TRACE(binary + " --matrix=" + file);
+      expect_usage_error(binary + " --matrix=" + file,
+                         "--matrix: " + file +
+                             ": matrix market: line 2: a symmetric matrix must be square");
+    }
+  }
+  for (const auto& [file, text] : files) std::remove(file.c_str());
+}
+
 TEST(ExampleCli, VsimRunRejectsSectionSizesOutOfRange) {
   const std::string program_path = "test_example_cli_halt.s";
   {

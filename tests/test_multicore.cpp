@@ -3,6 +3,8 @@
 // and per-core profiler conservation (docs/MULTICORE.md).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "formats/csr.hpp"
 #include "kernels/crs_parallel.hpp"
 #include "kernels/hism_transpose.hpp"
@@ -157,6 +159,61 @@ rendezvous:
   const u64 wait1 =
       profilers[1].stall_cycles()[static_cast<usize>(vsim::StallReason::kBarrierWait)];
   EXPECT_GT(wait1, 0u);
+}
+
+// ---- balanced work split ---------------------------------------------------
+
+// The greedy form the SPMD kernels each wrote before balanced_cuts: part p
+// ends once the running work reaches (p+1)/parts of the total.
+std::vector<u64> greedy_cuts(const std::vector<u32>& work, u32 parts) {
+  u64 total = 0;
+  for (const u32 w : work) total += w;
+  std::vector<u64> cuts(parts + 1, 0);
+  cuts[parts] = work.size();
+  u64 acc = 0;
+  u64 item = 0;
+  for (u32 p = 0; p + 1 < parts; ++p) {
+    while (item < work.size() && acc < total * (p + 1) / parts) acc += work[item++];
+    cuts[p + 1] = item;
+  }
+  return cuts;
+}
+
+std::vector<u32> prefix_of(const std::vector<u32>& work) {
+  std::vector<u32> prefix(work.size() + 1, 0);
+  for (usize i = 0; i < work.size(); ++i) prefix[i + 1] = prefix[i] + work[i];
+  return prefix;
+}
+
+TEST(BalancedCuts, CutsWhereThePrefixReachesEachShare) {
+  // Work 4, 0, 0, 4, 4, 4 over 4 parts: the prefix reaches the shares 4, 8
+  // and 12 at indices 1, 4 and 5, so the zero-work items 1 and 2 join
+  // item 3's part.
+  EXPECT_EQ(kernels::balanced_cuts(prefix_of({4, 0, 0, 4, 4, 4}), 4),
+            (std::vector<u64>{0, 1, 4, 5, 6}));
+  // One part takes everything.
+  EXPECT_EQ(kernels::balanced_cuts(prefix_of({3, 1, 2}), 1), (std::vector<u64>{0, 3}));
+}
+
+TEST(BalancedCuts, MorePartsThanItemsLeavesEmptyParts) {
+  EXPECT_EQ(kernels::balanced_cuts(prefix_of({5, 5}), 4), (std::vector<u64>{0, 1, 1, 2, 2}));
+  // All-zero work: every cut lands at 0 and the last part takes the items.
+  EXPECT_EQ(kernels::balanced_cuts(prefix_of({0, 0, 0}), 3), (std::vector<u64>{0, 0, 0, 3}));
+}
+
+TEST(BalancedCuts, EmptyInputGivesEmptyParts) {
+  EXPECT_EQ(kernels::balanced_cuts(prefix_of({}), 3), (std::vector<u64>{0, 0, 0, 0}));
+}
+
+TEST(BalancedCuts, MatchesTheGreedySplit) {
+  Rng rng(27);
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<u32> work(1 + rng.below(40));
+    for (u32& w : work) w = rng.chance(0.3) ? 0 : static_cast<u32>(rng.below(50));
+    const u32 parts = static_cast<u32>(1 + rng.below(9));
+    ASSERT_EQ(kernels::balanced_cuts(prefix_of(work), parts), greedy_cuts(work, parts))
+        << "case " << i;
+  }
 }
 
 // ---- sharded HiSM transpose ------------------------------------------------

@@ -204,7 +204,7 @@ TEST(ChromeTrace, ExportsValidTraceEventDocument) {
 TEST(ChromeTrace, ReportsDroppedEvents) {
   vsim::ExecutionTrace trace(2);
   for (u32 i = 0; i < 5; ++i) {
-    trace.record({i, vsim::Op::kNop, 0, vsim::TraceUnit::kScalar, i, i, i, i});
+    trace.record({.pc = i, .op = vsim::Op::kNop, .issue = i, .start = i, .first = i, .last = i});
   }
   EXPECT_EQ(trace.events().size(), 2u);
   EXPECT_EQ(trace.dropped(), 3u);

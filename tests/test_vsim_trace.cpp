@@ -29,12 +29,12 @@ TEST(Trace, UnitsAreClassified) {
       "li r1, 8\nssvl r1\nli r2, 0x100\nicm\nv_ld vr1, (r2)\nv_addi vr2, vr1, 1\n"
       "v_iota vr3\n"  // distinct packed positions (rows 0..7, column 0)
       "v_stcr vr2, vr3\nhalt\n"));
-  std::map<TraceUnit, int> counts;
-  for (const TraceEvent& e : trace.events()) counts[e.unit]++;
-  EXPECT_GE(counts[TraceUnit::kScalar], 3);
-  EXPECT_EQ(counts[TraceUnit::kVMem], 1);
-  EXPECT_EQ(counts[TraceUnit::kVAlu], 2);  // v_addi + v_iota
-  EXPECT_EQ(counts[TraceUnit::kStm], 2);   // icm + v_stcr
+  std::map<ExecUnit, int> counts;
+  for (const InstRecord& e : trace.events()) counts[op_unit(e.op)]++;
+  EXPECT_GE(counts[ExecUnit::kScalar], 3);
+  EXPECT_EQ(counts[ExecUnit::kVMem], 1);
+  EXPECT_EQ(counts[ExecUnit::kVAlu], 2);  // v_addi + v_iota
+  EXPECT_EQ(counts[ExecUnit::kStm], 2);   // icm + v_stcr
 }
 
 TEST(Trace, TimesAreOrderedWithinEvents) {
@@ -44,7 +44,7 @@ TEST(Trace, TimesAreOrderedWithinEvents) {
   machine.attach_trace(&trace);
   machine.run(assemble(
       "li r1, 64\nssvl r1\nli r2, 0x100\nv_ld vr1, (r2)\nv_st vr1, 0x400(r2)\nhalt\n"));
-  for (const TraceEvent& e : trace.events()) {
+  for (const InstRecord& e : trace.events()) {
     EXPECT_LE(e.issue, e.start);
     EXPECT_LE(e.start, e.first);
     EXPECT_LE(e.first, e.last);
@@ -59,9 +59,9 @@ TEST(Trace, ChainingVisibleInTheTrace) {
   machine.attach_trace(&trace);
   machine.run(assemble(
       "li r1, 64\nssvl r1\nli r2, 0x100\nv_ld vr1, (r2)\nv_st vr1, 0x400(r2)\nhalt\n"));
-  const TraceEvent* load = nullptr;
-  const TraceEvent* store = nullptr;
-  for (const TraceEvent& e : trace.events()) {
+  const InstRecord* load = nullptr;
+  const InstRecord* store = nullptr;
+  for (const InstRecord& e : trace.events()) {
     if (e.op == Op::kVLd) load = &e;
     if (e.op == Op::kVSt) store = &e;
   }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <numeric>
 #include <queue>
-#include <unordered_set>
 
 #include "kernels/staging.hpp"
 #include "kernels/transpose_sim.hpp"
@@ -22,20 +22,44 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(delta).count();
 }
 
+// ---- dense key ids -----------------------------------------------------------
+
+// The distinct keys of a request list, numbered in first-appearance order:
+// ids[i] is the position of request i's key in `keys`. Building it is the
+// only hash lookup per request; everything downstream indexes by id.
+struct KeyIds {
+  std::vector<SimKey> keys;
+  std::vector<u32> ids;
+};
+
+KeyIds dense_key_ids(const std::vector<Request>& requests) {
+  KeyIds result;
+  result.ids.reserve(requests.size());
+  std::unordered_map<SimKey, u32, SimKeyHash> index;
+  for (const Request& request : requests) {
+    const auto [it, fresh] =
+        index.try_emplace(key_of(request), static_cast<u32>(result.keys.size()));
+    if (fresh) result.keys.push_back(it->first);
+    result.ids.push_back(it->second);
+  }
+  return result;
+}
+
 // ---- virtual-time discrete-event model -------------------------------------
 
 // One virtual simulation in flight: every attached request completes when it
 // does. `seq` orders equal-time completions deterministically (start order).
 struct Run {
-  SimKey key;
+  u32 id = 0;  // the key's dense id
   u64 completion_vus = 0;
   u64 seq = 0;
 };
 
 // In-flight slot: where (and as which run) a key is currently executing.
 struct Flight {
+  static constexpr u64 kIdle = ~u64{0};  // `seq` of a key with no run in flight
   u64 completion_vus = 0;
-  u64 seq = 0;
+  u64 seq = kIdle;
 };
 
 struct RunLater {
@@ -46,24 +70,27 @@ struct RunLater {
 };
 
 // The scheduler state machine shared by the open- and closed-loop drivers.
+// Its per-key state is indexed by dense key id and its per-run state by
+// run seq, so an event costs no hashing.
 class VirtualScheduler {
  public:
-  VirtualScheduler(const std::vector<Request>& requests,
-                   const std::unordered_map<SimKey, u64, SimKeyHash>& key_cycles,
-                   const ServeOptions& options)
-      : requests_(requests), key_cycles_(key_cycles), options_(options) {
+  // `cycles[id]` is the simulated cycle count of key `ids.keys[id]`.
+  VirtualScheduler(const std::vector<Request>& requests, const KeyIds& ids,
+                   const std::vector<u64>& cycles, const ServeOptions& options)
+      : requests_(requests),
+        ids_(ids.ids),
+        cycles_(cycles),
+        options_(options),
+        flights_(ids.keys.size()),
+        completed_(ids.keys.size(), false) {
     report_.outcomes.resize(requests.size());
+    report_.distinct_sims = ids.keys.size();
     arrival_.resize(requests.size(), 0);
   }
 
   VirtualReport run() {
     SMTU_CHECK_MSG(options_.virtual_workers >= 1, "the virtual scheduler needs a worker");
-    std::unordered_set<SimKey, SimKeyHash> distinct;
-    for (const Request& request : requests_) {
-      distinct.insert(key_of(request));
-      report_.offered_cycles += cycles_of(key_of(request));
-    }
-    report_.distinct_sims = distinct.size();
+    for (const u32 id : ids_) report_.offered_cycles += cycles_[id];
 
     if (options_.closed_loop > 0) {
       run_closed_loop();
@@ -75,14 +102,8 @@ class VirtualScheduler {
   }
 
  private:
-  u64 cycles_of(const SimKey& key) const {
-    const auto it = key_cycles_.find(key);
-    SMTU_CHECK_MSG(it != key_cycles_.end(), "virtual replay is missing a key's cycle count");
-    return it->second;
-  }
-
-  u64 fresh_service_vus(const SimKey& key) const {
-    return std::max<u64>(1, cycles_of(key) / std::max<u32>(1, options_.cycles_per_us));
+  u64 fresh_service_vus(u32 id) const {
+    return std::max<u64>(1, cycles_[id] / std::max<u32>(1, options_.cycles_per_us));
   }
 
   void run_open_loop() {
@@ -116,16 +137,16 @@ class VirtualScheduler {
     }
   }
 
+  // The in-flight run request `index` can attach to, or nullptr.
+  const Flight* joinable(usize index) const {
+    const Flight& flight = flights_[ids_[index]];
+    return options_.dedup && flight.seq != Flight::kIdle ? &flight : nullptr;
+  }
+
   void arrive(usize index, u64 t) {
-    const SimKey key = key_of(requests_[index]);
-    if (options_.dedup) {
-      const auto it = in_flight_.find(key);
-      if (it != in_flight_.end()) {
-        attach(index, t, it->second);
-        return;
-      }
-    }
-    if (busy_workers_ < options_.virtual_workers) {
+    if (const Flight* flight = joinable(index)) {
+      attach(index, t, *flight);
+    } else if (busy_workers_ < options_.virtual_workers) {
       start(index, t);
     } else if (options_.closed_loop > 0 || pending_.size() < options_.queue_depth) {
       pending_.push_back(index);
@@ -148,24 +169,25 @@ class VirtualScheduler {
   // replay from the result cache at flat cost; fresh keys run the full
   // simulated service time.
   void start(usize index, u64 t) {
-    const SimKey key = key_of(requests_[index]);
+    const u32 id = ids_[index];
     Outcome outcome;
     u64 service;
-    if (options_.dedup && completed_.count(key) != 0) {
+    if (options_.dedup && completed_[id]) {
       outcome = Outcome::kWarm;
       service = std::max<u64>(1, options_.replay_vus);
       ++report_.warm_requests;
     } else {
       outcome = Outcome::kSimulated;
-      service = fresh_service_vus(key);
+      service = fresh_service_vus(id);
       ++report_.simulated_requests;
-      report_.sim_cycles += cycles_of(key);
+      report_.sim_cycles += cycles_[id];
     }
     const u64 completion = t + service;
-    const u64 seq = next_seq_++;
+    const u64 seq = attach_counts_.size();
+    attach_counts_.push_back(0);
     ++busy_workers_;
-    in_flight_[key] = Flight{completion, seq};
-    completions_.push(Run{key, completion, seq});
+    flights_[id] = Flight{completion, seq};
+    completions_.push(Run{id, completion, seq});
     record(index, outcome, t, completion);
   }
 
@@ -190,29 +212,19 @@ class VirtualScheduler {
     const Run run = completions_.top();
     completions_.pop();
     last_drain_vus_ = run.completion_vus;
-    // Erase only if this run still owns the in-flight slot (a warm rerun of
-    // the same key may have started after an earlier run completed).
-    const auto it = in_flight_.find(run.key);
-    if (it != in_flight_.end() && it->second.seq == run.seq) in_flight_.erase(it);
-    completed_.insert(run.key);
+    // Free the slot only if this run still owns it (a warm rerun of the
+    // same key may have started after an earlier run completed).
+    if (flights_[run.id].seq == run.seq) flights_[run.id].seq = Flight::kIdle;
+    completed_[run.id] = true;
     --busy_workers_;
 
-    u64 finished = 1;
-    if (const auto attached = attach_counts_.find(run.seq); attached != attach_counts_.end()) {
-      finished += attached->second;
-      attach_counts_.erase(attached);
-    }
-
+    const u64 finished = 1 + attach_counts_[run.seq];
     while (busy_workers_ < options_.virtual_workers && !pending_.empty()) {
       const usize index = pending_.front();
       pending_.pop_front();
-      const SimKey key = key_of(requests_[index]);
-      if (options_.dedup) {
-        const auto flight = in_flight_.find(key);
-        if (flight != in_flight_.end()) {
-          attach(index, run.completion_vus, flight->second);
-          continue;  // no worker consumed; keep admitting
-        }
+      if (const Flight* flight = joinable(index)) {
+        attach(index, run.completion_vus, *flight);
+        continue;  // no worker consumed; keep admitting
       }
       start(index, run.completion_vus);
     }
@@ -245,18 +257,18 @@ class VirtualScheduler {
   }
 
   const std::vector<Request>& requests_;
-  const std::unordered_map<SimKey, u64, SimKeyHash>& key_cycles_;
+  const std::vector<u32>& ids_;     // per request
+  const std::vector<u64>& cycles_;  // per key id
   const ServeOptions& options_;
   VirtualReport report_;
   std::vector<u64> arrival_;  // effective arrival (issue time in closed loop)
 
   std::priority_queue<Run, std::vector<Run>, RunLater> completions_;
-  std::unordered_map<SimKey, Flight, SimKeyHash> in_flight_;
-  std::unordered_map<u64, u64> attach_counts_;  // run seq -> attached fan-out
-  std::unordered_set<SimKey, SimKeyHash> completed_;
+  std::vector<Flight> flights_;     // per key id
+  std::vector<bool> completed_;     // per key id: has a run finished?
+  std::vector<u64> attach_counts_;  // per run seq: attached fan-out
   std::deque<usize> pending_;
   u32 busy_workers_ = 0;
-  u64 next_seq_ = 0;
   u64 last_completion_vus_ = 0;
   u64 last_drain_vus_ = 0;
 };
@@ -279,66 +291,79 @@ u64 simulate_key(const SimKey& key, const Trace& trace,
       .stats.cycles;
 }
 
-std::unordered_map<SimKey, u64, SimKeyHash> simulate_distinct(
-    const Trace& trace, const std::vector<suite::SuiteMatrix>& set, vsim::SimCache* sim_cache,
-    const ServeOptions& options) {
-  // Distinct keys only, grouped by matrix (then kernel, then config) so
-  // consecutive simulations share staged images and programs; the shared
-  // result fans out to every duplicate request.
-  std::vector<SimKey> keys;
-  std::unordered_set<SimKey, SimKeyHash> seen;
-  for (const Request& request : trace.requests) {
-    if (seen.insert(key_of(request)).second) keys.push_back(key_of(request));
-  }
-  std::stable_sort(keys.begin(), keys.end(), [](const SimKey& a, const SimKey& b) {
-    if (a.matrix != b.matrix) return a.matrix < b.matrix;
-    if (a.kernel != b.kernel) return a.kernel < b.kernel;
-    return a.config < b.config;
+// Simulates each distinct key once and returns the cycle counts by dense
+// id. The keys run grouped by matrix (then kernel, then config) so
+// consecutive simulations share staged images and programs; the shared
+// result fans out to every duplicate request.
+std::vector<u64> simulate_distinct(const KeyIds& ids, const Trace& trace,
+                                   const std::vector<suite::SuiteMatrix>& set,
+                                   vsim::SimCache* sim_cache, const ServeOptions& options) {
+  std::vector<u32> order(ids.keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&ids](u32 a, u32 b) {
+    const SimKey& x = ids.keys[a];
+    const SimKey& y = ids.keys[b];
+    if (x.matrix != y.matrix) return x.matrix < y.matrix;
+    if (x.kernel != y.kernel) return x.kernel < y.kernel;
+    return x.config < y.config;
   });
   ThreadPool pool(options.batching ? options.jobs : 1);
-  const std::vector<u64> cycles = parallel_map(pool, keys, [&](const SimKey& key) {
-    return simulate_key(key, trace, set, sim_cache);
+  const std::vector<u64> ordered = parallel_map(pool, order, [&](u32 id) {
+    return simulate_key(ids.keys[id], trace, set, sim_cache);
   });
-  std::unordered_map<SimKey, u64, SimKeyHash> key_cycles;
-  key_cycles.reserve(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) key_cycles[keys[i]] = cycles[i];
-  return key_cycles;
+  std::vector<u64> cycles(ids.keys.size());
+  for (usize i = 0; i < order.size(); ++i) cycles[order[i]] = ordered[i];
+  return cycles;
+}
+
+// Each outcome's name, indexed by its value.
+constexpr JsonLiteral kOutcomeNames[] = {JsonLiteral("simulated"), JsonLiteral("coalesced"),
+                                         JsonLiteral("warm"), JsonLiteral("shed")};
+
+JsonLiteral outcome_literal(Outcome outcome) {
+  const auto index = static_cast<usize>(outcome);
+  return index < std::size(kOutcomeNames) ? kOutcomeNames[index] : JsonLiteral("?");
+}
+
+// The suite set a trace's matrix indices refer to.
+std::vector<suite::SuiteMatrix> trace_set(const Trace& trace) {
+  auto set = suite::build_dsab_set(trace.set, trace.suite);
+  SMTU_CHECK_MSG(set.size() == trace.matrix_count,
+                 "trace matrix count does not match the regenerated suite set");
+  return set;
 }
 
 }  // namespace
 
-const char* outcome_name(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kSimulated:
-      return "simulated";
-    case Outcome::kCoalesced:
-      return "coalesced";
-    case Outcome::kWarm:
-      return "warm";
-    case Outcome::kShed:
-      return "shed";
-  }
-  return "?";
-}
+const char* outcome_name(Outcome outcome) { return outcome_literal(outcome).text().data(); }
 
 LatencySummary summarize_latencies(std::vector<u64> values) {
   LatencySummary summary;
   if (values.empty()) return summary;
-  std::sort(values.begin(), values.end());
   summary.count = values.size();
   summary.min = values.front();
-  summary.max = values.back();
+  summary.max = values.front();
   u64 sum = 0;
-  for (const u64 value : values) sum += value;
+  for (const u64 value : values) {
+    summary.min = std::min(summary.min, value);
+    summary.max = std::max(summary.max, value);
+    sum += value;
+  }
   summary.mean = static_cast<double>(sum) / static_cast<double>(values.size());
   // Same rank convention as telemetry::LatencyHistogram::Snapshot::percentile
-  // (ceil(q% * count), 1-based), but over the exact sorted samples.
-  const auto at = [&values](double q) {
+  // (ceil(q% * count), 1-based), but over the exact samples. The ranks
+  // ascend, so each selection partitions only the tail the previous one
+  // left at or above its rank.
+  auto from = values.begin();
+  const auto at = [&values, &from](double q) {
     const u64 count = values.size();
     u64 rank = static_cast<u64>((q / 100.0) * static_cast<double>(count));
     if (static_cast<double>(rank) * 100.0 < q * static_cast<double>(count)) ++rank;
     rank = std::max<u64>(1, std::min<u64>(rank, count));
-    return values[rank - 1];
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(from, nth, values.end());
+    from = nth;
+    return *nth;
   };
   summary.p50 = at(50.0);
   summary.p90 = at(90.0);
@@ -350,28 +375,38 @@ LatencySummary summarize_latencies(std::vector<u64> values) {
 VirtualReport run_virtual(const std::vector<Request>& requests,
                           const std::unordered_map<SimKey, u64, SimKeyHash>& key_cycles,
                           const ServeOptions& options) {
-  return VirtualScheduler(requests, key_cycles, options).run();
+  const KeyIds ids = dense_key_ids(requests);
+  std::vector<u64> cycles;
+  cycles.reserve(ids.keys.size());
+  for (const SimKey& key : ids.keys) {
+    const auto it = key_cycles.find(key);
+    SMTU_CHECK_MSG(it != key_cycles.end(), "virtual replay is missing a key's cycle count");
+    cycles.push_back(it->second);
+  }
+  return VirtualScheduler(requests, ids, cycles, options).run();
 }
 
 std::unordered_map<SimKey, u64, SimKeyHash> simulate_keys(const Trace& trace,
                                                           const ServeOptions& options) {
-  const auto set = suite::build_dsab_set(trace.set, trace.suite);
-  SMTU_CHECK_MSG(set.size() == trace.matrix_count,
-                 "trace matrix count does not match the regenerated suite set");
-  return simulate_distinct(trace, set, vsim::sim_cache_for(options.sim_cache_dir), options);
+  const KeyIds ids = dense_key_ids(trace.requests);
+  const std::vector<u64> cycles = simulate_distinct(
+      ids, trace, trace_set(trace), vsim::sim_cache_for(options.sim_cache_dir), options);
+  std::unordered_map<SimKey, u64, SimKeyHash> key_cycles;
+  key_cycles.reserve(ids.keys.size());
+  for (usize id = 0; id < ids.keys.size(); ++id) key_cycles[ids.keys[id]] = cycles[id];
+  return key_cycles;
 }
 
 ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
-  const auto set = suite::build_dsab_set(trace.set, trace.suite);
-  SMTU_CHECK_MSG(set.size() == trace.matrix_count,
-                 "trace matrix count does not match the regenerated suite set");
+  const auto set = trace_set(trace);
   vsim::SimCache* sim_cache = vsim::sim_cache_for(options.sim_cache_dir);
   const vsim::SimCache::Stats cache_before =
       sim_cache != nullptr ? sim_cache->stats() : vsim::SimCache::Stats{};
 
   ServeReport report;
   const auto started = std::chrono::steady_clock::now();
-  std::unordered_map<SimKey, u64, SimKeyHash> key_cycles;
+  const KeyIds ids = dense_key_ids(trace.requests);
+  std::vector<u64> cycles;  // by key id
 
   if (telemetry::enabled()) {
     telemetry::counter("serve.requests_total").add(trace.requests.size());
@@ -379,24 +414,23 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
 
   const auto sim_started = std::chrono::steady_clock::now();
   if (options.dedup) {
-    key_cycles = simulate_distinct(trace, set, sim_cache, options);
-    report.host.simulations = key_cycles.size();
+    cycles = simulate_distinct(ids, trace, set, sim_cache, options);
+    report.host.simulations = ids.keys.size();
     if (telemetry::enabled()) {
       telemetry::counter("serve.dedup_coalesced_total")
-          .add(trace.requests.size() - key_cycles.size());
+          .add(trace.requests.size() - ids.keys.size());
     }
   } else {
     // The naive loop: one full simulation per request. With batching the
     // requests still fan over the pool; without it (the HOST_serve_naive
     // baseline) they run serially in arrival order.
     ThreadPool pool(options.batching ? options.jobs : 1);
-    const std::vector<u64> cycles =
+    const std::vector<u64> per_request =
         parallel_map(pool, trace.requests, [&](const Request& request) {
           return simulate_key(key_of(request), trace, set, sim_cache);
         });
-    for (usize i = 0; i < trace.requests.size(); ++i) {
-      key_cycles[key_of(trace.requests[i])] = cycles[i];
-    }
+    cycles.resize(ids.keys.size());
+    for (usize i = 0; i < trace.requests.size(); ++i) cycles[ids.ids[i]] = per_request[i];
     report.host.simulations = trace.requests.size();
   }
   report.host.sim_wall_us = elapsed_us(sim_started);
@@ -407,7 +441,7 @@ ServeReport serve_trace(const Trace& trace, const ServeOptions& options) {
                                                   after.stores - cache_before.stores};
   }
 
-  report.virt = run_virtual(trace.requests, key_cycles, options);
+  report.virt = VirtualScheduler(trace.requests, ids, cycles, options).run();
 
   report.host.jobs = options.batching ? resolve_jobs(options.jobs) : 1;
   report.host.wall_us = elapsed_us(started);
@@ -514,18 +548,11 @@ void write_serve_report_json(JsonWriter& json, const Trace& trace,
   json.key("requests");
   json.begin_array();
   for (const RequestOutcome& out : report.virt.outcomes) {
-    json.begin_object();
-    json.key("id");
-    json.value(static_cast<u64>(out.id));
-    json.key("outcome");
-    json.value(outcome_name(out.outcome));
-    json.key("queue_vus");
-    json.value(out.queue_vus);
-    json.key("service_vus");
-    json.value(out.service_vus);
-    json.key("total_vus");
-    json.value(out.total_vus);
-    json.end_object();
+    json.flat_object({{JsonLiteral("id"), u64{out.id}},
+                      {JsonLiteral("outcome"), outcome_literal(out.outcome)},
+                      {JsonLiteral("queue_vus"), out.queue_vus},
+                      {JsonLiteral("service_vus"), out.service_vus},
+                      {JsonLiteral("total_vus"), out.total_vus}});
   }
   json.end_array();
   json.end_object();

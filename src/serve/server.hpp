@@ -69,7 +69,7 @@ struct RequestOutcome {
 
 // Exact latency summary over one virtual metric: percentiles use the same
 // rank convention as telemetry::LatencyHistogram (ceil(q% * count), 1-based)
-// but read the exact sorted values, so no bucketing error.
+// but select the exact order statistics, so no bucketing error.
 struct LatencySummary {
   u64 count = 0;
   u64 min = 0;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <memory_resource>
@@ -54,6 +55,13 @@ void append_integer(std::string& out, Integer number) {
   char digits[24];
   const auto result = std::to_chars(digits, digits + sizeof digits, number);
   out.append(digits, result.ptr);
+}
+
+constexpr usize kU64Digits = 20;
+
+char* put(char* at, std::string_view text) {
+  std::memcpy(at, text.data(), text.size());
+  return at + text.size();
 }
 
 }  // namespace
@@ -129,6 +137,37 @@ void JsonWriter::key(std::string_view name) {
   write_string(name);
   buffer_ += ':';
   pending_key_ = true;
+}
+
+void JsonWriter::flat_object(std::initializer_list<JsonField> fields) {
+  before_value();
+  // Room for the braces, and per member its quoted key, the ':' and ','
+  // and its value: a literal, or at most kU64Digits digits.
+  usize most = 2;
+  for (const JsonField& field : fields) {
+    most += field.key_.text().size() + 4 + (field.is_text_ ? field.text_.size() + 2 : kU64Digits);
+  }
+  const usize start = buffer_.size();
+  buffer_.resize(start + most);
+  char* at = buffer_.data() + start;
+  *at++ = '{';
+  for (const JsonField& field : fields) {
+    if (&field != fields.begin()) *at++ = ',';
+    *at++ = '"';
+    at = put(at, field.key_.text());
+    *at++ = '"';
+    *at++ = ':';
+    if (field.is_text_) {
+      *at++ = '"';
+      at = put(at, field.text_);
+      *at++ = '"';
+    } else {
+      at = std::to_chars(at, at + kU64Digits, field.number_).ptr;
+    }
+  }
+  *at++ = '}';
+  buffer_.resize(static_cast<usize>(at - buffer_.data()));
+  after_value();
 }
 
 void JsonWriter::value(std::string_view text) {

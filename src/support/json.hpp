@@ -26,6 +26,40 @@
 
 namespace smtu {
 
+// A string spelled in the source that JSON writes as it stands: the
+// constructor runs at compile time and rejects any text that would need
+// escaping. text() views the literal itself, so its data() ends in a NUL.
+class JsonLiteral {
+ public:
+  template <usize N>
+  explicit consteval JsonLiteral(const char (&text)[N]) : text_(text, N - 1) {
+    for (const char c : text_) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        throw "JsonLiteral: the text needs escaping";
+      }
+    }
+  }
+  std::string_view text() const { return text_; }
+
+ private:
+  std::string_view text_;
+};
+
+// One member of an object written by JsonWriter::flat_object: a literal key
+// and an unsigned integer or a literal string.
+class JsonField {
+ public:
+  JsonField(JsonLiteral key, u64 number) : key_(key), number_(number) {}
+  JsonField(JsonLiteral key, JsonLiteral text) : key_(key), text_(text.text()), is_text_(true) {}
+
+ private:
+  friend class JsonWriter;
+  JsonLiteral key_;
+  u64 number_ = 0;
+  std::string_view text_;
+  bool is_text_ = false;
+};
+
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
@@ -50,6 +84,11 @@ class JsonWriter {
   void value(u64 number);
   void value(bool flag);
   void null();
+
+  // One object of these members, byte for byte what begin_object, key,
+  // value and end_object would write, formatted in one pass: for documents
+  // that hold many small records.
+  void flat_object(std::initializer_list<JsonField> fields);
 
   // Splices `text` — which must itself be valid JSON — as one value.
   // Used to embed pre-rendered sections (e.g. cached profile JSON) without

@@ -69,7 +69,8 @@ class Rng {
   bool chance(double probability) { return uniform() < probability; }
 
   // Samples `count` distinct values from [0, population) in increasing order.
-  // Uses Floyd's algorithm for small count, a shuffle otherwise.
+  // Uses Floyd's algorithm for small count (its draws marked in a bitmap up
+  // to a population of 2^16, in a hash set beyond), a shuffle otherwise.
   std::vector<u64> sample_without_replacement(u64 population, u64 count);
 
   // Fisher-Yates shuffle.

@@ -117,6 +117,69 @@ TEST(Json, LiteralsAndViewsWriteStrings) {
   EXPECT_EQ(out.str(), R"({"key":["x","y","z"]})");
 }
 
+TEST(Json, FlatObjectWritesWhatTheMemberCallsWrite) {
+  // The same records through flat_object and through begin_object, key,
+  // value and end_object: as array items, as a member's value, as the root,
+  // empty, and with the widest u64.
+  const u64 widest = std::numeric_limits<u64>::max();
+  std::ostringstream fast;
+  {
+    JsonWriter json(fast);
+    json.begin_object();
+    json.key("records");
+    json.begin_array();
+    json.flat_object({{JsonLiteral("id"), u64{0}},
+                      {JsonLiteral("outcome"), JsonLiteral("warm")},
+                      {JsonLiteral("total_vus"), widest}});
+    json.flat_object({});
+    json.flat_object({{JsonLiteral("outcome"), JsonLiteral("")}});
+    json.end_array();
+    json.key("last");
+    json.flat_object({{JsonLiteral("n"), u64{42}}});
+    json.end_object();
+  }
+  std::ostringstream slow;
+  {
+    JsonWriter json(slow);
+    json.begin_object();
+    json.key("records");
+    json.begin_array();
+    json.begin_object();
+    json.key("id");
+    json.value(u64{0});
+    json.key("outcome");
+    json.value("warm");
+    json.key("total_vus");
+    json.value(widest);
+    json.end_object();
+    json.begin_object();
+    json.end_object();
+    json.begin_object();
+    json.key("outcome");
+    json.value("");
+    json.end_object();
+    json.end_array();
+    json.key("last");
+    json.begin_object();
+    json.key("n");
+    json.value(u64{42});
+    json.end_object();
+    json.end_object();
+  }
+  EXPECT_EQ(fast.str(), slow.str());
+  EXPECT_EQ(fast.str(),
+            R"({"records":[{"id":0,"outcome":"warm","total_vus":18446744073709551615},{},)"
+            R"({"outcome":""}],"last":{"n":42}})");
+
+  std::ostringstream root;
+  {
+    JsonWriter json(root);
+    json.flat_object({{JsonLiteral("k"), u64{1}}});
+    EXPECT_TRUE(json.complete());
+  }
+  EXPECT_EQ(root.str(), R"({"k":1})");
+}
+
 TEST(Json, WriterBuffersUntilTheRootCloses) {
   std::ostringstream out;
   {
@@ -469,6 +532,11 @@ TEST(JsonDeathTest, MisuseAborts) {
     JsonWriter json(out);
     json.begin_array();
     EXPECT_DEATH(json.end_object(), "mismatched");
+  }
+  {
+    JsonWriter json(out);
+    json.begin_object();
+    EXPECT_DEATH(json.flat_object({}), "needs a key");
   }
 }
 

@@ -11,6 +11,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,11 +24,16 @@
 #include <string_view>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "kernels/staging.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "testing.hpp"
+#include "vsim/program_cache.hpp"
+#include "vsim/sim_cache.hpp"
 
 namespace smtu::serve {
 namespace {
@@ -369,6 +376,111 @@ TEST(ServeTrace, ParseRejectsDecreasingArrivals) {
   EXPECT_NE(error.find("decreases"), std::string::npos) << error;
 }
 
+// The requests of `trace`, each rendered by `render` (which gets the
+// request and returns its object text), in place of the request array the
+// writer emits.
+template <typename Render>
+std::string with_requests(const Trace& trace, Render render) {
+  std::string text = trace_to_string(trace);
+  const std::string array = "\"requests\":[";
+  const auto begin = text.find(array) + array.size();
+  std::string items;
+  for (const Request& request : trace.requests) {
+    if (!items.empty()) items += ',';
+    items += render(request);
+  }
+  text.replace(begin, text.rfind(']') - begin, items);
+  return text;
+}
+
+std::string request_member(const Request& request, std::string_view name) {
+  const std::string key = "\"" + std::string(name) + "\":";
+  if (name == "id") return key + std::to_string(request.id);
+  if (name == "matrix") return key + std::to_string(request.matrix);
+  if (name == "kernel") return key + "\"" + kernel_name(request.kernel) + "\"";
+  if (name == "config") return key + std::to_string(request.config);
+  if (name == "arrival_us") return key + std::to_string(request.arrival_us);
+  return key + "\"extra\"";  // any other name: a member the parser ignores
+}
+
+// A request object with its members in `order`.
+std::string request_in_order(const Request& request, const std::vector<std::string_view>& order) {
+  std::string object = "{";
+  for (const std::string_view name : order) {
+    if (object.size() > 1) object += ',';
+    object += request_member(request, name);
+  }
+  return object + "}";
+}
+
+TEST(ServeTrace, ParseReadsRequestMembersInAnyOrder) {
+  // The writer's order, every other order, an extra member anywhere, and a
+  // missing id (the request's position) parse to the same trace.
+  Trace trace = tiny_trace();
+  trace.requests[1].kernel = Kernel::kCrs;
+  trace.configs.push_back(ConfigSpec{64, 2, 2});
+  trace.requests[2].config = 1;
+  const std::string expected = trace_to_string(trace);
+  const std::vector<std::vector<std::string_view>> orders = {
+      {"id", "matrix", "kernel", "config", "arrival_us"},
+      {"arrival_us", "config", "kernel", "matrix", "id"},
+      {"matrix", "id", "kernel", "config", "arrival_us"},
+      {"note", "id", "matrix", "kernel", "config", "arrival_us"},
+      {"id", "matrix", "kernel", "config", "arrival_us", "note"},
+      {"id", "matrix", "note", "kernel", "config", "arrival_us"},
+      {"matrix", "kernel", "config", "arrival_us"},
+  };
+  for (const auto& order : orders) {
+    const std::string text =
+        with_requests(trace, [&](const Request& r) { return request_in_order(r, order); });
+    std::string error;
+    const std::optional<Trace> parsed = parse_string(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << text << ": " << error;
+    EXPECT_EQ(trace_to_string(*parsed), expected) << text;
+  }
+}
+
+TEST(ServeTrace, MisorderedRequestsReportTheSameErrors) {
+  // Each bad field of request 1 gives the message it gives in the writer's
+  // order, whichever order the members come in.
+  const Trace trace = tiny_trace();
+  struct Case {
+    std::string_view member;  // replaced in request 1
+    std::string_view value;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"matrix", "-1", "request 1: \"matrix\" is not an unsigned 32-bit integer"},
+      {"id", "\"1\"", "request 1: \"id\" is not an unsigned 32-bit integer"},
+      {"arrival_us", "1.5", "request 1: \"arrival_us\" is not an unsigned 64-bit integer"},
+      {"config", "7", "request 1: config index out of range"},
+      {"matrix", "10", "request 1: matrix index out of range"},
+      {"kernel", "\"warp\"", "request 1: unknown kernel"},
+      {"kernel", "3", "request 1: unknown kernel"},
+      {"arrival_us", "25", "request 2: arrival_us decreases"},
+  };
+  const std::vector<std::vector<std::string_view>> orders = {
+      {"id", "matrix", "kernel", "config", "arrival_us"},
+      {"arrival_us", "config", "kernel", "matrix", "id"},
+      {"kernel", "note", "id", "arrival_us", "matrix", "config"},
+  };
+  for (const Case& c : cases) {
+    for (const auto& order : orders) {
+      const std::string text = with_requests(trace, [&](const Request& r) {
+        std::string object = request_in_order(r, order);
+        if (r.id != 1) return object;
+        const std::string key = "\"" + std::string(c.member) + "\":";
+        const auto begin = object.find(key) + key.size();
+        object.replace(begin, object.find_first_of(",}", begin) - begin, c.value);
+        return object;
+      });
+      std::string error;
+      EXPECT_FALSE(parse_string(text, &error).has_value()) << text;
+      EXPECT_EQ(error, c.message) << text;
+    }
+  }
+}
+
 // ---- the virtual-time scheduler in isolation -------------------------------
 
 Request request_at(u32 id, u32 matrix, u64 arrival_us, Kernel kernel = Kernel::kHism,
@@ -510,6 +622,145 @@ TEST(ServeVirtual, LatencySummaryUsesHistogramRankConvention) {
   const LatencySummary empty = summarize_latencies({});
   EXPECT_EQ(empty.count, 0u);
   EXPECT_EQ(empty.p99, 0u);
+
+  // Seeded vectors with many repeated values against a full sort, at sizes
+  // where the ranks coincide (1, 2) or sit on either side of a whole
+  // percent (99, 100, 101), and at a serve_zipf round's 40,000.
+  Rng rng(0x1a7e);
+  for (const usize size : {usize{1}, usize{2}, usize{99}, usize{100}, usize{101}, usize{40000}}) {
+    for (const u64 distinct : {u64{1}, u64{3}, u64{50}, u64{1} << 40}) {
+      std::vector<u64> values(size);
+      for (u64& value : values) value = 20 + rng.below(distinct);
+      std::vector<u64> sorted = values;
+      std::sort(sorted.begin(), sorted.end());
+      const auto at = [&sorted](u64 q) {
+        const u64 rank = std::max<u64>(1, (q * sorted.size() + 99) / 100);  // ceil, 1-based
+        return sorted[rank - 1];
+      };
+      u64 sum = 0;
+      for (const u64 value : sorted) sum += value;
+      const LatencySummary got = summarize_latencies(values);
+      SCOPED_TRACE(::testing::Message() << "size " << size << ", distinct " << distinct);
+      EXPECT_EQ(got.count, size);
+      EXPECT_EQ(got.min, sorted.front());
+      EXPECT_EQ(got.max, sorted.back());
+      EXPECT_EQ(got.mean, static_cast<double>(sum) / static_cast<double>(size));
+      EXPECT_EQ(got.p50, at(50));
+      EXPECT_EQ(got.p90, at(90));
+      EXPECT_EQ(got.p95, at(95));
+      EXPECT_EQ(got.p99, at(99));
+    }
+  }
+}
+
+// Synthetic cycle counts that vary by key: 50,000 to 449,999 cycles, so a
+// fresh run takes 50 to 449 virtual microseconds.
+KeyCycles synthetic_cycles(const std::vector<Request>& requests) {
+  KeyCycles cycles;
+  for (const Request& request : requests) {
+    const SimKey key = key_of(request);
+    const u64 mix = (u64{key.matrix} * 2654435761u) ^ (u64{key.config} * 40503u) ^
+                    (static_cast<u64>(key.kernel) * 97u);
+    cycles[key] = 50000 + mix % 400000;
+  }
+  return cycles;
+}
+
+TEST(ServeVirtual, ReplaysMatchTheRecordedDigest) {
+  // Every counter, latency summary and per-request outcome of 216
+  // replays: traces of three seeds at Zipf skews 0, 1 and 2, served with
+  // dedup on and off, admission queues of 4, 64 and unbounded depth, open
+  // and closed loop, and one or four workers. The digest was recorded on
+  // the scheduler that kept its state in hash containers keyed by SimKey.
+  vsim::SimHash digest;
+  u64 shed_runs = 0;
+  for (const u64 seed : {u64{1}, u64{77}, u64{104729}}) {
+    for (const double skew : {0.0, 1.0, 2.0}) {
+      GeneratorOptions generator = small_generator();
+      generator.seed = seed;
+      generator.requests = 600;
+      generator.arrival.zipf_skew = skew;
+      generator.arrival.alt_config_fraction = 0.3;
+      const Trace trace = generate_trace(generator);
+      const KeyCycles cycles = synthetic_cycles(trace.requests);
+      for (const bool dedup : {true, false}) {
+        for (const u32 depth : {4u, 64u, std::numeric_limits<u32>::max()}) {
+          for (const u32 closed_loop : {0u, 3u}) {
+            for (const u32 workers : {1u, 4u}) {
+              ServeOptions options;
+              options.dedup = dedup;
+              options.queue_depth = depth;
+              options.closed_loop = closed_loop;
+              options.virtual_workers = workers;
+              const VirtualReport v = run_virtual(trace.requests, cycles, options);
+              shed_runs += v.shed_requests > 0 ? 1 : 0;
+              for (const u64 counter :
+                   {v.admitted_requests, v.shed_requests, v.coalesced_requests,
+                    v.warm_requests, v.simulated_requests, v.distinct_sims,
+                    v.max_queue_depth, v.sim_cycles, v.offered_cycles, v.first_arrival_vus,
+                    v.makespan_vus}) {
+                digest.update_u64(counter);
+              }
+              for (const LatencySummary* s : {&v.queue, &v.service, &v.total}) {
+                for (const u64 field : {s->count, s->min, s->max, std::bit_cast<u64>(s->mean),
+                                        s->p50, s->p90, s->p95, s->p99}) {
+                  digest.update_u64(field);
+                }
+              }
+              digest.update_u64(v.outcomes.size());
+              for (const RequestOutcome& out : v.outcomes) {
+                digest.update_u64(out.id);
+                digest.update_u64(static_cast<u64>(out.outcome));
+                digest.update_u64(out.queue_vus);
+                digest.update_u64(out.service_vus);
+                digest.update_u64(out.total_vus);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shed_runs, 0u) << "no replay sheds, so admission control goes unpinned";
+  EXPECT_EQ(digest.hex(), "4a8712da66f2eaba14e3268a6eef2b3a")
+      << "the virtual replay changed; if that is intended, the new digest is the first value";
+}
+
+TEST(ServeReportJson, BytesMatchTheRecordedDigest) {
+  // The whole smtu-serve-v1 document for a fixed host section and a replay
+  // whose two-deep queue sheds, so every outcome's record appears. The
+  // process-wide cache counters the host section reads are cleared first.
+  // The digest was recorded on the writer that emitted each record through
+  // JsonWriter's key and value calls.
+  GeneratorOptions generator = small_generator();
+  generator.requests = 400;
+  generator.arrival.alt_config_fraction = 0.3;
+  const Trace trace = generate_trace(generator);
+  ServeOptions options;
+  options.queue_depth = 2;
+  options.virtual_workers = 2;
+  ServeReport report;
+  report.virt = run_virtual(trace.requests, synthetic_cycles(trace.requests), options);
+  for (const Outcome outcome :
+       {Outcome::kSimulated, Outcome::kCoalesced, Outcome::kWarm, Outcome::kShed}) {
+    EXPECT_TRUE(std::any_of(report.virt.outcomes.begin(), report.virt.outcomes.end(),
+                            [&](const RequestOutcome& out) { return out.outcome == outcome; }))
+        << outcome_name(outcome);
+  }
+  report.host = HostReport{3, 17, 12345.678, 32400.5, 9876.25, vsim::SimCache::Stats{5, 2, 2}};
+  vsim::ProgramCache::instance().clear();
+  kernels::MatrixStageCache::instance().clear();
+
+  std::ostringstream out;
+  {
+    JsonWriter json(out);
+    write_serve_report_json(json, trace, options, report);
+  }
+  ASSERT_TRUE(parse_json(out.str()).has_value());
+  vsim::SimHash digest;
+  digest.update(out.str());
+  EXPECT_EQ(digest.hex(), "eb6d2894129521f45bae3c6339169818")
+      << "the report bytes changed; if that is intended, the new digest is the first value";
 }
 
 // ---- end to end: host execution + deterministic report ---------------------

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "suite/dsab.hpp"
 #include "suite/generators.hpp"
 #include "suite/metrics.hpp"
 #include "testing.hpp"
+#include "vsim/sim_cache.hpp"
 
 namespace smtu::suite {
 namespace {
@@ -144,6 +147,47 @@ TEST(Dsab, FullScaleSizeEndpointsMatchPaper) {
   EXPECT_EQ(set.front().metrics.nnz, 48u);           // bcsstm01: 48 non-zeros
   EXPECT_NEAR(static_cast<double>(set.back().metrics.nnz), 3753461.0,
               3753461.0 * 0.05);                     // s3dkt3m2: ~3.75M
+}
+
+TEST(Dsab, MatricesMatchTheRecordedDigest) {
+  // Every entry's row, column and value bits plus the metrics of all 30
+  // matrices, at the scale the benches gate (0.05) and the one
+  // design_sweep serves (0.25), each at the default seed and one other. The
+  // digests were recorded on the sampler that kept Floyd's draws in a hash
+  // set for every population.
+  struct Case {
+    double scale;
+    u64 seed;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {0.05, SuiteOptions{}.seed, "fad738b08680efe70328bd8a4698a5cb"},
+      {0.05, 104729, "306a57e6aaef7a4b184166cec532f053"},
+      {0.25, SuiteOptions{}.seed, "948b2040a79627acb1c1542e3859654d"},
+      {0.25, 104729, "81d680a9f2db0fad33c71e722da11602"},
+  };
+  for (const Case& c : cases) {
+    vsim::SimHash digest;
+    for (const SuiteMatrix& entry : build_dsab_suite({.seed = c.seed, .scale = c.scale})) {
+      digest.update(entry.name);
+      digest.update_u64(entry.matrix.rows());
+      digest.update_u64(entry.matrix.cols());
+      for (const CooEntry& e : entry.matrix.entries()) {
+        digest.update_u64(e.row);
+        digest.update_u64(e.col);
+        digest.update_u64(std::bit_cast<u32>(e.value));
+      }
+      const MatrixMetrics& m = entry.metrics;
+      digest.update_u64(m.rows);
+      digest.update_u64(m.cols);
+      digest.update_u64(m.nnz);
+      digest.update_u64(std::bit_cast<u64>(m.locality));
+      digest.update_u64(std::bit_cast<u64>(m.avg_nnz_per_row));
+    }
+    EXPECT_EQ(digest.hex(), c.digest)
+        << "scale " << c.scale << " seed " << c.seed
+        << ": the suite changed; the new digest is the first value";
+  }
 }
 
 TEST(Dsab, DeterministicAcrossCalls) {

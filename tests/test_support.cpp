@@ -8,6 +8,7 @@
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "vsim/sim_cache.hpp"
 
 namespace smtu {
 namespace {
@@ -75,6 +76,34 @@ TEST(Rng, SampleFullPopulation) {
   const auto sample = rng.sample_without_replacement(50, 50);
   ASSERT_EQ(sample.size(), 50u);
   for (usize i = 0; i < 50; ++i) EXPECT_EQ(sample[i], i);
+}
+
+TEST(Rng, SampleWithoutReplacementMatchesTheRecordedDigest) {
+  // One generator runs the whole grid, so the digest pins every sample and
+  // how many draws each one consumed. The counts straddle the shuffle
+  // threshold (count * 4 >= population) and the populations straddle 2^16.
+  // The digest was recorded on the sampler that kept Floyd's draws in a
+  // hash set for every population.
+  Rng rng(0x5a3b1e);
+  vsim::SimHash digest;
+  for (const u64 population : {u64{1}, u64{2}, u64{7}, u64{64}, u64{1000}, u64{1024},
+                               u64{4096}, (u64{1} << 16) - 1, u64{1} << 16,
+                               (u64{1} << 16) + 1, u64{209764}}) {
+    const u64 quarter = (population + 3) / 4;  // the smallest count that shuffles
+    for (const u64 count : {u64{0}, u64{1}, u64{2}, population / 64, population / 8,
+                            quarter - 1, quarter, population / 2, population}) {
+      if (count > population) continue;
+      const std::vector<u64> sample = rng.sample_without_replacement(population, count);
+      ASSERT_EQ(sample.size(), count);
+      for (usize i = 1; i < sample.size(); ++i) ASSERT_LT(sample[i - 1], sample[i]);
+      if (!sample.empty()) ASSERT_LT(sample.back(), population);
+      digest.update_u64(population);
+      digest.update_u64(count);
+      for (const u64 value : sample) digest.update_u64(value);
+    }
+  }
+  EXPECT_EQ(digest.hex(), "1efe0c5a777e08cb5357ba72d965a568")
+      << "the sampled sets changed; if that is intended, the new digest is the first value";
 }
 
 TEST(Strings, Trim) {

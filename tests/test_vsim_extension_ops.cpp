@@ -1,9 +1,15 @@
 // Functional tests of the ISA additions beyond the transpose paper's core:
 // scalar float ops, vector compares (mask generation), float reduction, and
-// the positional gather/scatter of the HiSM SpMV extension.
+// the positional gather/scatter of the HiSM SpMV extension, alone and in
+// examples/programs/spmv_block.s (read through SMTU_EXAMPLES_DIR, injected
+// by tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "vsim/assembler.hpp"
 #include "vsim/machine.hpp"
@@ -129,6 +135,42 @@ TEST(ExtensionOps, PositionalScatterAccumulateByRow) {
   EXPECT_FLOAT_EQ(machine.memory().read_f32(0x2000 + 8), 13.5f);   // 10 + 1.5 + 2
   EXPECT_FLOAT_EQ(machine.memory().read_f32(0x2000 + 20), -4.0f);  // y[5]
   EXPECT_FLOAT_EQ(machine.memory().read_f32(0x2000 + 0), 0.0f);
+}
+
+TEST(ExtensionOps, SpmvBlockDemoMatchesTheHostProduct) {
+  // examples/programs/spmv_block.s with its demo staging (r7) and the
+  // program_spmv_block ctest registers: n = 16 entries, entry i at row i/2
+  // and column n-1-i with value i+1, and x[j] = j+1.
+  std::ifstream in(std::string(SMTU_EXAMPLES_DIR) + "/spmv_block.s");
+  ASSERT_TRUE(in) << "cannot read spmv_block.s";
+  std::ostringstream source;
+  source << in.rdbuf();
+  const Program program = assemble(source.str());
+
+  constexpr u32 kN = 16;
+  constexpr Addr kY = 16384;
+  Machine machine{MachineConfig{}};
+  machine.set_sreg(1, 4096);
+  machine.set_sreg(2, kN);
+  machine.set_sreg(3, 8192);
+  machine.set_sreg(4, 12288);
+  machine.set_sreg(5, kY);
+  machine.set_sreg(7, 1);
+  machine.set_sreg(kRegSp, 0x10000);
+  machine.memory().ensure(0, 1 << 20);  // vsim_run's zeroed scratch megabyte
+  const RunStats stats = machine.run(program, program.label("main"));
+  EXPECT_EQ(stats.vector_instructions, 4u);  // one strip: load, gather, multiply, scatter
+  EXPECT_EQ(stats.vector_elements, 4u * kN);
+
+  std::vector<float> y(kN, 0.0f);
+  for (u32 i = 0; i < kN; ++i) {
+    const float x = static_cast<float>(kN - 1 - i + 1);  // x[col], col = n-1-i
+    y[i / 2] += static_cast<float>(i + 1) * x;
+  }
+  for (u32 row = 0; row < kN; ++row) {
+    EXPECT_EQ(machine.memory().read_f32(kY + 4 * row), y[row]) << "y[" << row << "]";
+  }
+  EXPECT_NE(y[0], 0.0f);
 }
 
 TEST(ExtensionOps, IndexedScatterAccumulate) {

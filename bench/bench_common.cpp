@@ -244,20 +244,30 @@ std::vector<suite::SuiteMatrix> load_external_suite(const std::string& dir,
     } catch (const std::runtime_error& error) {
       reject(error.what());
     }
-    // What the machine cannot stage, by the rules staging itself applies.
+    // What the machine cannot stage, by the rules staging itself applies:
+    // the HiSM key's width, and each image's snapshot, sized as a stage
+    // sizes it, against the memory attach_base lets it into.
     const auto rows = static_cast<unsigned long long>(entry.matrix.rows());
     const auto cols = static_cast<unsigned long long>(entry.matrix.cols());
     if (!HismMatrix::key_fits(rows, cols, config.section)) {
       reject(format("a %llu x %llu matrix needs a HiSM key of more than 64 bits at s = %u",
                     rows, cols, config.section));
     }
-    const Addr crs_end =
-        kernels::crs_image_layout(rows, cols, entry.matrix.nnz(), kernels::kImageBase).end;
-    if (crs_end > config.memory_limit) {
-      reject(format("its CRS image ends at byte %llu, past the machine's %llu-byte memory",
-                    static_cast<unsigned long long>(crs_end),
-                    static_cast<unsigned long long>(config.memory_limit)));
-    }
+    const auto check_snapshot = [&](const char* layout, Addr end) {
+      const u64 snapshot = vsim::Memory::snapshot_size(end);
+      if (snapshot <= config.memory_limit) return;
+      reject(format("its %s image ends at byte %llu, past the machine's %llu-byte memory when "
+                    "staged as a %llu-byte snapshot",
+                    layout, static_cast<unsigned long long>(end),
+                    static_cast<unsigned long long>(config.memory_limit),
+                    static_cast<unsigned long long>(snapshot)));
+    };
+    check_snapshot("CRS", kernels::crs_image_layout(rows, cols, entry.matrix.nnz(),
+                                                    kernels::kImageBase)
+                              .end);
+    check_snapshot("HiSM", hism_image_layout(HismMatrix::from_coo(entry.matrix, config.section),
+                                             kernels::kImageBase)
+                               .end);
     entry.metrics = suite::compute_metrics(entry.matrix);
     external.push_back(std::move(entry));
   }

@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "kernels/crs_parallel.hpp"
 #include "kernels/shard.hpp"
+#include "support/assert.hpp"
 #include "support/parallel.hpp"
 #include "vsim/json_export.hpp"
 #include "vsim/system.hpp"
@@ -62,8 +63,17 @@ std::vector<CoreProfile> collect_core_profiles(
   return per_core;
 }
 
-MatrixScaling scale_matrix(const suite::SuiteMatrix& entry, const vsim::SystemConfig& base) {
+// Both runners decode their result; with `verify` each one must equal the
+// host transpose, or the bench aborts naming the matrix, kernel and cores.
+MatrixScaling scale_matrix(const suite::SuiteMatrix& entry, const vsim::SystemConfig& base,
+                           bool verify) {
   const Csr csr = Csr::from_coo(entry.matrix);
+  const Coo expected = verify ? entry.matrix.transposed() : Coo();
+  const auto check = [&](const Coo& transposed, const char* kernel, u32 cores) {
+    SMTU_CHECK_MSG(!verify || structurally_equal(transposed, expected),
+                   format("kernel '%s' on %u cores decoded a wrong transpose of matrix %s",
+                          kernel, cores, entry.name.c_str()));
+  };
   MatrixScaling scaling;
   for (const u32 cores : kCores) {
     vsim::SystemConfig config = base;
@@ -72,13 +82,19 @@ MatrixScaling scale_matrix(const suite::SuiteMatrix& entry, const vsim::SystemCo
 
     ScalePoint hism;
     hism.cores = cores;
-    hism.stats = kernels::run_sharded_hism_transpose(entry.matrix, config, &profilers).stats;
+    const kernels::ShardedHismTransposeResult sharded =
+        kernels::run_sharded_hism_transpose(entry.matrix, config, &profilers);
+    check(sharded.transposed, "hism_sharded", cores);
+    hism.stats = sharded.stats;
     hism.per_core = collect_core_profiles(profilers);
     scaling.hism.push_back(std::move(hism));
 
     ScalePoint crs;
     crs.cores = cores;
-    crs.stats = kernels::run_parallel_crs_transpose(csr, config, &profilers).stats;
+    const kernels::ParallelCrsTransposeResult parallel =
+        kernels::run_parallel_crs_transpose(csr, config, &profilers);
+    check(parallel.transposed, "crs_parallel", cores);
+    crs.stats = parallel.stats;
     crs.per_core = collect_core_profiles(profilers);
     scaling.crs.push_back(std::move(crs));
   }
@@ -243,7 +259,7 @@ int main(int argc, char** argv) {
   // so the reported cycles are identical for every --jobs value.
   const std::vector<MatrixScaling> results =
       parallel_map(pool, set, [&](const suite::SuiteMatrix& entry) {
-        return scale_matrix(entry, base);
+        return scale_matrix(entry, base, options.verify);
       });
 
   const std::vector<std::string> labels = {"N=1", "N=2", "N=4", "N=8"};

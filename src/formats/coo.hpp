@@ -3,6 +3,19 @@
 // Every other representation (CSR, CSC, JD, HiSM, simulator memory images)
 // converts to and from COO, and correctness of a transposition is always
 // established by comparing canonical COO forms.
+//
+// Canonical order is row-major: (row, col) strictly increasing, so every
+// coordinate appears once, and no entry holds an explicit zero. It is
+// unique, so two canonical forms of one matrix are equal entry by entry.
+//
+// Ordering is linear where the shape allows it. A canonicalize() or
+// transposed() that has to reorder entries uses counting passes (a
+// histogram over a dimension, a prefix sum, a scatter: the transpose of the
+// paper's Fig. 9) when each dimension it counts over is at most a small
+// multiple of nnz; other shapes, such as a 1 x 2^30 row, take a comparison
+// sort instead. The input's shape alone picks the path, and both give the
+// same result: duplicate coordinates are summed in input order, since both
+// paths sort stably.
 #pragma once
 
 #include <vector>
@@ -10,6 +23,11 @@
 #include "support/types.hpp"
 
 namespace smtu {
+
+// Whether a counting pass with one counter per key in [0, dim) suits `nnz`
+// entries: the counters must not outnumber the entries by more than a small
+// factor, and fit 32 bits. Shared by every COO ordering path.
+bool counting_order_fits(Index dim, usize nnz);
 
 struct CooEntry {
   Index row = 0;
@@ -36,8 +54,9 @@ class Coo {
   // Appends an entry; bounds-checked.
   void add(Index row, Index col, float value);
 
-  // Sorts row-major, merges duplicate coordinates by summation, and drops
-  // explicit zeros produced by merging. Idempotent.
+  // Sorts row-major, merges duplicate coordinates by summation in input
+  // order (((a + b) + c) for three), and drops explicit zeros, including
+  // those merging produces. Idempotent; canonical input costs one O(n) scan.
   void canonicalize();
   bool is_canonical() const;
 
@@ -46,14 +65,17 @@ class Coo {
   const Coo& canonical_view(Coo& storage) const;
 
   // Returns the transpose (rows/cols swapped, each entry mirrored), canonical.
+  // A canonical input takes one counting scatter by column.
   Coo transposed() const;
 
   // Average number of non-zeros per row (the paper's ANZ metric).
   double avg_nnz_per_row() const;
 
-  // Exact structural + value equality after canonicalization of both sides.
-  // Transposition never changes values, so exact float compare is correct.
-  friend bool structurally_equal(Coo lhs, Coo rhs);
+  // Exact structural + value equality of the canonical forms. Identical
+  // entry lists are equal without canonicalizing; otherwise a side that is
+  // already canonical is compared in place. Transposition never changes
+  // values, so exact float compare is correct.
+  friend bool structurally_equal(const Coo& lhs, const Coo& rhs);
 
  private:
   Index rows_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "support/assert.hpp"
 #include "support/bits.hpp"
@@ -197,29 +198,55 @@ HismMatrix HismMatrix::assemble(u32 section, Index rows, Index cols,
 
 Coo HismMatrix::to_coo() const {
   Coo coo(rows_, cols_);
-  coo.entries().reserve(nnz());
+  if (levels_.empty()) return coo;
+  const usize n = nnz();
+  auto& entries = coo.entries();
 
-  struct Walker {
-    const HismMatrix& hism;
-    Coo& coo;
-
-    void walk(const BlockArray& block, u32 level, Index row_off, Index col_off) {
-      const u64 span = ipow(hism.section_, level);
+  // Calls visit(row, col, slot) for every element, in storage order.
+  const auto walk = [this](auto&& visit) {
+    const auto descend = [&](auto& self, const BlockArray& block, u32 level, Index row_off,
+                             Index col_off) -> void {
+      const u64 span = ipow(section_, level);
       for (usize i = 0; i < block.size(); ++i) {
         const Index row = row_off + block.pos[i].row * span;
         const Index col = col_off + block.pos[i].col * span;
         if (level == 0) {
-          coo.entries().push_back({row, col, std::bit_cast<float>(block.slot[i])});
+          visit(row, col, block.slot[i]);
         } else {
-          walk(hism.levels_[level - 1][block.slot[i]], level - 1, row, col);
+          self(self, levels_[level - 1][block.slot[i]], level - 1, row, col);
         }
       }
-    }
+    };
+    descend(descend, root(), num_levels() - 1, 0, 0);
   };
 
-  if (!levels_.empty()) {
-    Walker{*this, coo}.walk(root(), num_levels() - 1, 0, 0);
+  if (counting_order_fits(rows_, n)) {
+    // Every block is strictly row- or column-major (validate()), so a walk
+    // meets each row's columns in ascending order: one walk counts the
+    // entries per row, a second scatters each into its row's run. The
+    // count, not nnz(), sizes the result: a hierarchy mutated through
+    // level() may reach a block twice.
+    std::vector<u32> start(rows_, 0);
+    usize visited = 0;
+    walk([&](Index row, Index col, u32) {
+      SMTU_CHECK_MSG(row < rows_ && col < cols_, "HiSM element outside the matrix");
+      ++start[row];
+      ++visited;
+    });
+    std::exclusive_scan(start.begin(), start.end(), start.begin(), u32{0});
+    entries.resize(visited);
+    walk([&](Index row, Index col, u32 slot) {
+      entries[start[row]++] = {row, col, std::bit_cast<float>(slot)};
+    });
+    std::erase_if(entries, [](const CooEntry& e) { return e.value == 0.0f; });
+  } else {
+    entries.reserve(n);
+    walk([&](Index row, Index col, u32 slot) {
+      entries.push_back({row, col, std::bit_cast<float>(slot)});
+    });
   }
+  // A hierarchy mutated through level() may break the order the scatter
+  // relies on; the scan costs O(n), and the sort runs only then.
   coo.canonicalize();
   return coo;
 }

@@ -1,22 +1,34 @@
 #include "hism/image.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
 namespace smtu {
 namespace {
 
-void put_u32(std::vector<u8>& bytes, usize offset, u32 value) {
-  bytes[offset + 0] = static_cast<u8>(value);
-  bytes[offset + 1] = static_cast<u8>(value >> 8);
-  bytes[offset + 2] = static_cast<u8>(value >> 16);
-  bytes[offset + 3] = static_cast<u8>(value >> 24);
-}
+// Block positions are stored as (row byte, col byte) pairs and slots and
+// lengths as little-endian words, which is how this host lays out BlockPos
+// and u32: whole arrays move with one memcpy each.
+static_assert(sizeof(BlockPos) == 2 && std::endian::native == std::endian::little);
 
-u32 get_u32(std::span<const u8> bytes, u64 offset) {
-  SMTU_CHECK_MSG(offset + 4 <= bytes.size(), "HiSM image read out of bounds");
-  return static_cast<u32>(bytes[offset]) | static_cast<u32>(bytes[offset + 1]) << 8 |
-         static_cast<u32>(bytes[offset + 2]) << 16 | static_cast<u32>(bytes[offset + 3]) << 24;
+// The address of every block array of `hism`'s image at `base`, by level and
+// pool index, and the image's end. Level 0 comes first, so children precede
+// their parents.
+std::vector<std::vector<Addr>> block_addresses(const HismMatrix& hism, Addr base, Addr& end) {
+  std::vector<std::vector<Addr>> addr_of(hism.num_levels());
+  Addr cursor = base;
+  for (u32 k = 0; k < hism.num_levels(); ++k) {
+    addr_of[k].reserve(hism.level(k).size());
+    for (const BlockArray& block : hism.level(k)) {
+      addr_of[k].push_back(cursor);
+      cursor += block_array_image_bytes(block.size(), /*has_lengths=*/k > 0);
+    }
+  }
+  end = cursor;
+  return addr_of;
 }
 
 }  // namespace
@@ -26,7 +38,7 @@ u64 block_array_image_bytes(usize entries, bool has_lengths) {
   return round_up(2 * n, 4) + 4 * n + (has_lengths ? 4 * n : 0);
 }
 
-HismImage build_hism_image(const HismMatrix& hism, Addr base) {
+HismImage hism_image_layout(const HismMatrix& hism, Addr base) {
   SMTU_CHECK_MSG(base % 4 == 0, "HiSM image base must be 4-byte aligned");
   SMTU_CHECK_MSG(hism.validate(), "cannot serialize an invalid HiSM matrix");
 
@@ -36,42 +48,38 @@ HismImage build_hism_image(const HismMatrix& hism, Addr base) {
   image.section = hism.section();
   image.rows = hism.rows();
   image.cols = hism.cols();
-
-  // Pass 1: assign addresses, level 0 first (children precede parents so the
-  // slot of a parent entry can be filled in one pass).
-  std::vector<std::vector<Addr>> addr_of(image.levels);
-  Addr cursor = base;
-  for (u32 k = 0; k < image.levels; ++k) {
-    addr_of[k].reserve(hism.level(k).size());
-    for (const BlockArray& block : hism.level(k)) {
-      addr_of[k].push_back(cursor);
-      cursor += block_array_image_bytes(block.size(), /*has_lengths=*/k > 0);
-    }
-  }
-  image.bytes.assign(cursor - base, 0);
+  const std::vector<std::vector<Addr>> addr_of = block_addresses(hism, base, image.end);
   image.root_addr = addr_of[image.levels - 1][hism.root_id()];
   image.root_len = static_cast<u32>(hism.root().size());
+  SMTU_CHECK_MSG(image.end <= 0xffffffffULL, "HiSM image exceeds 32-bit pointer range");
+  return image;
+}
 
-  // Pass 2: fill content.
+void write_hism_image(const HismMatrix& hism, const HismImage& image, std::span<u8> memory) {
+  SMTU_CHECK(image.end <= memory.size());
+  Addr end = 0;
+  const std::vector<std::vector<Addr>> addr_of = block_addresses(hism, image.base, end);
+  SMTU_CHECK_MSG(end == image.end, "HiSM image layout does not match its matrix");
   for (u32 k = 0; k < image.levels; ++k) {
     const auto& pool = hism.level(k);
     for (usize b = 0; b < pool.size(); ++b) {
       const BlockArray& block = pool[b];
-      const usize at = addr_of[k][b] - base;
       const usize n = block.size();
-      const usize slots_at = at + round_up(2 * n, 4);
-      for (usize i = 0; i < n; ++i) {
-        image.bytes[at + 2 * i] = block.pos[i].row;
-        image.bytes[at + 2 * i + 1] = block.pos[i].col;
-        const u32 slot_value =
-            k == 0 ? block.slot[i] : static_cast<u32>(addr_of[k - 1][block.slot[i]]);
-        put_u32(image.bytes, slots_at + 4 * i, slot_value);
-        if (k > 0) put_u32(image.bytes, slots_at + 4 * n + 4 * i, block.child_len[i]);
+      if (n == 0) continue;
+      u8* const at = memory.data() + addr_of[k][b];
+      u8* const slots = at + round_up(2 * n, 4);
+      std::memcpy(at, block.pos.data(), 2 * n);
+      if (k == 0) {
+        std::memcpy(slots, block.slot.data(), 4 * n);
+        continue;
       }
+      for (usize i = 0; i < n; ++i) {
+        const auto child = static_cast<u32>(addr_of[k - 1][block.slot[i]]);
+        std::memcpy(slots + 4 * i, &child, 4);
+      }
+      std::memcpy(slots + 4 * n, block.child_len.data(), 4 * n);
     }
   }
-  SMTU_CHECK_MSG(cursor <= 0xffffffffULL, "HiSM image exceeds 32-bit pointer range");
-  return image;
 }
 
 HismMatrix decode_hism_image(std::span<const u8> memory, Addr memory_base, Addr root_addr,
@@ -88,25 +96,25 @@ HismMatrix decode_hism_image(std::span<const u8> memory, Addr memory_base, Addr 
 
     u32 decode(Addr addr, u32 len, u32 level) {
       SMTU_CHECK_MSG(addr >= memory_base, "block address before image base");
-      const u64 at = addr - memory_base;
       const u64 n = len;
-      SMTU_CHECK_MSG(at + 2 * n <= memory.size(), "block positions out of bounds");
-      const u64 slots_at = at + round_up(2 * n, 4);
+      SMTU_CHECK_MSG(addr - memory_base + block_array_image_bytes(n, level > 0) <= memory.size(),
+                     "HiSM block array out of bounds");
+      const u8* const at = memory.data() + (addr - memory_base);
+      const u8* const slots = at + round_up(2 * n, 4);
 
       BlockArray block;
-      block.pos.reserve(n);
-      block.slot.reserve(n);
-      if (level > 0) block.child_len.reserve(n);
-      for (u64 i = 0; i < n; ++i) {
-        block.pos.push_back({memory[at + 2 * i], memory[at + 2 * i + 1]});
-        const u32 slot = get_u32(memory, slots_at + 4 * i);
-        if (level == 0) {
-          block.slot.push_back(slot);
-        } else {
-          const u32 child_len = get_u32(memory, slots_at + 4 * n + 4 * i);
-          const u32 child_id = decode(slot, child_len, level - 1);
-          block.slot.push_back(child_id);
-          block.child_len.push_back(child_len);
+      block.pos.resize(n);
+      block.slot.resize(n);
+      if (n != 0) {
+        std::memcpy(block.pos.data(), at, 2 * n);
+        std::memcpy(block.slot.data(), slots, 4 * n);
+      }
+      if (level > 0) {
+        block.child_len.resize(n);
+        if (n != 0) std::memcpy(block.child_len.data(), slots + 4 * n, 4 * n);
+        // Slots hold child addresses until each child is decoded.
+        for (u64 i = 0; i < n; ++i) {
+          block.slot[i] = decode(block.slot[i], block.child_len[i], level - 1);
         }
       }
       auto& pool = pools[level];

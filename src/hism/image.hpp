@@ -25,9 +25,11 @@
 
 namespace smtu {
 
+// Where a HiSM image lies in memory; the bytes themselves live in whatever
+// memory write_hism_image filled.
 struct HismImage {
-  std::vector<u8> bytes;  // image content; bytes[0] lives at address `base`
   Addr base = 0;
+  Addr end = 0;  // first address past the image
   Addr root_addr = 0;
   u32 root_len = 0;
   u32 levels = 0;
@@ -39,13 +41,21 @@ struct HismImage {
 // Bytes occupied by one block-array (including alignment padding).
 u64 block_array_image_bytes(usize entries, bool has_lengths);
 
-// Serializes `hism` with the image starting at `base` (must be 4-aligned).
-HismImage build_hism_image(const HismMatrix& hism, Addr base);
+// Where the image of `hism` goes when it starts at `base` (must be
+// 4-aligned): its end and its root. Aborts unless hism.validate().
+HismImage hism_image_layout(const HismMatrix& hism, Addr base);
+
+// Serializes `hism` at the addresses of `image` (its hism_image_layout) into
+// `memory`, the bytes of addresses [0, memory.size()). It must cover
+// image.end and read zero over [image.base, image.end), as a fresh buffer or
+// a fresh machine's memory does: alignment padding is not written.
+void write_hism_image(const HismMatrix& hism, const HismImage& image, std::span<u8> memory);
 
 // Decodes an image from a memory snapshot. `memory` is the machine memory
 // starting at address `memory_base`; the root and shape parameters come from
 // the original HismImage (transposition changes none of them, only rows/cols
-// swap — pass them swapped when decoding a transposed image).
+// swap — pass them swapped when decoding a transposed image). Each block's
+// bounds are checked once, before its arrays are copied.
 HismMatrix decode_hism_image(std::span<const u8> memory, Addr memory_base, Addr root_addr,
                              u32 root_len, u32 levels, u32 section, Index rows, Index cols);
 

@@ -166,9 +166,8 @@ CrsImage stage_parallel_crs(vsim::MultiCoreSystem& system, const Csr& csr) {
   const u32 cores = system.num_cores();
   vsim::Memory& mem = system.memory();
 
-  std::vector<u8> bytes;
-  const CrsImage image = build_crs_image(csr, kImageBase, bytes);
-  mem.write_block(kImageBase, bytes);
+  const CrsImage image = crs_image_layout(csr.rows(), csr.cols(), csr.nnz(), kImageBase);
+  write_crs_image(csr, image, {mem.write_span(0, image.end), image.end});
 
   // Scratch arrays past the image: COUNT, SLOT, PARTIAL, descriptors.
   const u64 cols = image.cols;

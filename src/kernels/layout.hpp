@@ -32,12 +32,15 @@ struct CrsImage {
 // non-zeros placed from `base`; image.end - base is the image's size.
 CrsImage crs_image_layout(Index rows, Index cols, usize nnz, Addr base);
 
-// Serializes AN/JA/IA at their crs_image_layout addresses into `bytes`,
-// which on return covers [base, image.end); the output arrays stay zeroed.
-// build_crs_stage wraps it in a shared snapshot.
-CrsImage build_crs_image(const Csr& csr, Addr base, std::vector<u8>& bytes);
+// Serializes AN/JA/IA of `csr` at the addresses of `image` (its
+// crs_image_layout) into `memory`, the bytes of addresses
+// [0, memory.size()). It must cover image.end and read zero up to it, as a
+// fresh buffer or a fresh machine's memory does: the output arrays are
+// left as they are. build_crs_stage writes straight into its snapshot.
+void write_crs_image(const Csr& csr, const CrsImage& image, std::span<u8> memory);
 
-// Reads the transposed matrix (ANT/JAT/IAT) back as COO.
+// Reads the transposed matrix (ANT/JAT/IAT) back as COO, each array with
+// one bounds check.
 Coo read_back_crs_transpose(const vsim::Memory& memory, const CrsImage& image);
 
 // Decodes the (possibly transposed, in-place) HiSM image from machine

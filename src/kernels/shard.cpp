@@ -174,9 +174,10 @@ StagedShard stage_sharded(vsim::MultiCoreSystem& system, const Coo& coo) {
   std::vector<HismImage> images(cores);
   for (u32 c = 0; c < cores; ++c) {
     if (plan.panels[c].nnz == 0) continue;
-    images[c] = build_hism_image(plan.panels[c].hism, round_up(cursor, 16));
-    mem.write_block(images[c].base, images[c].bytes);
-    cursor = images[c].base + images[c].bytes.size();
+    images[c] = hism_image_layout(plan.panels[c].hism, round_up(cursor, 16));
+    write_hism_image(plan.panels[c].hism, images[c],
+                     {mem.write_span(0, images[c].end), images[c].end});
+    cursor = images[c].end;
   }
 
   // Merged root region (block-array layout of hism/image.hpp), zeroed.
@@ -276,7 +277,6 @@ ShardedHismTransposeResult run_sharded_hism_transpose(
                                         staged.merged_len, staged.plan.levels,
                                         config.core.section, coo.cols(), coo.rows());
   result.transposed = merged.to_coo();
-  result.transposed.canonicalize();
   return result;
 }
 

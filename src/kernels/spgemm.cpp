@@ -241,9 +241,9 @@ SpgemmLayout stage_spgemm(vsim::MultiCoreSystem& system, const Coo& a, const Csr
   u32 levels = 1;
   if (a.nnz() > 0) {
     const HismMatrix hism = HismMatrix::from_coo(a, section, HighLevelOrder::kRowMajor);
-    const HismImage image = build_hism_image(hism, kImageBase);
-    mem.write_block(image.base, image.bytes);
-    cursor = image.base + image.bytes.size();
+    const HismImage image = hism_image_layout(hism, kImageBase);
+    write_hism_image(hism, image, {mem.write_span(0, image.end), image.end});
+    cursor = image.end;
     root_addr = image.root_addr;
     root_len = image.root_len;
     levels = image.levels;

@@ -272,7 +272,7 @@ SpmvResult run_hism_spmv_program(const std::string& source, const HismStage& sta
   const auto program = vsim::ProgramCache::instance().get(source);
   vsim::Machine machine = staged_machine(stage, config);
   const HismImage& image = stage.image;
-  const Addr x_addr = round_up(image.base + image.bytes.size(), 16);
+  const Addr x_addr = round_up(image.end, 16);
   const Addr y_addr = stage_floats(machine, x_addr, x);
   machine.memory().ensure(y_addr, 4 * std::max<u64>(1, y_count));  // zeroed y
 

@@ -9,9 +9,10 @@
 // image instead of rebuilding it per config.
 //
 // The snapshot covers [0, size) from address zero with the image at
-// kImageBase. vsim::Memory::snapshot_of sizes it, by the same growth rule
-// as memory written in place, so a kernel reading past the image sees what
-// it would see on a machine whose memory had the image written into it.
+// kImageBase, written straight into it. vsim::Memory::snapshot_size sizes
+// it, by the same growth rule as memory written in place, so a kernel
+// reading past the image sees what it would see on a machine whose memory
+// had the image written into it.
 #pragma once
 
 #include <memory>
@@ -28,8 +29,8 @@
 
 namespace smtu::kernels {
 
-// A HiSM matrix staged once: the hierarchy, its memory image descriptor,
-// and the shared byte snapshot machines attach.
+// A HiSM matrix staged once: the hierarchy, where its image lies, and the
+// shared byte snapshot machines attach, which holds the image's only bytes.
 struct HismStage {
   HismMatrix hism;
   HismImage image;
@@ -65,7 +66,10 @@ vsim::Machine transpose_machine(const CrsStage& stage, const vsim::MachineConfig
 
 // Process-wide cache from matrix content to its staged image. Thread-safe;
 // keyed by dimensions plus a content hash of the COO entries (and the
-// section size for HiSM, whose layout depends on it).
+// section size for HiSM, whose layout depends on it). The key lives only in
+// this process: nothing stores or compares it elsewhere. Each key's stage
+// is built once: a lookup that arrives while another builds it waits for
+// that build and counts as a hit.
 class MatrixStageCache {
  public:
   struct Stats {
@@ -82,8 +86,14 @@ class MatrixStageCache {
   void clear();
 
  private:
+  // One key's stage; its builder holds `build` until `stage` is set.
   template <typename Stage>
-  using Entries = std::unordered_map<std::string, std::shared_ptr<const Stage>>;
+  struct Slot {
+    std::mutex build;
+    std::shared_ptr<const Stage> stage;
+  };
+  template <typename Stage>
+  using Entries = std::unordered_map<std::string, std::shared_ptr<Slot<Stage>>>;
 
   // The one lookup behind hism() and crs(): the stage cached under the
   // matrix's content key for `layout`, built by `build` on a miss.

@@ -15,11 +15,8 @@ void Memory::attach_base(std::shared_ptr<const std::vector<u8>> base) {
   refresh_view();
 }
 
-std::shared_ptr<const std::vector<u8>> Memory::snapshot_of(Addr addr,
-                                                           std::span<const u8> data) {
-  Memory memory;
-  memory.write_block(addr, data);
-  return std::make_shared<const std::vector<u8>>(std::move(memory.bytes_));
+u64 Memory::snapshot_size(Addr end) {
+  return end == 0 ? 0 : grown_size(0, end);
 }
 
 void Memory::privatize() {
@@ -36,13 +33,15 @@ void Memory::ensure_slow(Addr addr, u64 len) {
                                        static_cast<unsigned long long>(addr),
                                        static_cast<unsigned long long>(limit_)));
   privatize();
-  if (end > bytes_.size()) {
-    // Grow geometrically to keep amortized cost low.
-    u64 new_size = bytes_.size() == 0 ? 4096 : bytes_.size();
-    while (new_size < end) new_size *= 2;
-    bytes_.resize(std::min(new_size, limit_), 0);
-  }
+  if (end > bytes_.size()) bytes_.resize(std::min(grown_size(bytes_.size(), end), limit_), 0);
   refresh_view();
+}
+
+u64 Memory::grown_size(u64 size, Addr end) {
+  // Geometric growth keeps the amortized cost of writes low.
+  u64 new_size = size == 0 ? 4096 : size;
+  while (new_size < end) new_size *= 2;
+  return new_size;
 }
 
 void Memory::read_out_of_bounds(Addr addr) const {

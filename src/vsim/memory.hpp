@@ -6,7 +6,7 @@
 // Machine's vector/scalar memory models.
 //
 // A memory may also attach an immutable shared snapshot (a staged workload
-// image, sized by snapshot_of with the same growth rule) that it reads
+// image, sized by snapshot_size with the same growth rule) that it reads
 // through copy-on-write: many machines share one base image, and the first
 // write privatizes a full copy. This is how every HiSM and CRS image
 // reaches a machine, so a config ladder over one matrix stages it once.
@@ -40,12 +40,13 @@ class Memory {
   // storage. Replaces any previously attached snapshot or private content.
   void attach_base(std::shared_ptr<const std::vector<u8>> base);
 
-  // The bytes a fresh memory holds after write_block(addr, data), as a
-  // snapshot for attach_base. Sizing it by write_block's own growth rule
-  // keeps reads past a staged image (zeros, or the out-of-bounds abort)
-  // exactly as they would be on memory that had the image written into it.
-  static std::shared_ptr<const std::vector<u8>> snapshot_of(Addr addr,
-                                                            std::span<const u8> data);
+  // The size of a snapshot for attach_base that holds an image ending at
+  // `end`: what a fresh memory grows to when written up to `end` (0 for an
+  // empty one, else 4096 doubled until it covers `end`). A stage writes its
+  // image into a zeroed buffer of this size, so reads past the image (zeros,
+  // or the out-of-bounds abort) behave exactly as on memory that had the
+  // image written into it, and attach_base accepts it only within limit().
+  static u64 snapshot_size(Addr end);
 
   // Grows the backing store to cover [0, addr + len); aborts past the limit.
   void ensure(Addr addr, u64 len) {
@@ -113,6 +114,9 @@ class Memory {
   [[noreturn]] void read_out_of_bounds(Addr addr) const;
   // Grow/privatize/abort tail of ensure() (first write, growth, limit).
   void ensure_slow(Addr addr, u64 len);
+  // The size storage of `size` bytes grows to so that it covers [0, end),
+  // before the limit caps it.
+  static u64 grown_size(u64 size, Addr end);
   // Copies an attached snapshot into private storage (first write).
   void privatize();
   void refresh_view() {

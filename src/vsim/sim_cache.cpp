@@ -1,9 +1,11 @@
 #include "vsim/sim_cache.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -67,6 +69,42 @@ std::string unique_temp_path(const std::string& path) {
   static std::atomic<u64> counter{0};
   return format("%s.%lld-%llu.tmp", path.c_str(), static_cast<long long>(::getpid()),
                 static_cast<unsigned long long>(counter.fetch_add(1)));
+}
+
+// Writes all of `text` to `fd`; false on any write error.
+bool write_all(int fd, std::string_view text) {
+  while (!text.empty()) {
+    const ssize_t written = ::write(fd, text.data(), text.size());
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return false;
+    text.remove_prefix(static_cast<usize>(written));
+  }
+  return true;
+}
+
+// Publishes `text` as a new file at `path` in `dir` through an unnamed file
+// that is linked in once written, so readers see the whole entry or none.
+// On a file system with inode allocation under the directory lock (ext4),
+// this keeps that cost off the lock every other lookup and store in the
+// directory waits for: only the link takes it. False, with nothing left
+// behind, where `path` already exists or the system cannot do it (no
+// O_TMPFILE, no /proc); the caller then writes a temp file and renames it.
+bool link_new_entry(const std::string& dir, const std::string& path, std::string_view text) {
+#ifdef O_TMPFILE
+  const int fd = ::open(dir.c_str(), O_TMPFILE | O_WRONLY | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  const std::string self = format("/proc/self/fd/%d", fd);
+  const bool linked = write_all(fd, text) &&
+                      ::linkat(AT_FDCWD, self.c_str(), AT_FDCWD, path.c_str(),
+                               AT_SYMLINK_FOLLOW) == 0;
+  ::close(fd);
+  return linked;
+#else
+  (void)dir;
+  (void)path;
+  (void)text;
+  return false;
+#endif
 }
 
 }  // namespace
@@ -240,19 +278,23 @@ void SimCache::store(const std::string& key, const Entry& entry) {
     SMTU_CHECK(json.complete());
   }
 
-  // Temp-file + rename so concurrent readers never see a partial entry.
+  // A new entry is linked in whole; an existing one is replaced by a temp
+  // file of this writer's own and a rename. Either way concurrent readers
+  // never see a partial entry.
   const std::string path = path_for(key);
-  const std::string tmp = unique_temp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SMTU_CHECK_MSG(out.good(), "sim-cache: cannot write " + tmp);
-    out << text.view();
-    out.flush();
-    SMTU_CHECK_MSG(out.good(), "sim-cache: write failed for " + tmp);
+  if (!link_new_entry(dir_, path, text.view())) {
+    const std::string tmp = unique_temp_path(path);
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      SMTU_CHECK_MSG(out.good(), "sim-cache: cannot write " + tmp);
+      out << text.view();
+      out.flush();
+      SMTU_CHECK_MSG(out.good(), "sim-cache: write failed for " + tmp);
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    SMTU_CHECK_MSG(!ec, "sim-cache: rename failed for " + path);
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  SMTU_CHECK_MSG(!ec, "sim-cache: rename failed for " + path);
 
   if (telemetry::enabled()) {
     telemetry::counter("cache.sim.stores_total").add(1);

@@ -16,8 +16,10 @@
 // `verified` records whether the cached run also passed the caller's
 // correctness check (lookups that need verification treat unverified
 // entries as misses); `profile` is the pre-rendered smtu-profile-v1 object
-// the report splices back in via JsonWriter::raw. Each write goes through a
-// temp file of its own and a rename, so concurrent writers never clash and
+// the report splices back in via JsonWriter::raw. A new entry is written to
+// an unnamed file (O_TMPFILE) and linked in whole; an existing one, or any
+// entry where the system cannot link one in, goes through a temp file of
+// its writer's own and a rename. So concurrent writers never clash and
 // readers never observe partial entries.
 #pragma once
 

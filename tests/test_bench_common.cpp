@@ -282,6 +282,37 @@ TEST(BenchCommonDeathTest, ExternalMatrixBeyondTheMachineMemoryExitsWithCode2) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BenchCommonDeathTest, ExternalMatrixWhoseHismSnapshotExceedsTheMemoryExitsWithCode2) {
+  // At s = 2 a 1024 x 1024 matrix with 30,000 non-zeros needs ten levels.
+  // Its CRS image fits a 1 MiB machine, but its HiSM image ends past 1 MiB,
+  // so the snapshot holding it is 2 MiB, which attach_base would refuse.
+  testing::TempDir dir("external_hism_snapshot");
+  std::filesystem::create_directories(dir.str());
+  Rng rng(3);
+  write_matrix_market_file(dir.str() + "/deep.mtx", testing::random_coo(1024, 1024, 30000, rng));
+  vsim::MachineConfig config;
+  config.section = 2;
+  config.memory_limit = u64{1} << 20;
+  EXPECT_EXIT(bench::load_external_suite(dir.str(), config), ::testing::ExitedWithCode(2),
+              "deep\\.mtx: its HiSM image ends at byte [0-9]+, past the machine's "
+              "1048576-byte memory when staged as a 2097152-byte snapshot");
+  config.memory_limit = u64{2} << 20;
+  EXPECT_EQ(bench::load_external_suite(dir.str(), config).size(), 1u);
+}
+
+TEST(BenchCommonDeathTest, ExternalMatrixWhoseCrsSnapshotExceedsTheMemoryExitsWithCode2) {
+  // A 500,000-byte memory holds the end of this matrix's CRS image, but not
+  // the 512 KiB snapshot a stage puts it in.
+  const std::filesystem::path dir = one_row_matrix_dir("smtu_bench_common_crs_snapshot", 100000);
+  vsim::MachineConfig config;
+  config.memory_limit = 500000;
+  EXPECT_LT(kernels::crs_image_layout(1, 100000, 1, kernels::kImageBase).end, 500000u);
+  EXPECT_EXIT(bench::load_external_suite(dir.string(), config), ::testing::ExitedWithCode(2),
+              "wide\\.mtx: its CRS image ends at byte [0-9]+, past the machine's 500000-byte "
+              "memory when staged as a 524288-byte snapshot");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ParallelHarness, RunComparisonsIsDeterministicAcrossJobs) {
   // The determinism contract of the parallel harness: any -jN produces the
   // same records (cycles, speedups, full RunStats) in the same order as the

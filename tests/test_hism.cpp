@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "hism/hism.hpp"
 #include "hism/stats.hpp"
 #include "hism/transpose.hpp"
+#include "kernels/hism_transpose.hpp"
+#include "oracles/coo_reference.hpp"
 #include "testing.hpp"
 
 namespace smtu {
@@ -10,7 +14,11 @@ namespace {
 
 using testing::coo_equal;
 using testing::make_coo;
+using testing::messy_entries;
+using testing::mirrored;
 using testing::random_coo;
+using testing::reference_canonical;
+using testing::same_entries;
 
 TEST(Hism, SingleLevelWhenMatrixFitsOneBlock) {
   const Coo coo = make_coo(8, 8, {{1, 2, 3.0f}});
@@ -119,6 +127,75 @@ TEST(Hism, EmptyMatrix) {
   EXPECT_EQ(hism.nnz(), 0u);
   EXPECT_EQ(hism.root().size(), 0u);
   EXPECT_TRUE(coo_equal(hism.to_coo(), Coo(100, 100)));
+}
+
+// ---- to_coo's canonical order against the comparison-sort oracle ----------
+
+constexpr HighLevelOrder kOrders[] = {HighLevelOrder::kRowMajor, HighLevelOrder::kColMajor};
+
+TEST(HismCanonicalOrder, ToCooMatchesTheOracleAtEverySectionAndOrder) {
+  // The second shape has far more rows than entries, so to_coo takes the
+  // comparison sort instead of the row scatter.
+  Rng rng(11);
+  for (const auto& [rows, cols, cells] :
+       {std::tuple<Index, Index, usize>{300, 200, 2500}, {5000, 3, 6}}) {
+    const std::vector<CooEntry> entries = messy_entries(rows, cols, cells, rng);
+    const std::vector<CooEntry> want = reference_canonical(entries);
+    const Coo coo(rows, cols, entries);
+    for (const u32 section : {2u, 8u, 64u, 256u}) {
+      for (const HighLevelOrder order : kOrders) {
+        const HismMatrix hism = HismMatrix::from_coo(coo, section, order);
+        EXPECT_TRUE(same_entries(hism.to_coo().entries(), want))
+            << rows << "x" << cols << " at s = " << section;
+      }
+    }
+  }
+}
+
+TEST(HismCanonicalOrder, TransposedKernelOutputMatchesTheOracle) {
+  // The kernel's in-place transpose, decoded by read_back_hism: the walk
+  // over the rewritten image must still come out in canonical order.
+  Rng rng(12);
+  const std::vector<CooEntry> entries = messy_entries(150, 110, 1500, rng);
+  const std::vector<CooEntry> want = reference_canonical(mirrored(entries));
+  const Coo coo(150, 110, entries);
+  for (const u32 section : {8u, 64u}) {
+    for (const HighLevelOrder order : kOrders) {
+      vsim::MachineConfig config;
+      config.section = section;
+      const kernels::HismStage stage =
+          kernels::build_hism_stage(HismMatrix::from_coo(coo, section, order));
+      const HismMatrix t = kernels::run_hism_transpose(stage, config).transposed;
+      EXPECT_TRUE(same_entries(t.to_coo().entries(), want)) << "s = " << section;
+    }
+  }
+}
+
+TEST(HismCanonicalOrder, MutatedHierarchyFallsBackToASort) {
+  // Swapping two entries of a block breaks the storage order to_coo's row
+  // scatter relies on, and a zeroed slot adds an explicit zero: to_coo must
+  // notice both and still return the canonical form.
+  Coo coo(8, 8);
+  for (Index col = 0; col < 8; ++col) coo.add(0, col, 1.0f + static_cast<float>(col));
+  coo.add(3, 5, 9.0f);
+  coo.add(6, 2, 10.0f);
+  HismMatrix hism = HismMatrix::from_coo(coo, 8);
+  ASSERT_EQ(hism.num_levels(), 1u);
+  BlockArray& block = hism.level(0)[0];
+  std::swap(block.pos[0], block.pos[1]);
+  std::swap(block.slot[0], block.slot[1]);
+  block.slot[8] = std::bit_cast<u32>(0.0f);  // (3, 5)
+  std::vector<CooEntry> want = coo.entries();
+  want.erase(want.begin() + 8);
+  EXPECT_TRUE(same_entries(hism.to_coo().entries(), want));
+}
+
+TEST(HismCanonicalOrderDeathTest, ElementInThePaddingAborts) {
+  // A 5 x 5 matrix pads to one 8 x 8 block; moving an element to (7, 7)
+  // puts it outside the matrix, where to_coo's row counters end.
+  HismMatrix hism = HismMatrix::from_coo(make_coo(5, 5, {{1, 1, 1.0f}, {4, 4, 2.0f}}), 8);
+  hism.level(0)[0].pos[1] = {7, 7};
+  EXPECT_DEATH(hism.to_coo(), "outside the matrix");
 }
 
 TEST(HismStats, CountsAndOverhead) {

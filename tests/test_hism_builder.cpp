@@ -50,7 +50,8 @@ constexpr HighLevelOrder kOrders[] = {HighLevelOrder::kRowMajor, HighLevelOrder:
       }
     }
   }
-  if (build_hism_image(built, 0x1000).bytes != build_hism_image(reference, 0x1000).bytes) {
+  if (testing::written_hism_image(built, 0x1000).memory !=
+      testing::written_hism_image(reference, 0x1000).memory) {
     return ::testing::AssertionFailure() << where << ": image bytes differ";
   }
   return ::testing::AssertionSuccess();

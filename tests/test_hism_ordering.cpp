@@ -49,10 +49,11 @@ TEST(HismOrdering, ImageRoundTripPreservesOrder) {
   Rng rng(3);
   const Coo coo = random_coo(100, 100, 600, rng);
   const HismMatrix hism = HismMatrix::from_coo(coo, 8, HighLevelOrder::kColMajor);
-  const HismImage image = build_hism_image(hism, 0x1000);
+  const testing::WrittenHismImage written = testing::written_hism_image(hism, 0x1000);
+  const HismImage& image = written.image;
   const HismMatrix decoded =
-      decode_hism_image(image.bytes, image.base, image.root_addr, image.root_len,
-                        image.levels, image.section, image.rows, image.cols);
+      decode_hism_image(written.memory, 0, image.root_addr, image.root_len, image.levels,
+                        image.section, image.rows, image.cols);
   EXPECT_TRUE(coo_equal(decoded.to_coo(), coo));
 }
 

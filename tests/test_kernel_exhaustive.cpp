@@ -91,8 +91,7 @@ TEST(KernelExhaustive, DoubleKernelTransposeRestoresImageBytes) {
   auto snapshot = [&] {
     const auto raw = machine.memory().raw();
     return std::vector<u8>(raw.begin() + static_cast<std::ptrdiff_t>(image.base),
-                           raw.begin() + static_cast<std::ptrdiff_t>(image.base +
-                                                                     image.bytes.size()));
+                           raw.begin() + static_cast<std::ptrdiff_t>(image.end));
   };
   const std::vector<u8> original = snapshot();
 

@@ -132,7 +132,7 @@ TEST(HismKernel, TransposesStrictlyInPlace) {
   machine.run(program);
 
   const auto raw = machine.memory().raw();
-  const Addr image_end = image.base + image.bytes.size();
+  const Addr image_end = image.end;
   for (Addr addr = image_end; addr < raw.size(); ++addr) {
     ASSERT_EQ(raw[addr], 0u) << "stray write at 0x" << std::hex << addr;
   }

@@ -3,6 +3,7 @@
 // and per-core profiler conservation (docs/MULTICORE.md).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "formats/csr.hpp"
@@ -34,6 +35,31 @@ Coo test_matrix(u64 seed = 42) {
   return random_coo(500, 300, 3000, rng);
 }
 
+// The adversarial shapes every multi-core transpose must survive: an empty
+// matrix, a single row and a single column, one element, one full row
+// across three block columns at s = 64, and one exactly full 64 x 64 block.
+std::vector<Coo> adversarial_shapes() {
+  Rng rng(17);
+  std::vector<Coo> shapes = {Coo(5, 5), random_coo(1, 1000, 400, rng),
+                             random_coo(1000, 1, 400, rng), make_coo(1, 1, {{0, 0, 3.0f}})};
+  Coo full_row(130, 130);
+  for (Index col = 0; col < 130; ++col) full_row.add(77, col, 1.0f + static_cast<float>(col));
+  shapes.push_back(std::move(full_row));
+  Coo full_block(64, 64);
+  for (Index row = 0; row < 64; ++row) {
+    for (Index col = 0; col < 64; ++col) {
+      full_block.add(row, col, static_cast<float>(1 + row * 64 + col));
+    }
+  }
+  shapes.push_back(std::move(full_block));
+  return shapes;
+}
+
+std::string shape_name(const Coo& coo) {
+  return std::to_string(coo.rows()) + "x" + std::to_string(coo.cols()) + "/" +
+         std::to_string(coo.nnz());
+}
+
 // ---- N=1 degenerate case ---------------------------------------------------
 
 TEST(MultiCoreSystem, SingleCoreBitIdenticalToOwningMachine) {
@@ -57,7 +83,8 @@ TEST(MultiCoreSystem, SingleCoreBitIdenticalToOwningMachine) {
   const vsim::RunStats single = machine.run(program);
 
   vsim::MultiCoreSystem system(system_config(1));
-  system.memory().write_block(image.base, image.bytes);
+  system.memory().write_block(
+      image.base, std::span(*stage.snapshot).subspan(image.base, image.end - image.base));
   system.core(0).set_sreg(1, image.root_addr);
   system.core(0).set_sreg(2, image.root_len);
   system.core(0).set_sreg(3, image.levels - 1);
@@ -91,10 +118,9 @@ TEST(MultiCoreSystem, SingleCoreBitIdenticalToOwningMachine) {
   // And the transposed images must agree byte for byte over the image.
   const auto machine_raw = machine.memory().raw();
   const auto system_raw = system.memory().raw();
-  ASSERT_GE(machine_raw.size(), image.base + image.bytes.size());
-  ASSERT_GE(system_raw.size(), image.base + image.bytes.size());
-  EXPECT_TRUE(std::equal(machine_raw.begin() + image.base,
-                         machine_raw.begin() + image.base + image.bytes.size(),
+  ASSERT_GE(machine_raw.size(), image.end);
+  ASSERT_GE(system_raw.size(), image.end);
+  EXPECT_TRUE(std::equal(machine_raw.begin() + image.base, machine_raw.begin() + image.end,
                          system_raw.begin() + image.base));
 }
 
@@ -219,12 +245,16 @@ TEST(BalancedCuts, MatchesTheGreedySplit) {
 // ---- sharded HiSM transpose ------------------------------------------------
 
 TEST(ShardedHismTranspose, MatchesReferenceAtAllCoreCounts) {
-  const Coo coo = test_matrix();
-  for (const u32 cores : {1u, 2u, 4u, 8u}) {
-    const auto result = kernels::run_sharded_hism_transpose(coo, system_config(cores));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed())) << cores << " cores";
-    EXPECT_GT(result.stats.cycles, 0u);
-    EXPECT_EQ(result.stats.barriers, 2u);
+  std::vector<Coo> inputs = adversarial_shapes();
+  inputs.push_back(test_matrix());
+  for (const Coo& coo : inputs) {
+    for (const u32 cores : {1u, 2u, 4u, 8u}) {
+      const auto result = kernels::run_sharded_hism_transpose(coo, system_config(cores));
+      EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()))
+          << shape_name(coo) << " on " << cores << " cores";
+      EXPECT_GT(result.stats.cycles, 0u);
+      EXPECT_EQ(result.stats.barriers, 2u);
+    }
   }
 }
 
@@ -307,14 +337,19 @@ TEST(ParallelCrsTranspose, DeterministicAcrossRuns) {
 
 TEST(ParallelCrsTranspose, RaggedShapes) {
   Rng rng(21);
+  std::vector<Coo> inputs = adversarial_shapes();
   for (const auto& [rows, cols, nnz] : {std::tuple<Index, Index, usize>{1, 500, 400},
                                         {500, 1, 400},
                                         {37, 211, 900}}) {
-    const Coo coo = random_coo(rows, cols, nnz, rng);
+    inputs.push_back(random_coo(rows, cols, nnz, rng));
+  }
+  for (const Coo& coo : inputs) {
     const Csr csr = Csr::from_coo(coo);
-    const auto result = kernels::run_parallel_crs_transpose(csr, system_config(4));
-    EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()))
-        << rows << "x" << cols << "/" << nnz;
+    for (const u32 cores : {1u, 2u, 4u, 8u}) {
+      const auto result = kernels::run_parallel_crs_transpose(csr, system_config(cores));
+      EXPECT_TRUE(coo_equal(result.transposed, coo.transposed()))
+          << shape_name(coo) << " on " << cores << " cores";
+    }
   }
 }
 

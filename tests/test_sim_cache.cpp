@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -158,6 +159,11 @@ TEST(SimCache, RoundTripIsByteIdentical) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 1u);
+  // The entry is the directory's only file, under its key's name.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.str()),
+                          std::filesystem::directory_iterator()),
+            1);
+  EXPECT_TRUE(std::filesystem::is_regular_file(std::filesystem::path(dir.str()) / (key + ".json")));
 
   // A second cache object on the same directory sees the entry (the cache
   // is the directory, not the process).
@@ -300,6 +306,35 @@ TEST(MatrixStageCache, SharesOneStagePerMatrix) {
   // A different section stages a different image.
   EXPECT_NE(first.get(), cache.hism(coo, 32).get());
   EXPECT_EQ(cache.crs(coo).get(), cache.crs(coo).get());
+}
+
+TEST(MatrixStageCache, RacingLookupsOfOneKeyBuildItOnce) {
+  // A config sweep over one matrix starts every worker on the same stage at
+  // once: one of them builds it, the others wait and share it.
+  auto& cache = kernels::MatrixStageCache::instance();
+  cache.clear();
+  Rng rng(11);
+  const Coo coo = testing::random_coo(2048, 2048, 40000, rng);
+  constexpr usize kWorkers = 4;
+  std::latch start(kWorkers);
+  std::vector<std::shared_ptr<const kernels::HismStage>> hism(kWorkers);
+  std::vector<std::shared_ptr<const kernels::CrsStage>> crs(kWorkers);
+  std::vector<std::thread> workers;
+  for (usize i = 0; i < kWorkers; ++i) {
+    workers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      hism[i] = cache.hism(coo, 64);
+      crs[i] = cache.crs(coo);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (usize i = 1; i < kWorkers; ++i) {
+    EXPECT_EQ(hism[i].get(), hism[0].get());
+    EXPECT_EQ(crs[i].get(), crs[0].get());
+  }
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 2 * (kWorkers - 1));
+  cache.clear();
 }
 
 TEST(MemoryCow, SnapshotReadsAndPrivatizeOnWrite) {

@@ -40,6 +40,19 @@ inline kernels::CrsStage crs_stage(const Coo& coo) {
   return kernels::build_crs_stage(Csr::from_coo(coo));
 }
 
+// The image of `hism` at `base` (hism/image.hpp) in a zeroed memory of its
+// own: memory[a] is the byte at address a, for every a below image.end.
+struct WrittenHismImage {
+  HismImage image;
+  std::vector<u8> memory;
+};
+inline WrittenHismImage written_hism_image(const HismMatrix& hism, Addr base) {
+  WrittenHismImage written{hism_image_layout(hism, base), {}};
+  written.memory.assign(written.image.end, 0);
+  write_hism_image(hism, written.image, written.memory);
+  return written;
+}
+
 // gtest matcher-style assertion: two matrices are structurally identical.
 inline ::testing::AssertionResult coo_equal(const Coo& lhs, const Coo& rhs) {
   if (structurally_equal(lhs, rhs)) return ::testing::AssertionSuccess();
